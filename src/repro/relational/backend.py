@@ -38,10 +38,15 @@ __all__ = [
     "have_numpy",
     "resolve_backend",
     "scoped_backend",
+    "vectorize",
 ]
 
 #: The recognized backend names.
 BACKENDS = ("interpreted", "vectorized")
+
+#: Inputs at least this many rows large route to the numpy kernels when the
+#: vectorized backend is active (below it the ndarray overhead loses).
+_VEC_MIN_ROWS = 256
 
 _BACKEND_VAR: ContextVar = ContextVar("repro_backend", default=None)
 
@@ -88,6 +93,16 @@ def current_backend() -> str:
     if name == "vectorized" and not have_numpy():
         return "interpreted"
     return name
+
+
+def vectorize(nrows: int) -> bool:
+    """The one gate of the column path: is the vectorized backend active and
+    is ``nrows`` — the input size the caller documents — worth an ndarray?
+
+    Every relational operator and the run-count scans ask this same
+    question, so an input is either on the numpy arm everywhere or nowhere.
+    """
+    return nrows >= _VEC_MIN_ROWS and current_backend() == "vectorized"
 
 
 @contextmanager

@@ -30,6 +30,8 @@ from array import array
 from bisect import bisect_left
 from typing import Iterator, Sequence
 
+from repro.relational.backend import vectorize
+
 __all__ = [
     "Dictionary",
     "ColumnSet",
@@ -471,17 +473,14 @@ class ColumnSet:
         """Number of distinct length-``depth`` prefixes among the rows."""
         if depth == 0:
             return 1 if self._nrows else 0
-        if self._nrows >= 256:
-            from repro.relational.backend import current_backend
+        if vectorize(self._nrows):
+            import numpy
 
-            if current_backend() == "vectorized":
-                import numpy
-
-                change = numpy.zeros(self._nrows, dtype=bool)
-                change[0] = True
-                for col in self.np_columns()[:depth]:
-                    change[1:] |= col[1:] != col[:-1]
-                return int(change.sum())
+            change = numpy.zeros(self._nrows, dtype=bool)
+            change[0] = True
+            for col in self.np_columns()[:depth]:
+                change[1:] |= col[1:] != col[:-1]
+            return int(change.sum())
         rows = self.rows
         count = 0
         previous = None

@@ -2,15 +2,28 @@
 
 These are the only operations PANDA performs (§1.3: "join, horizontal
 partition, union" — plus the projections of monotonicity steps and the
-semijoins of the query drivers).  All of them run directly on the sorted
-integer code columns of :mod:`repro.relational.columns`:
+semijoins of the query drivers).  Every operand is a lexicographically
+sorted set of integer code rows (:mod:`repro.relational.columns`; shared
+dictionaries make codes directly comparable across relations), so each
+operator is a scan or a merge, and each has exactly two paths:
 
-* projections and partitions are run scans over a column set sorted with the
-  kept/grouping attributes first;
-* the natural join is a sort-merge join on the shared-attribute prefix;
-* the semijoin probes the right side's cached distinct-key set;
-* union/difference are set algebra on code tuples (shared dictionaries make
-  codes directly comparable across relations).
+* the **column path**, taken when :func:`repro.relational.backend.vectorize`
+  says the input (the size named in each operator's docstring) is worth an
+  ndarray: operands stay int64 code columns end to end and results are
+  adopted by :meth:`Relation.from_columns` without ever materializing row
+  tuples.  Multi-attribute keys are packed into one order-preserving int64
+  per row (:func:`repro.relational.vectorized.pack_keys`), so a semijoin or
+  difference is one ``searchsorted`` membership mask, a union one merging
+  argsort plus a run-boundary mask, the join a run-pairing index
+  computation, and the partition run lengths of one key argsort.  The one
+  step still made of row tuples is outside this module: a non-canonical
+  sort order an operator asks of :meth:`Relation.column_set`;
+* the **interpreted path** (small inputs, and installs without numpy):
+  run scans and merges over the sorted row tuples, hash probes of the right
+  side's cached distinct-key set for the semijoin, set algebra on code
+  tuples for union/difference.
+
+Both paths return the same canonical rows and charge the same counters.
 
 Every operator counts the tuple-level work it performs into the *current*
 :class:`WorkCounter`, so benchmarks can report machine-independent work
@@ -36,13 +49,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.exceptions import SchemaError
-from repro.relational.backend import current_backend
+from repro.relational.backend import vectorize
 from repro.relational.columns import decode_row, merge_runs
 from repro.relational.relation import Relation
-
-#: Operator inputs at least this large route to the numpy kernels when the
-#: vectorized backend is active (below it the ndarray overhead loses).
-_VEC_MIN_ROWS = 256
 
 __all__ = [
     "WorkCounter",
@@ -171,12 +180,33 @@ class _WorkCounterProxy:
 work_counter = _WorkCounterProxy()
 
 
+def _np_keys(*operands):
+    """:func:`~repro.relational.vectorized.pack_keys` over ``(columns,
+    nrows)`` operands; the empty key (no attribute to compare) packs to 0."""
+    import numpy as np
+
+    from repro.relational.vectorized import pack_keys
+
+    if not operands[0][0]:
+        return [np.zeros(nrows, dtype=np.int64) for _, nrows in operands]
+    return pack_keys(*(columns for columns, _ in operands))
+
+
+def _realigned_rows(relation: Relation, schema: tuple[str, ...]) -> list:
+    """``relation``'s code rows laid out under ``schema`` (a permutation of
+    its own); the canonical list itself when the two already agree."""
+    if relation.schema == schema:
+        return relation.code_rows
+    positions = tuple(relation.position(a) for a in schema)
+    return [tuple(row[p] for p in positions) for row in relation.code_rows]
+
+
 def project(relation: Relation, attrs: Iterable[str], name: str | None = None) -> Relation:
     """``Π_attrs(relation)``; output schema order follows the input schema.
 
     A run scan over the column set sorted by the kept attributes: distinct
     projections are exactly the run starts, so no hashing is needed and the
-    output rows come out pre-sorted.
+    output rows come out pre-sorted.  Column path gated on the input rows.
     """
     attr_set = frozenset(attrs)
     if not attr_set <= relation.attributes:
@@ -186,11 +216,9 @@ def project(relation: Relation, attrs: Iterable[str], name: str | None = None) -
     out_schema = tuple(a for a in relation.schema if a in attr_set)
     column_set = relation.column_set(out_schema)
     counter = _counter_var.get()
-    if (
-        out_schema
-        and column_set.nrows >= _VEC_MIN_ROWS
-        and current_backend() == "vectorized"
-    ):
+    counter.tuples_scanned += len(relation)
+    name = name or f"Π({relation.name})"
+    if out_schema and vectorize(column_set.nrows):
         # Run starts as one boolean change mask over the sorted columns;
         # the distinct rows gather straight into output columns.
         import numpy as np
@@ -203,26 +231,17 @@ def project(relation: Relation, attrs: Iterable[str], name: str | None = None) -
         for col in cols:
             keep[1:] |= col[1:] != col[:-1]
         out_cols = tuple(np_to_column(col[keep]) for col in cols)
-        counter.tuples_scanned += len(relation)
         counter.tuples_emitted += len(out_cols[0])
-        return Relation.from_columns(
-            name or f"Π({relation.name})", out_schema, out_cols
-        )
-    rows = column_set.rows
+        return Relation.from_columns(name, out_schema, out_cols)
     out_rows: list[tuple] = []
     previous = None
-    for row in rows:
+    for row in column_set.rows:
         if row != previous:
             out_rows.append(row)
             previous = row
-    counter.tuples_scanned += len(relation)
     counter.tuples_emitted += len(out_rows)
     return Relation.from_codes(
-        name or f"Π({relation.name})",
-        out_schema,
-        out_rows,
-        presorted=True,
-        distinct=True,
+        name, out_schema, out_rows, presorted=True, distinct=True
     )
 
 
@@ -264,13 +283,11 @@ def natural_join(left: Relation, right: Relation, name: str | None = None) -> Re
     paired by a linear merge and their row blocks cross-multiplied.  The
     output schema is left's schema followed by right's private attributes.
     A cross product (no shared attributes) is supported but counted at full
-    cost, as it should be.
+    cost, as it should be.  Column path gated on the two inputs' rows.
     """
     shared = tuple(sorted(left.attributes & right.attributes))
-    out_schema = left.schema + tuple(
-        a for a in right.schema if a not in left.attributes
-    )
     right_private = tuple(a for a in right.schema if a not in left.attributes)
+    out_schema = left.schema + right_private
 
     k = len(shared)
     left_order = shared + tuple(a for a in left.schema if a not in shared)
@@ -279,26 +296,18 @@ def natural_join(left: Relation, right: Relation, name: str | None = None) -> Re
     right_set = right.column_set(right_order)
 
     counter = _counter_var.get()
-    if (
-        k == 1
-        and left_set.nrows + right_set.nrows >= _VEC_MIN_ROWS
-        and current_backend() == "vectorized"
-    ):
-        counter.tuples_scanned += left_set.nrows + right_set.nrows
-        out_columns = _np_merge_join(
-            left_set, right_set, left_order, right_order, out_schema
-        )
+    counter.tuples_scanned += left_set.nrows + right_set.nrows
+    counter.joins += 1
+    name = name or f"({left.name}⋈{right.name})"
+    if vectorize(left_set.nrows + right_set.nrows):
+        out_columns = _np_merge_join(left_set, right_set, k, out_schema)
         counter.tuples_emitted += len(out_columns[0])
-        counter.joins += 1
-        return Relation.from_columns(
-            name or f"({left.name}⋈{right.name})", out_schema, out_columns
-        )
+        return Relation.from_columns(name, out_schema, out_columns)
     left_rows = left_set.rows
     right_rows = right_set.rows
     # Positions mapping a left-order row back to left-schema layout.
     left_inverse = tuple(left_order.index(a) for a in left.schema)
 
-    counter.tuples_scanned += len(left_rows) + len(right_rows)
     out_rows: list[tuple] = []
     for i, i_end, j, j_end in merge_runs(
         left_rows, right_rows, lambda row: row[:k]
@@ -308,103 +317,101 @@ def natural_join(left: Relation, right: Relation, name: str | None = None) -> Re
             for b in range(j, j_end):
                 out_rows.append(realigned + right_rows[b][k:])
     counter.tuples_emitted += len(out_rows)
-    counter.joins += 1
-    return Relation.from_codes(
-        name or f"({left.name}⋈{right.name})", out_schema, out_rows,
-        distinct=True,
-    )
+    return Relation.from_codes(name, out_schema, out_rows, distinct=True)
 
 
-def _np_merge_join(left_set, right_set, left_order, right_order, out_schema):
-    """Single-shared-attribute sort-merge ⋈ as numpy block kernels.
+def _np_merge_join(left_set, right_set, k, out_schema):
+    """The sort-merge ⋈ on the first ``k`` (shared) columns as numpy block
+    kernels.
 
-    Matching key runs are located with vectorized ``searchsorted`` over the
-    shared-attribute-major columns; the per-run cross products expand with
-    one ``repeat``/``tile``-style indexing pass, and the result columns are
-    lex-sorted into the canonical ``out_schema`` row order — exactly the
-    rows the interpreted merge emits after its ``from_codes`` sort.
+    The shared columns pack into one composite key per side; matching key
+    runs are located with vectorized ``searchsorted`` over the (key-sorted)
+    packed keys, the per-run cross products expand with one
+    ``repeat``/``tile``-style indexing pass, and the result columns are
+    sorted into the canonical ``out_schema`` row order — exactly the rows
+    the interpreted merge emits after its ``from_codes`` sort.
     """
     import numpy as np
 
-    from repro.relational.vectorized import np_to_column, sorted_unique
+    from repro.relational.vectorized import (
+        membership_mask,
+        np_to_column,
+        pack_keys,
+        sorted_unique,
+    )
 
     left_cols = left_set.np_columns()
     right_cols = right_set.np_columns()
-    left_key = left_cols[0]
-    right_key = right_cols[0]
-    empty = ()
-    if len(left_key) and len(right_key):
-        shared_codes = sorted_unique(left_key)
-        pos = np.searchsorted(right_key, shared_codes)
-        inside = pos < len(right_key)
-        pos[~inside] = 0
-        shared_codes = shared_codes[inside & (right_key[pos] == shared_codes)]
-    else:
-        shared_codes = None
-    if shared_codes is None or not len(shared_codes):
-        return tuple(np_to_column(np.empty(0, dtype=np.int64)) for _ in out_schema)
-    left_lo = np.searchsorted(left_key, shared_codes, side="left")
-    left_hi = np.searchsorted(left_key, shared_codes, side="right")
-    right_lo = np.searchsorted(right_key, shared_codes, side="left")
-    right_hi = np.searchsorted(right_key, shared_codes, side="right")
-    left_counts = left_hi - left_lo
+    left_key, right_key = _np_keys(
+        (left_cols[:k], left_set.nrows), (right_cols[:k], right_set.nrows)
+    )
+    shared_keys = sorted_unique(left_key)
+    shared_keys = shared_keys[membership_mask(shared_keys, right_key)]
+    left_lo = np.searchsorted(left_key, shared_keys, side="left")
+    left_hi = np.searchsorted(left_key, shared_keys, side="right")
+    right_lo = np.searchsorted(right_key, shared_keys, side="left")
+    right_hi = np.searchsorted(right_key, shared_keys, side="right")
     right_counts = right_hi - right_lo
-    pair_counts = left_counts * right_counts
+    pair_counts = (left_hi - left_lo) * right_counts
     total = int(pair_counts.sum())
     # Per output slot: which key run, and the (left, right) offsets inside
     # its cross product — all index arithmetic, no per-run Python loop.
     slots = np.arange(total, dtype=np.int64)
-    run = np.repeat(np.arange(len(shared_codes), dtype=np.int64), pair_counts)
+    run = np.repeat(np.arange(len(shared_keys), dtype=np.int64), pair_counts)
     local = slots - np.repeat(np.cumsum(pair_counts) - pair_counts, pair_counts)
     left_index = left_lo[run] + local // right_counts[run]
     right_index = right_lo[run] + local % right_counts[run]
     columns = []
     for attr in out_schema:
-        if attr in left_order:
-            columns.append(left_cols[left_order.index(attr)][left_index])
+        if attr in left_set.attrs:
+            columns.append(left_cols[left_set.attrs.index(attr)][left_index])
         else:
-            columns.append(right_cols[right_order.index(attr)][right_index])
-    order = np.lexsort(tuple(reversed(columns)))
-    return tuple(np_to_column(column[order]) for column in columns)
+            columns.append(right_cols[right_set.attrs.index(attr)][right_index])
+    # Output rows are distinct, so the packed-key argsort has no ties.
+    by_row = np.argsort(pack_keys(columns)[0])
+    return tuple(np_to_column(column[by_row]) for column in columns)
 
 
 def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """``left ⋉ right``: the left tuples with a join partner in right.
 
-    Probes the right side's cached distinct-key set with code tuples; the
-    left side streams in canonical order, so the output is pre-sorted.
+    The left side streams in canonical order, so the output is pre-sorted.
+    Column path (gated on the two inputs' rows — a small left side still
+    pays for the right side's keys): one ``searchsorted`` membership mask
+    of the left rows' packed shared-attribute keys in the right side's
+    key-sorted ones.  Interpreted path: probes of the right side's cached
+    distinct-key set with code tuples.
     """
     shared = tuple(sorted(left.attributes & right.attributes))
-    keys = right.key_set(shared)
     positions = tuple(left.position(a) for a in shared)
     counter = _counter_var.get()
-    if (
-        len(shared) == 1
-        and len(left) >= _VEC_MIN_ROWS
-        and current_backend() == "vectorized"
-    ):
-        import numpy as np
-
+    counter.tuples_scanned += len(left)
+    name = name or left.name
+    if left.schema and vectorize(len(left) + len(right)):
         from repro.relational.vectorized import membership_mask, np_to_column
 
-        left_set = left.column_set(left.schema)
-        right_key = right.column_set(shared).np_columns()[0]
-        probe = left_set.np_columns()[positions[0]]
-        mask = membership_mask(probe, right_key)
-        counter.tuples_scanned += left_set.nrows
-        counter.tuples_emitted += int(mask.sum())
-        columns = tuple(
-            np_to_column(np.asarray(col)[mask]) for col in left_set.np_columns()
+        left_cols = left.column_set(left.schema).np_columns()
+        right_set = right.column_set(shared)
+        left_key, right_key = _np_keys(
+            ([left_cols[p] for p in positions], len(left)),
+            (right_set.np_columns(), right_set.nrows),
         )
-        return Relation.from_columns(name or left.name, left.schema, columns)
-    out_rows = []
-    for row in left.code_rows:
-        counter.tuples_scanned += 1
-        if tuple(row[p] for p in positions) in keys:
-            out_rows.append(row)
-            counter.tuples_emitted += 1
+        mask = membership_mask(left_key, right_key)
+        columns = tuple(np_to_column(col[mask]) for col in left_cols)
+        counter.tuples_emitted += len(columns[0])
+        return Relation.from_columns(name, left.schema, columns)
+    keys = right.key_set(shared)
+    if shared == left.schema:
+        out_rows = [row for row in left.code_rows if row in keys]
+    else:
+        out_rows = [
+            row
+            for row in left.code_rows
+            if tuple(row[p] for p in positions) in keys
+        ]
+    counter.tuples_emitted += len(out_rows)
     return Relation.from_codes(
-        name or left.name, left.schema, out_rows, presorted=True, distinct=True
+        name, left.schema, out_rows, presorted=True, distinct=True
     )
 
 
@@ -412,39 +419,73 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """Set union of two relations over the same attribute set.
 
     Schemas may order attributes differently; the left order wins.  Shared
-    dictionaries let the realignment work purely on code tuples.
+    dictionaries make codes directly comparable.  Column path (gated on the
+    two inputs' rows): both sides sorted under the left schema are two
+    ascending runs of packed row keys — one stable (merging) argsort of
+    their concatenation, a run-boundary mask to drop the right rows already
+    present, and the surviving positions gather the output columns.
     """
     if left.attributes != right.attributes:
         raise SchemaError(
             f"union needs equal attribute sets, got {left.schema} vs {right.schema}"
         )
-    positions = tuple(right.position(a) for a in left.schema)
     counter = _counter_var.get()
     counter.tuples_scanned += len(left) + len(right)
+    name = name or f"({left.name}∪{right.name})"
+    if vectorize(len(left) + len(right)):
+        import numpy as np
+
+        from repro.relational.vectorized import np_to_column, pack_keys, run_start_mask
+
+        left_cols = left.column_set(left.schema).np_columns()
+        right_cols = right.column_set(left.schema).np_columns()
+        keys = np.concatenate(pack_keys(left_cols, right_cols))
+        merged = np.argsort(keys, kind="stable")
+        merged = merged[run_start_mask(keys[merged])]
+        columns = tuple(
+            np_to_column(np.concatenate(pair)[merged])
+            for pair in zip(left_cols, right_cols)
+        )
+        counter.tuples_emitted += len(merged)
+        return Relation.from_columns(name, left.schema, columns)
     rows = set(left.code_rows)
-    rows.update(tuple(row[p] for p in positions) for row in right.code_rows)
+    rows.update(_realigned_rows(right, left.schema))
     counter.tuples_emitted += len(rows)
-    return Relation.from_codes(
-        name or f"({left.name}∪{right.name})", left.schema, list(rows),
-        distinct=True,
-    )
+    return Relation.from_codes(name, left.schema, list(rows), distinct=True)
 
 
 def difference(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set difference ``left - right`` over the same attribute set."""
+    """Set difference ``left - right`` over the same attribute set.
+
+    Column path (gated on the two inputs' rows): the left rows whose packed
+    key is absent from the right side's, sorted under the left schema.
+    """
     if left.attributes != right.attributes:
         raise SchemaError(
             f"difference needs equal attribute sets, got {left.schema} vs {right.schema}"
         )
-    positions = tuple(right.position(a) for a in left.schema)
-    removed = {tuple(row[p] for p in positions) for row in right.code_rows}
-    out_rows = [row for row in left.code_rows if row not in removed]
     counter = _counter_var.get()
     counter.tuples_scanned += len(left) + len(right)
+    name = name or f"({left.name}-{right.name})"
+    if vectorize(len(left) + len(right)):
+        from repro.relational.vectorized import (
+            membership_mask,
+            np_to_column,
+            pack_keys,
+        )
+
+        left_cols = left.column_set(left.schema).np_columns()
+        right_cols = right.column_set(left.schema).np_columns()
+        left_key, right_key = pack_keys(left_cols, right_cols)
+        mask = ~membership_mask(left_key, right_key)
+        columns = tuple(np_to_column(col[mask]) for col in left_cols)
+        counter.tuples_emitted += len(columns[0])
+        return Relation.from_columns(name, left.schema, columns)
+    removed = set(_realigned_rows(right, left.schema))
+    out_rows = [row for row in left.code_rows if row not in removed]
     counter.tuples_emitted += len(out_rows)
     return Relation.from_codes(
-        name or f"({left.name}-{right.name})", left.schema, out_rows,
-        presorted=True, distinct=True,
+        name, left.schema, out_rows, presorted=True, distinct=True
     )
 
 
@@ -475,8 +516,8 @@ def heavy_light_partition(
         piece.x_count * piece.y_degree <= len(relation).
 
     Returns at most ``2·log2|T| + O(1)`` pieces whose union is ``relation``.
-    The ``X``-groups are the runs of the ``X``-major sorted column set — one
-    linear scan, no hashing.
+    The ``X``-groups are the runs of the ``X``-major sorted rows — no
+    hashing.  Column path gated on the input rows.
     """
     x_attrs = tuple(sorted(frozenset(x)))
     if not frozenset(x_attrs) < relation.attributes:
@@ -486,33 +527,13 @@ def heavy_light_partition(
     total = len(relation)
     if total == 0:
         return []
-
-    k = len(x_attrs)
-    order = x_attrs + tuple(a for a in relation.schema if a not in x_attrs)
-    rows = relation.column_set(order).rows
-    inverse = tuple(order.index(a) for a in relation.schema)
     counter = _counter_var.get()
-    counter.tuples_scanned += len(rows)
-
-    # X-groups = runs of the X-prefix; rows realigned back to schema layout.
-    groups: list[tuple[tuple, list[tuple]]] = []
-    i = 0
-    n = len(rows)
-    while i < n:
-        key = rows[i][:k]
-        i_end = i + 1
-        while i_end < n and rows[i_end][:k] == key:
-            i_end += 1
-        groups.append(
-            (key, [tuple(row[p] for p in inverse) for row in rows[i:i_end]])
-        )
-        i = i_end
-
-    buckets: dict[int, list[tuple[tuple, list[tuple]]]] = {}
-    for key, group_rows in groups:
-        buckets.setdefault(len(group_rows).bit_length() - 1, []).append(
-            (key, group_rows)
-        )
+    counter.tuples_scanned += total
+    counter.partitions += 1
+    if vectorize(total):
+        x_codes, sizes, buckets, piece_of = _np_x_groups(relation, x_attrs)
+    else:
+        x_codes, sizes, buckets, piece_of = _x_groups(relation, x_attrs)
 
     # Bucket halving sorts by decoded x-*values*, not codes: codes order by
     # process-global first-appearance, so splitting on them would make the
@@ -520,34 +541,108 @@ def heavy_light_partition(
     # history rather than on the relation's contents.
     x_dicts = tuple(relation.dictionaries[relation.position(a)] for a in x_attrs)
 
-    def decoded_x(entry: tuple) -> tuple:
-        return decode_row(x_dicts, entry[0])
+    def decoded_x(group: int) -> tuple:
+        return decode_row(x_dicts, x_codes(group))
 
     pieces: list[PartitionPiece] = []
-    piece_count = 0
     for j in sorted(buckets):
-        # Each entry in the stack is a list of (x_key, rows) pairs sharing
+        # Each entry in the stack is a list of X-groups (by index) sharing
         # log-degree bucket j; halve until the Lemma 6.1 product bound holds.
         stack = [buckets[j]]
         while stack:
-            entries = stack.pop()
-            x_count = len(entries)
-            y_degree = max(len(group_rows) for _, group_rows in entries)
+            members = stack.pop()
+            x_count = len(members)
+            y_degree = max(sizes[group] for group in members)
             if x_count * y_degree > total and x_count > 1:
-                entries_sorted = sorted(entries, key=decoded_x)
-                half = len(entries_sorted) // 2
-                stack.append(entries_sorted[:half])
-                stack.append(entries_sorted[half:])
+                members = sorted(members, key=decoded_x)
+                half = x_count // 2
+                stack.append(members[:half])
+                stack.append(members[half:])
                 continue
-            all_rows = [row for _, group_rows in entries for row in group_rows]
-            counter.tuples_emitted += len(all_rows)
-            piece_count += 1
-            piece = Relation.from_codes(
-                f"{relation.name}[{piece_count}]",
-                relation.schema,
-                all_rows,
-                distinct=True,
-            )
+            piece = piece_of(f"{relation.name}[{len(pieces) + 1}]", members)
+            counter.tuples_emitted += len(piece)
             pieces.append(PartitionPiece(piece, x_count, y_degree))
-    counter.partitions += 1
     return pieces
+
+
+def _x_groups(relation: Relation, x_attrs: tuple[str, ...]):
+    """The ``X``-groups of ``relation``, numbered in ``X``-code order.
+
+    Returns ``(x_codes, sizes, buckets, piece_of)``: the code tuple and row
+    count of each group, the group numbers by log-degree bucket, and a
+    builder of the sub-relation holding a given list of groups.
+    """
+    k = len(x_attrs)
+    order = x_attrs + tuple(a for a in relation.schema if a not in x_attrs)
+    rows = relation.column_set(order).rows
+    inverse = tuple(order.index(a) for a in relation.schema)
+
+    # X-groups = runs of the X-prefix; rows realigned back to schema layout.
+    keys: list[tuple] = []
+    groups: list[list[tuple]] = []
+    buckets: dict[int, list[int]] = {}
+    i = 0
+    n = len(rows)
+    while i < n:
+        key = rows[i][:k]
+        i_end = i + 1
+        while i_end < n and rows[i_end][:k] == key:
+            i_end += 1
+        buckets.setdefault((i_end - i).bit_length() - 1, []).append(len(keys))
+        keys.append(key)
+        groups.append([tuple(row[p] for p in inverse) for row in rows[i:i_end]])
+        i = i_end
+
+    def piece_of(name: str, members: list[int]) -> Relation:
+        piece_rows = [row for group in members for row in groups[group]]
+        return Relation.from_codes(
+            name, relation.schema, piece_rows, distinct=True
+        )
+
+    return keys.__getitem__, [len(group) for group in groups], buckets, piece_of
+
+
+def _np_x_groups(relation: Relation, x_attrs: tuple[str, ...]):
+    """:func:`_x_groups` on code columns.
+
+    One argsort of the packed ``X`` key gives the ``X``-major order; group
+    sizes are the gaps between its run boundaries, log-degree buckets the
+    binary exponents of the size vector, and every canonical row learns its
+    group number — so a piece is one boolean mask over the canonical
+    columns, already sorted and duplicate-free.
+    """
+    import numpy as np
+
+    from repro.relational.vectorized import np_to_column, run_start_mask
+
+    total = len(relation)
+    columns = relation.column_set(relation.schema).np_columns()
+    x_columns = [columns[relation.position(a)] for a in x_attrs]
+    (keys,) = _np_keys((x_columns, total))
+    by_key = np.argsort(keys)
+    starts = run_start_mask(keys[by_key])
+    group_of = np.empty(total, dtype=np.int64)
+    group_of[by_key] = np.cumsum(starts) - 1
+    first_rows = by_key[starts]
+    sizes = np.diff(np.append(np.flatnonzero(starts), total))
+    # ``frexp`` exponents are bit lengths (exact below 2^53 rows).
+    bucket_of = np.frexp(sizes)[1] - 1
+    buckets = {
+        int(j): np.flatnonzero(bucket_of == j).tolist()
+        for j in np.unique(bucket_of)
+    }
+
+    def x_codes(group: int) -> tuple:
+        return tuple(column[first_rows[group]] for column in x_columns)
+
+    def piece_of(name: str, members: list[int]) -> Relation:
+        chosen = np.zeros(len(sizes), dtype=bool)
+        chosen[members] = True
+        mask = chosen[group_of]
+        return Relation.from_columns(
+            name,
+            relation.schema,
+            [np_to_column(column[mask]) for column in columns],
+        )
+
+    return x_codes, sizes.tolist(), buckets, piece_of

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SchemaError
+from repro.relational.backend import vectorize
 from repro.relational.columns import ColumnSet, Dictionary, decode_row
 from repro.relational.trie import SortedTrieIterator
 
@@ -472,11 +473,8 @@ class Relation:
         if split == 0:
             return self.column_set(order).distinct_prefix_count(len(order))
         column_set = self.column_set(order)
-        if column_set.nrows >= 256:
-            from repro.relational.backend import current_backend
-
-            if current_backend() == "vectorized":
-                return _np_degree(column_set, split)
+        if vectorize(column_set.nrows):
+            return _np_degree(column_set, split)
         rows = column_set.rows
         best = 0
         count = 0

@@ -57,20 +57,24 @@ from repro.relational.relation import Relation
 __all__ = [
     "membership_mask",
     "np_to_column",
+    "pack_keys",
+    "run_start_mask",
     "sorted_unique",
     "vectorized_execute_join",
 ]
 
 
+def run_start_mask(block):
+    """Boolean mask of the positions where a new run of equal values starts
+    in an already-sorted (or at least run-grouped) array."""
+    starts = np.ones(len(block), dtype=bool)
+    np.not_equal(block[1:], block[:-1], out=starts[1:])
+    return starts
+
+
 def sorted_unique(block):
     """Distinct values of an already-sorted array (run-boundary mask)."""
-    n = len(block)
-    if n == 0:
-        return block
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(block[1:], block[:-1], out=keep[1:])
-    return block[keep]
+    return block[run_start_mask(block)]
 
 
 def np_to_column(values) -> array:
@@ -95,6 +99,48 @@ def membership_mask(values, block):
     inside = pos < n
     pos[~inside] = 0
     return inside & (block[pos] == values)
+
+
+def pack_keys(*operands):
+    """One order-preserving int64 key per row, for each operand.
+
+    Each operand is a sequence of ``k >= 1`` aligned int64 code columns, the
+    same ``k`` attributes in the same order for every operand.  Rows compare
+    by their keys exactly as they compare lexicographically by their codes —
+    *across* operands too, so the keys of one operand can be searched,
+    merged or masked against another's.  This is what lets the k-attribute
+    operators of :mod:`repro.relational.operators` run as single-column
+    numpy passes.
+
+    The key is mixed radix: attribute ``i`` gets base ``max code + 1`` over
+    all operands (codes are dense dictionary indices, so the bases are
+    small).  When the next digit would push the key past int63, the running
+    key and the digit are first re-ranked to dense ``0..distinct-1`` values
+    (``np.unique(..., return_inverse=True)`` over all operands together) —
+    both are then at most the total row count, so their product fits and no
+    input is ever too large or too sparse for the column path.
+    """
+    sizes = [len(operand[0]) for operand in operands]
+    splits = np.cumsum(sizes)[:-1]
+
+    def base_of(digits):
+        return 1 + max((int(d.max()) for d in digits if len(d)), default=0)
+
+    def rerank(parts):
+        distinct, ranks = np.unique(np.concatenate(parts), return_inverse=True)
+        return np.split(ranks, splits), len(distinct)
+
+    keys = [operand[0] for operand in operands]
+    span = base_of(keys)
+    for position in range(1, len(operands[0])):
+        digits = [operand[position] for operand in operands]
+        base = base_of(digits)
+        if span * base >= 1 << 63:
+            keys, span = rerank(keys)
+            digits, base = rerank(digits)
+        keys = [key * base + digit for key, digit in zip(keys, digits)]
+        span *= base
+    return keys
 
 
 #: Probes-per-distinct-node threshold above which the grouped flat-search
@@ -173,16 +219,26 @@ def _ragged_probe(col, seg_lo, seg_hi, row_id, values, m, need_bounds):
         return np.zeros(len(values), dtype=bool), None, None
     starts = np.cumsum(lengths) - lengths
     gidx = np.arange(total, dtype=np.int64) - np.repeat(starts - seg_lo, lengths)
-    rid = np.repeat(np.arange(m, dtype=np.int64), lengths)
+    keys = np.repeat(np.arange(m, dtype=np.int64), lengths)
     vals = col[gidx]
     base = max(int(vals.max()), int(values.max()) if len(values) else 0) + 1
     if m * base >= 1 << 62:  # pragma: no cover - would need ~2^62 codes
         return None
-    keys = rid * base + vals
-    probes = row_id * base + values
+    # Every block here is candidate-sized (16 MB at a 10^5-tuple triangle's
+    # leaf), and the first touch of fresh pages is the one cost of this
+    # kernel that varies from run to run: build the keys in place and drop
+    # each block at its last use rather than at return.
+    if not need_bounds:
+        del gidx
+    keys *= base
+    keys += vals
+    del vals
+    probes = row_id * base
+    probes += values
     pos = np.searchsorted(keys, probes)
-    safe = np.minimum(pos, total - 1)
-    found = (pos < total) & (keys[safe] == probes)
+    found = pos < total
+    safe = np.minimum(pos, total - 1, out=pos)
+    found &= keys[safe] == probes
     if not need_bounds:
         return found, None, None
     # The run of equal composite keys is one segment's key run, so its
@@ -294,6 +350,8 @@ def vectorized_execute_join(
             )
             row_id = np.repeat(np.arange(m, dtype=np.int64), lengths)
             values = cols_of[driver][d_local][gidx]
+            if leaf:
+                del gidx  # only the child ranges below the leaf need it
         else:
             # Mixed drivers: gather each row's run from its argmin relation
             # (ties break to the first active, deterministically).  Rows

@@ -13,8 +13,8 @@ The PANDA query drivers (Corollaries 7.11 and 7.13) call this on the tree
 decomposition whose bags were materialized by PANDA.
 
 The semijoin sweeps and the bottom-up join run on the columnar engine: each
-semijoin probes the neighbour's cached distinct-key set of shared-attribute
-code tuples, and each join is a sort-merge over the shared sorted-trie
+semijoin is a membership test of shared-attribute keys against the
+neighbour's, and each join is a sort-merge over the shared sorted-trie
 layout (:mod:`repro.relational.operators`).  Since every sweep preserves
 schemas, the intermediate trees reuse :meth:`JoinTree.with_relations` and
 skip re-validating the running-intersection property.

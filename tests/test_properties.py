@@ -1,14 +1,22 @@
 """Hypothesis property-based tests on core data structures and invariants."""
 
 import math
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounds import log_size_bound
+from repro.core.panda import panda
+from repro.core.query_plans import dasubw_plan
 from repro.core.setfunctions import SetFunction
 from repro.flows import FlowInequality
+from repro.instances.families import cycle_query, path_rule
+from repro.planner import Planner
 from repro.relational import (
+    Database,
     Relation,
     generic_join,
     heavy_light_partition,
@@ -17,6 +25,7 @@ from repro.relational import (
     semijoin,
     union,
 )
+from repro.relational.backend import scoped_backend
 
 F = Fraction
 
@@ -196,3 +205,82 @@ def test_uniform_entropy_is_near_polymatroid(r):
     assert h.is_nonnegative()
     assert h(("A", "B")) >= h(("A",)) - F(1, 10**6)
     assert h(("A",)) + h(("B",)) >= h(("A", "B")) - F(1, 10**6)
+
+
+# -- the paper's guarantees as properties --------------------------------------------
+
+FOUR_CYCLE = cycle_query(4)
+PATH_RULE = path_rule()  # Example 1.4: T123 ∨ T234 :- R12, R23, R34
+#: One planner for all examples: relation sizes come from a two-value menu,
+#: so the cardinality constraints (and with them the plans) repeat.
+PLANNER = Planner()
+
+
+@st.composite
+def hub_skewed_instances(draw, body):
+    """Edge lists for the binary atoms of ``body`` in which a few hub nodes
+    carry a large share of the endpoints — the skew Lemma 6.1 partitions on."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = draw(st.sampled_from((90, 320)))
+    hubs = draw(st.integers(min_value=1, max_value=3))
+    hub_share = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    domain = size // 3
+
+    def endpoint():
+        return rng.randrange(hubs if rng.random() < hub_share else domain)
+
+    instance = []
+    for atom in body:
+        edges = set()
+        while len(edges) < size:
+            edges.add((endpoint(), endpoint()))
+        instance.append((atom.name, atom.variables, sorted(edges)))
+    return instance
+
+
+def _assert_within_budget(run):
+    """Theorem 1.7: no PANDA intermediate exceeds ``2^OBJ`` (the model unions
+    one table per Lemma 6.1 branch, hence the theorem's polylog factor)."""
+    assert run.stats.max_intermediate <= run.budget
+    assert run.model.max_size <= run.budget * max(1, run.stats.branches)
+
+
+def _assert_output_within_bound(body, database, constraints):
+    """``|Q(D)| <= 2^LogSizeBound`` for the full query over ``body`` (Eq. 7)."""
+    output = generic_join([atom.bind(database) for atom in body])
+    universe = tuple(sorted(output.attributes))
+    bound = log_size_bound(universe, frozenset(universe), constraints)
+    assert len(output) <= 2.0 ** float(bound.log_value) * (1 + 1e-9)
+    return output
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+@settings(max_examples=12, deadline=None)
+@given(instance=hub_skewed_instances(FOUR_CYCLE.body))
+def test_four_cycle_dasubw_respects_budget_and_bound(backend, instance):
+    with scoped_backend(backend):
+        database = Database([Relation(*relation) for relation in instance])
+        constraints = database.extract_cardinalities()
+        result = dasubw_plan(
+            FOUR_CYCLE, database, constraints=constraints, planner=PLANNER
+        )
+        output = _assert_output_within_bound(FOUR_CYCLE.body, database, constraints)
+    # Corollary 7.13: the adaptive plan computes the query.
+    assert result.relation == output
+    assert result.panda_runs
+    for run in result.panda_runs:
+        _assert_within_budget(run)
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+@settings(max_examples=12, deadline=None)
+@given(instance=hub_skewed_instances(PATH_RULE.body))
+def test_three_path_rule_respects_budget_and_bound(backend, instance):
+    with scoped_backend(backend):
+        database = Database([Relation(*relation) for relation in instance])
+        constraints = database.extract_cardinalities()
+        run = panda(PATH_RULE, database, constraints=constraints, planner=PLANNER)
+        _assert_output_within_bound(PATH_RULE.body, database, constraints)
+    _assert_within_budget(run)
+    assert run.stats.partitions  # the N^{3/2} budget forces a Lemma 6.1 split
+    assert PATH_RULE.is_model(run.model, database)
