@@ -10,7 +10,7 @@ from repro.core.query_plans import dasubw_plan, tree_decomposition_plan
 from repro.datalog import parse_query
 from repro.decompositions import tree_decompositions
 from repro.instances import instance_a, instance_a_transposed
-from repro.relational import work_counter
+from repro.relational import scoped_work_counter
 
 from _bench_utils import loglog_slope, print_table
 
@@ -19,10 +19,10 @@ DECOMPOSITIONS = tree_decompositions(QUERY.hypergraph())
 
 
 def _measure(plan, *args) -> int:
-    work_counter.reset()
-    result = plan(*args)
+    with scoped_work_counter() as counter:
+        result = plan(*args)
     assert result.boolean  # every adversarial instance contains 4-cycles
-    return work_counter.total
+    return counter.total
 
 
 def test_boolean_4cycle_adaptive_vs_single_td(benchmark):

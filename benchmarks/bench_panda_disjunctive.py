@@ -12,7 +12,7 @@ sweeps N on that instance and fits the work exponent, which should sit near
 
 from repro.core.panda import panda
 from repro.instances import path_rule
-from repro.relational import Database, Relation, work_counter
+from repro.relational import Database, Relation, scoped_work_counter
 
 from _bench_utils import loglog_slope, print_table
 
@@ -35,9 +35,9 @@ def test_panda_path_rule_scaling(benchmark):
     rows = []
     for n in sizes:
         db = _worst_case(n)
-        work_counter.reset()
-        result = panda(RULE, db)
-        work = work_counter.total
+        with scoped_work_counter() as counter:
+            result = panda(RULE, db)
+        work = counter.total
         works.append(work)
         assert RULE.is_model(result.model, db)
         assert result.bound.value == n**1.5

@@ -20,7 +20,7 @@ from repro.core.query_plans import dasubw_plan, tree_decomposition_plan
 from repro.datalog import parse_query
 from repro.decompositions import tree_decompositions
 from repro.instances import instance_a
-from repro.relational import Database, Relation, work_counter
+from repro.relational import Database, Relation, scoped_work_counter
 
 QUERY = parse_query("Q() :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A4,A1)")
 
@@ -43,9 +43,9 @@ def random_graph_instance(n: int, seed: int) -> Database:
 
 
 def measure(plan_fn, *args) -> tuple[bool, int]:
-    work_counter.reset()
-    result = plan_fn(*args)
-    return result.boolean, work_counter.total
+    with scoped_work_counter() as counter:
+        result = plan_fn(*args)
+    return result.boolean, counter.total
 
 
 def main() -> None:

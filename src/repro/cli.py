@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 from repro.bounds import log_size_bound
@@ -52,6 +53,7 @@ from repro.core.constraints import (
 from repro.datalog import parse_query, parse_rule
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import ReproError
+from repro.planner.engine import DRIVERS
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +70,61 @@ def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--degree", action="append", default=[], metavar="X>Y=N",
         help="degree constraint deg(Y|X) <= N; comma-separate variables",
+    )
+
+
+def _add_engine_args(
+    parser: argparse.ArgumentParser, limit: bool = False, changes: bool = False
+) -> None:
+    """The argument block ``run``, ``datalog`` and ``serve`` share.
+
+    ``limit`` adds ``--out``/``--limit`` (commands that print result rows),
+    ``changes`` adds ``--changes`` (commands that apply change feeds).
+    """
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--data", help="directory of CSV relations (header = schema)"
+    )
+    source.add_argument(
+        "--data-dir", dest="data_dir",
+        help="persisted database directory (see `repro ingest`): relations "
+             "open as mmap-backed columns, no CSV parse, instant cold start",
+    )
+    if changes:
+        parser.add_argument(
+            "--changes",
+            help="directory of <relation>.changes.csv feeds (header op,...; "
+                 "rows '+,v1,v2' insert / '-,v1,v2' delete), one batch per "
+                 "file, applied in sorted filename order",
+        )
+    if limit:
+        parser.add_argument("--out", help="directory to write result CSVs")
+        parser.add_argument(
+            "--limit", type=int, default=20,
+            help="max rows to print per result relation without --out",
+        )
+    parser.add_argument(
+        "--driver", default=None, choices=DRIVERS,
+        help="execution strategy (default generic; results are bit-identical "
+             "regardless).  On `run`, giving it opts into the parallel "
+             "engine even at --workers 1",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="fan work out over N worker processes: range shards when "
+             "evaluating or recomputing, delta-join terms when maintaining "
+             "(results bit-identical to serial)",
+    )
+    parser.add_argument(
+        "--backend", default=None, choices=("interpreted", "vectorized"),
+        help="execution kernels: tuple-at-a-time interpreter or numpy "
+             "block kernels (bit-identical results; default: "
+             "$REPRO_BACKEND, else vectorized when numpy is available)",
+    )
+    parser.add_argument(
+        "--stats", action="store_true",
+        help="report maintenance/fixpoint, plan-cache and tuple-level work "
+             "totals (worker counts aggregated back into the parent)",
     )
 
 
@@ -249,177 +306,53 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    from pathlib import Path
+def _print_rows(relation, limit: int) -> None:
+    for row in sorted(relation, key=repr)[:limit]:
+        print("  " + ", ".join(map(str, row)))
+    if len(relation) > limit:
+        print(f"  ... ({len(relation) - limit} more)")
 
-    from repro.core.panda import panda
-    from repro.core.query_plans import dasubw_plan, proper_query_plan
-    from repro.datalog.rule import DisjunctiveRule
-    from repro.planner import Planner
-    from repro.relational.backend import scoped_backend
-    from repro.relational.io import save_relation_csv
-    from repro.relational.operators import scoped_work_counter
 
-    statement = _parse_statement(args.statement)
-    database = _load_database(args)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    planner = Planner()
-
-    workers = max(1, args.workers)
-    # An explicit --driver opts into the parallel engine even at 1 worker
-    # (the driver then runs in-process over the same shard plan).
-    parallel = workers > 1 or args.driver is not None
-    if parallel and (
-        isinstance(statement, DisjunctiveRule)
-        or not (statement.is_full or statement.is_boolean)
-    ):
+def _print_stats(maintenance=None, cache=None, counter=None, faq=False, note="") -> None:
+    """The ``--stats`` tail: maintenance counters, plan cache, tuple-level work."""
+    if maintenance is not None:
         print(
-            "note: --workers/--driver apply to full/Boolean conjunctive "
-            "queries; running this statement serially",
-            file=sys.stderr,
+            f"maintenance: {maintenance.batches} batch(es), "
+            f"{maintenance.join_terms} delta term(s), "
+            f"{maintenance.delta_rows} delta row(s), "
+            f"{maintenance.compactions} compaction(s)"
+            + (f", {maintenance.faq_recomputes} FAQ recompute(s)" if faq else "")
         )
-        parallel = False
+    if cache is not None:
+        print(f"plan cache: {cache}")
+    if counter is not None:
+        print(
+            f"work: {counter.tuples_scanned} scanned, "
+            f"{counter.tuples_emitted} emitted ({counter.total} total{note})"
+        )
 
-    counter = None
 
-    def report_stats() -> None:
-        if args.stats:
-            print(f"plan cache: {planner.stats} "
-                  f"({len(planner.cache)} plan(s) cached)")
-            if counter is not None:
-                print(
-                    f"work: {counter.tuples_scanned} scanned, "
-                    f"{counter.tuples_emitted} emitted "
-                    f"({counter.total} total"
-                    + (f", {workers} worker(s)" if parallel else "")
-                    + ")"
-                )
-
-    if isinstance(statement, DisjunctiveRule):
-        with scoped_backend(args.backend), scoped_work_counter() as counter:
-            result = panda(statement, database, planner=planner)
-        print(f"PANDA: budget 2^OBJ = {result.budget:,.0f}, "
-              f"max intermediate {result.stats.max_intermediate}, "
-              f"{result.stats.restarts} restart(s)")
-        for table in result.model.tables:
-            print(f"  {table.name}: {len(table)} tuples")
-            if out_dir:
-                save_relation_csv(table, out_dir / f"{table.name}.csv")
-        report_stats()
-        return 0
-
-    with scoped_backend(args.backend), scoped_work_counter() as counter:
-        if parallel:
-            from repro.parallel import ParallelQueryEngine
-
-            with ParallelQueryEngine(
-                statement,
-                planner=planner,
-                workers=workers,
-                execution_backend=args.backend,
-            ) as engine:
-                plan = engine.execute(database, driver=args.driver or "generic")
-        elif statement.is_full or statement.is_boolean:
-            plan = dasubw_plan(statement, database, planner=planner)
-        else:
-            plan = proper_query_plan(statement, database, planner=planner)
+def _describe(statement, result) -> str:
+    """The one-line size of a query result: Boolean answer or row count."""
     if statement.is_boolean:
-        print(f"{statement.name}: {plan.boolean}")
-        report_stats()
-        return 0
-    print(f"{statement.name}: {len(plan.relation)} tuples "
-          f"({len(plan.panda_runs)} PANDA run(s))")
-    if out_dir:
-        save_relation_csv(plan.relation, out_dir / f"{statement.name}.csv")
-        print(f"written to {out_dir / (statement.name + '.csv')}")
-    else:
-        for row in sorted(plan.relation, key=repr)[: args.limit]:
-            print("  " + ", ".join(map(str, row)))
-        if len(plan.relation) > args.limit:
-            print(f"  ... ({len(plan.relation) - args.limit} more)")
-    report_stats()
-    return 0
+        return f"{result.boolean}"
+    return f"{len(result.relation)} rows"
 
 
+def _timed(call, *args, **kwargs):
+    """``(result, seconds)`` of one call."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - start
 
-def cmd_datalog(args) -> int:
-    import time
-    from pathlib import Path
 
-    from repro.datalog.engine import DatalogEngine
-    from repro.datalog.parser import parse_program
-    from repro.relational.io import iter_change_feed, save_relation_csv
-    from repro.relational.operators import scoped_work_counter
-
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
-    database = _load_database(args)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    driver = args.driver or "generic"
-    feeds = iter_change_feed(args.changes) if args.changes else ()
-
-    def describe(result) -> None:
-        for name in result.names:
-            print(f"  {name}: {len(result[name])} tuples")
-
-    with scoped_work_counter() as counter, DatalogEngine(
-        program,
-        workers=max(1, args.workers),
-        execution_backend=args.backend,
-    ) as engine:
-        recursive = sum(1 for stratum in engine.strata if stratum.recursive)
-        print(
-            f"{len(program.rules)} rule(s), {len(engine.strata)} "
-            f"stratum(-a) ({recursive} recursive)"
-        )
-        start = time.perf_counter()
-        result = engine.execute(database, driver=driver)
-        print(
-            f"fixpoint in {time.perf_counter() - start:.3f}s "
-            f"({engine.stats.rounds} delta round(s), driver {driver})"
-        )
-        describe(result)
-        for index, (name, schema, inserts, deletes) in enumerate(feeds):
-            relation = engine.relation(name)
-            engine.insert(name, _align_feed(relation, schema, inserts))
-            engine.delete(name, _align_feed(relation, schema, deletes))
-            start = time.perf_counter()
-            result = engine.refresh(driver=driver)
-            print(
-                f"batch {index} [{name} +{len(inserts)}/-{len(deletes)}]: "
-                f"maintained in {time.perf_counter() - start:.3f}s"
-            )
-            describe(result)
-        if out_dir:
-            for name in result.names:
-                save_relation_csv(result[name], out_dir / f"{name}.csv")
-            print(f"written to {out_dir}")
-        else:
-            for name in result.names:
-                relation = result[name]
-                print(f"{name}:")
-                for row in sorted(relation, key=repr)[: args.limit]:
-                    print("  " + ", ".join(map(str, row)))
-                if len(relation) > args.limit:
-                    print(f"  ... ({len(relation) - args.limit} more)")
-        if args.stats:
-            s = engine.stats
-            print(
-                f"fixpoint: {s.strata} stratum run(s), {s.rounds} round(s), "
-                f"{s.full_evaluations} full join(s), {s.delta_terms} delta "
-                f"term(s), {s.derived_rows} derived row(s), "
-                f"{s.continuations} continuation(s), "
-                f"{s.recomputes} recompute(s), {s.compactions} compaction(s)"
-            )
-            print(f"plan cache: {engine.cache_stats}")
-            print(
-                f"work: {counter.tuples_scanned} scanned, "
-                f"{counter.tuples_emitted} emitted ({counter.total} total)"
-            )
-    return 0
+def _materialize(engine, statement, database, driver, note="") -> None:
+    """The first ``execute`` of a served query, timed and announced."""
+    result, seconds = _timed(engine.execute, database, driver=driver)
+    print(
+        f"materialized {statement.name}: {_describe(statement, result)} "
+        f"({seconds:.3f}s, driver {driver}{note})"
+    )
 
 
 def _align_feed(relation, feed_schema, rows):
@@ -442,7 +375,179 @@ def _align_feed(relation, feed_schema, rows):
     return [tuple(row[p] for p in positions) for row in rows]
 
 
-def _serve_concurrent(args, statement, database, feeds, driver) -> int:
+def _aligned_feeds(args, relation_of):
+    """The ``--changes`` batches, realigned onto their relations' schemas.
+
+    Batches stream one file at a time (a long feed never materializes up
+    front).  Yields ``(label, name, inserts, deletes)`` with ``label`` the
+    ``batch N [name +i/-d]`` prefix every arm prints.
+    """
+    from repro.relational.io import iter_change_feed
+
+    feeds = iter_change_feed(args.changes) if args.changes else ()
+    for index, (name, schema, inserts, deletes) in enumerate(feeds):
+        relation = relation_of(name)
+        yield (
+            f"batch {index} [{name} +{len(inserts)}/-{len(deletes)}]",
+            name,
+            _align_feed(relation, schema, inserts),
+            _align_feed(relation, schema, deletes),
+        )
+
+
+def _atom_relation(statement, current):
+    """``relation_of`` for feeds that must name one of the query's atoms."""
+    atoms = {atom.name for atom in statement.body}
+
+    def relation_of(name):
+        if name not in atoms:
+            raise ReproError(f"change feed {name!r} does not match a query atom")
+        return current(name)
+
+    return relation_of
+
+
+def _engine_options(args) -> dict:
+    """The constructor options engines take from the shared argument block."""
+    return {"workers": args.workers, "execution_backend": args.backend}
+
+
+def cmd_run(args) -> int:
+    from pathlib import Path
+
+    from repro.core.panda import panda
+    from repro.core.query_plans import dasubw_plan, proper_query_plan
+    from repro.datalog.rule import DisjunctiveRule
+    from repro.planner import Planner
+    from repro.relational.backend import scoped_backend
+    from repro.relational.io import save_relation_csv
+    from repro.relational.operators import scoped_work_counter
+
+    statement = _parse_statement(args.statement)
+    database = _load_database(args)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    planner = Planner()
+    disjunctive = isinstance(statement, DisjunctiveRule)
+
+    workers = max(1, args.workers)
+    # An explicit --driver opts into the parallel engine even at 1 worker
+    # (the driver then runs in-process over the same shard plan).
+    parallel = workers > 1 or args.driver is not None
+    if parallel and (
+        disjunctive or not (statement.is_full or statement.is_boolean)
+    ):
+        print(
+            "note: --workers/--driver apply to full/Boolean conjunctive "
+            "queries; running this statement serially",
+            file=sys.stderr,
+        )
+        parallel = False
+
+    with scoped_backend(args.backend), scoped_work_counter() as counter:
+        if disjunctive:
+            result = panda(statement, database, planner=planner)
+        elif parallel:
+            from repro.parallel import ParallelQueryEngine
+
+            with ParallelQueryEngine(
+                statement, planner=planner, **_engine_options(args)
+            ) as engine:
+                plan = engine.execute(database, driver=args.driver or "generic")
+        elif statement.is_full or statement.is_boolean:
+            plan = dasubw_plan(statement, database, planner=planner)
+        else:
+            plan = proper_query_plan(statement, database, planner=planner)
+
+    if disjunctive:
+        print(f"PANDA: budget 2^OBJ = {result.budget:,.0f}, "
+              f"max intermediate {result.stats.max_intermediate}, "
+              f"{result.stats.restarts} restart(s)")
+        for table in result.model.tables:
+            print(f"  {table.name}: {len(table)} tuples")
+            if out_dir:
+                save_relation_csv(table, out_dir / f"{table.name}.csv")
+    elif statement.is_boolean:
+        print(f"{statement.name}: {plan.boolean}")
+    else:
+        print(f"{statement.name}: {len(plan.relation)} tuples "
+              f"({len(plan.panda_runs)} PANDA run(s))")
+        if out_dir:
+            save_relation_csv(plan.relation, out_dir / f"{statement.name}.csv")
+            print(f"written to {out_dir / (statement.name + '.csv')}")
+        else:
+            _print_rows(plan.relation, args.limit)
+    if args.stats:
+        _print_stats(
+            cache=f"{planner.stats} ({len(planner.cache)} plan(s) cached)",
+            counter=counter,
+            note=f", {workers} worker(s)" if parallel else "",
+        )
+    return 0
+
+
+def cmd_datalog(args) -> int:
+    from pathlib import Path
+
+    from repro.datalog.engine import DatalogEngine
+    from repro.datalog.parser import parse_program
+    from repro.relational.io import save_relation_csv
+    from repro.relational.operators import scoped_work_counter
+
+    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    database = _load_database(args)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    driver = args.driver or "generic"
+
+    def describe(result) -> None:
+        for name in result.names:
+            print(f"  {name}: {len(result[name])} tuples")
+
+    with scoped_work_counter() as counter, DatalogEngine(
+        program, **_engine_options(args)
+    ) as engine:
+        recursive = sum(1 for stratum in engine.strata if stratum.recursive)
+        print(
+            f"{len(program.rules)} rule(s), {len(engine.strata)} "
+            f"stratum(-a) ({recursive} recursive)"
+        )
+        result, seconds = _timed(engine.execute, database, driver=driver)
+        print(
+            f"fixpoint in {seconds:.3f}s "
+            f"({engine.stats.rounds} delta round(s), driver {driver})"
+        )
+        describe(result)
+        for label, name, inserts, deletes in _aligned_feeds(args, engine.relation):
+            engine.insert(name, inserts)
+            engine.delete(name, deletes)
+            result, seconds = _timed(engine.refresh, driver=driver)
+            print(f"{label}: maintained in {seconds:.3f}s")
+            describe(result)
+        if out_dir:
+            for name in result.names:
+                save_relation_csv(result[name], out_dir / f"{name}.csv")
+            print(f"written to {out_dir}")
+        else:
+            for name in result.names:
+                print(f"{name}:")
+                _print_rows(result[name], args.limit)
+        if args.stats:
+            s = engine.stats
+            print(
+                f"fixpoint: {s.strata} stratum run(s), {s.rounds} round(s), "
+                f"{s.full_evaluations} full join(s), {s.delta_terms} delta "
+                f"term(s), {s.derived_rows} derived row(s), "
+                f"{s.continuations} continuation(s), "
+                f"{s.recomputes} recompute(s), {s.compactions} compaction(s)"
+            )
+            _print_stats(cache=engine.cache_stats, counter=counter)
+    return 0
+
+
+def _serve_concurrent(args, statement, database, driver) -> int:
     """The ``serve --concurrent`` arm: mixed read/write traffic via the broker.
 
     Each change-feed batch becomes one write; around every write the loop
@@ -451,72 +556,48 @@ def _serve_concurrent(args, statement, database, feeds, driver) -> int:
     reads are dropped (and counted in the metrics) like a real client
     racing admission control.
     """
-    import time
-
     from repro.exceptions import OverloadError
     from repro.serving import ServingEngine
 
     reads_per_write = 9  # 90/10 read/write mix
-    initial = {relation.name: relation for relation in database}
-    atoms = {atom.name for atom in statement.body}
-
-    def describe(result) -> str:
-        if statement.is_boolean:
-            return f"{result.boolean}"
-        return f"{len(result.relation)} rows"
 
     with ServingEngine(
-        statement,
-        readers=max(1, args.readers),
-        workers=max(1, args.workers),
-        execution_backend=args.backend,
+        statement, readers=args.readers, **_engine_options(args)
     ) as engine:
-        start = time.perf_counter()
-        result = engine.execute(database, driver=driver)
-        print(
-            f"materialized {statement.name}: {describe(result)} "
-            f"({time.perf_counter() - start:.3f}s, driver {driver}, "
-            f"{engine.readers} reader(s) + 1 writer)"
+        _materialize(
+            engine, statement, database, driver,
+            note=f", {engine.readers} reader(s) + 1 writer",
         )
         writes = []
         reads = []
         serve_start = time.perf_counter()
-        for index, (name, schema, inserts, deletes) in enumerate(feeds):
-            if name not in atoms:
-                raise ReproError(
-                    f"change feed {name!r} does not match a query atom"
-                )
-            relation = initial[name]
-            changes = {
-                name: (
-                    _align_feed(relation, schema, inserts),
-                    _align_feed(relation, schema, deletes),
-                )
-            }
+        for label, name, inserts, deletes in _aligned_feeds(
+            args, _atom_relation(statement, database.__getitem__)
+        ):
             while True:
                 try:
-                    future = engine.submit(changes)
+                    future = engine.submit({name: (inserts, deletes)})
                     break
                 except OverloadError as overload:
                     time.sleep(overload.retry_after)
-            writes.append((index, name, len(inserts), len(deletes), future))
+            writes.append((label, future))
             for _ in range(reads_per_write):
                 try:
                     reads.append(engine.read())
                 except OverloadError:
                     pass  # shed reads are counted in the metrics
-        for index, name, plus, minus, future in writes:
+        for label, future in writes:
             receipt = future.result()
             print(
-                f"batch {index} [{name} +{plus}/-{minus}]: epoch "
-                f"{receipt.epoch} committed in {receipt.latency:.3f}s"
+                f"{label}: epoch {receipt.epoch} committed in "
+                f"{receipt.latency:.3f}s"
             )
         for future in reads:
             future.result()
         elapsed = time.perf_counter() - serve_start
         final = engine.read().result()
         print(
-            f"served {statement.name}: {describe(final)} at epoch "
+            f"served {statement.name}: {_describe(statement, final)} at epoch "
             f"{engine.current_epoch} ({len(writes)} batch(es), "
             f"{len(reads) + 1} read(s))"
         )
@@ -542,21 +623,12 @@ def _serve_concurrent(args, statement, database, feeds, driver) -> int:
                 f"snapshot epochs: spread mean {spread['mean']:.2f}, "
                 f"max {spread['max']:.0f} (current {engine.current_epoch})"
             )
-            s = engine.stats
-            print(
-                f"maintenance: {s.batches} batch(es), "
-                f"{s.join_terms} delta term(s), {s.delta_rows} delta "
-                f"row(s), {s.compactions} compaction(s)"
-            )
-            print(f"plan cache: {engine.cache_stats}")
+            _print_stats(maintenance=engine.stats, cache=engine.cache_stats)
     return 0
 
 
 def cmd_serve(args) -> int:
-    import time
-
-    from repro.incremental import IncrementalQueryEngine, SignedDelta, VersionedRelation
-    from repro.relational.io import iter_change_feed
+    from repro.incremental import SignedDelta, VersionedRelation
     from repro.relational.operators import scoped_work_counter
 
     statement = parse_query(args.statement)
@@ -566,96 +638,57 @@ def cmd_serve(args) -> int:
             "project the full result instead"
         )
     database = _load_database(args)
-    # Batches stream one file at a time (a long feed never materializes
-    # up front); every arm below consumes this lazily.
-    feeds = iter_change_feed(args.changes) if args.changes else ()
     driver = args.driver or "generic"
     if args.concurrent:
-        return _serve_concurrent(args, statement, database, feeds, driver)
-
-    def describe(result) -> str:
-        if statement.is_boolean:
-            return f"{result.boolean}"
-        return f"{len(result.relation)} rows"
+        return _serve_concurrent(args, statement, database, driver)
+    if args.apply_deltas:
+        from repro.incremental import IncrementalQueryEngine as Engine
+    else:
+        from repro.parallel import ParallelQueryEngine as Engine
 
     with scoped_work_counter() as counter:
-        if args.apply_deltas:
-            with IncrementalQueryEngine(
-                statement,
-                workers=max(1, args.workers),
-                execution_backend=args.backend,
-            ) as engine:
-                start = time.perf_counter()
-                result = engine.execute(database, driver=driver)
-                print(
-                    f"materialized {statement.name}: {describe(result)} "
-                    f"({time.perf_counter() - start:.3f}s, driver {driver})"
-                )
-                for index, (name, schema, inserts, deletes) in enumerate(feeds):
-                    relation = engine.relation(name)
-                    engine.insert(name, _align_feed(relation, schema, inserts))
-                    engine.delete(name, _align_feed(relation, schema, deletes))
-                    start = time.perf_counter()
-                    result = engine.refresh(driver=driver)
-                    print(
-                        f"batch {index} [{name} +{len(inserts)}/"
-                        f"-{len(deletes)}]: {describe(result)} maintained in "
-                        f"{time.perf_counter() - start:.3f}s"
-                    )
-                if args.stats:
-                    s = engine.stats
-                    print(
-                        f"maintenance: {s.batches} batch(es), "
-                        f"{s.join_terms} delta term(s), {s.delta_rows} delta "
-                        f"row(s), {s.compactions} compaction(s), "
-                        f"{s.faq_recomputes} FAQ recompute(s)"
-                    )
-                    print(f"plan cache: {engine.cache_stats}")
-        else:
-            from repro.parallel import ParallelQueryEngine
+        with Engine(statement, **_engine_options(args)) as engine:
+            _materialize(engine, statement, database, driver)
+            if args.apply_deltas:
+                verb = "maintained"
+                current = engine.relation
 
-            versioned = {
-                atom.name: VersionedRelation(database[atom.name])
-                for atom in statement.body
-            }
-            with ParallelQueryEngine(
-                statement,
-                workers=max(1, args.workers),
-                execution_backend=args.backend,
-            ) as engine:
-                start = time.perf_counter()
-                result = engine.execute(database, driver=driver)
+                def apply(name, inserts, deletes):
+                    engine.insert(name, inserts)
+                    engine.delete(name, deletes)
+                    return _timed(engine.refresh, driver=driver)
+
+            else:
+                versioned = {
+                    atom.name: VersionedRelation(database[atom.name])
+                    for atom in statement.body
+                }
+                verb = "recomputed"
+
+                def current(name):
+                    return versioned[name].current
+
+                def apply(name, inserts, deletes):
+                    nonlocal database
+                    log = versioned[name]
+                    log.apply(SignedDelta.from_changes(log.current, inserts, deletes))
+                    database = database.updated([log.current])
+                    return _timed(engine.execute, database, driver=driver)
+
+            for label, name, inserts, deletes in _aligned_feeds(
+                args, _atom_relation(statement, current)
+            ):
+                result, seconds = apply(name, inserts, deletes)
                 print(
-                    f"materialized {statement.name}: {describe(result)} "
-                    f"({time.perf_counter() - start:.3f}s, driver {driver})"
+                    f"{label}: {_describe(statement, result)} {verb} in "
+                    f"{seconds:.3f}s"
                 )
-                for index, (name, schema, inserts, deletes) in enumerate(feeds):
-                    if name not in versioned:
-                        raise ReproError(
-                            f"change feed {name!r} does not match a query atom"
-                        )
-                    current = versioned[name].current
-                    delta = SignedDelta.from_changes(
-                        current,
-                        _align_feed(current, schema, inserts),
-                        _align_feed(current, schema, deletes),
-                    )
-                    versioned[name].apply(delta)
-                    database = database.updated(
-                        [versioned[name].current]
-                    )
-                    start = time.perf_counter()
-                    result = engine.execute(database, driver=driver)
-                    print(
-                        f"batch {index} [{name} +{len(inserts)}/"
-                        f"-{len(deletes)}]: {describe(result)} recomputed in "
-                        f"{time.perf_counter() - start:.3f}s"
-                    )
+            if args.stats and args.apply_deltas:
+                _print_stats(
+                    maintenance=engine.stats, cache=engine.cache_stats, faq=True
+                )
         if args.stats:
-            print(
-                f"work: {counter.tuples_scanned} scanned, "
-                f"{counter.tuples_emitted} emitted ({counter.total} total)"
-            )
+            _print_stats(counter=counter)
     return 0
 
 
@@ -701,42 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate a query/rule over CSV data")
     p_run.add_argument("statement", help="CQ or disjunctive rule text")
-    run_src = p_run.add_mutually_exclusive_group(required=True)
-    run_src.add_argument("--data",
-                         help="directory of CSV relations (header = schema)")
-    run_src.add_argument(
-        "--data-dir", dest="data_dir",
-        help="persisted database directory (see `repro ingest`): relations "
-             "open as mmap-backed columns, no CSV parse, instant cold start",
-    )
-    p_run.add_argument("--out", help="directory to write result CSVs")
-    p_run.add_argument("--limit", type=int, default=20,
-                       help="max rows to print without --out")
-    p_run.add_argument("--stats", action="store_true",
-                       help="report plan-cache hit/miss statistics and "
-                            "tuple-level work totals (worker counts "
-                            "aggregated back into the parent)")
-    p_run.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate full/Boolean CQs across N worker processes: the "
-             "query is range-sharded on its first variable (heavy keys "
-             "split further) and the sorted per-shard outputs merge into "
-             "a result bit-identical to serial evaluation",
-    )
-    p_run.add_argument(
-        "--driver", default=None,
-        choices=("generic", "leapfrog", "yannakakis", "panda"),
-        help="per-shard execution strategy of the parallel engine "
-             "(default generic; giving it opts into the engine even "
-             "at --workers 1)",
-    )
-    p_run.add_argument(
-        "--backend", default=None,
-        choices=("interpreted", "vectorized"),
-        help="execution kernels: tuple-at-a-time interpreter or numpy "
-             "block kernels (bit-identical results; default: "
-             "$REPRO_BACKEND, else vectorized when numpy is available)",
-    )
+    _add_engine_args(p_run, limit=True)
     p_run.set_defaults(func=cmd_run)
 
     p_datalog = sub.add_parser(
@@ -749,43 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="program file: '.'-separated rules with '#'/'%%' line comments "
              "and '!'/'not' stratified negation (see docs/datalog.md)",
     )
-    datalog_src = p_datalog.add_mutually_exclusive_group(required=True)
-    datalog_src.add_argument(
-        "--data", help="directory of CSV relations (header = schema)"
-    )
-    datalog_src.add_argument(
-        "--data-dir", dest="data_dir",
-        help="persisted database directory (see `repro ingest`)",
-    )
-    p_datalog.add_argument(
-        "--changes",
-        help="directory of <relation>.changes.csv feeds (as in `repro "
-             "serve`): each batch re-runs only the strata it affects",
-    )
-    p_datalog.add_argument("--out", help="directory to write result CSVs "
-                                         "(one per derived predicate)")
-    p_datalog.add_argument("--limit", type=int, default=20,
-                           help="max rows to print per predicate without --out")
-    p_datalog.add_argument(
-        "--driver", default=None,
-        choices=("generic", "leapfrog", "yannakakis", "panda"),
-        help="round-0 rule-body strategy (delta rounds are driver-"
-             "independent; results are bit-identical regardless)",
-    )
-    p_datalog.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan each round's delta-join terms out over N worker "
-             "processes (results bit-identical to serial)",
-    )
-    p_datalog.add_argument(
-        "--backend", default=None,
-        choices=("interpreted", "vectorized"),
-        help="execution kernels: tuple-at-a-time interpreter or numpy "
-             "block kernels (bit-identical results; default: "
-             "$REPRO_BACKEND, else vectorized when numpy is available)",
-    )
-    p_datalog.add_argument("--stats", action="store_true",
-                           help="report fixpoint, plan-cache and work totals")
+    _add_engine_args(p_datalog, limit=True, changes=True)
     p_datalog.set_defaults(func=cmd_datalog)
 
     p_serve = sub.add_parser(
@@ -794,19 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(incrementally with --apply-deltas, else recomputing)",
     )
     p_serve.add_argument("statement", help="full/Boolean CQ text")
-    serve_src = p_serve.add_mutually_exclusive_group(required=True)
-    serve_src.add_argument("--data",
-                           help="directory of CSV relations (header = schema)")
-    serve_src.add_argument(
-        "--data-dir", dest="data_dir",
-        help="persisted database directory (see `repro ingest`)",
-    )
-    p_serve.add_argument(
-        "--changes",
-        help="directory of <relation>.changes.csv feeds (header op,...; "
-             "rows '+,v1,v2' insert / '-,v1,v2' delete), one batch per "
-             "file, applied in sorted filename order",
-    )
+    _add_engine_args(p_serve, changes=True)
     p_serve.add_argument(
         "--apply-deltas", action="store_true",
         help="maintain the materialized result by delta joins instead of "
@@ -825,25 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--readers", type=int, default=4, metavar="N",
         help="reader threads for --concurrent (default 4)",
     )
-    p_serve.add_argument(
-        "--driver", default=None,
-        choices=("generic", "leapfrog", "yannakakis", "panda"),
-        help="execution strategy (default generic)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan work out over N worker processes (shards when "
-             "recomputing, delta-join terms when maintaining)",
-    )
-    p_serve.add_argument(
-        "--backend", default=None,
-        choices=("interpreted", "vectorized"),
-        help="execution kernels: tuple-at-a-time interpreter or numpy "
-             "block kernels (bit-identical results; default: "
-             "$REPRO_BACKEND, else vectorized when numpy is available)",
-    )
-    p_serve.add_argument("--stats", action="store_true",
-                         help="report maintenance, plan-cache and work totals")
     p_serve.set_defaults(func=cmd_serve)
     return parser
 

@@ -27,13 +27,12 @@ execution backend, and worker count.  See ``docs/datalog.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.core.constraints import ConstraintSet, DegreeConstraint
+from repro.core.constraints import ConstraintSet
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.datalog.fixpoint import (
     DatalogProgram,
-    DatalogRule,
     FixpointStats,
     PredicateStore,
     Stratum,
@@ -41,17 +40,16 @@ from repro.datalog.fixpoint import (
     execute_jobs_serial,
     run_stratum,
 )
-from repro.exceptions import DatalogError, IncrementalError, QueryError
+from repro.exceptions import DatalogError, IncrementalError
 from repro.incremental.delta import SignedDelta
+from repro.incremental.engine import MaintainedEngine
 from repro.incremental.ivm import execute_delta_term
+from repro.planner.engine import check_driver
+from repro.relational.backend import scoped_backend
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 __all__ = ["DatalogEngine", "DatalogResult"]
-
-
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(0, n - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +80,7 @@ class DatalogResult:
         return iter(self.names)
 
 
-class DatalogEngine:
+class DatalogEngine(MaintainedEngine):
     """Evaluate and incrementally maintain a stratified datalog program.
 
     Example:
@@ -97,8 +95,6 @@ class DatalogEngine:
     accept base (EDB) predicates — derived content is the program's job.
     """
 
-    DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
-
     def __init__(
         self,
         program: DatalogProgram | str,
@@ -108,54 +104,18 @@ class DatalogEngine:
         workers: int = 1,
         execution_backend: str | None = None,
     ) -> None:
-        from repro.planner import Planner
-
         if isinstance(program, str):
             from repro.datalog.parser import parse_program
 
             program = parse_program(program)
         self.program = program
         self.strata: tuple[Stratum, ...] = program.stratify()
-        self.constraints = constraints
-        self.backend = backend
-        if execution_backend is not None:
-            from repro.relational.backend import resolve_backend
-
-            resolve_backend(execution_backend)  # fail fast on a typo
-        self.execution_backend = execution_backend
-        self.planner = planner if planner is not None else Planner()
-        self.workers = max(1, workers)
+        super().__init__(constraints, backend, planner, execution_backend, workers)
         self.stats = FixpointStats()
         self._store: PredicateStore | None = None
         self._source = None
-        self._pending: dict[str, tuple[list, list]] = {}
         self._materialized = False
         self._driver = "generic"
-        self._rule_engines: dict[DatalogRule, object] = {}
-        self._rule_pinned: dict[DatalogRule, ConstraintSet] = {}
-        self._pool = None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    @property
-    def cache_stats(self):
-        """The shared planner's cache statistics (hit-rate contract)."""
-        return self.planner.stats
-
-    def close(self) -> None:
-        """Shut down the worker pool and per-rule engines (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        for engine in self._rule_engines.values():
-            engine.close()
-        self._rule_engines = {}
-
-    def __enter__(self) -> "DatalogEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- binding -----------------------------------------------------------------
 
@@ -195,7 +155,6 @@ class DatalogEngine:
         self._source = database
         self._pending = {}
         self._materialized = False
-        self._rule_pinned = {}
         self.stats = FixpointStats()
 
     def _register_atoms(self, store: PredicateStore) -> None:
@@ -217,37 +176,13 @@ class DatalogEngine:
             raise DatalogError(f"unknown predicate {name}")
         return store.relation(name)
 
-    # -- changes -----------------------------------------------------------------
-
-    def insert(self, name: str, rows: Iterable[tuple]) -> None:
-        """Buffer EDB fact inserts (applied on the next refresh)."""
-        self._buffer(name, rows, 0)
-
-    def delete(self, name: str, rows: Iterable[tuple]) -> None:
-        """Buffer EDB fact deletes (applied on the next refresh)."""
-        self._buffer(name, rows, 1)
-
-    def _buffer(self, name: str, rows: Iterable[tuple], side: int) -> None:
+    def _check_writable(self, name: str) -> None:
         self._require_bound()
         if name not in self.program.edb_predicates:
             raise IncrementalError(
                 f"{name!r} is not a base (EDB) predicate — derived facts "
                 f"are the program's job"
             )
-        entry = self._pending.setdefault(name, ([], []))
-        entry[side].extend(tuple(row) for row in rows)
-
-    @property
-    def has_pending_changes(self) -> bool:
-        return any(ins or dels for ins, dels in self._pending.values())
-
-    def discard_pending(self) -> None:
-        """Drop the buffered (uncommitted) changes.
-
-        A batch that fails validation on refresh stays buffered — nothing
-        was applied — so the caller can fix or discard it wholesale.
-        """
-        self._pending = {}
 
     # -- execution ---------------------------------------------------------------
 
@@ -262,19 +197,15 @@ class DatalogEngine:
         ``driver`` selects how round-0 rule bodies evaluate; delta rounds
         are driver-independent and the result is bit-identical regardless.
         """
-        if driver not in self.DRIVERS:
-            raise QueryError(
-                f"unknown driver {driver!r}; pick from {self.DRIVERS}"
-            )
+        check_driver(driver)
         if database is not None and database is not self._source:
             self.bind(database)
         self._require_bound()
         self._driver = driver
-        from repro.relational.backend import scoped_backend
-
         with scoped_backend(self.execution_backend):
             if not self._materialized:
-                self._initial_run()
+                for stratum in self.strata:
+                    self._run_stratum(stratum)
                 self._materialized = True
             else:
                 self._commit()
@@ -292,25 +223,16 @@ class DatalogEngine:
         so repeated recomputes stay plan-warm; tests use this to pin the
         continuation path's bit-identity.
         """
-        if driver not in self.DRIVERS:
-            raise QueryError(
-                f"unknown driver {driver!r}; pick from {self.DRIVERS}"
-            )
+        check_driver(driver)
         store = self._require_bound()
         self._driver = driver
-        from repro.relational.backend import scoped_backend
-
         with scoped_backend(self.execution_backend):
-            deltas = self._drain_pending()
+            deltas = self._drain_pending(store.relation)
             for name in sorted(deltas):
                 store.apply(name, deltas[name])
             self._reset_predicates(self.program.idb_predicates)
             for stratum in self.strata:
-                run_stratum(
-                    stratum, self.program, store, self.stats,
-                    evaluate_rule=self._evaluate_rule,
-                    executor=self._executor(),
-                )
+                self._run_stratum(stratum)
             self.stats.compactions += store.compact(sorted(deltas))
         self._materialized = True
         self.stats.recomputes += 1
@@ -349,38 +271,19 @@ class DatalogEngine:
 
     # -- the fixpoint paths ----------------------------------------------------------
 
-    def _initial_run(self) -> None:
-        store = self._require_bound()
-        for stratum in self.strata:
-            run_stratum(
-                stratum, self.program, store, self.stats,
-                evaluate_rule=self._evaluate_rule,
-                executor=self._executor(),
-            )
-
-    def _drain_pending(self) -> dict[str, SignedDelta]:
-        """Validate and return the pending batch as per-relation deltas.
-
-        Validation happens before anything mutates: a
-        :class:`~repro.exceptions.DeltaError` leaves every predicate
-        untouched with the batch still buffered.
-        """
-        store = self._require_bound()
-        deltas: dict[str, SignedDelta] = {}
-        for name in sorted(self._pending):
-            inserts, deletes = self._pending[name]
-            delta = SignedDelta.from_changes(
-                store.relation(name), inserts, deletes
-            )
-            if not delta.is_empty:
-                deltas[name] = delta
-        self._pending = {}
-        return deltas
+    def _run_stratum(self, stratum: Stratum, **seeding) -> dict[str, list]:
+        """One stratum to fixpoint over the store, planner path and executor."""
+        return run_stratum(
+            stratum, self.program, self._require_bound(), self.stats,
+            evaluate_rule=self._evaluate_rule,
+            executor=self._executor(),
+            **seeding,
+        )
 
     def _commit(self) -> bool:
         """Apply one EDB batch through the affected strata; True if changed."""
         store = self._require_bound()
-        deltas = self._drain_pending()
+        deltas = self._drain_pending(store.relation)
         if not deltas:
             return False
         self.stats.batches += 1
@@ -465,13 +368,7 @@ class DatalogEngine:
                 }
                 for name in stratum.predicates
             }
-            fresh = run_stratum(
-                stratum, self.program, store, self.stats,
-                evaluate_rule=self._evaluate_rule,
-                executor=self._executor(),
-                seeds=seeds,
-                seed_old=seed_old,
-            )
+            fresh = self._run_stratum(stratum, seeds=seeds, seed_old=seed_old)
             for name in sorted(fresh):
                 rows = sorted(fresh[name])
                 announced[name] = (
@@ -492,11 +389,7 @@ class DatalogEngine:
         )
         self._reset_predicates(reset)
         for stratum in affected:
-            run_stratum(
-                stratum, self.program, store, self.stats,
-                evaluate_rule=self._evaluate_rule,
-                executor=self._executor(),
-            )
+            self._run_stratum(stratum)
 
     def _reset_predicates(self, names: Sequence[str]) -> None:
         store = self._require_bound()
@@ -524,70 +417,17 @@ class DatalogEngine:
             current.setdefault(atom.name, store.relation(atom.name))
         if any(relation.is_empty() for relation in current.values()):
             return []
-        engine = self._rule_engine(rule)
-        result = engine.execute(
+        # One scratch engine per rule, planned under its bindings' pinned
+        # cardinalities: round-0 evaluations across refreshes are planner
+        # cache hits instead of fresh plans.
+        result = self._from_scratch(
+            rule,
+            ConjunctiveQuery.full(rule.body, name=rule.head.name),
             Database(tuple(current.values())),
-            driver=self._driver,
-            constraints=self._pinned_for(rule),
+            self._driver,
+            [(atom, len(store.binding(atom).current)) for atom in rule.body],
         )
         return result.relation.code_rows
-
-    def _rule_engine(self, rule: DatalogRule):
-        engine = self._rule_engines.get(rule)
-        if engine is None:
-            from repro.parallel import ParallelQueryEngine
-
-            engine = ParallelQueryEngine(
-                ConjunctiveQuery.full(rule.body, name=rule.head.name),
-                backend=self.backend,
-                planner=self.planner,
-                workers=1,
-                execution_backend=self.execution_backend,
-            )
-            self._rule_engines[rule] = engine
-        return engine
-
-    def _pinned_for(self, rule: DatalogRule) -> ConstraintSet:
-        """Power-of-two-rounded per-rule cardinalities: stable plan keys.
-
-        Mirrors the incremental engine's pinning: the same data-independent
-        plan serves while relation sizes drift within a factor of two, and
-        a predicate outgrowing its bound re-pins (``stats.replans``) —
-        which is what makes round-0 evaluations across refreshes planner
-        cache hits instead of fresh plans.
-        """
-        if self.constraints is not None:
-            return self.constraints
-        store = self._require_bound()
-        bindings = [
-            (atom, store.binding(atom).current) for atom in rule.body
-        ]
-        pinned = self._rule_pinned.get(rule)
-        if pinned is not None:
-            by_key: dict[tuple, int] = {}
-            for c in pinned:
-                bound = by_key.get(c.y_key)
-                by_key[c.y_key] = (
-                    c.bound if bound is None else min(bound, c.bound)
-                )
-            stale = any(
-                len(relation) > by_key[tuple(sorted(atom.variables))]
-                for atom, relation in bindings
-            )
-            if not stale:
-                return pinned
-            self.stats.replans += 1
-        constraints = []
-        seen = set()
-        for atom, relation in bindings:
-            y = tuple(sorted(atom.variables))
-            bound = _next_power_of_two(max(1, len(relation)))
-            if (y, bound) not in seen:
-                seen.add((y, bound))
-                constraints.append(DegreeConstraint.make((), y, bound))
-        pinned = ConstraintSet(constraints)
-        self._rule_pinned[rule] = pinned
-        return pinned
 
     # -- pooled delta terms ----------------------------------------------------------
 
@@ -599,101 +439,45 @@ class DatalogEngine:
     def _execute_jobs_pooled(self, jobs: Sequence[TermJob]) -> list:
         """Fan a round's delta-rule terms out over the worker pool.
 
-        The binding-level *base* relations are resident in the workers
-        under content-digest tokens (shipped once per compaction epoch);
-        each term task carries only the signed runs lifting a base to the
-        version its side of the delta rule needs, plus the term's (tiny)
-        delta rows.  Jobs without version lifts — seed rounds consuming
-        announcement snapshots — run in-process alongside.
+        Jobs carrying version lifts go through
+        :func:`~repro.parallel.pool.map_delta_terms` with their binding
+        logs resident; jobs without — seed rounds consuming announcement
+        snapshots — run in-process alongside.
         """
-        from repro.parallel.pool import (
-            WorkerPool,
-            pack_output_rows,
-            run_delta_term_task,
-            unpack_columns,
-        )
-        from repro.relational.backend import current_backend
-        from repro.relational.operators import current_counter
+        from repro.parallel.pool import map_delta_terms
 
         store = self._require_bound()
-        pooled = [
-            (position, job)
-            for position, job in enumerate(jobs)
-            if job.versions is not None
-        ]
+        pooled = [job for job in jobs if job.versions is not None]
         if len(pooled) <= 1:
             return execute_jobs_serial(jobs)
 
-        logs = {}
-        for _, job in pooled:
-            for key in job.keys:
-                if key not in logs:
-                    logs[key] = store.binding_by_key(key)
-        token_of = {}
-        tokens = []
-        entries = []
-        for key in sorted(logs):
-            log = logs[key]
-            token = f"{key[0]}|{'.'.join(key[1])}"
-            token_of[key] = token
-            column_set = log.base.column_set(log.base.schema)
-            digest = column_set.content_digest()
-            tokens.append((token, digest))
-            entries.append((token, log.base.schema, log.base, digest))
-        tokens = tuple(tokens)
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        self._pool.ensure_database(tokens, entries)
-
-        packed_runs: dict[tuple, tuple | None] = {}
-
-        def runs_payload(key, version):
-            log = logs[key]
-            if version == log.base_version:
-                return None
-            cache_key = (key, version)
-            if cache_key not in packed_runs:
-                arity = len(log.base.schema)
-                packed_runs[cache_key] = tuple(
-                    (pack_output_rows(run.rows, arity), run.signs.tobytes())
-                    for run in log.runs[: version - log.base_version]
-                )
-            return packed_runs[cache_key]
-
-        # Resolved under the engine's ``scoped_backend`` (see ``execute``),
-        # so workers run each term under the same backend as the serial path.
-        exec_backend = current_backend()
-        tasks = []
-        for _, job in pooled:
-            specs = []
-            for j, key in enumerate(job.keys):
-                token = token_of[key]
-                if j == job.index:
-                    buffer = pack_output_rows(job.delta_rows, len(key[1]))
-                    specs.append(("delta", token, buffer))
-                    continue
-                payload = runs_payload(key, job.versions[j])
-                if payload is None:
-                    specs.append(("resident", token))
-                else:
-                    specs.append(
-                        ("version", token, job.versions[j], payload)
+        token_of = {
+            key: f"{key[0]}|{'.'.join(key[1])}"
+            for key in sorted({key for job in pooled for key in job.keys})
+        }
+        outputs = iter(
+            map_delta_terms(
+                self._worker_pool(),
+                {
+                    token: store.binding_by_key(key)
+                    for key, token in token_of.items()
+                },
+                [
+                    (
+                        job.state.order,
+                        tuple(token_of[key] for key in job.keys),
+                        job.versions,
+                        job.index,
+                        job.delta_rows,
                     )
-            tasks.append(
-                (tokens, job.state.order, tuple(specs), exec_backend)
+                    for job in pooled
+                ],
             )
-
-        outputs = self._pool.map(run_delta_term_task, tasks)
+        )
         self.stats.pooled_rounds += 1
-        counter = current_counter()
-        results: list = [None] * len(jobs)
-        for (position, job), (buffer, counts) in zip(pooled, outputs):
-            counter.absorb(counts)
-            rows, _ = unpack_columns(buffer, len(job.state.order))
-            results[position] = rows
-        for position, job in enumerate(jobs):
-            if results[position] is None:
-                results[position] = execute_delta_term(
-                    job.relations, job.state.order, job.index
-                )
-        return results
+        return [
+            next(outputs)
+            if job.versions is not None
+            else execute_delta_term(job.relations, job.state.order, job.index)
+            for job in jobs
+        ]

@@ -33,30 +33,26 @@ database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
 
-from repro.core.constraints import ConstraintSet, DegreeConstraint
+from repro.core.constraints import ConstraintSet
 from repro.exceptions import IncrementalError, QueryError
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import Semiring
 from repro.incremental.delta import SignedDelta, VersionedRelation
 from repro.incremental.ivm import (
     delta_factor,
-    iter_delta_terms,
     maintain_faq,
     maintain_join_rows,
     signed_join_delta,
     term_variable_order,
 )
-from repro.relational.operators import current_counter
+from repro.planner.engine import EngineBase, check_driver, pinned_cardinalities
+from repro.relational.backend import scoped_backend
 from repro.relational.relation import Relation
 
-__all__ = ["IncrementalQueryEngine", "MaintenanceStats"]
-
-
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(0, n - 1).bit_length()
+__all__ = ["IncrementalQueryEngine", "MaintainedEngine", "MaintenanceStats"]
 
 
 @dataclass
@@ -87,7 +83,111 @@ class _FaqView:
         self.result = result
 
 
-class IncrementalQueryEngine:
+class MaintainedEngine(EngineBase):
+    """An engine that buffers inserts/deletes and applies them on refresh.
+
+    The change buffer, batch validation and plan-warm from-scratch runs
+    the incremental and datalog engines share.  Subclasses supply
+    :meth:`_check_writable` (which names take changes) and a ``stats``
+    object with a ``replans`` counter.
+    """
+
+    def __init__(self, constraints, backend, planner, execution_backend, workers):
+        super().__init__(constraints, backend, planner, execution_backend, workers)
+        self._pending: dict[str, tuple[list, list]] = {}
+        #: key -> [single-worker engine, its pinned constraints]; dropped
+        #: on :meth:`close`, hence on every re-bind.
+        self._scratch: dict = {}
+
+    def close(self) -> None:
+        """Shut down the worker pool and the from-scratch engines (idempotent)."""
+        super().close()
+        for engine, _ in self._scratch.values():
+            engine.close()
+        self._scratch = {}
+
+    def _check_writable(self, name: str) -> None:
+        """Raise unless the engine is bound and ``name`` accepts changes."""
+        raise NotImplementedError
+
+    def insert(self, name: str, rows: Iterable[tuple]) -> None:
+        """Buffer tuple inserts against relation ``name`` (applied on refresh)."""
+        self._buffer(name, rows, 0)
+
+    def delete(self, name: str, rows: Iterable[tuple]) -> None:
+        """Buffer tuple deletes against relation ``name`` (applied on refresh)."""
+        self._buffer(name, rows, 1)
+
+    def _buffer(self, name: str, rows: Iterable[tuple], side: int) -> None:
+        self._check_writable(name)
+        entry = self._pending.setdefault(name, ([], []))
+        entry[side].extend(tuple(row) for row in rows)
+
+    @property
+    def has_pending_changes(self) -> bool:
+        return any(ins or dels for ins, dels in self._pending.values())
+
+    def discard_pending(self) -> None:
+        """Drop the buffered (uncommitted) changes.
+
+        A batch that fails validation on refresh (e.g. a delete of an
+        absent row) stays buffered — nothing was applied — so the caller
+        can either fix it with compensating ``insert``/``delete`` calls or
+        discard it wholesale here.
+        """
+        self._pending = {}
+
+    def _drain_pending(self, current: Callable[[str], Relation]) -> dict[str, SignedDelta]:
+        """Validate and return the pending batch as per-relation deltas.
+
+        ``current(name)`` is the relation each change list applies to.
+        Validation happens before anything mutates: a
+        :class:`~repro.exceptions.DeltaError` leaves everything untouched
+        with the batch still buffered.
+        """
+        deltas: dict[str, SignedDelta] = {}
+        for name in sorted(self._pending):
+            inserts, deletes = self._pending[name]
+            delta = SignedDelta.from_changes(current(name), inserts, deletes)
+            if not delta.is_empty:
+                deltas[name] = delta
+        self._pending = {}
+        return deltas
+
+    def _from_scratch(self, key, query, database, driver: str, sized_atoms):
+        """Run ``query`` on ``database`` from scratch, plan-warm.
+
+        One single-worker :class:`~repro.parallel.ParallelQueryEngine` per
+        ``key`` shares this engine's planner and backends.  It plans under
+        the explicit engine-level constraints when there are any, otherwise
+        under :func:`~repro.planner.engine.pinned_cardinalities` of
+        ``sized_atoms`` — the same data-independent plans while sizes drift
+        within a factor of two, a re-pin counted in ``stats.replans``.
+        """
+        entry = self._scratch.get(key)
+        if entry is None:
+            from repro.parallel import ParallelQueryEngine
+
+            engine = ParallelQueryEngine(
+                query,
+                backend=self.backend,
+                planner=self.planner,
+                workers=1,
+                execution_backend=self.execution_backend,
+            )
+            entry = self._scratch[key] = [engine, None]
+        engine, previous = entry
+        if self.constraints is not None:
+            pinned = self.constraints
+        else:
+            pinned = pinned_cardinalities(sized_atoms, previous)
+            if previous is not None and pinned is not previous:
+                self.stats.replans += 1
+        entry[1] = pinned
+        return engine.execute(database, driver=driver, constraints=pinned)
+
+
+class IncrementalQueryEngine(MaintainedEngine):
     """Keep a query's results exact under inserts and deletes.
 
     Example:
@@ -105,8 +205,6 @@ class IncrementalQueryEngine:
     all of them).
     """
 
-    DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
-
     def __init__(
         self,
         query,
@@ -118,25 +216,13 @@ class IncrementalQueryEngine:
         compact_min: int | None = None,
         execution_backend: str | None = None,
     ) -> None:
-        from repro.planner import Planner
-
         if not (query.is_full or query.is_boolean):
             raise QueryError(
                 "the incremental engine maintains full and Boolean "
                 "conjunctive queries; project the full result instead"
             )
+        super().__init__(constraints, backend, planner, execution_backend, workers)
         self.query = query
-        self.constraints = constraints
-        self.backend = backend
-        # LP solver choice vs execution-kernel choice, as on the other
-        # engines; ``None`` defers to ``REPRO_BACKEND`` / auto-detection.
-        if execution_backend is not None:
-            from repro.relational.backend import resolve_backend
-
-            resolve_backend(execution_backend)  # fail fast on a typo
-        self.execution_backend = execution_backend
-        self.planner = planner if planner is not None else Planner()
-        self.workers = max(1, workers)
         self.stats = MaintenanceStats()
         self._compact_ratio = compact_ratio
         self._compact_min = compact_min
@@ -146,13 +232,9 @@ class IncrementalQueryEngine:
         self._database = None  # the current (post-batch) Database
         self._names: dict[str, VersionedRelation] = {}
         self._atoms: list[VersionedRelation] = []
-        self._pending: dict[str, tuple[list, list]] = {}
         self._view_rows: list | None = None
         self._view_relation: Relation | None = None
         self._faq_views: dict = {}
-        self._pinned: ConstraintSet | None = None
-        self._scratch = None  # lazy ParallelQueryEngine(workers=1)
-        self._pool = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -161,38 +243,20 @@ class IncrementalQueryEngine:
         """Number of committed batches since binding."""
         return self.stats.batches
 
-    @property
-    def cache_stats(self):
-        return self.planner.stats
-
-    def close(self) -> None:
-        """Shut down the worker pool and the scratch engine (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._scratch is not None:
-            self._scratch.close()
-            self._scratch = None
-
-    def __enter__(self) -> "IncrementalQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- binding -----------------------------------------------------------------
 
     def bind(self, database) -> None:
         """Adopt ``database`` as version 0 (resets any previous binding)."""
         self.close()
+        versioned = partial(
+            VersionedRelation,
+            compact_ratio=self._compact_ratio,
+            compact_min=self._compact_min,
+        )
         names: dict[str, VersionedRelation] = {}
         for atom in self.query.body:
             if atom.name not in names:
-                names[atom.name] = VersionedRelation(
-                    database[atom.name],
-                    compact_ratio=self._compact_ratio,
-                    compact_min=self._compact_min,
-                )
+                names[atom.name] = versioned(database[atom.name])
         self._names = names
         # Atom-level logs: an atom whose binding *is* the stored relation
         # (schema == variables, the common case) shares the name-level log
@@ -203,20 +267,13 @@ class IncrementalQueryEngine:
             if binding is database[atom.name]:
                 self._atoms.append(names[atom.name])
             else:
-                self._atoms.append(
-                    VersionedRelation(
-                        binding,
-                        compact_ratio=self._compact_ratio,
-                        compact_min=self._compact_min,
-                    )
-                )
+                self._atoms.append(versioned(binding))
         self._source = database
         self._database = database
         self._pending = {}
         self._view_rows = None
         self._view_relation = None
         self._faq_views = {}
-        self._pinned = None
         self.stats = MaintenanceStats()
 
     def database(self):
@@ -252,38 +309,12 @@ class IncrementalQueryEngine:
                 "engine is not bound — call execute(database) first"
             )
 
-    # -- changes -----------------------------------------------------------------
-
-    def insert(self, name: str, rows: Iterable[tuple]) -> None:
-        """Buffer tuple inserts against relation ``name`` (applied on refresh)."""
-        self._buffer(name, rows, 0)
-
-    def delete(self, name: str, rows: Iterable[tuple]) -> None:
-        """Buffer tuple deletes against relation ``name`` (applied on refresh)."""
-        self._buffer(name, rows, 1)
-
-    def _buffer(self, name: str, rows: Iterable[tuple], side: int) -> None:
+    def _check_writable(self, name: str) -> None:
         self._require_bound()
         if name not in self._names:
             raise IncrementalError(
                 f"relation {name!r} is not referenced by {self.query.name}"
             )
-        entry = self._pending.setdefault(name, ([], []))
-        entry[side].extend(tuple(row) for row in rows)
-
-    @property
-    def has_pending_changes(self) -> bool:
-        return any(ins or dels for ins, dels in self._pending.values())
-
-    def discard_pending(self) -> None:
-        """Drop the buffered (uncommitted) changes.
-
-        A batch that fails validation on :meth:`refresh` (e.g. a delete of
-        an absent row) stays buffered — nothing was applied — so the caller
-        can either fix it with compensating ``insert``/``delete`` calls or
-        discard it wholesale here.
-        """
-        self._pending = {}
 
     # -- execution ---------------------------------------------------------------
 
@@ -294,10 +325,7 @@ class IncrementalQueryEngine:
         bound database (or ``None``) applies any pending changes and serves
         the maintained view.
         """
-        if driver not in self.DRIVERS:
-            raise QueryError(
-                f"unknown driver {driver!r}; pick from {self.DRIVERS}"
-            )
+        check_driver(driver)
         if database is not None and database not in (self._source, self._database):
             self.bind(database)
         elif self._database is None:
@@ -402,17 +430,7 @@ class IncrementalQueryEngine:
         view untouched with the batch still buffered (fix it or
         :meth:`discard_pending`).
         """
-        if not self.has_pending_changes:
-            self._pending = {}
-            return False
-        deltas: dict[str, SignedDelta] = {}
-        for name, (inserts, deletes) in self._pending.items():
-            delta = SignedDelta.from_changes(
-                self._names[name].current, inserts, deletes
-            )
-            if not delta.is_empty:
-                deltas[name] = delta
-        self._pending = {}
+        deltas = self._drain_pending(lambda name: self._names[name].current)
         if not deltas:
             return False
 
@@ -445,18 +463,19 @@ class IncrementalQueryEngine:
         self.stats.delta_rows += sum(len(d) for d in deltas.values())
 
         if self._view_rows is not None:
-            from repro.relational.backend import scoped_backend
-
+            run_terms = None
+            if self.workers > 1:
+                run_terms = partial(
+                    self._pooled_terms,
+                    old_versions=old_atom_versions,
+                    atom_deltas=atom_deltas,
+                )
             with scoped_backend(self.execution_backend):
-                if self.workers > 1:
-                    net = self._pooled_net(
-                        old_atom_versions, old_bindings, atom_deltas
-                    )
-                else:
-                    net, executed = signed_join_delta(
-                        old_bindings, new_bindings, atom_deltas, self._order
-                    )
-                    self.stats.join_terms += executed
+                net, executed = signed_join_delta(
+                    old_bindings, new_bindings, atom_deltas, self._order,
+                    run_terms,
+                )
+            self.stats.join_terms += executed
             rows = maintain_join_rows(self._view_rows, net)
             self.stats.view_rows_changed += len(net)
             self._install_view(rows)
@@ -469,16 +488,10 @@ class IncrementalQueryEngine:
             if id(vr) in seen_logs:
                 continue  # atom logs may share the name-level log
             seen_logs.add(id(vr))
-            if self._maybe_compact(vr):
+            if vr.should_compact:
+                vr.compact()
                 self.stats.compactions += 1
         return True
-
-    @staticmethod
-    def _maybe_compact(vr: VersionedRelation) -> bool:
-        if vr.should_compact:
-            vr.compact()
-            return True
-        return False
 
     def _install_view(self, rows: list) -> None:
         self._view_rows = rows
@@ -516,59 +529,18 @@ class IncrementalQueryEngine:
 
     # -- from-scratch runs ----------------------------------------------------------
 
-    def _pinned_constraints(self) -> ConstraintSet:
-        """Power-of-two-rounded cardinalities: stable plan keys under churn.
-
-        An explicit engine-level constraint set wins; otherwise the pinned
-        set re-rounds only when some relation outgrew its bound (a replan —
-        counted in ``stats.replans``), so the planner's cache serves the
-        same data-independent plans across version bumps and only the
-        guards re-resolve.
-        """
-        if self.constraints is not None:
-            return self.constraints
-        pinned = self._pinned
-        if pinned is not None:
-            by_key: dict[tuple, int] = {}
-            for c in pinned:
-                bound = by_key.get(c.y_key)
-                by_key[c.y_key] = c.bound if bound is None else min(bound, c.bound)
-            stale = any(
-                len(vr.current) > by_key[tuple(sorted(atom.variables))]
-                for atom, vr in zip(self.query.body, self._atoms)
-            )
-            if not stale:
-                return pinned
-            self.stats.replans += 1
-        constraints = []
-        seen = set()
-        for atom, vr in zip(self.query.body, self._atoms):
-            y = tuple(sorted(atom.variables))
-            bound = _next_power_of_two(max(1, len(vr.current)))
-            if (y, bound) not in seen:
-                seen.add((y, bound))
-                constraints.append(DegreeConstraint.make((), y, bound))
-        self._pinned = ConstraintSet(constraints)
-        return self._pinned
-
-    def _scratch_engine(self):
-        if self._scratch is None:
-            from repro.parallel import ParallelQueryEngine
-
-            self._scratch = ParallelQueryEngine(
-                self.query,
-                backend=self.backend,
-                planner=self.planner,
-                workers=1,
-                execution_backend=self.execution_backend,
-            )
-        return self._scratch
+    def _run_from_scratch(self, driver: str):
+        """The query on the current data, through :meth:`_from_scratch`."""
+        sized = [
+            (atom, len(vr.current))
+            for atom, vr in zip(self.query.body, self._atoms)
+        ]
+        return self._from_scratch(None, self.query, self._database, driver, sized)
 
     def _materialize(self, driver: str) -> None:
         """First materialization of the join view, with ``driver``."""
         if self.query.is_boolean:
             # Boolean drivers don't return rows; maintain the full join.
-            from repro.relational.backend import scoped_backend
             from repro.relational.wcoj import generic_join
 
             with scoped_backend(self.execution_backend):
@@ -577,10 +549,7 @@ class IncrementalQueryEngine:
                 )
             self._install_view(joined.code_rows)
         else:
-            result = self._scratch_engine().execute(
-                self._database, driver=driver,
-                constraints=self._pinned_constraints(),
-            )
+            result = self._run_from_scratch(driver)
             self._view_relation = result.relation
             self._view_rows = result.relation.code_rows
         self._prewarm_term_orders()
@@ -618,119 +587,40 @@ class IncrementalQueryEngine:
         """
         self._require_bound()
         self._commit()
-        return self._scratch_engine().execute(
-            self._database, driver=driver,
-            constraints=self._pinned_constraints(),
-        )
+        return self._run_from_scratch(driver)
 
     # -- pooled maintenance ----------------------------------------------------------
 
-    def _pooled_net(self, old_versions, old_bindings, atom_deltas):
-        """Fan the delta-rule terms out over the worker pool.
+    def _pooled_terms(self, terms, old_versions, atom_deltas) -> list[list]:
+        """Fan one batch's delta-rule terms out over the worker pool.
 
-        The atom-level *base* relations are resident in the workers under
-        per-relation content-digest tokens (shipped once per compaction
-        epoch); each term task carries only the pending runs lifting a base
-        to the old/new version it needs, plus the term's (tiny) sign-split
-        delta rows.  Results come home as sorted row buffers and merge into
-        one net signed map.
+        Each term lifts the atoms left of its delta to their new version
+        and the atoms right of it to their old one;
+        :func:`~repro.parallel.pool.map_delta_terms` ships only the runs
+        that takes.
         """
-        from repro.parallel.pool import (
-            WorkerPool,
-            pack_output_rows,
-            run_delta_term_task,
-            unpack_columns,
+        from repro.parallel.pool import map_delta_terms
+
+        # Keys qualify the atom position so self-joins bound under
+        # different variables stay distinct resident entries.
+        keys = tuple(
+            f"{atom.name}#{i}" for i, atom in enumerate(self.query.body)
         )
-
-        new_bindings = [vr.current for vr in self._atoms]
-        terms = list(
-            iter_delta_terms(old_bindings, new_bindings, atom_deltas)
-        )
-        if len(terms) <= 1 or self.workers <= 1:
-            net, executed = signed_join_delta(
-                old_bindings, new_bindings, atom_deltas, self._order
-            )
-            self.stats.join_terms += executed
-            return net
-
-        keys = [f"{atom.name}#{i}" for i, atom in enumerate(self.query.body)]
-        entries = []
-        tokens = []
-        for key, vr in zip(keys, self._atoms):
-            column_set = vr.base.column_set(vr.base.schema)
-            digest = column_set.content_digest()
-            tokens.append((key, digest))
-            entries.append((key, vr.base.schema, vr.base, digest))
-        tokens = tuple(tokens)
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        # A compaction moves some bases; the pool's per-relation digest diff
-        # decides reship-vs-recycle (compacting everything at once trips its
-        # update-size threshold and re-forks; a lone compaction rides along
-        # as updates until the traffic bound).
-        self._pool.ensure_database(tokens, entries)
-
-        packed_runs: dict[tuple, tuple] = {}
-
-        def runs_payload(index: int, version: int):
-            vr = self._atoms[index]
-            if version == vr.base_version:
-                return None
-            cache_key = (index, version)
-            cached = packed_runs.get(cache_key)
-            if cached is None:
-                runs = vr.runs[: version - vr.base_version]
-                arity = len(vr.base.schema)
-                cached = tuple(
-                    (
-                        pack_output_rows(run.rows, arity),
-                        run.signs.tobytes(),
-                    )
-                    for run in runs
-                )
-                packed_runs[cache_key] = cached
-            return cached
-
-        from repro.relational.backend import current_backend
-
-        # Resolved under the engine's ``scoped_backend`` (see ``_commit``),
-        # so workers run each term under the same backend as the serial path.
-        exec_backend = current_backend()
-        tasks = []
-        signs = []
-        for i, sign, relations in terms:
-            specs = []
-            for j, key in enumerate(keys):
-                vr = self._atoms[j]
-                if j == i:
-                    arity = len(vr.base.schema)
-                    buffer = pack_output_rows(
-                        atom_deltas[j].signed_rows(sign), arity
-                    )
-                    specs.append(("delta", key, buffer))
-                    continue
-                version = vr.version if j < i else old_versions[j]
-                payload = runs_payload(j, version)
-                if payload is None:
-                    specs.append(("resident", key))
-                else:
-                    specs.append(("version", key, version, payload))
-            tasks.append((tokens, self._order, tuple(specs), exec_backend))
-            signs.append(sign)
-
-        results = self._pool.map(run_delta_term_task, tasks)
-        self.stats.join_terms += len(tasks)
         self.stats.pooled_batches += 1
-        counter = current_counter()
-        net: dict[tuple, int] = {}
-        arity = len(self._order)
-        for sign, (buffer, counts) in zip(signs, results):
-            counter.absorb(counts)
-            rows, _ = unpack_columns(buffer, arity)
-            for row in rows:
-                count = net.get(row, 0) + sign
-                if count:
-                    net[row] = count
-                else:
-                    del net[row]
-        return net
+        return map_delta_terms(
+            self._worker_pool(),
+            dict(zip(keys, self._atoms)),
+            [
+                (
+                    self._order,
+                    keys,
+                    tuple(
+                        vr.version if j < i else old_versions[j]
+                        for j, vr in enumerate(self._atoms)
+                    ),
+                    i,
+                    atom_deltas[i].signed_rows(sign),
+                )
+                for i, sign, _ in terms
+            ],
+        )

@@ -177,28 +177,36 @@ def signed_join_delta(
     new_bindings: Sequence[Relation],
     atom_deltas: Sequence[SignedDelta | None],
     order: tuple[str, ...],
+    run_terms: Callable[[list], list] | None = None,
 ) -> tuple[dict[tuple, int], int]:
     """The net signed change of the full join, plus the term count.
 
-    Executes every delta-rule term serially (:func:`execute_delta_term`)
-    and sums the signed contributions; rows whose contributions cancel
-    across terms are dropped.  Returns ``(net, executed_terms)`` — the
+    Executes every delta-rule term (:func:`execute_delta_term`) and sums
+    the signed contributions; rows whose contributions cancel across terms
+    are dropped.  ``run_terms`` maps the ``(i, sign, relations)`` term list
+    to one row list per term somewhere else — the engine's worker pool —
+    and is used when there is more than one term to spread; otherwise the
+    terms run here, serially.  Returns ``(net, executed_terms)`` — the
     count only includes terms whose sign-split delta was non-empty, so the
     engine's ``stats.join_terms`` agrees between serial and pooled paths.
     """
+    terms = list(iter_delta_terms(old_bindings, new_bindings, atom_deltas))
+    if run_terms is None or len(terms) <= 1:
+        # Lazy: each term's rows fold into ``net`` before the next one runs.
+        results = (
+            execute_delta_term(relations, order, i) for i, _, relations in terms
+        )
+    else:
+        results = run_terms(terms)
     net: dict[tuple, int] = {}
-    executed = 0
-    for i, sign, relations in iter_delta_terms(
-        old_bindings, new_bindings, atom_deltas
-    ):
-        executed += 1
-        for row in execute_delta_term(relations, order, i):
+    for (_, sign, _), rows in zip(terms, results):
+        for row in rows:
             count = net.get(row, 0) + sign
             if count:
                 net[row] = count
             else:
                 del net[row]
-    return net, executed
+    return net, len(terms)
 
 
 def maintain_join_rows(old_rows: list, net: dict[tuple, int]) -> list:

@@ -58,6 +58,7 @@ from repro.parallel.pool import (
     unpack_column_arrays,
     unpack_columns,
 )
+from repro.planner.engine import EngineBase, check_driver, constraints_fingerprint
 from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
@@ -95,7 +96,7 @@ def _merge_shard_rows(row_lists: Sequence[list]) -> list:
     return merged
 
 
-class ParallelQueryEngine:
+class ParallelQueryEngine(EngineBase):
     """Evaluate a full/Boolean CQ across a worker pool, bit-identically.
 
     Drop-in for :class:`repro.planner.QueryEngine` where the query is a full
@@ -108,8 +109,6 @@ class ParallelQueryEngine:
         >>> result = engine.execute(database)                          # doctest: +SKIP
         >>> result.relation == QueryEngine(...).execute(database).relation
     """
-
-    DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
 
     #: Shards planned per worker.  Finer shards let the pool balance residual
     #: skew (the slowest shard bounds the wall-clock) at near-zero extra cost:
@@ -125,24 +124,14 @@ class ParallelQueryEngine:
         workers: int | None = None,
         execution_backend: str | None = None,
     ) -> None:
-        from repro.planner import Planner
-
+        super().__init__(
+            constraints,
+            backend,
+            planner,
+            execution_backend,
+            default_worker_count() if workers is None else workers,
+        )
         self.query = query
-        self.constraints = constraints
-        self.backend = backend
-        # ``backend`` is the planning layer's LP solver choice;
-        # ``execution_backend`` picks interpreted vs vectorized execution
-        # (``None`` defers to ``REPRO_BACKEND`` / auto-detection) and is
-        # shipped to the pool so workers execute under the same backend.
-        if execution_backend is not None:
-            from repro.relational.backend import resolve_backend
-
-            resolve_backend(execution_backend)  # fail fast on a typo
-        self.execution_backend = execution_backend
-        self.planner = planner if planner is not None else Planner()
-        self.workers = default_worker_count() if workers is None else max(1, workers)
-        self._pool: WorkerPool | None = None
-        self._decompositions = None
         #: (constraints fingerprint, backend) -> shipped plan bundle.
         self._panda_bundles: dict = {}
         #: constraints fingerprint -> chosen decomposition bags.
@@ -160,12 +149,6 @@ class ParallelQueryEngine:
         #: grows (``((universe, lengths), {attr: values})``).
         self._dict_values: tuple | None = None
 
-    # -- facade parity ---------------------------------------------------------
-
-    @property
-    def cache_stats(self):
-        return self.planner.stats
-
     @property
     def shipping_stats(self) -> dict:
         """The pool's cumulative wire cost (column bytes vs file refs).
@@ -178,24 +161,7 @@ class ParallelQueryEngine:
             return {"column_bytes": 0, "file_refs": 0}
         return self._pool.shipping_stats
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelQueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- internals -------------------------------------------------------------
-
-    def _pool_for(self, tasks: int) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
 
     def _bind_atoms(self, database) -> list[Relation]:
         """The query's atoms bound against ``database`` (cached, pinned).
@@ -224,13 +190,6 @@ class ParallelQueryEngine:
             self._binding = binding
         return binding[2]
 
-    def _query_decompositions(self):
-        if self._decompositions is None:
-            from repro.decompositions.enumeration import tree_decompositions
-
-            self._decompositions = tree_decompositions(self.query.hypergraph())
-        return self._decompositions
-
     def _resolve_constraints(self, database, constraints):
         if constraints is None:
             constraints = self.constraints
@@ -240,7 +199,6 @@ class ParallelQueryEngine:
 
     def _yannakakis_extra(self, constraints: ConstraintSet) -> dict:
         from repro.core.query_plans import _best_decomposition
-        from repro.planner.engine import constraints_fingerprint
 
         key = (constraints_fingerprint(constraints), self.backend)
         bags = self._yannakakis_bags.get(key)
@@ -278,7 +236,6 @@ class ParallelQueryEngine:
         worker seeds its planner once per fingerprint.
         """
         from repro.decompositions.selectors import selector_images
-        from repro.planner.engine import constraints_fingerprint
         from repro.relational.columns import Dictionary
 
         key = (constraints_fingerprint(constraints), self.backend)
@@ -338,15 +295,12 @@ class ParallelQueryEngine:
         from repro.core.query_plans import PlanResult
         from repro.relational.backend import current_backend, scoped_backend
 
+        check_driver(driver)
         query = self.query
         if not (query.is_full or query.is_boolean):
             raise QueryError(
                 "the parallel engine covers full and Boolean conjunctive "
                 "queries; project the full result instead"
-            )
-        if driver not in self.DRIVERS:
-            raise PandaError(
-                f"unknown driver {driver!r}; pick from {self.DRIVERS}"
             )
         constraints = self._resolve_constraints(database, constraints)
         order = tuple(sorted(query.variable_set))
@@ -446,7 +400,7 @@ class ParallelQueryEngine:
             (key, table.attrs, relation, digest)
             for (key, digest), relation, table in zip(tokens, relations, tables)
         ]
-        pool = self._pool_for(len(specs))
+        pool = self._worker_pool()
         pool.ensure_database(tokens, entries)
         tasks = [
             (
@@ -491,7 +445,7 @@ class ParallelQueryEngine:
             factors,
             free,
             workers=self.workers,
-            pool=self._pool_for(self.workers),
+            pool=self._worker_pool(),
         )
 
 

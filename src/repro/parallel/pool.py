@@ -52,14 +52,15 @@ import pickle
 from array import array
 from typing import Sequence
 
-from repro.relational.backend import scoped_backend
-from repro.relational.operators import scoped_work_counter
+from repro.relational.backend import current_backend, scoped_backend
+from repro.relational.operators import current_counter, scoped_work_counter
 from repro.relational.relation import Relation
 
 __all__ = [
     "WorkerPool",
     "adopt_dictionaries",
     "default_worker_count",
+    "map_delta_terms",
     "pack_column_range",
     "pack_output_rows",
     "run_delta_term_task",
@@ -521,6 +522,72 @@ def run_delta_term_task(task: tuple) -> tuple[bytes, dict]:
         buffer = pack_output_rows(rows, len(order))
         counts = counter.as_dict()
     return buffer, counts
+
+
+def map_delta_terms(
+    pool: "WorkerPool", logs: dict, terms: Sequence[tuple]
+) -> list[list]:
+    """Fan delta-rule terms out over ``pool``; one sorted row list per term.
+
+    ``logs`` maps each resident key to the log-structured relation behind
+    it (``base`` / ``base_version`` / ``runs``, e.g. a
+    :class:`~repro.incremental.delta.VersionedRelation`); the *bases* become
+    resident under per-relation content-digest tokens, so they ship once
+    per compaction epoch and the pool's digest diff decides
+    reship-vs-recycle when a compaction moves some of them.  Each term is
+    ``(order, keys, versions, index, delta_rows)``: the input at ``index``
+    is the term's (tiny) delta, shipped inline; every other input ``j`` is
+    ``keys[j]`` lifted to ``versions[j]`` by the signed runs past its base
+    (packed once per ``(key, version)``), or the resident base itself.
+    Terms run under the caller's current execution backend, and worker
+    counts are absorbed into the caller's work counter.
+    """
+    tokens = []
+    entries = []
+    for key, log in logs.items():
+        base = log.base
+        digest = base.column_set(base.schema).content_digest()
+        tokens.append((key, digest))
+        entries.append((key, base.schema, base, digest))
+    tokens = tuple(tokens)
+    pool.ensure_database(tokens, entries)
+
+    packed_runs: dict[tuple, tuple] = {}
+
+    def lifted(key, version) -> tuple:
+        log = logs[key]
+        if version == log.base_version:
+            return ("resident", key)
+        runs = packed_runs.get((key, version))
+        if runs is None:
+            arity = len(log.base.schema)
+            runs = packed_runs[key, version] = tuple(
+                (pack_output_rows(run.rows, arity), run.signs.tobytes())
+                for run in log.runs[: version - log.base_version]
+            )
+        return ("version", key, version, runs)
+
+    # Resolved under the engine's ``scoped_backend``, so workers run each
+    # term under the same backend as the serial path.
+    backend = current_backend()
+    tasks = []
+    for order, keys, versions, index, delta_rows in terms:
+        specs = []
+        for j, key in enumerate(keys):
+            if j == index:
+                arity = len(logs[key].base.schema)
+                specs.append(("delta", key, pack_output_rows(delta_rows, arity)))
+            else:
+                specs.append(lifted(key, versions[j]))
+        tasks.append((tokens, order, tuple(specs), backend))
+
+    counter = current_counter()
+    results = []
+    for task, (buffer, counts) in zip(tasks, pool.map(run_delta_term_task, tasks)):
+        counter.absorb(counts)
+        rows, _ = unpack_columns(buffer, len(task[1]))
+        results.append(rows)
+    return results
 
 
 def run_faq_task(task: tuple) -> tuple[bytes, list, dict]:

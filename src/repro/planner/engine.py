@@ -19,6 +19,8 @@ through one shared :class:`~repro.planner.batch.BatchedBoundSolver` per
 :class:`QueryEngine` is the user-facing facade: construct it once for a
 query, call :meth:`QueryEngine.execute` per database; all planning work is
 reused across executions (and across isomorphic sub-instances within one).
+:class:`EngineBase`, :func:`check_driver` and :func:`pinned_cardinalities`
+are what it shares with the parallel, incremental and datalog engines.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from repro.bounds.polymatroid import BoundResult, LogConstraint
-from repro.core.constraints import ConstraintSet
-from repro.exceptions import PandaError
+from repro.core.constraints import ConstraintSet, DegreeConstraint
+from repro.exceptions import QueryError
 from repro.flows.inequality import FlowInequality, Witness, flow_from_bound
 from repro.flows.proof_sequence import ProofStep, construct_proof_sequence
 from repro.planner.batch import BatchedBoundSolver
@@ -44,7 +46,18 @@ from repro.planner.signature import (
     rename_witness,
 )
 
-__all__ = ["PandaPlan", "Planner", "QueryEngine", "build_panda_plan", "rename_plan"]
+__all__ = [
+    "DRIVERS",
+    "PLAN_DRIVERS",
+    "EngineBase",
+    "PandaPlan",
+    "Planner",
+    "QueryEngine",
+    "build_panda_plan",
+    "check_driver",
+    "pinned_cardinalities",
+    "rename_plan",
+]
 
 _ZERO = Fraction(0)
 
@@ -267,7 +280,124 @@ class Planner:
         return plan
 
 
-class QueryEngine:
+#: The shard drivers of the parallel, incremental, serving and datalog
+#: engines, and the plan drivers of :class:`QueryEngine` — the one
+#: definition every facade and the CLI's ``--driver`` choices import.
+DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
+PLAN_DRIVERS = ("dasubw", "dafhtw", "panda_full", "tree_decomposition")
+
+
+def check_driver(driver: str, accepted: tuple[str, ...] = DRIVERS) -> None:
+    """Reject a driver name outside ``accepted`` before any work happens.
+
+    A name from the other vocabulary gets a message saying which engine
+    takes it instead of a bare "unknown driver".
+    """
+    if driver in accepted:
+        return
+    takes = "/".join(accepted)
+    if accepted == DRIVERS and driver in PLAN_DRIVERS:
+        raise QueryError(
+            f"{driver!r} is a QueryEngine driver; this engine takes {takes}"
+        )
+    if accepted == PLAN_DRIVERS and driver in DRIVERS:
+        raise QueryError(
+            f"{driver!r} is a shard driver (parallel, incremental, serving "
+            f"and datalog engines); QueryEngine takes {takes}"
+        )
+    raise QueryError(f"unknown driver {driver!r}; pick from {accepted}")
+
+
+def pinned_cardinalities(
+    sized_atoms: Iterable[tuple], previous: ConstraintSet | None = None
+) -> ConstraintSet:
+    """Power-of-two-rounded cardinalities: stable plan keys under churn.
+
+    ``sized_atoms`` pairs each body atom with the current size of its
+    binding.  While no binding outgrows its bound in ``previous`` the
+    *same* ``previous`` object is returned, so the planner's cache keeps
+    serving the same data-independent plans across version bumps and only
+    the guards re-resolve.  Otherwise every cardinality is re-rounded up to
+    the next power of two — callers count that as a replan.  Bindings over
+    one variable set (self-joins) share one constraint, the tightest:
+    :class:`ConstraintSet` keeps the smallest bound per variable set.
+    """
+    sized = [(tuple(sorted(atom.variables)), size) for atom, size in sized_atoms]
+    if previous is not None:
+        bounds = {c.y_key: c.bound for c in previous}
+        if all(size <= bounds[y] for y, size in sized):
+            return previous
+    return ConstraintSet(
+        DegreeConstraint.make((), y, 1 << max(0, size - 1).bit_length())
+        for y, size in sized
+    )
+
+
+class EngineBase:
+    """What the engine facades share: fields, backend check, lifecycle.
+
+    ``backend`` picks the LP solver of the planning layer;
+    ``execution_backend`` picks the tuple-at-a-time interpreted driver or
+    the numpy block driver of the execution layer (``None`` defers to
+    ``REPRO_BACKEND`` / auto-detection at execute time, and pooled engines
+    ship the resolved name so workers execute under the same backend).
+    """
+
+    DRIVERS = DRIVERS
+
+    def __init__(
+        self,
+        constraints: ConstraintSet | None,
+        backend: str,
+        planner: Planner | None,
+        execution_backend: str | None,
+        workers: int = 1,
+    ) -> None:
+        if execution_backend is not None:
+            from repro.relational.backend import resolve_backend
+
+            resolve_backend(execution_backend)  # fail fast on a typo
+        self.constraints = constraints
+        self.backend = backend
+        self.execution_backend = execution_backend
+        self.planner = planner if planner is not None else Planner()
+        self.workers = max(1, workers)
+        self._pool = None
+        self._decompositions = None
+
+    @property
+    def cache_stats(self) -> PlanCacheStats:
+        return self.planner.stats
+
+    def _worker_pool(self):
+        if self._pool is None:
+            from repro.parallel.pool import WorkerPool
+
+            self._pool = WorkerPool(self.workers)
+        return self._pool
+
+    def _query_decompositions(self):
+        """The tree decompositions of ``self.query`` (enumerated once)."""
+        if self._decompositions is None:
+            from repro.decompositions.enumeration import tree_decompositions
+
+            self._decompositions = tree_decompositions(self.query.hypergraph())
+        return self._decompositions
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class QueryEngine(EngineBase):
     """Plan a query once; execute it against many databases.
 
     Example:
@@ -277,7 +407,7 @@ class QueryEngine:
         >>> engine.cache_stats.hit_rate                 # doctest: +SKIP
     """
 
-    DRIVERS = ("dasubw", "dafhtw", "panda_full", "tree_decomposition")
+    DRIVERS = PLAN_DRIVERS
 
     def __init__(
         self,
@@ -285,36 +415,10 @@ class QueryEngine:
         constraints: ConstraintSet | None = None,
         backend: str = "exact",
         planner: Planner | None = None,
-        pin_constraints: bool = False,
         execution_backend: str | None = None,
     ) -> None:
+        super().__init__(constraints, backend, planner, execution_backend)
         self.query = query
-        self.constraints = constraints
-        self.backend = backend
-        # ``backend`` picks the LP solver for the planning layer;
-        # ``execution_backend`` picks the tuple-at-a-time interpreted driver
-        # or the numpy block driver for the execution layer (``None`` defers
-        # to ``REPRO_BACKEND`` / auto-detection at execute time).
-        if execution_backend is not None:
-            from repro.relational.backend import resolve_backend
-
-            resolve_backend(execution_backend)  # fail fast on a typo
-        self.execution_backend = execution_backend
-        self.planner = planner if planner is not None else Planner()
-        self.pin_constraints = pin_constraints
-        self._pinned: ConstraintSet | None = None
-        self._decompositions = None
-
-    @property
-    def cache_stats(self) -> PlanCacheStats:
-        return self.planner.stats
-
-    def _query_decompositions(self):
-        if self._decompositions is None:
-            from repro.decompositions.enumeration import tree_decompositions
-
-            self._decompositions = tree_decompositions(self.query.hypergraph())
-        return self._decompositions
 
     def execute(
         self,
@@ -328,66 +432,30 @@ class QueryEngine:
         then the engine-level constraints, then the database's extracted
         cardinalities.  Plans are cached across calls whenever the resolved
         constraints (and hence the bound LPs) coincide.
-
-        With ``pin_constraints`` the cardinalities extracted on the *first*
-        execute are reused for every later one, so a stream of slightly
-        different databases (the incremental engine's version bumps) keeps
-        hitting the same cached plans — the plan is data-independent, and
-        only its guards re-resolve per database.  The pin is dropped
-        automatically when a database outgrows it (a relation larger than
-        its pinned bound would leave a degree constraint unguarded), which
-        re-extracts and re-plans once.
         """
         from repro.core import query_plans
         from repro.relational.backend import scoped_backend
 
+        check_driver(driver, PLAN_DRIVERS)
         if constraints is None:
             constraints = self.constraints
-        if constraints is None and self.pin_constraints:
-            pinned = self._pinned
-            if pinned is not None and database.satisfies(pinned):
-                constraints = pinned
-            else:
-                constraints = database.extract_cardinalities()
-                self._pinned = constraints
         if constraints is None:
             constraints = database.extract_cardinalities()
+        run = {
+            "dasubw": query_plans.dasubw_plan,
+            "dafhtw": query_plans.dafhtw_plan,
+            "panda_full": query_plans.panda_full_query,
+            "tree_decomposition": query_plans.tree_decomposition_plan,
+        }[driver]
+        options = {}
+        if driver != "panda_full":
+            options["decompositions"] = self._query_decompositions()
         with scoped_backend(self.execution_backend):
-            if driver == "dasubw":
-                return query_plans.dasubw_plan(
-                    self.query,
-                    database,
-                    constraints=constraints,
-                    decompositions=self._query_decompositions(),
-                    backend=self.backend,
-                    planner=self.planner,
-                )
-            if driver == "dafhtw":
-                return query_plans.dafhtw_plan(
-                    self.query,
-                    database,
-                    constraints=constraints,
-                    decompositions=self._query_decompositions(),
-                    backend=self.backend,
-                    planner=self.planner,
-                )
-            if driver == "panda_full":
-                return query_plans.panda_full_query(
-                    self.query,
-                    database,
-                    constraints=constraints,
-                    backend=self.backend,
-                    planner=self.planner,
-                )
-            if driver == "tree_decomposition":
-                return query_plans.tree_decomposition_plan(
-                    self.query,
-                    database,
-                    constraints=constraints,
-                    decompositions=self._query_decompositions(),
-                    backend=self.backend,
-                    planner=self.planner,
-                )
-        raise PandaError(
-            f"unknown driver {driver!r}; pick from {self.DRIVERS}"
-        )
+            return run(
+                self.query,
+                database,
+                constraints=constraints,
+                backend=self.backend,
+                planner=self.planner,
+                **options,
+            )

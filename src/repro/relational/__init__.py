@@ -30,7 +30,6 @@ from repro.relational.operators import (
     select_equal,
     semijoin,
     union,
-    work_counter,
 )
 from repro.relational.relation import Relation
 from repro.relational.storage import (
@@ -40,7 +39,7 @@ from repro.relational.storage import (
     save_database_dir,
 )
 from repro.relational.trie import SortedTrieIterator, leapfrog_search
-from repro.relational.leapfrog import build_trie, leapfrog_triejoin
+from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.wcoj import binary_join_plan, generic_join
 from repro.relational.yannakakis import (
     JoinTree,
@@ -63,7 +62,6 @@ __all__ = [
     "acyclic_boolean",
     "acyclic_join",
     "binary_join_plan",
-    "build_trie",
     "current_counter",
     "difference",
     "full_reduce",
@@ -80,5 +78,4 @@ __all__ = [
     "select_equal",
     "semijoin",
     "union",
-    "work_counter",
 ]

@@ -17,8 +17,8 @@ tries' cached sorted key runs are intersected with the §3.1 leapfrog loop
 level — with nothing left to descend into — intersects whole blocks over the
 cached per-node key sets and emits them at C speed.
 :func:`~repro.relational.trie.leapfrog_search` is the pipelined
-iterator-protocol form of the same loop, and :func:`build_trie` a decoded
-reference trie; tests use both as oracles for the columnar path.
+iterator-protocol form of the same loop; tests use it as an oracle for the
+columnar path.
 """
 
 from __future__ import annotations
@@ -31,34 +31,7 @@ from repro.relational.execution import execute_join, register_vectorizable
 from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
-__all__ = ["leapfrog_triejoin", "build_trie"]
-
-
-def build_trie(relation: Relation, attr_order: Sequence[str]) -> dict:
-    """The (decoded) sorted trie of ``relation`` keyed by ``attr_order``.
-
-    Each level is a dict ``value -> child``; leaves are empty dicts.  This is
-    the value-level *reference* trie — the join itself walks the implicit
-    columnar trie via :meth:`Relation.trie_iterator` — kept for tests,
-    debugging, and downstream users who want a materialized view.
-
-    Raises:
-        QueryError: if ``attr_order`` is not a permutation of the schema.
-    """
-    if set(attr_order) != relation.attributes or len(attr_order) != len(
-        relation.schema
-    ):
-        raise QueryError(
-            f"trie order {tuple(attr_order)} must permute schema "
-            f"{relation.schema}"
-        )
-    positions = tuple(relation.position(a) for a in attr_order)
-    root: dict = {}
-    for row in relation:
-        node = root
-        for p in positions:
-            node = node.setdefault(row[p], {})
-    return root
+__all__ = ["leapfrog_triejoin"]
 
 
 def _leapfrog_intersection(key_lists: list[list]) -> list:

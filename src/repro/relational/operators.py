@@ -30,9 +30,7 @@ Every operator counts the tuple-level work it performs into the *current*
 alongside wall-clock time.  The counter is scoped through a
 :class:`~contextvars.ContextVar` — concurrent or interleaved runs (parallel
 pytest, async drivers) each see their own counter under
-:func:`scoped_work_counter`, while the module-level :data:`work_counter`
-proxy keeps the historical ``work_counter.reset()`` / ``work_counter.total``
-call sites working against whichever counter is current.
+:func:`scoped_work_counter`.
 
 The heavy/light partition implements Lemma 6.1: a table ``T(A_Y)`` with
 ``X ⊂ Y`` splits into ``O(log |T|)`` pieces ``T^(j)`` with
@@ -55,7 +53,6 @@ from repro.relational.relation import Relation
 
 __all__ = [
     "WorkCounter",
-    "work_counter",
     "current_counter",
     "scoped_work_counter",
     "project",
@@ -153,31 +150,6 @@ def scoped_work_counter(counter: WorkCounter | None = None) -> Iterator[WorkCoun
         yield counter
     finally:
         _counter_var.reset(token)
-
-
-class _WorkCounterProxy:
-    """Module-level facade forwarding to the context's current counter.
-
-    Keeps the historical ``from repro.relational import work_counter`` call
-    sites (tests, benchmarks, downstream users) working unchanged: attribute
-    reads, writes, and ``reset()`` all hit whatever counter is current.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        return getattr(_counter_var.get(), name)
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(_counter_var.get(), name, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"work_counter -> {_counter_var.get()!r}"
-
-
-#: Context-following proxy used by legacy call sites.  Benchmarks reset it
-#: around runs; new code should prefer :func:`scoped_work_counter`.
-work_counter = _WorkCounterProxy()
 
 
 def _np_keys(*operands):

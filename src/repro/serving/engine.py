@@ -34,6 +34,7 @@ from typing import Callable, Mapping
 
 from repro.exceptions import ServingError
 from repro.incremental.engine import IncrementalQueryEngine
+from repro.planner.engine import DRIVERS, check_driver
 from repro.serving.admission import AdmissionController
 from repro.serving.server import SnapshotServer
 from repro.serving.snapshot import Snapshot
@@ -52,7 +53,7 @@ class ServingEngine:
         >>> engine.close()
     """
 
-    DRIVERS = IncrementalQueryEngine.DRIVERS
+    DRIVERS = DRIVERS
 
     def __init__(
         self,
@@ -103,6 +104,7 @@ class ServingEngine:
         restarts serving (any in-flight requests on the old broker are
         drained first).
         """
+        check_driver(driver)  # before the running broker is torn down
         if self._server is not None:
             self._server.close()
             self._server = None

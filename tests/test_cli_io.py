@@ -339,3 +339,15 @@ class TestServeCommand:
         ])
         assert rc == 2
         assert "do not match relation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arm", ([], ["--apply-deltas"], ["--concurrent"]))
+    def test_serve_rejects_feed_for_unknown_relation(self, tmp_path, capsys, arm):
+        data = self._triangle_dir(tmp_path)
+        changes = self._feed(tmp_path, ("op", "A", "B"), [("+", 1, 2)])
+        (changes / "R.changes.csv").rename(changes / "X.changes.csv")
+        rc = main([
+            "serve", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)",
+            "--data", str(data), "--changes", str(changes), *arm,
+        ])
+        assert rc == 2
+        assert "'X' does not match a query atom" in capsys.readouterr().err

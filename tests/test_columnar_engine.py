@@ -25,7 +25,6 @@ from repro.relational import (
     project,
     scoped_work_counter,
     semijoin,
-    work_counter,
 )
 from repro.relational.columns import ColumnSet, Dictionary, gallop_left
 from repro.relational.io import load_relation_csv
@@ -201,12 +200,12 @@ class TestScopedWorkCounter:
 
     def test_scope_isolates_counts(self):
         relations = self.triangle()
-        work_counter.reset()
-        with scoped_work_counter() as inner:
-            generic_join(relations)
-            assert inner.total > 0
-        # Work inside the scope never leaked to the ambient counter.
-        assert work_counter.total == 0
+        with scoped_work_counter() as ambient:
+            with scoped_work_counter() as inner:
+                generic_join(relations)
+                assert inner.total > 0
+            # Work inside the scope never leaked to the enclosing counter.
+            assert ambient.total == 0
 
     def test_nested_scopes(self):
         relations = self.triangle()
@@ -219,12 +218,12 @@ class TestScopedWorkCounter:
             assert inner.total == outer_before
             assert outer.total == outer_before
 
-    def test_proxy_follows_scope(self):
+    def test_current_counter_follows_scope(self):
         relations = self.triangle()
         with scoped_work_counter() as counter:
-            work_counter.reset()
             project(relations[0], ("A",))
-            assert work_counter.total == counter.total > 0
+            assert current_counter() is counter
+            assert counter.total > 0
         assert current_counter() is not counter
 
     def test_explicit_counter_reused(self):

@@ -262,10 +262,27 @@ class TestBitIdentity:
         database = edge_database(edges)
         with DatalogEngine(program) as serial:
             expected = serial.execute(database)["path"].code_rows
+            # A batch big enough to compact the edge log, then a small one:
+            # the second batch's rounds meet a moved edge base.
+            batches = (
+                sorted(set(random_edges(rng, 150, domain=15)) - set(edges)),
+                [(15, 0), (0, 15)],
+            )
+            maintained = []
+            for batch in batches:
+                serial.insert("edge", batch)
+                maintained.append(serial.refresh()["path"].code_rows)
         with DatalogEngine(program, workers=2) as pooled:
             result = pooled.execute(edge_database(edges))
             assert result["path"].code_rows == expected
             assert pooled.stats.pooled_rounds >= 1
+            for batch, rows in zip(batches, maintained):
+                rounds = pooled.stats.pooled_rounds
+                pooled.insert("edge", batch)
+                assert pooled.refresh()["path"].code_rows == rows
+                assert pooled.stats.pooled_rounds > rounds
+            assert pooled.stats.compactions == serial.stats.compactions > 0
+            assert pooled.stats.delta_terms == serial.stats.delta_terms
 
     def test_low_level_run_stratum_matches_naive(self):
         """The library path (no engine, no planner) holds the contract too."""
@@ -351,10 +368,13 @@ class TestIncrementalMaintenance:
         program = parse_program(TC_BOTH_TEXT)
         edges = set(random_edges(rng, 40, domain=14))
         expected_batches = 0
+        pooled_at_compaction = None
         with DatalogEngine(program, workers=2) as engine:
             engine.execute(edge_database(edges))
-            for _ in range(5):
-                inserts = random_edges(rng, 6, domain=14) - edges
+            # The 150-draw batch overflows the edge log: a compaction with
+            # pooled rounds on both sides of it.
+            for draws in (6, 6, 6, 6, 6, 150, 6):
+                inserts = random_edges(rng, draws, domain=14) - edges
                 deletes = (
                     set(rng.sample(sorted(edges), 3))
                     if rng.random() < 0.5 and len(edges) >= 3
@@ -368,7 +388,10 @@ class TestIncrementalMaintenance:
                 assert_fixpoint_matches_naive(
                     result, program, edge_database(edges)
                 )
+                if pooled_at_compaction is None and engine.stats.compactions:
+                    pooled_at_compaction = engine.stats.pooled_rounds
             assert engine.stats.batches == expected_batches > 0
+            assert 0 < pooled_at_compaction < engine.stats.pooled_rounds
 
     def test_failed_batch_leaves_state_intact(self):
         program = parse_program(TC_TEXT)

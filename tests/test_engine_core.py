@@ -1,0 +1,132 @@
+"""What the five engine facades share: the driver check and plan pinning.
+
+``check_driver`` must reject a bad name with one typed error *before* the
+facade touches the database, the planner, or a running broker, and
+``pinned_cardinalities`` is the one power-of-two pinning both maintained
+engines plan under.
+"""
+
+import pytest
+
+from repro.datalog.atoms import Atom
+from repro.datalog.conjunctive import ConjunctiveQuery
+from repro.datalog.engine import DatalogEngine
+from repro.exceptions import IncrementalError, QueryError
+from repro.incremental import IncrementalQueryEngine
+from repro.parallel import ParallelQueryEngine
+from repro.planner import Planner, QueryEngine
+from repro.planner.engine import DRIVERS, PLAN_DRIVERS, pinned_cardinalities
+from repro.relational.database import Database
+from repro.relational.relation import Relation
+from repro.serving import ServingEngine
+
+TRIANGLE = ConjunctiveQuery.full(
+    (Atom("R", ("A", "B")), Atom("S", ("B", "C")), Atom("T", ("A", "C")))
+)
+TC_TEXT = "path(x,y) :- edge(x,y).\npath(x,z) :- path(x,y), edge(y,z).\n"
+
+
+class Untouchable:
+    """A database stand-in: any use of it is a side effect of the bad call."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"database.{name} touched before the driver check")
+
+
+def triangle_database() -> Database:
+    rows = [(1, 2), (2, 3), (1, 3)]
+    return Database(
+        (
+            Relation("R", ("A", "B"), rows),
+            Relation("S", ("B", "C"), rows),
+            Relation("T", ("A", "C"), rows),
+        )
+    )
+
+
+FACADES = {
+    "query": lambda planner: QueryEngine(TRIANGLE, planner=planner),
+    "parallel": lambda planner: ParallelQueryEngine(
+        TRIANGLE, planner=planner, workers=1
+    ),
+    "incremental": lambda planner: IncrementalQueryEngine(
+        TRIANGLE, planner=planner
+    ),
+    "serving": lambda planner: ServingEngine(TRIANGLE, planner=planner, readers=1),
+    "datalog": lambda planner: DatalogEngine(TC_TEXT, planner=planner),
+}
+
+
+class TestDriverCheck:
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    @pytest.mark.parametrize("wrong_vocabulary", (False, True))
+    def test_bad_driver_is_a_query_error_before_any_work(
+        self, facade, wrong_vocabulary
+    ):
+        planner = Planner()
+        engine = FACADES[facade](planner)
+        accepted = engine.DRIVERS
+        other = DRIVERS if accepted == PLAN_DRIVERS else PLAN_DRIVERS
+        if wrong_vocabulary:
+            driver, message = other[0], f"{other[0]!r} is a .* driver"
+        else:
+            driver, message = "turbo", "unknown driver 'turbo'"
+        with engine:
+            with pytest.raises(QueryError, match=message) as raised:
+                engine.execute(Untouchable(), driver=driver)
+            # The message names what this engine does take.
+            assert accepted[0] in str(raised.value)
+            assert planner.stats.lookups == 0
+            if facade in ("incremental", "datalog"):
+                with pytest.raises(IncrementalError, match="not bound"):
+                    engine.relation("R")
+
+    def test_serving_engine_keeps_serving_after_a_bad_driver(self):
+        with ServingEngine(TRIANGLE, readers=1) as engine:
+            engine.execute(triangle_database())
+            with pytest.raises(QueryError):
+                engine.execute(triangle_database(), driver="dasubw")
+            assert len(engine.read().result(timeout=30).relation) == 1
+
+
+class SizedAtom:
+    def __init__(self, *variables):
+        self.variables = variables
+
+
+class TestPinnedCardinalities:
+    @staticmethod
+    def bounds(constraints) -> dict:
+        return {c.y_key: c.bound for c in constraints}
+
+    def test_rounds_up_to_powers_of_two(self):
+        r, s = SizedAtom("A", "B"), SizedAtom("C", "B")
+        pinned = pinned_cardinalities([(r, 5), (s, 64), (SizedAtom("D"), 0)])
+        assert self.bounds(pinned) == {
+            ("A", "B"): 8, ("B", "C"): 64, ("D",): 1,
+        }
+
+    def test_same_object_while_sizes_drift_under_the_bound(self):
+        r, s = SizedAtom("A", "B"), SizedAtom("B", "C")
+        pinned = pinned_cardinalities([(r, 5), (s, 9)])
+        for sizes in ((8, 16), (1, 1), (6, 10)):
+            assert pinned_cardinalities(zip((r, s), sizes), pinned) is pinned
+
+    def test_repins_exactly_when_one_atom_outgrows_its_bound(self):
+        r, s = SizedAtom("A", "B"), SizedAtom("B", "C")
+        pinned = pinned_cardinalities([(r, 5), (s, 9)])
+        repinned = pinned_cardinalities([(r, 9), (s, 9)], pinned)
+        assert repinned is not pinned
+        # Every cardinality re-rounds, not just the one that overflowed.
+        assert self.bounds(repinned) == {("A", "B"): 16, ("B", "C"): 16}
+        assert pinned_cardinalities([(r, 16), (s, 3)], repinned) is repinned
+
+    def test_self_join_pins_the_smallest_bound_per_variable_set(self):
+        # Two bindings over one variable set share one constraint — the
+        # tighter — and every binding is checked against it.
+        big, small = SizedAtom("A", "B"), SizedAtom("B", "A")
+        pinned = pinned_cardinalities([(big, 100), (small, 3)])
+        assert self.bounds(pinned) == {("A", "B"): 4}
+        assert pinned_cardinalities([(big, 4), (small, 4)], pinned) is pinned
+        assert pinned_cardinalities([(big, 4), (small, 5)], pinned) is not pinned
+        assert pinned_cardinalities([(big, 100), (small, 3)], pinned) == pinned

@@ -356,6 +356,21 @@ class TestBitIdentityGate:
             assert maintained.relation.code_rows == oracle_rows(engine)
         assert engine.stats.pooled_batches > 0
         assert engine.stats.compactions > 0  # pool baseline recycled too
+        # One relation's log overflows on its own, so a lone compaction
+        # sits between two pooled batches: the second finds one moved base
+        # among resident ones (the pool's reship path, not a full recycle).
+        pooled = engine.stats.pooled_batches
+        first, second = (atom.name for atom in query.body[:2])
+        for grow in (150, 5):
+            compacted = engine.relation_log(first).base_version
+            random_batch(engine, rng, first, inserts=grow, deletes=0, domain=25)
+            random_batch(engine, rng, second, inserts=3, deletes=2, domain=25)
+            maintained = engine.refresh()
+            assert maintained.relation.code_rows == oracle_rows(engine)
+            moved = engine.relation_log(first).base_version > compacted
+            assert moved == (grow == 150)
+            assert engine.relation_log(second).runs  # still on its old base
+        assert engine.stats.pooled_batches == pooled + 2
         engine.close()
 
 

@@ -12,8 +12,8 @@ from repro.relational import (
     generic_join,
     leapfrog_triejoin,
 )
-from repro.relational.leapfrog import _leapfrog_intersection, build_trie
-from repro.relational.operators import work_counter
+from repro.relational.leapfrog import _leapfrog_intersection
+from repro.relational.operators import scoped_work_counter
 
 
 def triangle_relations(n, d, seed):
@@ -22,28 +22,6 @@ def triangle_relations(n, d, seed):
         name, a, b, [(rng.randrange(d), rng.randrange(d)) for _ in range(n)]
     )
     return [make("R", "A", "B"), make("S", "B", "C"), make("T", "A", "C")]
-
-
-class TestTrie:
-    def test_build_trie_structure(self):
-        rel = Relation.from_pairs("R", "A", "B", [(1, 2), (1, 3), (2, 2)])
-        trie = build_trie(rel, ("A", "B"))
-        assert set(trie) == {1, 2}
-        assert set(trie[1]) == {2, 3}
-        assert trie[1][2] == {}
-
-    def test_build_trie_respects_order(self):
-        rel = Relation.from_pairs("R", "A", "B", [(1, 9)])
-        trie = build_trie(rel, ("B", "A"))
-        assert set(trie) == {9}
-        assert set(trie[9]) == {1}
-
-    def test_build_trie_rejects_bad_order(self):
-        rel = Relation.from_pairs("R", "A", "B", [(1, 2)])
-        with pytest.raises(QueryError):
-            build_trie(rel, ("A",))
-        with pytest.raises(QueryError):
-            build_trie(rel, ("A", "C"))
 
 
 class TestLeapfrogIntersection:
@@ -124,11 +102,11 @@ class TestLeapfrogTriejoin:
             Relation.from_pairs("T", "A", "C", grid),
         ]
         n = k * k
-        work_counter.reset()
-        out = leapfrog_triejoin(rels)
+        with scoped_work_counter() as counter:
+            out = leapfrog_triejoin(rels)
         assert len(out) == k ** 3  # == N^{3/2}: AGM-tight output
         # A binary plan would touch ~N² = k⁴ tuples; LFTJ stays near k³.
-        assert work_counter.tuples_scanned <= 8 * k ** 3
+        assert counter.tuples_scanned <= 8 * k ** 3
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -12,7 +12,7 @@ from repro.datalog import parse_query
 from repro.decompositions import tree_decompositions
 from repro.exceptions import QueryError
 from repro.instances import instance_a, triangle_query, agm_tight_triangle
-from repro.relational import Database, Relation, work_counter
+from repro.relational import Database, Relation, scoped_work_counter
 
 from _helpers import four_cycle_database
 
@@ -82,18 +82,18 @@ class TestExample110Separation:
 
         adaptive_worst = 0
         for db in instances:
-            work_counter.reset()
-            adaptive = dasubw_plan(FOUR_CYCLE_BOOL, db)
-            adaptive_worst = max(adaptive_worst, work_counter.total)
+            with scoped_work_counter() as counter:
+                adaptive = dasubw_plan(FOUR_CYCLE_BOOL, db)
+            adaptive_worst = max(adaptive_worst, counter.total)
             assert adaptive.boolean
 
         td_worsts = []
         for td in tds:
             worst = 0
             for db in instances:
-                work_counter.reset()
-                baseline = tree_decomposition_plan(FOUR_CYCLE_BOOL, db, td)
-                worst = max(worst, work_counter.total)
+                with scoped_work_counter() as counter:
+                    baseline = tree_decomposition_plan(FOUR_CYCLE_BOOL, db, td)
+                worst = max(worst, counter.total)
                 assert baseline.boolean
             td_worsts.append(worst)
 

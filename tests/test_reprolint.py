@@ -131,47 +131,6 @@ class TestRLNumpy:
         assert codes(source, "src/repro/relational/wcoj.py") == ["RL-NUMPY"]
 
 
-class TestRLCounter:
-    def test_proxy_import_and_use_fire(self):
-        source = """\
-        from repro.relational.operators import work_counter
-
-        work_counter.reset()
-        """
-        got = codes(source, "src/repro/widths/adaptive.py")
-        assert got == ["RL-COUNTER", "RL-COUNTER"]
-
-    def test_attribute_access_fires(self):
-        source = "import repro.relational.operators as ops\nops.work_counter.reset()\n"
-        assert "RL-COUNTER" in codes(source, "src/repro/faq/query.py")
-
-    def test_scoped_counter_passes(self):
-        source = """\
-        from repro.relational.operators import scoped_work_counter
-
-        with scoped_work_counter() as counter:
-            pass
-        """
-        assert codes(source, "src/repro/widths/adaptive.py") == []
-
-    def test_defining_and_reexporting_modules_allowlisted(self):
-        source = "work_counter = _WorkCounterProxy()\n"
-        assert codes(source, "src/repro/relational/operators.py") == []
-        reexport = "from repro.relational.operators import work_counter\n"
-        assert codes(reexport, "src/repro/relational/__init__.py") == []
-
-    def test_tests_out_of_scope(self):
-        # The compat proxy is exactly what the compat tests must exercise.
-        source = "from repro.relational import work_counter\n"
-        assert codes(source, "tests/test_columnar_engine.py") == []
-
-    def test_serving_modules_in_scope(self):
-        # Serving reader threads must never touch the global proxy — reads
-        # run off the main thread, where the proxy would silently misroute.
-        source = "from repro.relational.operators import work_counter\n"
-        assert codes(source, "src/repro/serving/engine.py") == ["RL-COUNTER"]
-
-
 HASHORD_PATH = "src/repro/planner/example.py"
 
 

@@ -1,9 +1,9 @@
 """reprolint — the repo-specific AST invariant linter.
 
 Machine-checks the contracts the ROADMAP states in prose: exact-Fraction
-proof paths (RL-EXACT), the stdlib-only base install (RL-NUMPY), scoped
-work counters (RL-COUNTER), hash-order determinism (RL-HASHORD), the pool
-shipping contract (RL-POOLSHIP), and suppression hygiene (RL-PRAGMA).
+proof paths (RL-EXACT), the stdlib-only base install (RL-NUMPY),
+hash-order determinism (RL-HASHORD), the pool shipping contract
+(RL-POOLSHIP), and suppression hygiene (RL-PRAGMA).
 
 Run it from the repo root::
 

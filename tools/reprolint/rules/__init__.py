@@ -8,7 +8,6 @@ README.md`` for the checklist, including the mandatory fixture tests in
 
 from __future__ import annotations
 
-from reprolint.rules.rl_counter import CounterRule
 from reprolint.rules.rl_exact import ExactRule
 from reprolint.rules.rl_hashord import HashOrderRule
 from reprolint.rules.rl_numpy import NumpyScopeRule
@@ -18,7 +17,6 @@ from reprolint.rules.rl_pragma import PragmaRule
 ALL_RULES = (
     ExactRule(),
     NumpyScopeRule(),
-    CounterRule(),
     HashOrderRule(),
     PoolShipRule(),
     PragmaRule(),
