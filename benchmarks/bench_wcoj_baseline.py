@@ -384,8 +384,9 @@ def test_columnar_vs_seed_tuple_engine():
         t_sl, seed_lf = _best_time(_seed_leapfrog_triejoin, spec, _SeedRelation, reps)
         # Pinned to the interpreted backend: this metric tracks the columnar
         # *data-layout* win over the seed engine, and must not silently
-        # change meaning now that numpy block kernels are the default
-        # (bench_vectorized_backend.py tracks that second axis).
+        # change meaning now that numpy block kernels are the default (that
+        # second axis is the e2e ledger's ``relational.vectorized.join_s``
+        # vs ``relational.execution.interp_join_s`` on ``tri_wcoj``).
         with scoped_backend("interpreted"):
             t_cg, col_gj = _best_time(generic_join, spec, Relation, reps)
             t_cl, col_lf = _best_time(leapfrog_triejoin, spec, Relation, reps)

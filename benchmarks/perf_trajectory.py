@@ -50,17 +50,6 @@ def _metrics_wcoj(payload: dict) -> dict:
     return metrics
 
 
-def _metrics_backend(payload: dict) -> dict:
-    metrics = {}
-    for entry in payload.get("results", []):
-        if not entry.get("gated", True):
-            continue
-        instance = entry["instance"]
-        for arm in ("generic_join", "leapfrog"):
-            metrics[f"backend.{instance}.{arm}.speedup"] = entry[arm]["speedup"]
-    return metrics
-
-
 def _metrics_plan_cache(payload: dict) -> dict:
     return {
         f"plan_cache.{entry['workload']}.scratch_over_warm":
@@ -132,7 +121,6 @@ def _metrics_serving(payload: dict) -> dict:
 #: benchmark name (the artifact's ``"benchmark"`` field) -> metric extractor.
 EXTRACTORS = {
     "wcoj_engine_comparison": _metrics_wcoj,
-    "wcoj_backend_comparison": _metrics_backend,
     "plan_cache": _metrics_plan_cache,
     "parallel_join": _metrics_parallel,
     "incremental_maintenance": _metrics_incremental,

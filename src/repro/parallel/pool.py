@@ -414,12 +414,13 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
         if extra.get("boolean") or not out.schema:
             # Boolean queries only need the flag (which travels separately);
             # don't serialize join rows the parent would discard.
-            rows = []
+            buffer = b""
         elif out.schema == tuple(order):
-            rows = out.code_rows
+            # Already columnar under ``order``: no row tuples in between.
+            buffer = pack_column_range(out.column_set(out.schema), 0, len(out))
         else:
             rows = out.column_set(tuple(order)).rows
-        buffer = pack_output_rows(rows, len(order))
+            buffer = pack_output_rows(rows, len(order))
         counts = counter.as_dict()
     return buffer, boolean, counts
 

@@ -272,7 +272,9 @@ class ColumnSet:
         The vectorized backend's twin of :meth:`trie_caches`: each trie
         node's distinct-key run materializes once per column set as a numpy
         array and is shared by every block kernel (and, via ``tolist``, with
-        the interpreted caches) instead of being rebuilt per iterator.
+        the interpreted caches) instead of being rebuilt per iterator.  The
+        vectorized join keeps its level-0 offsets array here too (key
+        ``"level0_starts"``): it lives exactly as long as this column set.
         """
         if self._np_keys is None:
             self._np_keys = {}

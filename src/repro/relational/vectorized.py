@@ -22,11 +22,14 @@ columnar tries:
   ``repeat``/``arange`` indexing pass and deduplicated by a run-boundary
   mask (the last local column is strictly increasing per node, so
   leaf-level runs need no dedup at all);
-* **segmented binary search** — every other active relation answers
-  membership for *all* candidates at once with a bounded vectorized
-  bisection (``log₂(max node span)`` whole-array steps), the block twin of
-  the leapfrog seek; the surviving candidates' child ranges fall out of the
-  same searches;
+* **direct addressing, then segmented binary search** — every other active
+  relation answers membership for *all* candidates at once: at its first
+  trie level, when its code space is dense, by two gathers from a cached
+  offsets array (:func:`_level0_starts`; codes are dictionary indices, so
+  ``starts[v] .. starts[v + 1]`` *is* value ``v``'s node), everywhere else
+  with a bounded vectorized bisection (``log₂(max node span)`` whole-array
+  steps), the block twin of the leapfrog seek; the surviving candidates'
+  child ranges fall out of the same lookups;
 * **columnar emission** — after the last level the frontier's binding
   columns *are* the result columns; they are adopted through
   :meth:`Relation.from_columns` and the O(N · arity) transpose back into
@@ -253,6 +256,49 @@ def _ragged_probe(col, seg_lo, seg_hi, row_id, values, m, need_bounds):
 #: which :func:`_ragged_probe` is preferred over the segmented bisection.
 _RAGGED_SPAN_FACTOR = 4
 
+#: The density gate of the level-0 offsets index: ``last code + 2 <=
+#: _DENSE_CODE_FACTOR * nrows`` bounds its O(D) build and size by the column's
+#: own; a relation of few rows over a large dictionary fails it and keeps the
+#: search path.  A worst-case guard, not a tuned threshold.
+_DENSE_CODE_FACTOR = 4
+
+
+def _level0_starts(column_set):
+    """The column set's level-0 offsets array, or ``None`` when sparse.
+
+    ``starts[v]`` is the first row whose column-0 code is ``>= v`` (``v`` in
+    ``0 .. last code + 1``): value ``v``'s trie node, with no search.  Built
+    once in O(n + D) and kept in the set's :meth:`ColumnSet.np_trie_cache`.
+    """
+    col0 = column_set.np_columns()[0]
+    n = len(col0)
+    if n == 0 or int(col0[-1]) + 2 > _DENSE_CODE_FACTOR * n:
+        return None
+    cache = column_set.np_trie_cache()
+    starts = cache.get("level0_starts")
+    if starts is None:
+        starts = np.zeros(int(col0[-1]) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(col0), out=starts[1:])
+        cache["level0_starts"] = starts
+    return starts
+
+
+def _direct_probe(column_set, root_lo, root_hi, values):
+    """``(present, lo, hi)`` by direct addressing, or ``None`` when sparse.
+
+    A value is present when its level-0 child range, clipped to the root
+    range ``[root_lo, root_hi)`` (which may cut inside a key's run), is
+    non-empty — so codes past the column's last miss.
+    """
+    starts = _level0_starts(column_set)
+    if starts is None:
+        return None
+    top = len(starts) - 1
+    lo = np.maximum(starts[np.minimum(values, top)], root_lo)
+    hi = np.minimum(starts[np.minimum(values + 1, top)], root_hi)
+    return lo < hi, lo, hi
+
+
 #: A single whole-level driver is kept (skipping per-row bookkeeping and
 #: its own membership probe) while its total key-run span stays within
 #: this multiple of the per-row-minimum sum; the gathered candidate block
@@ -282,6 +328,7 @@ def vectorized_execute_join(
 
     count = len(relations)
     attrs_of: list[tuple[str, ...]] = []
+    sets_of: list = []
     cols_of: list[tuple] = []
     lo_of: list = []
     hi_of: list = []
@@ -291,6 +338,7 @@ def vectorized_execute_join(
         bounds = root_ranges[index] if root_ranges is not None else None
         lo, hi = bounds if bounds is not None else (0, column_set.nrows)
         attrs_of.append(attrs)
+        sets_of.append(column_set)
         cols_of.append(column_set.np_columns())
         lo_of.append(np.array([lo], dtype=np.int64))
         hi_of.append(np.array([hi], dtype=np.int64))
@@ -336,6 +384,8 @@ def vectorized_execute_join(
         single = int(totals[best_single]) <= _DRIVER_SPAN_SLACK * int(
             min_lens.sum()
         )
+        child_lo: dict[int, object] = {}  # absolute child bounds, where known
+        child_hi: dict[int, object] = {}
         if single:
             driver, d_local = active[best_single]
             lengths = lens[best_single]
@@ -393,33 +443,37 @@ def vectorized_execute_join(
             keep_idx = np.flatnonzero(keep)
             if single:
                 run_ends = np.append(keep_idx[1:], total)
-                drv_child_lo = gidx[keep_idx]
-                drv_child_hi = drv_child_lo + (run_ends - keep_idx)
+                child_lo[driver] = gidx[keep_idx]
+                child_hi[driver] = child_lo[driver] + (run_ends - keep_idx)
             row_id = row_id[keep_idx]
             values = values[keep_idx]
         counter.tuples_scanned += len(values)
 
         # Every non-driving active relation answers membership for the whole
         # candidate block (under mixed drivers that is *all* of them — a
-        # relation's own rows probe as trivial hits): by one composite-key
-        # flat search when its total segment span is candidate-sized, else
-        # by segmented bisection.
+        # relation's own rows probe as trivial hits): by direct addressing
+        # at its first trie level when its code space is dense, else by one
+        # composite-key flat search when its total segment span is
+        # candidate-sized, else by segmented bisection.
         mask = None
-        child_lo: dict[int, object] = {}  # absolute child bounds (flat path)
-        child_hi: dict[int, object] = {}
-        seg_lo: dict[int, object] = {}  # first occurrence + node end (bisect)
-        seg_hi: dict[int, object] = {}
+        first: dict[int, object] = {}  # first occurrence (bisect path)
         for i, local in active:
             if i == driver:
                 continue
             col = cols_of[i][local]
-            span = int((hi_of[i] - lo_of[i]).sum())
             probed = None
-            if len(col) and span <= _RAGGED_SPAN_FACTOR * len(values) + 1024:
-                probed = _ragged_probe(
-                    col, lo_of[i], hi_of[i], row_id, values, m,
-                    need_bounds=not leaf,
+            if local == 0:
+                # Every frontier row still holds the relation's root range.
+                probed = _direct_probe(
+                    sets_of[i], lo_of[i][0], hi_of[i][0], values
                 )
+            if probed is None and len(col):
+                span = int((hi_of[i] - lo_of[i]).sum())
+                if span <= _RAGGED_SPAN_FACTOR * len(values) + 1024:
+                    probed = _ragged_probe(
+                        col, lo_of[i], hi_of[i], row_id, values, m,
+                        need_bounds=not leaf,
+                    )
             if probed is not None:
                 found, child_lo[i], child_hi[i] = probed
                 if leaf:
@@ -432,18 +486,14 @@ def vectorized_execute_join(
                 if len(col):
                     found &= col[np.minimum(left, len(col) - 1)] == values
                 if not leaf:
-                    seg_lo[i] = left
-                    seg_hi[i] = node_hi
+                    first[i] = left
             mask = found if mask is None else mask & found
         if mask is not None and not mask.all():
             row_id = row_id[mask]
             values = values[mask]
-            for ranges in (child_lo, child_hi, seg_lo, seg_hi):
+            for ranges in (child_lo, child_hi, first):
                 for i in ranges:
                     ranges[i] = ranges[i][mask]
-            if not leaf and single:
-                drv_child_lo = drv_child_lo[mask]
-                drv_child_hi = drv_child_hi[mask]
         m = len(values)
         if m == 0:
             break
@@ -461,19 +511,17 @@ def vectorized_execute_join(
                 # (nor consulted) again — stop tracking its ranges.
                 lo_of[i] = hi_of[i] = None
                 continue
-            if i == driver:
-                lo_of[i], hi_of[i] = drv_child_lo, drv_child_hi
-            elif i in child_lo:
-                # The flat probe already located both run bounds.
+            if i in child_lo:
+                # Both run bounds are already located.
                 lo_of[i], hi_of[i] = child_lo[i], child_hi[i]
             else:
-                # ``seg_lo`` is each value's first occurrence; the run end
-                # needs one more bisection, now only over the survivors.
-                lo_of[i] = seg_lo[i]
+                # The run end needs one more bisection over the survivors —
+                # within the whole *node*, so rows sharing one search as a group.
                 hi_of[i] = _segmented_searchsorted(
-                    cols_of[i][local], values, seg_lo[i], seg_hi[i],
-                    side="right",
+                    cols_of[i][local], values, lo_of[i][row_id],
+                    hi_of[i][row_id], side="right",
                 )
+                lo_of[i] = first[i]
         for i in range(count):
             if i not in opened and lo_of[i] is not None:
                 lo_of[i] = lo_of[i][row_id]

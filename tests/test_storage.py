@@ -180,6 +180,27 @@ class TestDriversAndBackends:
                 f"{driver}/{backend}/workers={workers}"
             )
 
+    def test_level0_index_builds_over_mapped_columns(self, tmp_path):
+        """The vectorized join's level-0 offsets index is read off — never
+        written into — the read-only mapped columns."""
+        pytest.importorskip("numpy")
+        query = triangle_query()
+        database, directory = saved_triangle(tmp_path, seed="level0")
+        order = tuple(sorted(query.variable_set))
+        reference = generic_join(
+            [atom.bind(database) for atom in query.body], order
+        ).code_rows
+        Dictionary.reset_registry()
+        reopened = open_database_dir(directory)
+        bindings = [atom.bind(reopened) for atom in query.body]
+        with scoped_backend("vectorized"):
+            assert generic_join(bindings, order).code_rows == reference
+        sets = [relation.column_set(relation.schema) for relation in bindings]
+        assert not any(s.np_columns()[0].flags.writeable for s in sets)
+        # One of the two relations over the first variable drives it; the
+        # other and the relation opened at the second level are probed.
+        assert sum("level0_starts" in s.np_trie_cache() for s in sets) == 2
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_incremental_maintenance_on_opened_database(self, tmp_path, backend):
         query = triangle_query()

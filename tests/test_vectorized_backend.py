@@ -21,6 +21,9 @@ from repro.exceptions import QueryError
 from repro.faq.semiring import BOOLEAN, COUNTING, FRACTION, MAX_PRODUCT, MIN_PLUS
 from repro.incremental import IncrementalQueryEngine
 from repro.parallel import ParallelQueryEngine
+from repro.parallel.engine import _order_tables
+from repro.parallel.partition import plan_shards, slice_bounds
+from repro.parallel.pool import pack_column_range, pack_output_rows
 from repro.planner import QueryEngine
 from repro.relational import (
     Database,
@@ -37,6 +40,7 @@ from repro.relational.backend import (
     resolve_backend,
     scoped_backend,
 )
+from repro.relational.execution import delta_root_ranges
 
 requires_numpy = pytest.mark.skipif(
     not have_numpy(), reason="the vectorized backend needs numpy"
@@ -77,6 +81,58 @@ def make_database(query, rng, size=120, domain=30):
 def make_relations(query, rng, size=120, domain=30):
     database = make_database(query, rng, size, domain)
     return [atom.bind(database) for atom in query.body]
+
+
+#: Code-domain instances for the level-0 offsets index: a binary and a
+#: ternary schema, each with every relation's first attribute probed.
+INDEX_QUERIES = {
+    "binary": [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))],
+    "ternary": [("U", ("A", "B", "C")), ("V", ("A", "C", "D")), ("W", ("B", "D"))],
+}
+
+
+def index_relations(query_name, shape, rng):
+    """Seeded code relations with a hub on every first attribute (so
+    ``plan_shards`` sub-splits it): ``dense`` codes pass the index's density
+    gate, ``sparse`` ones (spaced 10^6 apart) fail it."""
+    stride = 10**6 if shape == "sparse" else 1
+    relations = []
+    for position, (name, schema) in enumerate(INDEX_QUERIES[query_name]):
+        if shape == "one_row":
+            rows = [(0,) * len(schema)]
+        elif shape == "empty" and position == 1:
+            rows = []
+        else:
+            rows = {
+                (0 if rng.random() < 0.5 else rng.randrange(100),)
+                + tuple(rng.randrange(100) for _ in schema[1:])
+                for _ in range(300)
+            }
+        codes = [tuple(stride * code for code in row) for row in rows]
+        relations.append(Relation.from_codes(name, schema, codes))
+    return relations
+
+
+def index_root_ranges(relations, order, ranges, rng):
+    """The ``root_ranges`` variants one instance is joined under."""
+    if ranges == "whole":
+        return [None]
+    if ranges == "delta":
+        delta = relations[0]
+        relations[0] = Relation.from_codes(
+            delta.name, delta.schema, rng.sample(delta.code_rows, min(5, len(delta)))
+        )
+        return [delta_root_ranges(relations, order, 0)]
+    tables = _order_tables(relations, order)
+    specs = plan_shards(tables, order, 4)
+    if len(relations[0]) > 1 and len(relations[1]):
+        assert any(spec.is_heavy for spec in specs)  # cuts inside the hub's run
+    return [[slice_bounds(table, order, spec) for table in tables] for spec in specs]
+
+
+def level0_index(relation, order):
+    attrs = tuple(v for v in order if v in relation.attributes)
+    return relation.column_set(attrs).np_trie_cache().get("level0_starts")
 
 
 def random_batch(engine, rng, name, inserts=8, deletes=5, domain=30):
@@ -165,6 +221,116 @@ class TestKernelBitIdentity:
             assert out.schema == ("A", "B", "C")
 
 
+    @pytest.mark.parametrize("ranges", ["whole", "heavy_cut", "delta"])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "empty", "one_row"])
+    @pytest.mark.parametrize("query_name", sorted(INDEX_QUERIES))
+    def test_level0_index_matches_search_path_and_interpreted(
+        self, monkeypatch, query_name, shape, ranges
+    ):
+        """Direct addressing, the search path it replaces (density gate
+        forced off) and the interpreted driver agree under every kind of
+        root range — and the two numpy paths in every work counter."""
+        from repro.relational import vectorized
+
+        rng = random.Random(stable_seed("vec-index", query_name, shape, ranges))
+        relations = index_relations(query_name, shape, rng)
+        order = tuple(sorted({v for r in relations for v in r.schema}))
+
+        def run(backend, root_ranges):
+            with scoped_backend(backend), scoped_work_counter() as counter:
+                out = generic_join(relations, order, root_ranges=root_ranges)
+            return out.schema, out.code_rows, counter.as_dict()
+
+        for root_ranges in index_root_ranges(relations, order, ranges, rng):
+            direct = run("vectorized", root_ranges)
+            with monkeypatch.context() as patch:
+                patch.setattr(vectorized, "_DENSE_CODE_FACTOR", 0)
+                assert run("vectorized", root_ranges) == direct
+            expected = run("interpreted", root_ranges)
+            assert direct[:2] == expected[:2]
+            assert direct[2]["tuples_emitted"] == expected[2]["tuples_emitted"]
+        built = [level0_index(r, order) is not None for r in relations[1:]]
+        assert all(built) or shape != "dense"
+        assert not any(built) or shape != "sparse"
+
+    def test_candidates_outside_the_indexed_codes_are_misses(self):
+        """Candidates below the probed relation's first code and past its
+        last (beyond the offsets array) are misses, never index errors —
+        probing at depth 0 (``A``) and at a deeper level (``B``) alike."""
+        order = ("A", "B", "C")
+        few = Relation.from_codes("R", ("A", "B"), [(0, 1), (15, 12), (39, 50)])
+        block = [(key, c) for key in range(10, 20) for c in range(5)]
+        for probed in (
+            Relation.from_codes("S", ("A", "C"), block),
+            Relation.from_codes("T", ("B", "C"), block),
+        ):
+            with scoped_backend("vectorized"):
+                out = generic_join([few, probed], order)
+            assert level0_index(probed, order) is not None
+            assert out.code_rows == [(15, 12, c) for c in range(5)]
+
+    def test_level0_index_lifetime(self):
+        """Built once per probed column set (the level's driver needs none)
+        and never inherited by a range view."""
+        relations = make_relations(make_query("triangle"), random.Random(7))
+        order = ("A", "B", "C")
+        with scoped_backend("vectorized"):
+            first = generic_join(relations, order)
+            indexes = [level0_index(r, order) for r in relations]
+            second = generic_join(relations, order)
+        assert first.code_rows == second.code_rows
+        # Level A probes one of R/T, level B probes S.
+        assert sum(index is not None for index in indexes) == 2
+        assert indexes[1] is not None
+        for relation, index in zip(relations, indexes):
+            assert level0_index(relation, order) is index
+            view = relation.column_set(relation.schema).restrict_range(1, 5)
+            assert "level0_starts" not in view.np_trie_cache()
+
+    def test_columnar_shard_result_packs_like_its_rows(self):
+        """What a pool worker ships for a canonical-order result: the
+        column buffers are byte-identical to the re-tupled rows'."""
+        relations = make_relations(make_query("triangle"), random.Random(5))
+        order = ("A", "B", "C")
+        with scoped_backend("vectorized"):
+            out = generic_join(relations, order)
+        assert len(out) > 0
+        assert pack_output_rows(out.code_rows, 3) == pack_column_range(
+            out.column_set(order), 0, len(out)
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_segmented_search_strategies_agree(self, monkeypatch, side):
+        import numpy as np
+
+        from repro.relational import vectorized
+
+        rng = random.Random(stable_seed("vec-segsearch", side))
+        # Forty sorted nodes of one column; fifty probes per node, so both
+        # strategies are in reach and only the threshold picks between them.
+        bounds = sorted(rng.sample(range(1, 2000), 39))
+        node_lo = np.array([0] + bounds)
+        node_hi = np.array(bounds + [2000])
+        col = np.concatenate(
+            [np.sort(np.array([rng.randrange(60) for _ in range(hi - lo)]))
+             for lo, hi in zip(node_lo, node_hi)]
+        )
+        lo = np.repeat(node_lo, 50)
+        hi = np.repeat(node_hi, 50)
+        probes = np.array([rng.randrange(-2, 63) for _ in range(len(lo))])
+        positions = []
+        for threshold in (0, 10**9):  # always grouped / always bisect-together
+            monkeypatch.setattr(vectorized, "_GROUP_MIN_BATCH", threshold)
+            positions.append(
+                vectorized._segmented_searchsorted(col, probes, lo, hi, side=side)
+            )
+        assert positions[0].tolist() == positions[1].tolist()
+        assert positions[0].tolist() == [
+            int(l + np.searchsorted(col[l:h], v, side=side))
+            for l, h, v in zip(lo, hi, probes)
+        ]
+
+
 # -- engine-level bit-identity ------------------------------------------------------
 
 
@@ -242,6 +408,9 @@ class TestEngineBitIdentity:
                         engine.insert(name, set(inserts) - current)
                         engine.delete(name, deletes)
                     results[backend] = engine.refresh().relation.code_rows
+                    # A level-0 index left over from a superseded version
+                    # would make the maintained view drift from a recompute.
+                    assert results[backend] == engine.recompute().relation.code_rows
                 assert results["vectorized"] == results["interpreted"]
         finally:
             for engine in engines.values():
