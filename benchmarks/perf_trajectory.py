@@ -50,14 +50,6 @@ def _metrics_wcoj(payload: dict) -> dict:
     return metrics
 
 
-def _metrics_plan_cache(payload: dict) -> dict:
-    return {
-        f"plan_cache.{entry['workload']}.scratch_over_warm":
-            entry["scratch_over_warm"]
-        for entry in payload.get("results", [])
-    }
-
-
 def _metrics_parallel(payload: dict) -> dict:
     if payload.get("min_speedup_gate") is None:
         return {}  # host had fewer cores than workers; numbers not comparable
@@ -121,7 +113,6 @@ def _metrics_serving(payload: dict) -> dict:
 #: benchmark name (the artifact's ``"benchmark"`` field) -> metric extractor.
 EXTRACTORS = {
     "wcoj_engine_comparison": _metrics_wcoj,
-    "plan_cache": _metrics_plan_cache,
     "parallel_join": _metrics_parallel,
     "incremental_maintenance": _metrics_incremental,
     "datalog_fixpoint": _metrics_datalog,

@@ -64,29 +64,23 @@ def advance_relation(
     the signed merge's distinct-row contract — and rebuild on demand.
     """
     schema = previous.schema
-    merged = _advance_column_set(previous.column_set(schema), delta_rows, signs)
-    advanced = Relation.from_codes(
-        name or previous.name, schema, merged.rows,
-        presorted=True, distinct=True,
+    advanced = Relation.from_column_set(
+        name or previous.name,
+        _advance_column_set(previous.column_set(schema), delta_rows, signs),
     )
-    if merged.materialized_columns is not None:
-        advanced.column_set(schema).adopt_columns(merged.materialized_columns)
     for order, column_set in previous.cached_full_orders():
         positions = tuple(schema.index(a) for a in order)
         entries = sorted(
             (tuple(row[p] for p in positions), sign)
             for row, sign in zip(delta_rows, signs)
         )
-        merged = _advance_column_set(
-            column_set,
-            [row for row, _ in entries],
-            [sign for _, sign in entries],
-        )
-        advanced.install_sorted_order(order, merged.rows)
-        if merged.materialized_columns is not None:
-            advanced.column_set(order).adopt_columns(
-                merged.materialized_columns
+        advanced.install_order(
+            _advance_column_set(
+                column_set,
+                [row for row, _ in entries],
+                [sign for _, sign in entries],
             )
+        )
     advanced.attach_store(previous.store)
     return advanced
 
@@ -96,18 +90,14 @@ def _advance_column_set(
 ) -> ColumnSet:
     """One column set advanced by a signed batch (rows + columns spliced)."""
     rows = column_set.rows
-    if not isinstance(rows, list):
-        rows = list(rows)
     plan = signed_merge_plan(rows, delta_rows, signs)
-    advanced = ColumnSet(
+    columns = column_set.materialized_columns
+    return ColumnSet(
         column_set.attrs,
         apply_signed_rows(rows, delta_rows, signs, plan=plan),
         presorted=True,
+        columns=None if columns is None else apply_plan_to_columns(columns, plan),
     )
-    columns = column_set.materialized_columns
-    if columns is not None:
-        advanced.adopt_columns(apply_plan_to_columns(columns, plan))
-    return advanced
 
 
 def _row_present(sorted_rows: list, row: tuple) -> bool:

@@ -74,25 +74,28 @@ def _order_tables(relations: Sequence[Relation], order: tuple[str, ...]):
     return tables
 
 
-def _shard_order_error() -> PandaError:
-    return PandaError(
-        "shard outputs overlap or arrived out of order — the "
-        "partition plan violated its disjoint-ascending contract"
-    )
-
-
-def _merge_shard_rows(row_lists: Sequence[list]) -> list:
-    """Merge sorted per-shard outputs into the globally sorted row list.
+def _merge_shard_columns(shards: Iterable[Sequence], arity: int) -> tuple:
+    """Merge sorted per-shard output columns into the globally sorted columns.
 
     Shard specs ascend and their outputs are disjoint, so this is an
-    ordered concatenation; the boundary check turns any partition-planning
-    bug into a loud failure instead of a silently unsorted result.
+    ordered concatenation (empty shards contribute nothing); the boundary
+    check turns any partition-planning bug into a loud failure instead of a
+    silently unsorted result.
     """
-    merged: list = []
-    for rows in row_lists:
-        if rows and merged and rows[0] <= merged[-1]:
-            raise _shard_order_error()
-        merged.extend(rows)
+    merged = tuple(array("q") for _ in range(arity))
+    previous_last: tuple | None = None
+    for columns in shards:
+        if not columns or not len(columns[0]):
+            continue
+        first = tuple(column[0] for column in columns)
+        if previous_last is not None and first <= previous_last:
+            raise PandaError(
+                "shard outputs overlap or arrived out of order — the "
+                "partition plan violated its disjoint-ascending contract"
+            )
+        previous_last = tuple(column[-1] for column in columns)
+        for target, column in zip(merged, columns):
+            target.extend(column)
     return merged
 
 
@@ -324,7 +327,6 @@ class ParallelQueryEngine(EngineBase):
         else:
             extra = self._panda_extra(constraints)
 
-        columns = None
         with scoped_backend(self.execution_backend):
             # Resolve once in the parent and ship the concrete name, so an
             # engine-level override (or an enclosing ``scoped_backend``)
@@ -332,22 +334,18 @@ class ParallelQueryEngine(EngineBase):
             # ``REPRO_BACKEND``.
             extra["execution_backend"] = current_backend()
             if self.workers <= 1 and driver in ("generic", "leapfrog"):
-                rows, boolean = self._execute_inline(
+                columns, boolean = self._execute_inline(
                     driver, relations, tables, order, specs
                 )
             else:
-                rows, columns, boolean = self._execute_pooled(
+                columns, boolean = self._execute_pooled(
                     driver, relations, tables, order, specs, extra
                 )
 
         if query.is_boolean:
             relation = Relation(query.name, (), [()] if boolean else [])
             return PlanResult(relation=relation, boolean=boolean)
-        relation = Relation.from_codes(
-            query.name, order, rows, presorted=True, distinct=True
-        )
-        if columns is not None and rows:
-            relation.column_set(order).adopt_columns(columns)
+        relation = Relation.from_columns(query.name, order, columns)
         return PlanResult(relation=relation, boolean=not relation.is_empty())
 
     def _execute_inline(
@@ -358,16 +356,16 @@ class ParallelQueryEngine(EngineBase):
         from repro.relational.wcoj import generic_join
 
         join = generic_join if driver == "generic" else leapfrog_triejoin
-        row_lists = []
+        boolean = False
+        shards = []
         for spec in specs:
             root_ranges = [
                 slice_bounds(table, order, spec) for table in tables
             ]
-            row_lists.append(
-                join(relations, order, root_ranges=root_ranges).code_rows
-            )
-        rows = _merge_shard_rows(row_lists)
-        return rows, bool(rows)
+            out = join(relations, order, root_ranges=root_ranges)
+            boolean = boolean or not out.is_empty()
+            shards.append(out.column_set(order).columns)
+        return _merge_shard_columns(shards, len(order)), boolean
 
     def _execute_pooled(
         self, driver, relations, tables, order, specs: list[ShardSpec], extra: dict
@@ -415,23 +413,13 @@ class ParallelQueryEngine(EngineBase):
         results = pool.map(run_shard_task, tasks)
         counter = current_counter()
         arity = len(order)
-        merged_columns = [array("q") for _ in range(arity)]
-        previous_last: tuple | None = None
         boolean = False
+        shards = []
         for buffer, shard_boolean, counts in results:
             boolean = boolean or shard_boolean
             counter.absorb(counts)
-            if not buffer:
-                continue
-            shard_columns = unpack_column_arrays(buffer, arity)
-            first = tuple(column[0] for column in shard_columns)
-            if previous_last is not None and first <= previous_last:
-                raise _shard_order_error()
-            previous_last = tuple(column[-1] for column in shard_columns)
-            for target, column in zip(merged_columns, shard_columns):
-                target.extend(column)
-        rows = list(zip(*merged_columns)) if merged_columns[0] else []
-        return rows, tuple(merged_columns), boolean
+            shards.append(unpack_column_arrays(buffer, arity))
+        return _merge_shard_columns(shards, arity), boolean
 
     # -- FAQ -------------------------------------------------------------------
 
@@ -564,7 +552,7 @@ def parallel_faq_join(
     for buffer, values, counts in results:
         counter.absorb(counts)
         if worker_schema:
-            rows, _ = unpack_columns(buffer, len(worker_schema))
+            rows = unpack_columns(buffer, len(worker_schema))
         else:
             # Fully aggregated shards: the nullary row carries no codes, so
             # the buffer is empty — the values list is the row count.

@@ -115,16 +115,24 @@ def unpack_column_arrays(buffer: bytes, arity: int) -> tuple:
     return tuple(columns)
 
 
-def unpack_columns(buffer: bytes, arity: int) -> tuple[list[tuple], tuple]:
-    """Invert :func:`pack_column_range`: ``(row tuples, column arrays)``.
+def unpack_columns(buffer: bytes, arity: int) -> list[tuple]:
+    """Invert :func:`pack_output_rows`: the row tuples of a shipped buffer.
 
-    Rows come from one C-speed ``zip(*columns)``; the arrays are returned
-    too so the receiver's column set can adopt them instead of rebuilding.
+    One C-speed ``zip(*columns)`` — for receivers that consume rows (signed
+    runs, FAQ factors); relations take the columns as they are
+    (:func:`_relation_from_buffer`).
     """
-    columns = unpack_column_arrays(buffer, arity)
-    if not columns:
-        return [], ()
-    return list(zip(*columns)), columns
+    return list(zip(*unpack_column_arrays(buffer, arity)))
+
+
+def _relation_from_buffer(name: str, attrs: tuple, buffer: bytes) -> Relation:
+    """The relation behind a shipped column-major buffer, still columnar."""
+    if not attrs:
+        # No columns, so the wire form carries no row count.
+        return Relation(name, ())
+    return Relation.from_columns(
+        name, attrs, unpack_column_arrays(buffer, len(attrs))
+    )
 
 
 def default_worker_count() -> int:
@@ -166,12 +174,7 @@ def _build_resident(key, attrs, digest, buffer) -> None:
         relation = Relation.from_columns(key, attrs, columns)
         relation.column_set(attrs).attach_backing(backing, digest)
     else:
-        rows, columns = unpack_columns(buffer, len(attrs))
-        relation = Relation.from_codes(
-            key, attrs, rows, presorted=True, distinct=True
-        )
-        if columns:
-            relation.column_set(attrs).adopt_columns(columns)
+        relation = _relation_from_buffer(key, attrs, buffer)
     _WORKER_RELATIONS[key] = (digest, attrs, relation)
 
 
@@ -217,7 +220,8 @@ def _release_local_entries(tokens) -> None:
         resident = _WORKER_RELATIONS.get(key)
         if resident is not None and resident[0] == digest:
             del _WORKER_RELATIONS[key]
-    for cache_key in [k for k in _WORKER_VERSIONS if (k[0], k[1]) in set(tokens)]:
+    released = set(tokens)
+    for cache_key in [k for k in _WORKER_VERSIONS if (k[0], k[1]) in released]:
         del _WORKER_VERSIONS[cache_key]
 
 
@@ -292,18 +296,16 @@ def _resident_database(tokens) -> list[tuple]:
 def _sliced_relation(relation: Relation, attrs: tuple, lo: int, hi: int) -> Relation:
     """The shard's slice of one resident relation, as its own relation.
 
-    Rows come from the order-restricted column set, so the slice is a
-    contiguous pointer-copy; full-range slices reuse the resident relation
-    outright when its schema already matches.
+    A :meth:`~repro.relational.columns.ColumnSet.restrict_range` view over
+    the order-restricted column set: the slice shares the resident column
+    buffers; full-range slices reuse the resident relation outright when
+    its schema already matches.
     """
     column_set = relation.column_set(attrs)
     if lo == 0 and hi == column_set.nrows and relation.schema == attrs:
         return relation
-    rows = column_set.rows[lo:hi]
-    if not isinstance(rows, list):
-        rows = list(rows)
-    return Relation.from_codes(
-        relation.name, attrs, rows, presorted=True, distinct=True
+    return Relation.from_column_set(
+        relation.name, column_set.restrict_range(lo, hi)
     )
 
 
@@ -326,10 +328,8 @@ def _panda_shard(sliced: list[Relation], order: tuple[str, ...], extra: dict):
     db_relations = []
     for i, (relation, variables) in enumerate(zip(sliced, extra["atom_vars"])):
         atom_name = f"{relation.name}__{i}"
-        positions = tuple(relation.schema.index(v) for v in variables)
-        rows = [tuple(row[p] for p in positions) for row in relation.code_rows]
         db_relations.append(
-            Relation.from_codes(atom_name, variables, rows, distinct=True)
+            Relation.from_column_set(atom_name, relation.column_set(variables))
         )
         atoms.append(Atom(atom_name, variables))
     if extra["boolean"]:
@@ -415,12 +415,8 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
             # Boolean queries only need the flag (which travels separately);
             # don't serialize join rows the parent would discard.
             buffer = b""
-        elif out.schema == tuple(order):
-            # Already columnar under ``order``: no row tuples in between.
-            buffer = pack_column_range(out.column_set(out.schema), 0, len(out))
         else:
-            rows = out.column_set(tuple(order)).rows
-            buffer = pack_output_rows(rows, len(order))
+            buffer = pack_column_range(out.column_set(order), 0, len(out))
         counts = counter.as_dict()
     return buffer, boolean, counts
 
@@ -457,7 +453,7 @@ def _versioned_relation(
         key, base_digest, attrs, base, version - 1, runs[:-1]
     )
     rows_buffer, signs_buffer = runs[-1]
-    run_rows, _ = unpack_columns(rows_buffer, len(attrs))
+    run_rows = unpack_columns(rows_buffer, len(attrs))
     signs = array("q")
     signs.frombytes(signs_buffer)
     relation = advance_relation(previous, run_rows, signs, name=key)
@@ -509,14 +505,10 @@ def run_delta_term_task(task: tuple) -> tuple[bytes, dict]:
                     )
                 )
             elif kind == "delta":
-                rows, columns = unpack_columns(spec[2], len(attrs))
-                delta = Relation.from_codes(
-                    f"d{key}", attrs, rows, presorted=True, distinct=True
-                )
-                if columns:
-                    delta.column_set(attrs).adopt_columns(columns)
                 delta_index = len(relations)
-                relations.append(delta)
+                relations.append(
+                    _relation_from_buffer(f"d{key}", attrs, spec[2])
+                )
             else:  # pragma: no cover - guarded by the engine
                 raise ValueError(f"unknown delta term spec {kind!r}")
         rows = execute_delta_term(relations, order, delta_index)
@@ -586,8 +578,7 @@ def map_delta_terms(
     results = []
     for task, (buffer, counts) in zip(tasks, pool.map(run_delta_term_task, tasks)):
         counter.absorb(counts)
-        rows, _ = unpack_columns(buffer, len(task[1]))
-        results.append(rows)
+        results.append(unpack_columns(buffer, len(task[1])))
     return results
 
 
@@ -608,7 +599,7 @@ def run_faq_task(task: tuple) -> tuple[bytes, list, dict]:
         factors = []
         for name, attrs, buffer, values in factor_payload:
             if attrs:
-                rows, _ = unpack_columns(buffer, len(attrs))
+                rows = unpack_columns(buffer, len(attrs))
             else:
                 # Nullary (scalar) factors: the single empty row carries no
                 # codes, so the buffer is empty — the values list is the

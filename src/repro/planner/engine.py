@@ -189,12 +189,7 @@ def rename_plan(plan: PandaPlan, mapping: Mapping[str, str]) -> PandaPlan:
 
 
 class Planner:
-    """Plan provider with canonical-signature caching and batched bounds.
-
-    ``cache_plans=False`` disables the plan cache *and* the shared bound
-    solvers, so every plan is rebuilt from scratch — the pre-planner
-    behavior, kept as the baseline arm of ``benchmarks/bench_plan_cache.py``.
-    """
+    """Plan provider with canonical-signature caching and batched bounds."""
 
     #: Retained bound solvers (each holds a full polymatroid program with its
     #: cloned-base LP rows): least-recently-used beyond this many are dropped,
@@ -202,11 +197,8 @@ class Planner:
     #: bounded like its plan cache.
     MAX_SOLVERS = 32
 
-    def __init__(
-        self, cache: PlanCache | None = None, cache_plans: bool = True
-    ) -> None:
+    def __init__(self, cache: PlanCache | None = None) -> None:
         self.cache = cache if cache is not None else PlanCache()
-        self.cache_plans = cache_plans
         self._solvers: OrderedDict[tuple, BatchedBoundSolver] = OrderedDict()
 
     @property
@@ -246,10 +238,6 @@ class Planner:
         """
         universe = tuple(universe)
         targets = tuple(targets)
-        if not self.cache_plans:
-            return build_panda_plan(
-                universe, list(targets), constraints, backend=backend
-            )
         exact_key = self.cache.instance_key(universe, targets, constraints)
         instance_plan = self.cache.lookup_instance((exact_key, backend))
         if instance_plan is not None:

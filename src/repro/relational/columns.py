@@ -126,44 +126,6 @@ def decode_row(dictionaries: Sequence[Dictionary], code_row: tuple) -> tuple:
     return tuple(d.values[c] for d, c in zip(dictionaries, code_row))
 
 
-class _RowsView:
-    """A zero-copy window ``[lo, hi)`` over another row sequence.
-
-    Backs :meth:`ColumnSet.restrict_range`: a contiguous range of sorted
-    rows shares the parent's tuples instead of copying pointer lists.
-    Supports the read-only sequence protocol the engine uses (indexing,
-    slicing, iteration, ``len``).
-    """
-
-    __slots__ = ("_base", "_lo", "_hi")
-
-    def __init__(self, base, lo: int, hi: int) -> None:
-        self._base = base
-        self._lo = lo
-        self._hi = hi
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __getitem__(self, index):
-        n = self._hi - self._lo
-        if isinstance(index, slice):
-            start, stop, step = index.indices(n)
-            if step != 1:
-                return [self._base[self._lo + i] for i in range(start, stop, step)]
-            return self._base[self._lo + start : self._lo + stop]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return self._base[self._lo + index]
-
-    def __iter__(self):
-        base = self._base
-        for i in range(self._lo, self._hi):
-            yield base[i]
-
-
 class ColumnSet:
     """Code-tuples over an ordered attribute list, lexicographically sorted.
 
@@ -175,11 +137,13 @@ class ColumnSet:
     * distinct prefixes are run boundaries (projection/degree = linear scan),
     * per-attribute ``array('q')`` columns support C-speed binary search.
 
-    Columns are materialized lazily — operators that only need row tuples
-    (merge joins, partitions) never pay for the arrays.  Symmetrically, a
-    set built :meth:`from_columns` (the vectorized join-output path) keeps
-    its row *tuples* lazy: consumers that stay columnar never pay the
-    O(N · arity) transpose back into Python tuples.
+    The set holds its sorted tuples as row tuples, as aligned columns, or as
+    both; whichever form is missing is derived on first use and cached —
+    operators that only need row tuples (merge joins, partitions) never pay
+    for the arrays, and a set built from columns (the vectorized join-output
+    path, ``mmap``-ed column files, range views) never pays the O(N · arity)
+    transpose back into Python tuples unless something asks for
+    :attr:`rows`.  This class is the only place the two forms convert.
     """
 
     __slots__ = (
@@ -195,13 +159,45 @@ class ColumnSet:
         "_backing",
     )
 
-    def __init__(self, attrs: Sequence[str], rows: list, presorted: bool = False) -> None:
+    def __init__(
+        self,
+        attrs: Sequence[str],
+        rows: list | None = None,
+        presorted: bool = False,
+        columns: Sequence | None = None,
+    ) -> None:
+        """Adopt code tuples given as ``rows``, as ``columns``, or as both.
+
+        ``rows`` are sorted here unless ``presorted``; ``columns`` are one
+        ``array('q')`` / ``memoryview`` per attribute, already sorted-aligned
+        (and, when both forms are given, aligned with the sorted ``rows`` —
+        the signed merge produces exactly that pair).  A set without
+        attributes needs ``rows``: a column tuple cannot carry its row count.
+        """
         self.attrs: tuple[str, ...] = tuple(attrs)
-        if not presorted:
-            rows = sorted(rows)
+        if columns is not None:
+            columns = tuple(columns)
+        if rows is not None:
+            if not presorted:
+                rows = sorted(rows)
+            nrows = len(rows)
+        elif columns:
+            nrows = len(columns[0])
+        else:
+            raise ValueError(
+                f"a column set over {self.attrs} needs rows or one column "
+                f"per attribute"
+            )
+        if columns is not None and (
+            len(columns) != len(self.attrs)
+            or any(len(col) != nrows for col in columns)
+        ):
+            raise ValueError(
+                f"columns do not match {len(self.attrs)} attrs x {nrows} rows"
+            )
         self._rows: list | None = rows
-        self._nrows: int = len(rows)
-        self._columns: tuple | None = None
+        self._nrows: int = nrows
+        self._columns: tuple | None = columns
         self._trie_keys: dict | None = None
         self._trie_sets: dict | None = None
         self._np_cols: tuple | None = None
@@ -211,36 +207,8 @@ class ColumnSet:
 
     @classmethod
     def from_columns(cls, attrs: Sequence[str], columns: Sequence) -> "ColumnSet":
-        """Adopt sorted-aligned ``array('q')`` columns; row tuples stay lazy.
-
-        The output path of the vectorized backend
-        (:mod:`repro.relational.vectorized`): join results arrive as dense
-        code columns, and the row-tuple transpose — the single most
-        expensive step of emission — is deferred until something actually
-        asks for :attr:`rows`.
-        """
-        attrs = tuple(attrs)
-        columns = tuple(columns)
-        if not columns or len(columns) != len(attrs):
-            raise ValueError(
-                f"from_columns needs one column per attribute {attrs}, "
-                f"got {len(columns)}"
-            )
-        nrows = len(columns[0])
-        if any(len(col) != nrows for col in columns):
-            raise ValueError("from_columns needs equal-length columns")
-        self = cls.__new__(cls)
-        self.attrs = attrs
-        self._rows = None
-        self._nrows = nrows
-        self._columns = columns
-        self._trie_keys = None
-        self._trie_sets = None
-        self._np_cols = None
-        self._np_keys = None
-        self._digest = None
-        self._backing = None
-        return self
+        """``ColumnSet(attrs, columns=columns)``: row tuples stay lazy."""
+        return cls(attrs, columns=columns)
 
     @property
     def rows(self) -> list:
@@ -391,25 +359,6 @@ class ColumnSet:
         if digest is not None:
             self._digest = digest
 
-    def adopt_columns(self, columns: Sequence) -> None:
-        """Install already-materialized per-attribute columns.
-
-        Used by the parallel workers, which receive a shard's columns as raw
-        ``array('q')`` buffers: adopting them skips the Python-level rebuild
-        from the row tuples.  The columns must be sorted-aligned with
-        ``rows`` — callers ship them from exactly that layout.
-        """
-        columns = tuple(columns)
-        if len(columns) != len(self.attrs) or any(
-            len(col) != self._nrows for col in columns
-        ):
-            raise ValueError(
-                f"adopted columns do not match {len(self.attrs)} attrs x "
-                f"{self._nrows} rows"
-            )
-        self._columns = columns
-        self._np_cols = None
-
     def code_range(
         self,
         code_lo: int,
@@ -435,41 +384,21 @@ class ColumnSet:
     def restrict_range(self, lo: int, hi: int) -> "ColumnSet":
         """A zero-copy view of rows ``[lo, hi)`` (same attrs, same sort order).
 
-        The rows are shared through a bounded :class:`_RowsView` and any
-        already-materialized columns through ``memoryview`` slices, so
-        restricting costs O(arity) regardless of the range size.  This is
-        the in-process restriction utility; the hot shard paths restrict
-        without views at all — trie iterators through their root bounds,
-        the worker pool by slicing columns directly
-        (:func:`repro.parallel.pool.pack_column_range`).
+        The view shares this set's column buffers through ``memoryview``
+        slices, so restricting costs O(arity) regardless of the range size;
+        its row tuples stay lazy, and it owns its caches and digest — row
+        indices are shifted, so nothing derived from the base carries over.
+        The worker pool builds each shard's slice of a resident relation
+        this way (:func:`repro.parallel.pool._sliced_relation`); trie
+        iterators restrict through their root bounds instead.
         """
         if not 0 <= lo <= hi <= self._nrows:
             raise IndexError(f"range [{lo}, {hi}) outside 0..{self._nrows}")
-        view = ColumnSet.__new__(ColumnSet)
-        view.attrs = self.attrs
-        base_rows = self.rows
-        if isinstance(base_rows, _RowsView):
-            # Re-slice the underlying list instead of stacking views.
-            view._rows = _RowsView(
-                base_rows._base, base_rows._lo + lo, base_rows._lo + hi
-            )
-        else:
-            view._rows = _RowsView(base_rows, lo, hi)
-        view._nrows = hi - lo
-        cols = self._columns
-        if cols is None:
-            view._columns = None
-        else:
-            view._columns = tuple(memoryview(col)[lo:hi] for col in cols)
-        # A view's row indices are shifted, so it cannot share the base
-        # set's node caches (nor the base set's content digest).
-        view._trie_keys = None
-        view._trie_sets = None
-        view._np_cols = None
-        view._np_keys = None
-        view._digest = None
-        view._backing = None
-        return view
+        if not self.attrs:
+            return ColumnSet((), self.rows[lo:hi], presorted=True)
+        return ColumnSet(
+            self.attrs, columns=[memoryview(col)[lo:hi] for col in self.columns]
+        )
 
     def distinct_prefix_count(self, depth: int) -> int:
         """Number of distinct length-``depth`` prefixes among the rows."""

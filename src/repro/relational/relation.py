@@ -72,7 +72,6 @@ class Relation:
         "schema",
         "_positions",
         "_dicts",
-        "_rows",
         "_row_set",
         "_column_sets",
         "_key_sets",
@@ -87,38 +86,53 @@ class Relation:
         schema: Iterable[str],
         tuples: Iterable[tuple] = (),
     ) -> None:
+        schema = tuple(schema)
+        arity = len(schema)
+        encoders = tuple(Dictionary.of(attr).encode for attr in schema)
+        rows: set[tuple[int, ...]] = set()
+        for row in tuples:
+            row = tuple(row)
+            if len(row) != arity:
+                raise SchemaError(
+                    f"tuple {row} has arity {len(row)}, schema {schema} "
+                    f"expects {arity}"
+                )
+            rows.add(tuple(enc(v) for enc, v in zip(encoders, row)))
+        self._adopt(name, ColumnSet(schema, sorted(rows), presorted=True))
+
+    def _adopt(self, name: str, canonical: ColumnSet) -> None:
+        """Install ``canonical`` — the schema-order sorted distinct code
+        tuples, in whichever form it holds them — as this relation's storage.
+        """
         self.name = name
-        self.schema: tuple[str, ...] = tuple(schema)
+        self.schema: tuple[str, ...] = canonical.attrs
         if len(set(self.schema)) != len(self.schema):
             raise SchemaError(f"duplicate attributes in schema {self.schema}")
         self._positions = {attr: i for i, attr in enumerate(self.schema)}
         self._dicts: tuple[Dictionary, ...] = tuple(
             Dictionary.of(attr) for attr in self.schema
         )
-        arity = len(self.schema)
-        encoders = tuple(d.encode for d in self._dicts)
-        rows: set[tuple[int, ...]] = set()
-        for row in tuples:
-            row = tuple(row)
-            if len(row) != arity:
-                raise SchemaError(
-                    f"tuple {row} has arity {len(row)}, schema {self.schema} "
-                    f"expects {arity}"
-                )
-            rows.add(tuple(enc(v) for enc, v in zip(encoders, row)))
-        self._init_storage(sorted(rows))
-
-    def _init_storage(self, sorted_rows: list) -> None:
-        """Install the canonical (schema-order) sorted code rows."""
-        self._rows: list = sorted_rows
         self._row_set: frozenset | None = None
         self._column_sets: dict[tuple[str, ...], ColumnSet] = {
-            self.schema: ColumnSet(self.schema, sorted_rows, presorted=True)
+            self.schema: canonical
         }
         self._key_sets: dict[tuple[str, ...], frozenset] = {}
         self._decoded: frozenset | None = None
         self._indexes: dict[tuple[str, ...], dict[tuple, list[tuple]]] = {}
         self._store = None
+
+    @classmethod
+    def from_column_set(cls, name: str, canonical: ColumnSet) -> "Relation":
+        """Build a relation over an existing canonical column set.
+
+        ``canonical`` must hold the sorted duplicate-free code tuples under
+        the schema ``canonical.attrs``, codes from those attributes' shared
+        dictionaries; the relation shares it (buffers, caches, backing)
+        rather than copying.  Every other constructor ends here.
+        """
+        relation = cls.__new__(cls)
+        relation._adopt(name, canonical)
+        return relation
 
     @classmethod
     def from_codes(
@@ -136,20 +150,12 @@ class Relation:
         the rows are already in ascending order, ``distinct`` that they are
         duplicate-free; both skip the corresponding normalization pass.
         """
-        relation = cls.__new__(cls)
-        relation.name = name
-        relation.schema = tuple(schema)
-        if len(set(relation.schema)) != len(relation.schema):
-            raise SchemaError(f"duplicate attributes in schema {relation.schema}")
-        relation._positions = {a: i for i, a in enumerate(relation.schema)}
-        relation._dicts = tuple(Dictionary.of(a) for a in relation.schema)
         rows = code_rows if isinstance(code_rows, list) else list(code_rows)
         if not distinct:
             rows = sorted(set(rows))
         elif not presorted:
             rows = sorted(rows)
-        relation._init_storage(rows)
-        return relation
+        return cls.from_column_set(name, ColumnSet(schema, rows, presorted=True))
 
     @classmethod
     def from_columns(
@@ -158,40 +164,14 @@ class Relation:
         """Build a relation from sorted-aligned ``array('q')`` code columns.
 
         The emission path of the vectorized backend
-        (:mod:`repro.relational.vectorized`): the join result arrives
-        columnar and *stays* columnar — the canonical
-        :class:`~repro.relational.columns.ColumnSet` adopts the buffers and
-        the row-tuple transpose is deferred until something asks for
-        ``code_rows`` (lazily resolved through ``__getattr__``).  The
-        columns must hold the canonical sorted duplicate-free rows, exactly
-        what ``from_codes(..., presorted=True, distinct=True)`` would store.
+        (:mod:`repro.relational.vectorized`) and the bind path of pool
+        workers and ``mmap``-ed stores: the data arrives columnar and
+        *stays* columnar — the row-tuple transpose is deferred until
+        something asks for ``code_rows``.  The columns must hold the
+        canonical sorted duplicate-free rows, exactly what
+        ``from_codes(..., presorted=True, distinct=True)`` would store.
         """
-        relation = cls.__new__(cls)
-        relation.name = name
-        relation.schema = tuple(schema)
-        if len(set(relation.schema)) != len(relation.schema):
-            raise SchemaError(f"duplicate attributes in schema {relation.schema}")
-        relation._positions = {a: i for i, a in enumerate(relation.schema)}
-        relation._dicts = tuple(Dictionary.of(a) for a in relation.schema)
-        # ``_rows`` is deliberately left unset: it materializes on first
-        # access from the canonical column set's lazy transpose.
-        relation._row_set = None
-        relation._column_sets = {
-            relation.schema: ColumnSet.from_columns(relation.schema, columns)
-        }
-        relation._key_sets = {}
-        relation._decoded = None
-        relation._indexes = {}
-        relation._store = None
-        return relation
-
-    def __getattr__(self, name: str):
-        # Only ``_rows`` is ever lazily absent (see :meth:`from_columns`).
-        if name == "_rows":
-            rows = self._column_sets[self.schema].rows
-            object.__setattr__(self, "_rows", rows)
-            return rows
-        raise AttributeError(name)
+        return cls.from_column_set(name, ColumnSet(schema, columns=columns))
 
     # -- columnar internals -------------------------------------------------------
 
@@ -219,7 +199,7 @@ class Relation:
     @property
     def code_rows(self) -> list:
         """Canonical sorted code rows in schema order (do not mutate)."""
-        return self._rows
+        return self._column_sets[self.schema].rows
 
     def column_set(self, order: Sequence[str]) -> ColumnSet:
         """The rows sorted under ``order`` (any distinct schema attributes).
@@ -236,7 +216,7 @@ class Relation:
         if len(set(positions)) != len(positions):
             raise SchemaError(f"column order {order} repeats an attribute")
         rows = sorted(
-            [tuple(row[p] for p in positions) for row in self._rows]
+            [tuple(row[p] for p in positions) for row in self.code_rows]
         )
         cached = ColumnSet(order, rows, presorted=True)
         self._column_sets[order] = cached
@@ -259,19 +239,20 @@ class Relation:
             if len(order) == arity and order != self.schema
         ]
 
-    def install_sorted_order(self, order: Sequence[str], rows: list) -> None:
-        """Adopt an externally maintained sorted row list for ``order``.
+    def install_order(self, column_set: ColumnSet) -> None:
+        """Adopt an externally maintained sorted order of this relation.
 
-        ``rows`` must be exactly what :meth:`column_set` would compute —
-        the relation's tuples permuted into ``order`` and sorted — which is
-        what a signed merge into the previous version's order produces.
+        ``column_set`` must be exactly what :meth:`column_set` would compute
+        for ``column_set.attrs`` — the relation's tuples permuted into that
+        order and sorted — which is what a signed merge into the previous
+        version's order produces.
         """
-        order = tuple(order)
+        order = column_set.attrs
         if sorted(order) != sorted(self.schema):
             raise SchemaError(
                 f"order {order} is not a permutation of schema {self.schema}"
             )
-        self._column_sets[order] = ColumnSet(order, rows, presorted=True)
+        self._column_sets[order] = column_set
 
     def trie_iterator(
         self, order: Sequence[str], bounds: tuple[int, int] | None = None
@@ -298,7 +279,7 @@ class Relation:
         if cached is None:
             positions = tuple(self.position(a) for a in attrs)
             cached = frozenset(
-                tuple(row[p] for p in positions) for row in self._rows
+                tuple(row[p] for p in positions) for row in self.code_rows
             )
             self._key_sets[attrs] = cached
         return cached
@@ -320,7 +301,7 @@ class Relation:
     def _code_set(self) -> frozenset:
         row_set = self._row_set
         if row_set is None:
-            row_set = frozenset(self._rows)
+            row_set = frozenset(self.code_rows)
             self._row_set = row_set
         return row_set
 
@@ -356,15 +337,15 @@ class Relation:
         if len(self) != len(other):
             return False
         if self.schema == other.schema:
-            return self._rows == other._rows
+            return self.code_rows == other.code_rows
         positions = tuple(other.position(a) for a in self.schema)
-        realigned = {tuple(row[p] for p in positions) for row in other._rows}
+        realigned = {tuple(row[p] for p in positions) for row in other.code_rows}
         return self._code_set() == realigned
 
     def __hash__(self) -> int:
         canonical = tuple(sorted(self.schema))
         positions = tuple(self._positions[a] for a in canonical)
-        rows = frozenset(tuple(row[p] for p in positions) for row in self._rows)
+        rows = frozenset(tuple(row[p] for p in positions) for row in self.code_rows)
         return hash((canonical, rows))
 
     def __repr__(self) -> str:
@@ -383,7 +364,7 @@ class Relation:
             values = tuple(d.values for d in self._dicts)
             decoded = frozenset(
                 tuple(col[c] for col, c in zip(values, row))
-                for row in self._rows
+                for row in self.code_rows
             )
             self._decoded = decoded
         return decoded
@@ -466,7 +447,7 @@ class Relation:
             raise SchemaError(
                 f"degree attrs {sorted(y_set)} not all in schema {self.schema}"
             )
-        if not self._rows:
+        if not len(self):
             return 0
         order = tuple(sorted(x_set)) + tuple(sorted(y_set - x_set))
         split = len(x_set)
@@ -511,13 +492,6 @@ class Relation:
         clone.schema = self.schema
         clone._positions = self._positions
         clone._dicts = self._dicts
-        try:
-            # Don't force a lazily-columnar relation's row transpose just to
-            # rename it; the clone resolves ``_rows`` through the shared
-            # column sets exactly like the original.
-            clone._rows = object.__getattribute__(self, "_rows")
-        except AttributeError:
-            pass
         clone._row_set = self._row_set
         clone._column_sets = self._column_sets
         clone._key_sets = self._key_sets
@@ -551,7 +525,7 @@ class Relation:
         new_rows = []
         values = tuple(d.values for d in self._dicts)
         encoders = tuple(Dictionary.of(a).encode for a in schema)
-        for row in self._rows:
+        for row in self.code_rows:
             out = []
             for i, code in enumerate(row):
                 table = translations[i]

@@ -709,10 +709,8 @@ def open_database_dir(
             raise StorageError(
                 f"manifest relation {name!r} has an empty schema"
             )
-        column_set = store.open_column_set(schema, nrows, digest, verify=verify)
-        relation = Relation.from_columns(name, schema, column_set.columns)
-        relation.column_set(schema).attach_backing(
-            column_set.backing, digest
+        relation = Relation.from_column_set(
+            name, store.open_column_set(schema, nrows, digest, verify=verify)
         )
         relation.attach_store(store)
         relations.append(relation)

@@ -105,6 +105,75 @@ class TestColumnSet:
         assert gallop_left(col, 100, 4, 6) == 6
 
 
+class TestConstructorParity:
+    """Every way to build a relation stores the same thing: rows-form,
+    columns-form and both-forms column sets are interchangeable."""
+
+    @pytest.mark.parametrize("arity", range(4))
+    def test_all_constructors_agree(self, arity):
+        from array import array
+        from itertools import permutations
+
+        rng = random.Random(stable_seed("ctor-parity", arity))
+        schema = tuple(f"cp{arity}_{i}" for i in range(arity))
+        values = {
+            tuple(rng.randrange(6) for _ in schema) for _ in range(rng.randrange(40))
+        }
+        reference = Relation("R", schema, values)
+        rows = reference.code_rows
+        columns = tuple(array("q", col) for col in zip(*rows))
+        if len(columns) != arity:  # no rows to transpose
+            columns = tuple(array("q") for _ in schema)
+        built = [
+            Relation.from_codes("R", schema, reversed(rows)),
+            Relation.from_codes("R", schema, rows, presorted=True, distinct=True),
+            Relation.from_column_set("R", ColumnSet(schema, rows, presorted=True)),
+            Relation.from_column_set(
+                "R", ColumnSet(schema, rows, presorted=True, columns=columns)
+            ),
+        ]
+        if arity:
+            built.append(Relation.from_columns("R", schema, columns))
+            built.append(
+                Relation.from_column_set("R", ColumnSet(schema, columns=columns))
+            )
+        for relation in built:
+            assert relation == reference and hash(relation) == hash(reference)
+            assert relation.code_rows == rows
+            assert relation.tuples == reference.tuples == frozenset(values)
+            for order in permutations(schema):
+                assert (
+                    relation.column_set(order).rows
+                    == reference.column_set(order).rows
+                )
+            canonical = relation.column_set(schema)
+            assert canonical.content_digest() == reference.column_set(
+                schema
+            ).content_digest()
+            clone = relation.renamed("other")
+            assert clone.name == "other" and clone == relation
+            for order in permutations(schema):
+                assert clone.column_set(order) is relation.column_set(order)
+
+    def test_mismatched_forms_rejected(self):
+        from array import array
+
+        rows = [(1, 2), (3, 4)]
+        short = (array("q", [1]), array("q", [2]))
+        with pytest.raises(ValueError):
+            ColumnSet(("A", "B"), rows, presorted=True, columns=short)
+        with pytest.raises(ValueError):
+            ColumnSet(("A", "B"), rows, presorted=True, columns=short[:1])
+        with pytest.raises(ValueError):
+            ColumnSet(("A", "B"), columns=(short[0], array("q", [2, 3])))
+        with pytest.raises(ValueError):  # no rows: the row count is unknown
+            ColumnSet((), columns=())
+        with pytest.raises(ValueError):
+            Relation.from_columns("R", (), ())
+        with pytest.raises(SchemaError):
+            Relation.from_columns("R", ("A", "A"), short)
+
+
 class TestSortedTrieIterator:
     def make(self, rows, attrs=("A", "B")):
         return SortedTrieIterator(ColumnSet(attrs, rows))

@@ -30,7 +30,11 @@ from repro.parallel import (
     plan_shards,
     slice_bounds,
 )
-from repro.parallel.pool import pack_output_rows, unpack_columns
+from repro.parallel.pool import (
+    pack_output_rows,
+    unpack_column_arrays,
+    unpack_columns,
+)
 from repro.planner import QueryEngine
 from repro.relational import (
     Database,
@@ -182,16 +186,26 @@ class TestShardPlanning:
 
 class TestZeroCopySlicing:
     def test_restrict_range_shares_storage(self):
-        cs = Relation("R", ("A", "B"), [(i, i % 3) for i in range(12)]).column_set(
-            ("A", "B")
-        )
-        cs.columns  # materialize
+        relation = Relation("R", ("A", "B"), [(i, i % 3) for i in range(12)])
+        cs = relation.column_set(("A", "B"))
         view = cs.restrict_range(2, 9)
-        assert list(view.rows) == cs.rows[2:9]
-        assert view.rows[0] is cs.rows[2]  # shared tuples, not copies
+        assert view.columns[0].obj is cs.columns[0]  # shared buffers, no copy
+        assert view.rows == cs.rows[2:9]
         assert list(view.columns[0]) == list(cs.columns[0][2:9])
         nested = view.restrict_range(1, 4)
-        assert list(nested.rows) == cs.rows[3:6]
+        assert nested.columns[1].obj is cs.columns[1]
+        assert nested.rows == cs.rows[3:6]
+        with pytest.raises(IndexError):
+            view.restrict_range(0, 8)
+        # A relation over a view is an ordinary relation of the slice.
+        sliced = Relation.from_column_set("R", view)
+        assert sliced == Relation.from_codes("R", ("A", "B"), cs.rows[2:9])
+        assert sliced.tuples == {
+            relation.decode_row(row) for row in cs.rows[2:9]
+        }
+        nullary = Relation("N", (), [()]).column_set(())
+        assert nullary.restrict_range(0, 1).rows == [()]
+        assert nullary.restrict_range(1, 1).rows == []
 
     def test_trie_iterator_root_bounds(self):
         relation = Relation("R", ("A", "B"), [(i, j) for i in range(6) for j in range(2)])
@@ -504,11 +518,38 @@ class TestParallelFaq:
 class TestPoolPlumbing:
     def test_pack_unpack_roundtrip(self):
         rows = [(1, 2, 3), (4, 5, 6), (-7, 0, 9)]
-        unpacked, columns = unpack_columns(pack_output_rows(rows, 3), 3)
-        assert unpacked == rows
-        assert [list(c) for c in columns] == [[1, 4, -7], [2, 5, 0], [3, 6, 9]]
-        empty_rows, empty_columns = unpack_columns(pack_output_rows([], 3), 3)
-        assert empty_rows == [] and all(len(c) == 0 for c in empty_columns)
+        buffer = pack_output_rows(rows, 3)
+        assert unpack_columns(buffer, 3) == rows
+        assert [list(c) for c in unpack_column_arrays(buffer, 3)] == [
+            [1, 4, -7],
+            [2, 5, 0],
+            [3, 6, 9],
+        ]
+        assert unpack_columns(pack_output_rows([], 3), 3) == []
+        assert all(len(c) == 0 for c in unpack_column_arrays(b"", 3))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_merge_shard_columns_checks_shard_order(self, pooled):
+        """One merge for inline column sets and pooled wire buffers alike."""
+        from repro.exceptions import PandaError
+        from repro.parallel.engine import _merge_shard_columns
+
+        def shard(rows):
+            if pooled:
+                return unpack_column_arrays(pack_output_rows(rows, 2), 2)
+            return Relation.from_codes("Q", ("A", "B"), rows).column_set(
+                ("A", "B")
+            ).columns
+
+        low, high = [(0, 1), (0, 2), (1, 0)], [(1, 1), (2, 0)]
+        merged = _merge_shard_columns(
+            [shard([]), shard(low), shard([]), shard(high)], 2
+        )
+        assert list(zip(*merged)) == low + high
+        assert [len(c) for c in _merge_shard_columns([shard([])], 2)] == [0, 0]
+        for bad in ([high, low], [low, low[-1:]], [low, [], low[:1]]):
+            with pytest.raises(PandaError, match="overlap or arrived out of order"):
+                _merge_shard_columns([shard(rows) for rows in bad], 2)
 
     def test_unpicklable_semiring_rejected(self):
         from repro.faq.semiring import Semiring

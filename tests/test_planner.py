@@ -185,14 +185,6 @@ class TestPlanCacheCorrectness:
         assert cache.get("a") is None  # evicted (LRU)
         assert cache.get("c").plan == "plan-c"
 
-    def test_disabled_cache_still_correct(self):
-        query = cycle_query(4)
-        db = modular_cycle_database(4)
-        planner = Planner(cache_plans=False)
-        result = dasubw_plan(query, db, planner=planner)
-        assert planner.stats.lookups == 0
-        assert normalized_rows(result.relation) == oracle_rows(query, db)
-
 
 class TestSignatureInvariance:
     def test_renaming_invariance_property(self, rng):

@@ -84,9 +84,9 @@ def triangle_database(rng, size=60, domain=9):
     )
 
 
-def saved_triangle(tmp_path, seed="storage", size=60):
+def saved_triangle(tmp_path, seed="storage", size=60, domain=9):
     rng = random.Random(stable_seed(seed))
-    database = triangle_database(rng, size=size)
+    database = triangle_database(rng, size=size, domain=domain)
     directory = tmp_path / "db"
     save_database_dir(database, directory)
     return database, directory
@@ -154,6 +154,25 @@ class TestRoundTrip:
         _, directory = saved_triangle(tmp_path)
         Dictionary.reset_registry()
         open_database_dir(directory, verify=True)
+
+
+class TestRangeViews:
+    def test_restrict_range_over_mmap_columns(self, tmp_path):
+        relation = Relation("R", ("A", "B"), [(i, i % 5) for i in range(40)])
+        directory = tmp_path / "db"
+        save_database_dir(Database([relation]), directory)
+        base = open_database_dir(directory)["R"].column_set(("A", "B"))
+        assert base.columns[0].readonly
+        view = base.restrict_range(7, 31)
+        assert view.columns[0].readonly and view.backing is None
+        assert view.columns[0].obj is base.columns[0].obj  # the same map
+        assert view.rows == relation.code_rows[7:31]
+        in_heap = relation.column_set(("A", "B")).restrict_range(10, 16)
+        nested = view.restrict_range(3, 9)
+        assert nested.content_digest() == in_heap.content_digest()
+        assert Relation.from_column_set("R", nested) == Relation.from_codes(
+            "R", ("A", "B"), relation.code_rows[10:16]
+        )
 
 
 class TestDriversAndBackends:
@@ -275,6 +294,27 @@ class TestPoolShipping:
             second = engine.execute(again, driver="generic")
             assert engine.shipping_stats == stats
             assert second.relation.code_rows == first.relation.code_rows
+
+    @pytest.mark.parametrize("driver", ["generic", "yannakakis"])
+    def test_no_row_tuples_between_bind_and_result(
+        self, driver, tmp_path, no_row_transpose
+    ):
+        """Stored schemas already in the global variable order, so no
+        non-canonical order is built: from the workers' mmap bind to the
+        merged result, nothing transposes columns into row tuples."""
+        pytest.importorskip("numpy")
+        database, directory = saved_triangle(
+            tmp_path, seed="no-rows", size=3000, domain=150
+        )
+        expected = len(generic_join(list(database), ("A", "B", "C")))
+        Dictionary.reset_registry()
+        reopened = open_database_dir(directory)
+        with ParallelQueryEngine(
+            triangle_query(), workers=2, execution_backend="vectorized"
+        ) as engine:
+            result = engine.execute(reopened, driver)
+            assert len(result.relation) == expected > 0
+            assert engine.shipping_stats["column_bytes"] == 0
 
     def test_in_heap_bind_still_ships_buffers(self, tmp_path):
         query = triangle_query()

@@ -374,6 +374,20 @@ class TestEngineBitIdentity:
                         driver,
                     )
 
+    @requires_numpy
+    def test_degree_of_columnar_relation_stays_columnar(self, no_row_transpose):
+        from array import array
+
+        relation = Relation.from_columns(
+            "X",
+            ("A", "B"),
+            (array("q", range(1000)), array("q", [i % 7 for i in range(1000)])),
+        )
+        with scoped_backend("vectorized"):
+            assert relation.degree(("A", "B"), ("A",)) == 1
+            assert relation.degree(("A", "B"), ()) == 1000
+        assert relation.column_set(("A", "B"))._rows is None
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_incremental_batches_match_across_backends(self, workers):
         query = make_query("triangle")
