@@ -68,19 +68,6 @@ def _metrics_incremental(payload: dict) -> dict:
     }
 
 
-def _metrics_datalog(payload: dict) -> dict:
-    metrics = {}
-    for entry in payload.get("results", []):
-        workload = entry["workload"]
-        metrics[f"datalog.{workload}.fixpoint_speedup"] = (
-            entry["fixpoint_speedup"]
-        )
-        metrics[f"datalog.{workload}.maintain_speedup"] = (
-            entry["maintain_speedup"]
-        )
-    return metrics
-
-
 def _metrics_out_of_core(payload: dict) -> dict:
     if not payload.get("ceiling_enforced"):
         return {}  # toy scale: the cap was below the interpreter baseline
@@ -115,7 +102,6 @@ EXTRACTORS = {
     "wcoj_engine_comparison": _metrics_wcoj,
     "parallel_join": _metrics_parallel,
     "incremental_maintenance": _metrics_incremental,
-    "datalog_fixpoint": _metrics_datalog,
     "out_of_core": _metrics_out_of_core,
     "serving_mixed_traffic": _metrics_serving,
 }

@@ -18,25 +18,29 @@ A :class:`VersionedRelation` gives the storage layer a log-structured view:
 an immutable base :class:`~repro.relational.relation.Relation` (whose column
 set is what worker pools hold resident) plus the pending delta runs applied
 since.  The *current* relation is materialized by the sorted-run merge
-(:func:`~repro.relational.columns.apply_signed_rows`) — `restrict_range`,
-trie caches, and every join algorithm work on it unchanged, because it is an
-ordinary sorted column set.  Once the pending runs outgrow a size threshold
-the log compacts: the merged relation becomes the new base and the runs
-clear (pool baselines then recycle, exactly like a database rebind).
+(:func:`advance_relation`: array merges for a delta past the
+``backend.vectorize`` gate, the splice plan of
+:func:`~repro.relational.columns.signed_merge_plan` below it) —
+`restrict_range`, trie caches, and every join algorithm work on it
+unchanged, because it is an ordinary sorted column set.  Once the pending
+runs outgrow a size threshold the log compacts: the merged relation becomes
+the new base and the runs clear (pool baselines then recycle, exactly like
+a database rebind).
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from repro.exceptions import DeltaError, IncrementalError
+from repro.relational.backend import vectorize
 from repro.relational.columns import (
     ColumnSet,
     Dictionary,
     apply_plan_to_columns,
     apply_signed_rows,
+    merge_violation,
     signed_merge_plan,
 )
 from repro.relational.relation import Relation
@@ -45,65 +49,89 @@ __all__ = ["SignedDelta", "VersionedRelation", "advance_relation"]
 
 
 def advance_relation(
-    previous: Relation,
-    delta_rows: Sequence,
-    signs: Sequence[int],
-    name: str | None = None,
+    previous: Relation, delta: "SignedDelta", name: str | None = None
 ) -> Relation:
     """The relation one signed batch after ``previous``, orders carried.
 
-    Builds the new version by the delta-sized sorted merge, and re-merges
-    the same (permuted, re-sorted — the delta is tiny) batch into every
-    *full-arity* sorted order the previous version had materialized, so the
-    delta-first join orders of :mod:`repro.incremental.ivm` never pay a
-    fresh O(N log N) sort per batch: each order is sorted once per relation
-    lifetime and maintained by merges after that.  Materialized ``array``
-    columns advance the same way — C-level splices along the merge plan —
-    instead of a fresh O(N · arity) transpose per version.  Partial
-    (projection) orders are not carried — their rows are multisets, outside
-    the signed merge's distinct-row contract — and rebuild on demand.
+    Builds the new version by the sorted merge of ``delta`` into the
+    canonical order, and merges the same batch — its columns permuted and
+    re-sorted (:meth:`SignedDelta.reordered`) — into every *full-arity*
+    sorted order the previous version had materialized, so the delta-first
+    join orders of :mod:`repro.incremental.ivm` never pay a fresh
+    O(N log N) sort per batch: each order is sorted once per relation
+    lifetime and maintained by merges after that.  Partial (projection)
+    orders are not carried — their rows are multisets, outside the signed
+    merge's distinct-row contract — and rebuild on demand.
     """
     schema = previous.schema
     advanced = Relation.from_column_set(
         name or previous.name,
-        _advance_column_set(previous.column_set(schema), delta_rows, signs),
+        _advance_column_set(previous.column_set(schema), delta),
     )
     for order, column_set in previous.cached_full_orders():
-        positions = tuple(schema.index(a) for a in order)
-        entries = sorted(
-            (tuple(row[p] for p in positions), sign)
-            for row, sign in zip(delta_rows, signs)
-        )
         advanced.install_order(
-            _advance_column_set(
-                column_set,
-                [row for row, _ in entries],
-                [sign for _, sign in entries],
-            )
+            _advance_column_set(column_set, delta.reordered(order))
         )
     advanced.attach_store(previous.store)
     return advanced
 
 
-def _advance_column_set(
-    column_set: ColumnSet, delta_rows: Sequence, signs: Sequence[int]
-) -> ColumnSet:
-    """One column set advanced by a signed batch (rows + columns spliced)."""
-    rows = column_set.rows
-    plan = signed_merge_plan(rows, delta_rows, signs)
-    columns = column_set.materialized_columns
+def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSet:
+    """One column set advanced by a signed batch over the same attributes.
+
+    A delta below the gate (or no numpy) takes the interpreted arm: one
+    :func:`signed_merge_plan`, spliced into the rows and into the columns
+    the previous version had built.  On the numpy arm
+    (``vectorize(len(delta))``: a semi-naïve round, a serving batch) the
+    merge is one ``searchsorted`` over :func:`pack_keys`, the strict
+    contract one comparison of the membership mask with the signs, then one
+    mask delete and one ``np.insert`` per column — a columns-only set, row
+    tuples lazy.  Same :class:`DeltaError`, same first offending row.
+    """
+    if not vectorize(len(delta)):
+        rows = column_set.rows
+        plan = signed_merge_plan(rows, delta.rows, delta.signs)
+        columns = column_set.materialized_columns
+        return ColumnSet(
+            column_set.attrs,
+            apply_signed_rows(rows, delta.rows, delta.signs, plan=plan),
+            presorted=True,
+            columns=None if columns is None else apply_plan_to_columns(columns, plan),
+        )
+    import numpy as np
+
+    from repro.relational.vectorized import np_to_column, pack_keys
+
+    base, fresh = column_set.np_columns(), delta.code_columns()
+    base_key, delta_key = pack_keys(base, fresh)
+    at = np.searchsorted(base_key, delta_key)
+    present = at < len(base_key)
+    present[present] = base_key[at[present]] == delta_key[present]
+    inserted = np.frombuffer(delta.signs, dtype=np.int64) > 0
+    wrong = np.flatnonzero(present == inserted)
+    if len(wrong):
+        raise merge_violation(delta.rows[wrong[0]], present[wrong[0]])
+    gone = at[~inserted]
+    keep = np.ones(len(base_key), dtype=bool)
+    keep[gone] = False
+    # np.insert addresses the array the deletes left behind.
+    at = at[inserted] - np.searchsorted(gone, at[inserted])
     return ColumnSet(
         column_set.attrs,
-        apply_signed_rows(rows, delta_rows, signs, plan=plan),
-        presorted=True,
-        columns=None if columns is None else apply_plan_to_columns(columns, plan),
+        columns=[
+            np_to_column(np.insert(column[keep], at, new[inserted]))
+            for column, new in zip(base, fresh)
+        ],
     )
 
 
-def _row_present(sorted_rows: list, row: tuple) -> bool:
-    """Membership in a sorted duplicate-free row list (binary search)."""
-    pos = bisect_left(sorted_rows, row)
-    return pos < len(sorted_rows) and sorted_rows[pos] == row
+def _row_present(column_set: ColumnSet, row: tuple) -> bool:
+    """Membership of a code tuple: two column binary searches per level, so
+    a columns-only version never transposes its rows to validate a batch."""
+    lo, hi = 0, column_set.nrows
+    for depth, code in enumerate(row):
+        lo, hi = column_set.code_range(code, code + 1, lo, hi, depth)
+    return lo < hi
 
 
 class SignedDelta:
@@ -116,7 +144,7 @@ class SignedDelta:
         signs: aligned ``array('q')`` of ``+1`` (insert) / ``-1`` (delete).
     """
 
-    __slots__ = ("attrs", "rows", "signs")
+    __slots__ = ("attrs", "rows", "signs", "_np_columns")
 
     def __init__(
         self,
@@ -127,6 +155,7 @@ class SignedDelta:
         self.attrs: tuple[str, ...] = tuple(attrs)
         self.rows: list = rows
         self.signs: array = signs if isinstance(signs, array) else array("q", signs)
+        self._np_columns: tuple | None = None
         if len(self.rows) != len(self.signs):
             raise IncrementalError(
                 f"{len(self.rows)} delta rows vs {len(self.signs)} signs"
@@ -154,7 +183,7 @@ class SignedDelta:
         arity = len(schema)
         encoders = tuple(d.encode for d in relation.dictionaries)
         existing = tuple(d.encode_existing for d in relation.dictionaries)
-        base_rows = relation.code_rows
+        base = relation.column_set(schema)
 
         inserted: set[tuple] = set()
         for row in inserts:
@@ -195,7 +224,7 @@ class SignedDelta:
 
         entries: list[tuple[tuple, int]] = []
         for row in removed:
-            if _row_present(base_rows, row):
+            if _row_present(base, row):
                 entries.append((row, -1))
             else:
                 raise DeltaError(
@@ -203,7 +232,7 @@ class SignedDelta:
                     f"{relation.decode_row(row)}"
                 )
         for row in inserted:
-            if not _row_present(base_rows, row):
+            if not _row_present(base, row):
                 entries.append((row, +1))
         entries.sort()
         return cls(
@@ -227,10 +256,6 @@ class SignedDelta:
             f"SignedDelta({self.attrs}: +{pos}/-{len(self.rows) - pos} rows)"
         )
 
-    def column_set(self) -> ColumnSet:
-        """The delta's rows as a sorted :class:`ColumnSet` (sign-blind)."""
-        return ColumnSet(self.attrs, self.rows, presorted=True)
-
     def signed_rows(self, sign: int) -> list:
         """The rows carrying ``sign`` (ascending)."""
         return [row for row, s in zip(self.rows, self.signs) if s == sign]
@@ -242,12 +267,53 @@ class SignedDelta:
             presorted=True, distinct=True,
         )
 
+    def code_columns(self) -> tuple:
+        """One code column per attribute: plain tuples below the gate, int64
+        ndarrays on the numpy arm — built once per delta there, so the merge
+        into every cached order and every relabeling read the same arrays.
+        """
+        arity = len(self.attrs)
+        if not vectorize(len(self)):
+            return tuple(zip(*self.rows)) or ((),) * arity
+        if self._np_columns is None:
+            import numpy as np
+
+            block = np.array(self.rows, dtype=np.int64).reshape(-1, arity)
+            self._np_columns = tuple(np.ascontiguousarray(block.T))
+        return self._np_columns
+
+    def _resorted(self, attrs: Sequence[str], columns: Sequence) -> "SignedDelta":
+        """These signs over ``attrs`` and the aligned, unsorted ``columns``,
+        sorted: one ``pack_keys`` argsort on the numpy arm, ``sorted`` of the
+        re-tupled rows below the gate."""
+        if not vectorize(len(self)):
+            entries = sorted(zip(zip(*columns), self.signs))
+            signs = array("q", (sign for _, sign in entries))
+            return SignedDelta(attrs, [row for row, _ in entries], signs)
+        import numpy as np
+
+        from repro.relational.vectorized import np_to_column, pack_keys
+
+        by_row = np.argsort(pack_keys(columns)[0])
+        columns = tuple(column[by_row] for column in columns)
+        signs = np_to_column(np.frombuffer(self.signs, dtype=np.int64)[by_row])
+        rows = list(zip(*(column.tolist() for column in columns)))
+        out = SignedDelta(attrs, rows, signs)
+        out._np_columns = columns
+        return out
+
+    def reordered(self, order: Sequence[str]) -> "SignedDelta":
+        """The same changes with the columns permuted into ``order``."""
+        columns = self.code_columns()
+        return self._resorted(order, [columns[self.attrs.index(a)] for a in order])
+
     def relabeled(self, variables: Sequence[str]) -> "SignedDelta":
         """The same changes under positionally renamed attributes.
 
-        Mirrors :meth:`Relation.relabeled` for atom binding: column ``i``'s
-        codes are translated into ``variables[i]``'s dictionary (the delta is
-        tiny, so the per-value translation cost is negligible).
+        Mirrors :meth:`Relation.relabeled` for atom binding: column ``i`` is
+        re-coded into ``variables[i]``'s dictionary through the cached table
+        of :meth:`Dictionary.translate` — a semi-naïve round relabels
+        thousands of rows per binding; it pays one table gather per column.
         """
         variables = tuple(variables)
         if len(variables) != len(self.attrs):
@@ -256,20 +322,10 @@ class SignedDelta:
             )
         if variables == self.attrs:
             return self
-        old_values = tuple(Dictionary.of(a).values for a in self.attrs)
-        encoders = tuple(Dictionary.of(v).encode for v in variables)
-        translated = [
-            tuple(
-                enc(values[code])
-                for enc, values, code in zip(encoders, old_values, row)
-            )
-            for row in self.rows
-        ]
-        entries = sorted(zip(translated, self.signs))
-        return SignedDelta(
+        pairs = zip(self.attrs, variables, self.code_columns())
+        return self._resorted(
             variables,
-            [row for row, _ in entries],
-            array("q", (sign for _, sign in entries)),
+            [Dictionary.of(a).translate(Dictionary.of(v), col) for a, v, col in pairs],
         )
 
     def decoded(self) -> list[tuple[tuple, int]]:
@@ -341,10 +397,10 @@ class VersionedRelation:
     def apply(self, delta: SignedDelta, compact: bool = True) -> Relation:
         """Append one run, materialize the new current, maybe compact.
 
-        Returns the new current relation.  The merge is the delta-sized
-        sorted-run merge of :func:`apply_signed_rows`; validation already
-        happened in :meth:`SignedDelta.from_changes`, so a strict merge
-        failure here is an internal inconsistency, not user error.
+        Returns the new current relation.  The merge is the sorted-run
+        merge of :func:`advance_relation`; validation already happened in
+        :meth:`SignedDelta.from_changes`, so a strict merge failure here is
+        an internal inconsistency, not user error.
 
         ``compact=False`` defers the threshold check — the incremental
         engine compacts only after a batch's maintenance is done, so the
@@ -358,9 +414,7 @@ class VersionedRelation:
             )
         if delta.is_empty:
             return self.current
-        self.current = advance_relation(
-            self.current, delta.rows, delta.signs, name=self.name
-        )
+        self.current = advance_relation(self.current, delta, name=self.name)
         self.runs.append(delta)
         self.version += 1
         if compact and self.should_compact:
@@ -464,9 +518,7 @@ class VersionedRelation:
             )
         relation = self.base
         for run in self.runs[: version - self.base_version]:
-            relation = advance_relation(
-                relation, run.rows, run.signs, name=self.name
-            )
+            relation = advance_relation(relation, run, name=self.name)
         return relation
 
     @property

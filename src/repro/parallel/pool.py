@@ -433,12 +433,12 @@ def _versioned_relation(
 
     ``runs`` is the shipped tuple of ``(rows buffer, signs buffer)`` pairs
     lifting the resident base to ``version``; each is a sorted signed merge
-    (:func:`~repro.relational.columns.apply_signed_rows`).  Reconstructions
+    (:func:`~repro.incremental.delta.advance_relation`).  Reconstructions
     cache under ``(key, base digest, version)`` so the two versions a
     maintenance batch needs (old and new) build once per worker, not once
     per term.
     """
-    from repro.incremental.delta import advance_relation
+    from repro.incremental.delta import SignedDelta, advance_relation
 
     if not runs:
         return base
@@ -456,7 +456,9 @@ def _versioned_relation(
     run_rows = unpack_columns(rows_buffer, len(attrs))
     signs = array("q")
     signs.frombytes(signs_buffer)
-    relation = advance_relation(previous, run_rows, signs, name=key)
+    relation = advance_relation(
+        previous, SignedDelta(previous.schema, run_rows, signs), name=key
+    )
     if len(_WORKER_VERSIONS) >= 64:
         _WORKER_VERSIONS.clear()
     _WORKER_VERSIONS[cache_key] = relation

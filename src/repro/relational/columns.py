@@ -30,6 +30,7 @@ from array import array
 from bisect import bisect_left
 from typing import Iterator, Sequence
 
+from repro.exceptions import DeltaError
 from repro.relational.backend import vectorize
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "decode_row",
     "gallop_left",
     "merge_runs",
+    "merge_violation",
     "signed_merge_plan",
 ]
 
@@ -56,7 +58,7 @@ class Dictionary:
     (exactly the constraint tuple-set relations already imposed).
     """
 
-    __slots__ = ("attribute", "_codes", "_values")
+    __slots__ = ("attribute", "_codes", "_values", "_tables")
 
     #: shared per-attribute-name instances (see :meth:`of`).
     _registry: dict = {}
@@ -65,6 +67,9 @@ class Dictionary:
         self.attribute = attribute
         self._codes: dict = {}
         self._values: list = []
+        #: per target dictionary *object*: this dictionary's code -> the
+        #: target's code of the same value, ``-1`` until first translated.
+        self._tables: dict = {}
 
     @classmethod
     def of(cls, attribute: str) -> "Dictionary":
@@ -116,6 +121,44 @@ class Dictionary:
     def values(self) -> list:
         """The interned values, indexable by code (do not mutate)."""
         return self._values
+
+    def translate(self, target: "Dictionary", codes: Sequence[int]):
+        """One column of this dictionary's ``codes`` as ``target``'s codes.
+
+        The one owner of "re-code column *i* from attribute A to B" (atom
+        binding, relabeled deltas).  Each ``(source, target)`` pair keeps one
+        ``array('q')`` table, keyed on the target *object* (a dictionary
+        from before :meth:`reset_registry` shares nothing with its
+        successor) and extended with ``-1`` as the source grows: a value
+        costs one ``target.encode`` the first time a column mentions it — in
+        first-appearance order of the column, so the target interns exactly
+        as a per-row pass would — and one table read after that.  The result
+        type depends on the gate alone: an int64 ndarray on the numpy arm
+        (``vectorize(len(codes))``; when ``target is self`` a zero-copy view
+        of an array or buffer column), a list below it.
+        """
+        wide = vectorize(len(codes))
+        if wide:
+            import numpy
+
+            codes = numpy.asarray(codes, dtype=numpy.int64)
+        if target is self:
+            return codes if wide else list(codes)
+        values, encode = self.values, target.encode
+        table = self._tables.setdefault(target, array("q"))
+        table.extend([-1] * (len(values) - len(table)))  # the source grew
+        if not wide:
+            for code in codes:
+                if table[code] < 0:
+                    table[code] = encode(values[code])
+            return [table[code] for code in codes]
+        lookup = numpy.frombuffer(table, dtype=numpy.int64)
+        unseen = lookup[codes] < 0
+        if unseen.any():
+            pending, first = numpy.unique(codes[unseen], return_index=True)
+            for code in pending[numpy.argsort(first)].tolist():
+                table[code] = encode(values[code])
+        return lookup[codes]
 
     def __repr__(self) -> str:
         return f"Dictionary({self.attribute!r}: {len(self)} values)"
@@ -443,11 +486,15 @@ def gallop_left(column, code: int, lo: int, hi: int) -> int:
     return bisect_left(column, code, lo, min(probe, hi))
 
 
+def merge_violation(row: tuple, present: bool) -> DeltaError:
+    """The strict-merge error both arms of the signed merge raise."""
+    if present:
+        return DeltaError(f"insert of already-present row {row}")
+    return DeltaError(f"delete of absent row {row}")
+
+
 def signed_merge_plan(
-    rows: Sequence,
-    delta_rows: Sequence,
-    signs: Sequence[int],
-    strict: bool = True,
+    rows: Sequence, delta_rows: Sequence, signs: Sequence[int]
 ) -> list:
     """The splice plan merging a sorted signed delta into sorted ``rows``.
 
@@ -456,15 +503,14 @@ def signed_merge_plan(
     (the two are type-distinguishable) — that :func:`apply_signed_rows`
     materializes as a row list and :func:`apply_plan_to_columns` as
     per-attribute ``array('q')`` columns.  Each delta row costs one binary
-    search; everything between delta rows moves as one C-speed slice.
+    search; everything between delta rows moves as one C-speed slice.  This
+    is the interpreted arm of the signed merge: a delta on the numpy arm
+    never builds a plan (:func:`repro.incremental.delta.advance_relation`).
 
-    With ``strict`` (the default) an insert of a present row or a delete of
-    an absent row raises :class:`~repro.exceptions.DeltaError`; the
-    incremental engine validates batches up front, so a strict failure here
-    means a maintenance bug, not bad user input.
+    An insert of a present row or a delete of an absent row raises
+    :class:`DeltaError`; the incremental engine validates batches up front,
+    so a failure here means a maintenance bug, not bad user input.
     """
-    from repro.exceptions import DeltaError
-
     plan: list = []
     n = len(rows)
     prev = 0
@@ -473,21 +519,13 @@ def signed_merge_plan(
         if pos > prev:
             plan.append(slice(prev, pos))
         present = pos < n and rows[pos] == row
-        if sign > 0:
-            if present:
-                if strict:
-                    raise DeltaError(f"insert of already-present row {row}")
-                prev = pos
-                continue
+        if present == (sign > 0):
+            raise merge_violation(row, present)
+        if present:
+            prev = pos + 1
+        else:
             plan.append(row)
             prev = pos
-        else:
-            if not present:
-                if strict:
-                    raise DeltaError(f"delete of absent row {row}")
-                prev = pos
-                continue
-            prev = pos + 1
     if n > prev:
         plan.append(slice(prev, n))
     return plan
@@ -497,7 +535,6 @@ def apply_signed_rows(
     rows: Sequence,
     delta_rows: Sequence,
     signs: Sequence[int],
-    strict: bool = True,
     plan: list | None = None,
 ) -> list:
     """Merge a sorted signed delta into sorted, duplicate-free ``rows``.
@@ -513,7 +550,7 @@ def apply_signed_rows(
     if not isinstance(rows, list):
         rows = list(rows)
     if plan is None:
-        plan = signed_merge_plan(rows, delta_rows, signs, strict=strict)
+        plan = signed_merge_plan(rows, delta_rows, signs)
     out: list = []
     for step in plan:
         if type(step) is slice:
@@ -529,14 +566,8 @@ def apply_plan_to_columns(columns: Sequence, plan: list) -> tuple:
     The column-side twin of :func:`apply_signed_rows`: kept stretches move
     as C-level array slices, inserted rows contribute one code per column —
     so a relation version's columns advance in O(|delta| + memcpy) instead
-    of a fresh O(N · arity) transpose per batch.  Under the vectorized
-    backend the splice runs as one preallocated numpy fill per column
-    (same output buffers, bit for bit).
+    of a fresh O(N · arity) transpose per batch.
     """
-    from repro.relational.backend import current_backend
-
-    if len(plan) > 8 and current_backend() == "vectorized":
-        return _np_apply_plan(columns, plan)
     # array-slice extends hit the C same-typecode fast path; a memoryview
     # here would fall back to per-item iteration.
     out = [array("q") for _ in columns]
@@ -547,37 +578,6 @@ def apply_plan_to_columns(columns: Sequence, plan: list) -> tuple:
         else:
             for target, code in zip(out, step):
                 target.append(code)
-    return tuple(out)
-
-
-def _np_apply_plan(columns: Sequence, plan: list) -> tuple:
-    """:func:`apply_plan_to_columns` as one numpy fill per column.
-
-    Kept stretches are int64 slice assignments into a preallocated output
-    buffer, inserted rows scalar stores — one pass over the plan per column
-    instead of one ``array.extend`` dispatch per step per column.
-    """
-    import numpy
-
-    total = sum(
-        (step.stop - step.start) if type(step) is slice else 1 for step in plan
-    )
-    out = []
-    for position, column in enumerate(columns):
-        view = numpy.frombuffer(column, dtype=numpy.int64)
-        merged = numpy.empty(total, dtype=numpy.int64)
-        at = 0
-        for step in plan:
-            if type(step) is slice:
-                width = step.stop - step.start
-                merged[at : at + width] = view[step]
-                at += width
-            else:
-                merged[at] = step[position]
-                at += 1
-        target = array("q")
-        target.frombytes(merged.tobytes())
-        out.append(target)
     return tuple(out)
 
 

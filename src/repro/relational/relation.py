@@ -504,9 +504,9 @@ class Relation:
         """The same rows under positionally renamed attributes.
 
         Used by atom binding (``R(x, y)`` read as ``R(A, B)``): column ``i``
-        keeps its data but is re-interned into attribute ``schema[i]``'s
-        dictionary via a per-column code-translation table — one dictionary
-        lookup per *distinct* value instead of one per tuple occurrence.
+        keeps its data but is re-coded into attribute ``schema[i]``'s
+        dictionary by :meth:`Dictionary.translate` (the cached per-pair
+        code table), then the rows are re-sorted under the new codes.
         """
         schema = tuple(schema)
         if len(schema) != len(self.schema):
@@ -515,27 +515,12 @@ class Relation:
             )
         if schema == self.schema:
             return self.renamed(name)
-        translations: list[dict[int, int]] = []
-        for old_dict, attr in zip(self._dicts, schema):
-            new_dict = Dictionary.of(attr)
-            if new_dict is old_dict:
-                translations.append(None)  # type: ignore[arg-type]
-            else:
-                translations.append({})
-        new_rows = []
-        values = tuple(d.values for d in self._dicts)
-        encoders = tuple(Dictionary.of(a).encode for a in schema)
-        for row in self.code_rows:
-            out = []
-            for i, code in enumerate(row):
-                table = translations[i]
-                if table is None:
-                    out.append(code)
-                    continue
-                new_code = table.get(code)
-                if new_code is None:
-                    new_code = encoders[i](values[i][code])
-                    table[code] = new_code
-                out.append(new_code)
-            new_rows.append(tuple(out))
-        return Relation.from_codes(name, schema, new_rows, distinct=True)
+        columns = [
+            old.translate(Dictionary.of(attr), column)
+            for old, attr, column in zip(
+                self._dicts, schema, self._column_sets[self.schema].columns
+            )
+        ]
+        if vectorize(len(self)):  # translate's numpy arm hands back ndarrays
+            columns = [column.tolist() for column in columns]
+        return Relation.from_codes(name, schema, zip(*columns), distinct=True)

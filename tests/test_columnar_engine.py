@@ -26,12 +26,18 @@ from repro.relational import (
     scoped_work_counter,
     semijoin,
 )
+from repro.relational.backend import scoped_backend
 from repro.relational.columns import ColumnSet, Dictionary, gallop_left
 from repro.relational.io import load_relation_csv
 from repro.relational.trie import SortedTrieIterator
 
 
 # -- storage layer ------------------------------------------------------------------
+
+
+def _codes(column) -> list:
+    """A translated column (list or int64 ndarray) as a list of ints."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 class TestDictionary:
@@ -68,6 +74,73 @@ class TestDictionary:
         finally:
             # Restore the suite's shared dictionaries: relations built by
             # other tests must keep interoperating.
+            Dictionary._registry.clear()
+            Dictionary._registry.update(saved)
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_translate_interns_in_first_appearance_order(self, backend):
+        """The cached table re-codes a column exactly like a per-row pass."""
+        source, target = Dictionary("tr_src"), Dictionary("tr_dst")
+        for value in range(600):
+            source.encode(value)
+        target.encode(599)  # already interned: keeps its code
+        codes = [(7 * i) % 600 for i in range(600)] + [3, 3, 599]
+        with scoped_backend(backend):
+            out = _codes(source.translate(target, codes))
+            again = _codes(source.translate(target, codes[:10]))
+        replay = Dictionary("tr_replay")
+        replay.encode(599)
+        assert out == [replay.encode(code) for code in codes]
+        assert target.values == replay.values
+        assert again == out[:10]
+        with scoped_backend(backend):  # identity: same type per arm, no table
+            same = source.translate(source, codes)
+            assert type(same) is type(source.translate(target, codes))
+        assert _codes(same) == codes and source not in source._tables
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_translation_table_extends_as_the_source_grows(self, backend):
+        calls = []
+
+        class Recording(Dictionary):
+            def encode(self, value):
+                calls.append(value)
+                return Dictionary.encode(self, value)
+
+        source, target = Dictionary("tr_grow_src"), Recording("tr_grow_dst")
+        with scoped_backend(backend):
+            for value in range(300):
+                source.encode(value)
+            first = _codes(source.translate(target, list(range(300))))
+            table = source._tables[target]
+            for value in range(300, 700):
+                source.encode(value)
+            del calls[:]
+            second = _codes(source.translate(target, list(range(700))))
+        assert source._tables[target] is table  # extended, not rebuilt
+        assert len(table) == 700
+        assert second[:300] == first
+        assert calls == list(range(300, 700))  # only the new codes encode
+
+    def test_translation_tables_keyed_on_dictionary_identity(self):
+        """A post-reset dictionary of the same name gets no stale table."""
+        saved = dict(Dictionary._registry)
+        try:
+            old_source = Dictionary.of("tr_id_src")
+            old_target = Dictionary.of("tr_id_dst")
+            old_source.encode("a"), old_source.encode("b")
+            assert list(old_source.translate(old_target, [1, 0])) == [0, 1]
+            Dictionary.reset_registry()
+            source, target = Dictionary.of("tr_id_src"), Dictionary.of("tr_id_dst")
+            assert source is not old_source and not source._tables
+            source.encode("b"), source.encode("a")
+            target.encode("z")
+            assert list(source.translate(target, [0, 1])) == [1, 2]
+            assert [target.decode(c) for c in (1, 2)] == ["b", "a"]
+            # The old pair still translates through its own table.
+            assert list(old_source.translate(old_target, [0, 1])) == [1, 0]
+            assert list(old_source._tables) == [old_target]
+        finally:
             Dictionary._registry.clear()
             Dictionary._registry.update(saved)
 

@@ -25,9 +25,10 @@ from repro.exceptions import DeltaError, IncrementalError
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import BOOLEAN, COUNTING, FRACTION, MAX_PRODUCT, MIN_PLUS
 from repro.incremental import IncrementalQueryEngine, SignedDelta, VersionedRelation
+from repro.incremental.delta import advance_relation
 from repro.incremental.ivm import signed_join_delta, maintain_join_rows
 from repro.relational import Database, Relation, generic_join, scoped_work_counter
-from repro.relational.backend import scoped_backend
+from repro.relational.backend import have_numpy, scoped_backend
 from repro.relational.columns import apply_signed_rows
 from repro.relational.execution import delta_root_ranges
 
@@ -165,6 +166,215 @@ class TestApplySignedRows:
         rows = [(1,), (3,), (5,)]
         merged = apply_signed_rows(rows, [(0,), (3,), (6,)], [1, -1, 1])
         assert merged == [(0,), (1,), (5,), (6,)]
+
+
+MERGE_ATTRS = ("wa", "wb", "wc")
+MERGE_SHAPES = (
+    "insert_only", "delete_only", "mixed", "empty_base", "before_base",
+    "after_base", "one_position",
+)
+
+
+def merge_case(arity: int, shape: str, size: int = 300):
+    """``(base rows, delta rows, signs)``: ``size`` delta rows of ``shape``."""
+    rng = random.Random(stable_seed("merge", arity, shape, size))
+    width = {1: 4000, 2: 60, 3: 16}[arity]
+    universe = sorted(
+        {tuple(rng.randrange(width) for _ in range(arity)) for _ in range(3000)}
+    )
+    lifted = [(row[0] + 10 * width,) + row[1:] for row in universe]
+    if shape == "empty_base":
+        return [], universe[:size], [1] * size
+    if shape == "before_base":
+        return lifted, universe[:size], [1] * size
+    if shape == "after_base":
+        return universe, lifted[:size], [1] * size
+    if shape == "one_position":
+        # Every insert lands between the same two neighbouring base rows.
+        middle = len(universe) // 2
+        gap = universe[middle : middle + size]
+        return universe[:middle] + universe[middle + size :], gap, [1] * size
+    picked = sorted(rng.sample(range(len(universe)), size))
+    delta = [universe[i] for i in picked]
+    if shape == "insert_only":
+        signs = [1] * size
+    elif shape == "delete_only":
+        signs = [-1] * size
+    else:
+        signs = [rng.choice((1, -1)) for _ in range(size)]
+    absent = {row for row, sign in zip(delta, signs) if sign > 0}
+    return [row for row in universe if row not in absent], delta, signs
+
+
+def advanced_orders(backend: str, arity: int, base, delta_rows, signs):
+    """Advance a relation holding every full order; all orders' contents."""
+    import itertools
+
+    attrs = MERGE_ATTRS[:arity]
+    with scoped_backend(backend):
+        relation = Relation.from_codes("W", attrs, base, presorted=True, distinct=True)
+        for order in itertools.permutations(attrs):
+            relation.column_set(order).columns
+        out = advance_relation(relation, SignedDelta(attrs, delta_rows, signs))
+        lazy = [out.column_set(attrs)._rows is None]
+        lazy += [column_set._rows is None for _, column_set in out.cached_full_orders()]
+        assert len(lazy) == len(list(itertools.permutations(attrs)))
+        contents = {
+            order: (
+                list(out.column_set(order).rows),
+                [bytes(column) for column in out.column_set(order).columns],
+                out.column_set(order).content_digest(),
+            )
+            for order in itertools.permutations(attrs)
+        }
+    return contents, lazy
+
+
+@pytest.mark.skipif(not have_numpy(), reason="the numpy arm needs numpy")
+class TestSignedMergeArms:
+    """The numpy arm of the signed merge ≡ the interpreted arm, bit for bit."""
+
+    @pytest.mark.parametrize("shape", MERGE_SHAPES)
+    @pytest.mark.parametrize("arity", (1, 2, 3))
+    def test_arms_agree_on_every_cached_order(self, arity, shape):
+        base, delta, signs = merge_case(arity, shape)
+        interpreted, lazy = advanced_orders("interpreted", arity, base, delta, signs)
+        assert not any(lazy)  # the plan arm splices rows and columns
+        vectorized, lazy = advanced_orders("vectorized", arity, base, delta, signs)
+        assert all(lazy)  # the numpy arm leaves columns only
+        assert vectorized == interpreted
+        expected = sorted(
+            (set(base) | {r for r, s in zip(delta, signs) if s > 0})
+            - {r for r, s in zip(delta, signs) if s < 0}
+        )
+        assert interpreted[MERGE_ATTRS[:arity]][0] == expected
+
+    @pytest.mark.parametrize("size", (255, 256, 257))
+    def test_gate_straddle(self, size):
+        base, delta, signs = merge_case(2, "mixed", size)
+        interpreted, _ = advanced_orders("interpreted", 2, base, delta, signs)
+        vectorized, lazy = advanced_orders("vectorized", 2, base, delta, signs)
+        assert vectorized == interpreted
+        assert all(lazy) == (size >= 256) and any(lazy) == (size >= 256)
+
+    def test_sparse_codes_take_the_rerank_path(self):
+        """Codes ~2^40 apart at arity 3 overflow the mixed-radix key."""
+        base, delta, signs = merge_case(3, "mixed")
+        spread = lambda rows: [tuple(code << 40 for code in row) for row in rows]
+        interpreted, _ = advanced_orders(
+            "interpreted", 3, spread(base), spread(delta), signs
+        )
+        vectorized, lazy = advanced_orders(
+            "vectorized", 3, spread(base), spread(delta), signs
+        )
+        assert all(lazy) and vectorized == interpreted
+
+    @pytest.mark.parametrize("arity", (1, 2, 3))
+    @pytest.mark.parametrize("flip", ("insert_present", "delete_absent"))
+    def test_strict_violation_is_the_same_error(self, arity, flip):
+        base, delta, signs = merge_case(arity, "mixed")
+        wanted = -1 if flip == "insert_present" else 1
+        hits = [i for i, sign in enumerate(signs) if sign == wanted]
+        for i in (hits[len(hits) // 2], hits[-1]):  # the first one is named
+            signs[i] = -wanted
+        messages = []
+        for backend in ("interpreted", "vectorized"):
+            with pytest.raises(DeltaError) as caught:
+                advanced_orders(backend, arity, base, delta, signs)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert str(delta[hits[len(hits) // 2]]) in messages[0]
+        assert flip.replace("_", " of ")[:9] in messages[0]
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_versioned_log_replays_through_either_arm(self, backend):
+        base, delta, signs = merge_case(2, "mixed")
+        with scoped_backend(backend):
+            relation = Relation.from_codes("W", MERGE_ATTRS[:2], base)
+            log = VersionedRelation(relation, compact_min=10**9)
+            log.apply(SignedDelta(MERGE_ATTRS[:2], delta, signs))
+            small = [row for row in log.current.code_rows[:5]]
+            log.apply(SignedDelta(MERGE_ATTRS[:2], small, [-1] * 5))
+            assert log.snapshot(1).code_rows == advance_relation(
+                relation, log.runs[0]
+            ).code_rows
+            assert log.current.code_rows == sorted(
+                set(log.snapshot(1).code_rows) - set(small)
+            )
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_relabeled_delta_and_relation_agree_across_arms(self, backend):
+        rng = random.Random(stable_seed("relabel-arms"))
+        rows = sorted({(rng.randrange(900), rng.randrange(900)) for _ in range(700)})
+        relation = Relation("RL", ("rl_a", "rl_b"), rows)
+        delta = SignedDelta.from_changes(
+            relation, inserts=[(v + 1000, v) for v in range(300)],
+            deletes=rows[:100],
+        )
+        with scoped_backend(backend):
+            relabeled = delta.relabeled(("rl_x", "rl_y"))
+            bound = relation.relabeled("RL2", ("rl_x", "rl_y"))
+        assert relabeled.attrs == ("rl_x", "rl_y")
+        assert relabeled.rows == sorted(relabeled.rows)
+        assert sorted(relabeled.decoded()) == sorted(delta.decoded())
+        assert all(type(code) is int for row in relabeled.rows[:3] for code in row)
+        assert bound.tuples == relation.tuples
+        assert bound.code_rows == sorted(bound.code_rows)
+        reordered = delta.reordered(("rl_b", "rl_a"))
+        assert reordered.rows == sorted(reordered.rows)
+        assert sorted(
+            ((b, a), sign) for (a, b), sign in zip(delta.rows, delta.signs)
+        ) == list(zip(reordered.rows, reordered.signs))
+
+    @pytest.mark.parametrize("rows", (255, 256, 700))
+    def test_partial_rename_keeps_one_dictionary(self, rows):
+        """(a, b) -> (a, c): column 0 keeps its dictionary (the identity
+        translation), column 1 does not — on both sides of the gate."""
+        from repro.relational.columns import Dictionary
+
+        rng = random.Random(stable_seed("partial-rename", rows))
+        data = set()
+        while len(data) < rows:
+            data.add((rng.randrange(5000), rng.randrange(5000)))
+        seen = {}
+        for backend in ("interpreted", "vectorized"):
+            a, b, c = (f"pr{rows}_{backend}_{x}" for x in "abc")
+            with scoped_backend(backend):
+                relation = Relation("PR", (a, b), sorted(data))
+                delta = SignedDelta((a, b), list(relation.code_rows), [1] * rows)
+                bound = relation.relabeled("PR2", (a, c))
+                moved = delta.relabeled((a, c))
+            assert bound.schema == (a, c) and bound.tuples == relation.tuples
+            assert bound.code_rows == sorted(bound.code_rows)
+            assert all(type(code) is int for code in bound.code_rows[0])
+            assert moved.rows == bound.code_rows
+            seen[backend] = (
+                bound.code_rows,
+                [bytes(col) for col in bound.column_set((a, c)).columns],
+                Dictionary.of(c).values,
+            )
+        assert seen["interpreted"] == seen["vectorized"]
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_triangle_self_join_binds_past_the_gate(self, backend):
+        """E(A,B),E(B,C),E(A,C) over one stored E(A,B): every non-identity
+        binding keeps one column's dictionary and re-codes the other."""
+        rng = random.Random(stable_seed("triangle-self-join"))
+        edges = {(rng.randrange(40), rng.randrange(40)) for _ in range(700)}
+        attrs = tuple(f"tsj_{backend}_{x}" for x in "ABC")
+        a, b, c = attrs
+        database = Database([Relation("E", (a, b), edges)])
+        atoms = [Atom("E", (a, b)), Atom("E", (b, c)), Atom("E", (a, c))]
+        with scoped_backend(backend):
+            assert len(database["E"]) >= 256
+            bound = [atom.bind(database) for atom in atoms]
+            joined = generic_join(bound, attrs)
+        assert [r.schema for r in bound] == [(a, b), (b, c), (a, c)]
+        assert all(r.tuples == database["E"].tuples for r in bound)
+        assert set(joined.tuples) == {
+            (x, y, z) for x, y in edges for y2, z in edges
+            if y2 == y and (x, z) in edges
+        }
 
 
 class TestVersionedRelation:
@@ -372,6 +582,79 @@ class TestBitIdentityGate:
             assert engine.relation_log(second).runs  # still on its old base
         assert engine.stats.pooled_batches == pooled + 2
         engine.close()
+
+
+class TestLargeBatches:
+    """Batches past the ``vectorize`` gate: the merges run as array merges
+    (in the parent and, replayed from shipped runs, in the pool workers) and
+    everything stays bit-identical to the serial interpreted engine."""
+
+    def _run(self, workers: int, backend: str):
+        rng = random.Random(stable_seed("large-batches"))
+        query = make_query("triangle")
+        database = make_database(query, rng, size=1500, domain=60)
+        results = []
+        # The engine scopes its joins (and its workers) to ``backend``; the
+        # outer scope puts the parent-side log merges on the same arm.
+        with scoped_backend(backend), IncrementalQueryEngine(
+            query, workers=workers, execution_backend=backend, compact_min=10**9
+        ) as engine:
+            engine.execute(database)
+            engine.faq(COUNTING, free=("A",))
+            for _ in range(3):
+                for atom in query.body:
+                    random_batch(
+                        engine, rng, atom.name, inserts=420, deletes=300, domain=60
+                    )
+                maintained = engine.refresh()
+                assert maintained.relation.code_rows == oracle_rows(engine)
+                counted = engine.faq(COUNTING, free=("A",))
+                results.append(
+                    (
+                        list(maintained.relation.code_rows),
+                        sorted(counted._data.items()),
+                        [
+                            engine.relation_log(atom.name).current.column_set(
+                                atom.variables
+                            ).content_digest()
+                            for atom in query.body
+                        ],
+                    )
+                )
+            stats = engine.stats
+            assert stats.delta_rows >= 3 * 3 * 256  # every batch is past the gate
+            counts = (stats.join_terms, stats.delta_rows, stats.compactions)
+            assert (stats.pooled_batches > 0) == (workers > 1)
+        return results, counts
+
+    @pytest.mark.skipif(not have_numpy(), reason="the numpy arm needs numpy")
+    def test_columns_only_versions_validate_and_merge_untransposed(
+        self, no_row_transpose
+    ):
+        rows = {(i, (7 * i) % 1000) for i in range(2000)}
+        relation = Relation("CV", ("cv_a", "cv_b"), sorted(rows))
+        with scoped_backend("vectorized"):
+            relation.column_set(relation.schema).columns
+            log = VersionedRelation(relation, compact_min=10**9)
+            for step in range(3):
+                inserts = {(5000 + 400 * step + i, i) for i in range(400)}
+                deletes = set(sorted(rows)[: 300])
+                delta = SignedDelta.from_changes(log.current, inserts, deletes)
+                assert len(delta) == 700
+                log.apply(delta)
+                rows = (rows | inserts) - deletes
+                assert log.current.column_set(relation.schema)._rows is None
+            with pytest.raises(DeltaError):
+                SignedDelta.from_changes(log.current, deletes=[(0, 0)])
+            columns = log.current.column_set(relation.schema).columns
+        decode = relation.decode_row
+        assert {decode(row) for row in zip(*columns)} == rows
+
+    def test_pooled_and_vectorized_match_serial_interpreted(self):
+        expected = self._run(1, "interpreted")
+        assert self._run(1, "vectorized") == expected
+        assert self._run(2, "vectorized") == expected
+        assert self._run(2, "interpreted") == expected
 
 
 class TestFaqMaintenance:
