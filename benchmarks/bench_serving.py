@@ -67,7 +67,7 @@ def _uniform_rows(rng, n, domain):
 
 
 def _workload(rng, n):
-    # Same density regime as bench_incremental: average degree ~20.
+    # Average degree ~20: the density of the ledger's serve_mixed triangle.
     domain = max(8, n // 20)
     database = Database(
         [Relation(a.name, a.variables, _uniform_rows(rng, n, domain)) for a in ATOMS]

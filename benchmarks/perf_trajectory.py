@@ -60,14 +60,6 @@ def _metrics_parallel(payload: dict) -> dict:
     }
 
 
-def _metrics_incremental(payload: dict) -> dict:
-    return {
-        f"incremental.{entry['workload']}.best_speedup":
-            entry["best_speedup"]
-        for entry in payload.get("results", [])
-    }
-
-
 def _metrics_out_of_core(payload: dict) -> dict:
     if not payload.get("ceiling_enforced"):
         return {}  # toy scale: the cap was below the interpreter baseline
@@ -101,7 +93,6 @@ def _metrics_serving(payload: dict) -> dict:
 EXTRACTORS = {
     "wcoj_engine_comparison": _metrics_wcoj,
     "parallel_join": _metrics_parallel,
-    "incremental_maintenance": _metrics_incremental,
     "out_of_core": _metrics_out_of_core,
     "serving_mixed_traffic": _metrics_serving,
 }

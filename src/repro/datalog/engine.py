@@ -271,7 +271,7 @@ class DatalogEngine(MaintainedEngine):
 
     # -- the fixpoint paths ----------------------------------------------------------
 
-    def _run_stratum(self, stratum: Stratum, **seeding) -> dict[str, list]:
+    def _run_stratum(self, stratum: Stratum, **seeding) -> dict[str, SignedDelta]:
         """One stratum to fixpoint over the store, planner path and executor."""
         return run_stratum(
             stratum, self.program, self._require_bound(), self.stats,
@@ -370,13 +370,7 @@ class DatalogEngine(MaintainedEngine):
             }
             fresh = self._run_stratum(stratum, seeds=seeds, seed_old=seed_old)
             for name in sorted(fresh):
-                rows = sorted(fresh[name])
-                announced[name] = (
-                    SignedDelta(
-                        self.program.schema(name), rows, [1] * len(rows)
-                    ),
-                    pre[name],
-                )
+                announced[name] = (fresh[name], pre[name])
 
     def _recompute_strata(
         self, deltas: dict[str, SignedDelta], affected: list[Stratum]
@@ -403,7 +397,7 @@ class DatalogEngine(MaintainedEngine):
 
     # -- round-0 rule evaluation (planner path) ----------------------------------------
 
-    def _evaluate_rule(self, state) -> list:
+    def _evaluate_rule(self, state) -> Relation:
         """One rule's full positive body join on the current data.
 
         Empty inputs shortcut to the empty join — a recursive rule whose
@@ -416,7 +410,7 @@ class DatalogEngine(MaintainedEngine):
         for atom in rule.body:
             current.setdefault(atom.name, store.relation(atom.name))
         if any(relation.is_empty() for relation in current.values()):
-            return []
+            return Relation.from_codes(rule.head.name, state.order, [])
         # One scratch engine per rule, planned under its bindings' pinned
         # cardinalities: round-0 evaluations across refreshes are planner
         # cache hits instead of fresh plans.
@@ -427,7 +421,7 @@ class DatalogEngine(MaintainedEngine):
             self._driver,
             [(atom, len(store.binding(atom).current)) for atom in rule.body],
         )
-        return result.relation.code_rows
+        return result.relation
 
     # -- pooled delta terms ----------------------------------------------------------
 
@@ -436,7 +430,7 @@ class DatalogEngine(MaintainedEngine):
             return execute_jobs_serial
         return self._execute_jobs_pooled
 
-    def _execute_jobs_pooled(self, jobs: Sequence[TermJob]) -> list:
+    def _execute_jobs_pooled(self, jobs: Sequence[TermJob]) -> list[tuple]:
         """Fan a round's delta-rule terms out over the worker pool.
 
         Jobs carrying version lifts go through
@@ -468,7 +462,7 @@ class DatalogEngine(MaintainedEngine):
                         tuple(token_of[key] for key in job.keys),
                         job.versions,
                         job.index,
-                        job.delta_rows,
+                        job.relations[job.index],
                     )
                     for job in pooled
                 ],

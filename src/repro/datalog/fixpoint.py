@@ -35,14 +35,17 @@ every driver and execution backend.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.datalog.atoms import Atom
 from repro.exceptions import DatalogError
 from repro.incremental.delta import SignedDelta, VersionedRelation
-from repro.incremental.ivm import execute_delta_term
-from repro.relational.columns import Dictionary
+from repro.incremental.ivm import execute_delta_term, term_rows
+from repro.relational.backend import vectorize
+from repro.relational.columns import ColumnSet, Dictionary
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -449,7 +452,7 @@ class PredicateStore:
 
 
 class _RuleState:
-    """Per-rule evaluation state: orders, projections, negation filters."""
+    """Per-rule evaluation state: orders, head projection, negated atoms."""
 
     __slots__ = (
         "rule", "order", "head_positions", "head_schema", "negation",
@@ -462,70 +465,86 @@ class _RuleState:
             self.order.index(v) for v in rule.head.variables
         )
         self.head_schema = program.schema(rule.head.name)
-        #: per negated atom: positions of its variables in ``order`` (the
-        #: membership sets are resolved per stratum run — lower strata are
-        #: final by then, so one key_set per atom serves every round).
+        #: per negated atom: positions of its variables in ``order`` (lower
+        #: strata are final by the time the rule's stratum runs, so the
+        #: atom's binding holds the same content every round).
         self.negation: tuple[tuple[Atom, tuple[int, ...]], ...] = tuple(
             (atom, tuple(self.order.index(v) for v in atom.variables))
             for atom in rule.negated
         )
 
-    def negation_filter(
-        self, store: PredicateStore
-    ) -> Callable[[list], list] | None:
-        """The per-row stratified-negation filter, or ``None`` if trivial."""
-        if not self.negation:
-            return None
-        probes = []
-        for atom, positions in self.negation:
-            present = store.binding(atom).current.key_set(atom.variables)
-            probes.append((positions, present))
+    def head_columns(self, columns: Sequence) -> tuple:
+        """Project body bindings — aligned code columns under ``order`` —
+        onto the head, coded under the predicate schema.
 
-        def apply(rows: list) -> list:
-            out = rows
-            for positions, present in probes:
-                out = [
-                    row
-                    for row in out
-                    if tuple(row[p] for p in positions) not in present
-                ]
-            return out
-
-        return apply
-
-    def head_rows(self, rows: list) -> list:
-        """Project join rows onto the head and translate into the predicate schema.
-
-        Rows arrive coded under the rule's variables; column ``i`` is
-        translated from ``head.variables[i]``'s dictionary into
-        ``head_schema[i]``'s (identity when the names coincide — the first
-        head occurrence defines the schema, so its own rules pay nothing).
+        Head column ``i`` is the picked column itself when
+        ``head.variables[i]`` names the schema attribute (the first head
+        occurrence defines the schema, so its own rules pay nothing), else
+        re-coded into ``head_schema[i]``'s dictionary by
+        :meth:`Dictionary.translate`.  Schema attributes are distinct, so
+        each target dictionary interns in the rows' order.  The one head
+        projection of round 0, the delta rounds and the naive oracle.
         """
-        positions = self.head_positions
-        projected = [tuple(row[p] for p in positions) for row in rows]
-        translators = []
-        identity = True
-        for source, target in zip(self.rule.head.variables, self.head_schema):
-            if source == target:
-                translators.append(None)
-            else:
-                identity = False
-                translators.append(
-                    (Dictionary.of(source).values, Dictionary.of(target).encode)
-                )
-        if identity:
-            return projected
-        out = []
-        for row in projected:
-            coded = []
-            for translator, code in zip(translators, row):
-                if translator is None:
-                    coded.append(code)
-                else:
-                    values, encode = translator
-                    coded.append(encode(values[code]))
-            out.append(tuple(coded))
-        return out
+        return tuple(
+            columns[position]
+            if source == target
+            else Dictionary.of(source).translate(
+                Dictionary.of(target), columns[position]
+            )
+            for position, source, target in zip(
+                self.head_positions, self.rule.head.variables, self.head_schema
+            )
+        )
+
+
+def _absent_rows(
+    columns: Sequence, positions: tuple[int, ...], present: ColumnSet
+) -> tuple:
+    """The rows of the aligned ``columns`` whose ``positions`` projection is
+    no row of ``present`` (sorted under exactly those attributes).
+
+    Past the gate (on the rows filtered) one membership mask of ``pack_keys``
+    keys — the semijoin / difference kernel of
+    :mod:`repro.relational.operators` — below it :meth:`ColumnSet.find_row`
+    per row; never a side set of ``present``'s rows.
+    """
+    if not vectorize(len(columns[0])):
+        find = present.find_row
+        kept = [
+            row
+            for row in zip(*columns)
+            if not find(tuple(row[p] for p in positions))[1]
+        ]
+        return tuple(zip(*kept)) or ((),) * len(columns)
+    import numpy as np
+
+    from repro.relational.vectorized import membership_mask, np_to_column, pack_keys
+
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    keys, present_keys = pack_keys(
+        [columns[p] for p in positions], present.np_columns()
+    )
+    absent = ~membership_mask(keys, present_keys)
+    return tuple(np_to_column(column[absent]) for column in columns)
+
+
+def _head_block(
+    state: _RuleState, columns: Sequence, nrows: int, store: PredicateStore
+) -> tuple | None:
+    """One rule firing's head candidates: stratified negation, then the head
+    projection, over ``nrows`` body bindings held as columns under
+    ``state.order``.  ``None`` when no binding survives; the block of a
+    nullary head is ``()`` — its one empty row.
+    """
+    for atom, positions in state.negation:
+        present = store.binding(atom).current.column_set(atom.variables)
+        if not positions:
+            # A nullary guard keeps every binding or none.
+            nrows = 0 if present.nrows else nrows
+        elif nrows:
+            columns = _absent_rows(columns, positions, present)
+            nrows = len(columns[0])
+    return state.head_columns(columns) if nrows else None
 
 
 @dataclass
@@ -533,23 +552,23 @@ class TermJob:
     """One delta-rule term, ready for serial or pooled execution.
 
     ``relations`` is the in-process input list (new versions left of the
-    delta, old versions right — the :func:`iter_delta_terms` layout);
-    ``keys``/``versions`` describe the same inputs for the worker pool's
-    resident-base protocol (``versions[index]`` is ``None`` at the delta
-    position; a ``versions`` of ``None`` marks a term that must run
-    in-process, e.g. when the old side is a retained snapshot with no
-    version lift available).
+    delta, old versions right — the :func:`iter_delta_terms` layout) and
+    ``relations[index]`` the term's delta relation, which is also what the
+    pool ships; ``keys``/``versions`` describe the other inputs for the
+    worker pool's resident-base protocol (``versions[index]`` is ``None``
+    at the delta position; a ``versions`` of ``None`` marks a term that
+    must run in-process, e.g. when the old side is a retained snapshot with
+    no version lift available).
     """
 
     state: _RuleState
     index: int
     relations: list
-    delta_rows: list
     keys: tuple
     versions: tuple | None
 
 
-def execute_jobs_serial(jobs: Sequence[TermJob]) -> list[list]:
+def execute_jobs_serial(jobs: Sequence[TermJob]) -> list[tuple]:
     """The in-process term executor: one :func:`execute_delta_term` per job."""
     return [
         execute_delta_term(job.relations, job.state.order, job.index)
@@ -558,22 +577,56 @@ def execute_jobs_serial(jobs: Sequence[TermJob]) -> list[list]:
 
 
 def _fresh_deltas(
-    candidates: dict[str, set],
-    known: dict[str, set],
-    schemas: dict[str, tuple[str, ...]],
+    candidates: dict[str, list],
+    store: PredicateStore,
     totals: dict[str, list],
     stats: FixpointStats,
 ) -> dict[str, SignedDelta]:
-    """Turn a round's candidate head rows into next round's insert deltas."""
+    """Turn a round's candidate head blocks into next round's insert deltas.
+
+    Per predicate, the candidates are sorted, deduplicated and kept only if
+    absent from the predicate's **current version in the store**: past the
+    gate (on the candidate count) one ``np.unique`` of their ``pack_keys``
+    keys and one membership search in the current version's, the delta
+    adopting the surviving columns; below it a ``sorted`` set of tuples
+    probed by :meth:`ColumnSet.find_row`.
+    """
     deltas: dict[str, SignedDelta] = {}
     for name in sorted(candidates):
-        fresh = sorted(candidates[name] - known[name])
-        if not fresh:
+        blocks = candidates[name]
+        relation = store.relation(name)
+        schema, current = relation.schema, relation.column_set(relation.schema)
+        if schema and vectorize(sum(len(block[0]) for block in blocks)):
+            import numpy as np
+
+            from repro.relational.vectorized import (
+                membership_mask,
+                np_to_column,
+                pack_keys,
+            )
+
+            columns = [
+                np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+                for parts in zip(*blocks)
+            ]
+            keys, current_keys = pack_keys(columns, current.np_columns())
+            keys, first = np.unique(keys, return_index=True)
+            first = first[~membership_mask(keys, current_keys)]
+            fresh = SignedDelta(
+                schema,
+                None,
+                array("q", [1]) * len(first),
+                columns=[np_to_column(column[first]) for column in columns],
+            )
+        else:
+            rows = {row for block in blocks for row in term_rows(block)}
+            rows = [row for row in sorted(rows) if not current.find_row(row)[1]]
+            fresh = SignedDelta(schema, rows, array("q", [1]) * len(rows))
+        if fresh.is_empty:
             continue
-        known[name].update(fresh)
-        totals[name].extend(fresh)
+        totals[name].append(fresh)
         stats.derived_rows += len(fresh)
-        deltas[name] = SignedDelta(schemas[name], fresh, [1] * len(fresh))
+        deltas[name] = fresh
     return deltas
 
 
@@ -582,12 +635,13 @@ def run_stratum(
     program: DatalogProgram,
     store: PredicateStore,
     stats: FixpointStats,
-    evaluate_rule: Callable[[_RuleState], list] | None = None,
+    evaluate_rule: Callable[[_RuleState], Relation] | None = None,
     executor: Callable[[Sequence[TermJob]], list] | None = None,
     seeds: Mapping[str, SignedDelta] | None = None,
     seed_old: Mapping[tuple, Relation] | None = None,
-) -> dict[str, list]:
-    """Evaluate one stratum to fixpoint; returns the net new rows per predicate.
+) -> dict[str, SignedDelta]:
+    """Evaluate one stratum to fixpoint; returns each predicate's net new
+    tuples as one insert-only :class:`SignedDelta`.
 
     Two entry modes:
 
@@ -605,33 +659,28 @@ def run_stratum(
     Every subsequent round applies the previous round's fresh tuples as an
     insert-only :class:`SignedDelta` (old side snapshotted just before),
     fires only the delta-rule terms of rules whose bodies changed, and
-    terminates the moment a round derives nothing new.
+    terminates the moment a round derives nothing new.  "Already derived"
+    is read off the store's current versions: entering a stratum costs
+    nothing in the size of its predicates.
     """
     states = [_RuleState(rule, program) for rule in stratum.rules]
     if executor is None:
         executor = execute_jobs_serial
-    schemas = {name: program.schema(name) for name in stratum.predicates}
-    known = {
-        name: set(store.relation(name).code_rows)
-        for name in stratum.predicates
-    }
+    if evaluate_rule is None:
+        evaluate_rule = partial(_evaluate_rule_inline, store=store)
     totals: dict[str, list] = {name: [] for name in stratum.predicates}
     stats.strata += 1
 
     if seeds is None:
-        candidates: dict[str, set] = {}
+        candidates: dict[str, list] = {}
         for state in states:
-            if evaluate_rule is None:
-                rows = _evaluate_rule_inline(state, store)
-            else:
-                rows = evaluate_rule(state)
+            joined = evaluate_rule(state)
             stats.full_evaluations += 1
-            negation = state.negation_filter(store)
-            if negation is not None:
-                rows = negation(rows)
-            bucket = candidates.setdefault(state.rule.head.name, set())
-            bucket.update(state.head_rows(rows))
-        pending = _fresh_deltas(candidates, known, schemas, totals, stats)
+            columns = joined.column_set(state.order).columns
+            block = _head_block(state, columns, len(joined), store)
+            if block is not None:
+                candidates.setdefault(state.rule.head.name, []).append(block)
+        pending = _fresh_deltas(candidates, store, totals, stats)
         external_old: Mapping[tuple, Relation] = {}
     else:
         pending = {
@@ -644,22 +693,25 @@ def run_stratum(
     while pending:
         stats.rounds += 1
         pending = _run_round(
-            states, store, pending, external_old, known, schemas,
-            totals, stats, executor,
+            states, store, pending, external_old, totals, stats, executor
         )
         external_old = {}
         stats.compactions += store.compact(stratum.predicates)
-    return {name: totals[name] for name in sorted(totals) if totals[name]}
+    return {
+        name: SignedDelta.merged(runs)
+        for name, runs in sorted(totals.items())
+        if runs
+    }
 
 
-def _evaluate_rule_inline(state: _RuleState, store: PredicateStore) -> list:
+def _evaluate_rule_inline(state: _RuleState, store: PredicateStore) -> Relation:
     """Planner-free round-0 evaluation (library fallback): one Generic Join."""
     from repro.relational.wcoj import generic_join
 
     relations = [store.binding(atom).current for atom in state.rule.body]
     if any(relation.is_empty() for relation in relations):
-        return []
-    return generic_join(relations, state.order).code_rows
+        return Relation.from_codes(state.rule.head.name, state.order, [])
+    return generic_join(relations, state.order)
 
 
 def _run_round(
@@ -667,8 +719,6 @@ def _run_round(
     store: PredicateStore,
     deltas: Mapping[str, SignedDelta],
     external_old: Mapping[tuple, Relation],
-    known: dict[str, set],
-    schemas: dict[str, tuple[str, ...]],
     totals: dict[str, list],
     stats: FixpointStats,
     executor: Callable[[Sequence[TermJob]], list],
@@ -686,11 +736,7 @@ def _run_round(
             for key in keys:
                 old_relations[key] = external_old[key]
                 old_versions[key] = None
-                binding_deltas[key] = (
-                    deltas[name]
-                    if key[1] == deltas[name].attrs
-                    else deltas[name].relabeled(key[1])
-                )
+                binding_deltas[key] = deltas[name].relabeled(key[1])
             continue
         for key in keys:
             log = store.binding_by_key(key)
@@ -699,7 +745,6 @@ def _run_round(
         binding_deltas.update(store.apply(name, deltas[name]))
 
     jobs: list[TermJob] = []
-    job_states: list[tuple[_RuleState, Callable | None]] = []
     for state in states:
         body = state.rule.body
         if not any(atom.name in deltas for atom in body):
@@ -710,7 +755,6 @@ def _run_round(
             old_relations.get(key, relation)
             for key, relation in zip(keys, new_bindings)
         ]
-        negation = state.negation_filter(store)
         for i, atom in enumerate(body):
             delta = binding_deltas.get(keys[i])
             if delta is None or delta.is_empty:
@@ -747,21 +791,20 @@ def _run_round(
                     state=state,
                     index=i,
                     relations=relations,
-                    delta_rows=delta.rows,
                     keys=keys,
                     versions=versions,
                 )
             )
-            job_states.append((state, negation))
 
     stats.delta_terms += len(jobs)
-    candidates: dict[str, set] = {}
-    for (state, negation), rows in zip(job_states, executor(jobs)):
-        if negation is not None:
-            rows = negation(rows)
-        bucket = candidates.setdefault(state.rule.head.name, set())
-        bucket.update(state.head_rows(rows))
-    return _fresh_deltas(candidates, known, schemas, totals, stats)
+    candidates: dict[str, list] = {}
+    for job, columns in zip(jobs, executor(jobs)):
+        # A term over no variables has the one empty binding (``term_rows``).
+        nrows = len(columns[0]) if columns else 1
+        block = _head_block(job.state, columns, nrows, store)
+        if block is not None:
+            candidates.setdefault(job.state.rule.head.name, []).append(block)
+    return _fresh_deltas(candidates, store, totals, stats)
 
 
 # -- the naive oracle ---------------------------------------------------------------
@@ -800,8 +843,11 @@ def evaluate_program_naive(
             changed = False
             for state in states:
                 rows = _naive_rule_rows(state, program, database, current, idb)
+                if not rows:
+                    continue
                 known = set(current[state.rule.head.name])
-                fresh = sorted(set(state.head_rows(rows)) - known)
+                columns = state.head_columns(tuple(zip(*rows)))
+                fresh = sorted(set(term_rows(columns)) - known)
                 if fresh:
                     changed = True
                     merged = sorted(known.union(fresh))

@@ -80,8 +80,9 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
     """One column set advanced by a signed batch over the same attributes.
 
     A delta below the gate (or no numpy) takes the interpreted arm: one
-    :func:`signed_merge_plan`, spliced into the rows and into the columns
-    the previous version had built.  On the numpy arm
+    :func:`signed_merge_plan` — located in whichever form the previous
+    version holds, so a small round never transposes a columns-only version
+    — spliced into the rows and the columns it had built.  On the numpy arm
     (``vectorize(len(delta))``: a semi-naïve round, a serving batch) the
     merge is one ``searchsorted`` over :func:`pack_keys`, the strict
     contract one comparison of the membership mask with the signs, then one
@@ -89,12 +90,13 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
     tuples lazy.  Same :class:`DeltaError`, same first offending row.
     """
     if not vectorize(len(delta)):
-        rows = column_set.rows
-        plan = signed_merge_plan(rows, delta.rows, delta.signs)
-        columns = column_set.materialized_columns
+        plan = signed_merge_plan(column_set, delta.rows, delta.signs)
+        rows, columns = column_set.materialized_rows, column_set.materialized_columns
         return ColumnSet(
             column_set.attrs,
-            apply_signed_rows(rows, delta.rows, delta.signs, plan=plan),
+            None
+            if rows is None
+            else apply_signed_rows(rows, delta.rows, delta.signs, plan=plan),
             presorted=True,
             columns=None if columns is None else apply_plan_to_columns(columns, plan),
         )
@@ -125,41 +127,44 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
     )
 
 
-def _row_present(column_set: ColumnSet, row: tuple) -> bool:
-    """Membership of a code tuple: two column binary searches per level, so
-    a columns-only version never transposes its rows to validate a batch."""
-    lo, hi = 0, column_set.nrows
-    for depth, code in enumerate(row):
-        lo, hi = column_set.code_range(code, code + 1, lo, hi, depth)
-    return lo < hi
-
-
 class SignedDelta:
     """One validated change batch: sorted code rows + ±1 multiplicities.
 
     Attributes:
-        attrs: the attribute (or variable) names the code rows are encoded
+        attrs: the attribute (or variable) names the codes are encoded
             under — each column's codes live in ``Dictionary.of(attr)``.
-        rows: ascending, duplicate-free code tuples.
+        column_set: the ascending, duplicate-free code tuples, held the way
+            a relation's are — as row tuples, as ``array('q')`` code columns,
+            or both.  Join output, the fixpoint and the pool wire hand over
+            columns; :attr:`rows` is derived on first use, which only the
+            interpreted arms and the wording of a :class:`DeltaError` do.
         signs: aligned ``array('q')`` of ``+1`` (insert) / ``-1`` (delete).
     """
 
-    __slots__ = ("attrs", "rows", "signs", "_np_columns")
+    __slots__ = ("column_set", "signs")
 
     def __init__(
         self,
         attrs: Sequence[str],
-        rows: list,
+        rows: list | None,
         signs: Sequence[int],
+        columns: Sequence | None = None,
     ) -> None:
-        self.attrs: tuple[str, ...] = tuple(attrs)
-        self.rows: list = rows
+        self.column_set = ColumnSet(attrs, rows, presorted=True, columns=columns)
         self.signs: array = signs if isinstance(signs, array) else array("q", signs)
-        self._np_columns: tuple | None = None
-        if len(self.rows) != len(self.signs):
+        if self.column_set.nrows != len(self.signs):
             raise IncrementalError(
-                f"{len(self.rows)} delta rows vs {len(self.signs)} signs"
+                f"{self.column_set.nrows} delta rows vs {len(self.signs)} signs"
             )
+
+    @property
+    def attrs(self) -> tuple[str, ...]:
+        return self.column_set.attrs
+
+    @property
+    def rows(self) -> list:
+        """The ascending code tuples (transposed from columns on first use)."""
+        return self.column_set.rows
 
     @classmethod
     def from_changes(
@@ -224,7 +229,7 @@ class SignedDelta:
 
         entries: list[tuple[tuple, int]] = []
         for row in removed:
-            if _row_present(base, row):
+            if base.find_row(row)[1]:
                 entries.append((row, -1))
             else:
                 raise DeltaError(
@@ -232,7 +237,7 @@ class SignedDelta:
                     f"{relation.decode_row(row)}"
                 )
         for row in inserted:
-            if not _row_present(base, row):
+            if not base.find_row(row)[1]:
                 entries.append((row, +1))
         entries.sort()
         return cls(
@@ -244,68 +249,86 @@ class SignedDelta:
     # -- protocol ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.signs)
 
     @property
     def is_empty(self) -> bool:
-        return not self.rows
+        return not self.signs
 
     def __repr__(self) -> str:
         pos = sum(1 for s in self.signs if s > 0)
-        return (
-            f"SignedDelta({self.attrs}: +{pos}/-{len(self.rows) - pos} rows)"
-        )
-
-    def signed_rows(self, sign: int) -> list:
-        """The rows carrying ``sign`` (ascending)."""
-        return [row for row, s in zip(self.rows, self.signs) if s == sign]
+        return f"SignedDelta({self.attrs}: +{pos}/-{len(self) - pos} rows)"
 
     def relation(self, sign: int, name: str) -> Relation:
-        """The rows of one sign as a (tiny) set relation — a delta-join input."""
-        return Relation.from_codes(
-            name, self.attrs, self.signed_rows(sign),
-            presorted=True, distinct=True,
+        """The rows of one sign as a set relation — a delta-join input (on
+        the numpy arm one mask over the code columns, adopted as columns)."""
+        if not vectorize(len(self)):
+            rows = [row for row, s in zip(self.rows, self.signs) if s == sign]
+            return Relation.from_codes(
+                name, self.attrs, rows, presorted=True, distinct=True
+            )
+        import numpy as np
+
+        from repro.relational.vectorized import np_to_column
+
+        chosen = np.frombuffer(self.signs, dtype=np.int64) == sign
+        return Relation.from_columns(
+            name,
+            self.attrs,
+            [np_to_column(column[chosen]) for column in self.code_columns()],
         )
 
     def code_columns(self) -> tuple:
-        """One code column per attribute: plain tuples below the gate, int64
-        ndarrays on the numpy arm — built once per delta there, so the merge
-        into every cached order and every relabeling read the same arrays.
-        """
-        arity = len(self.attrs)
-        if not vectorize(len(self)):
-            return tuple(zip(*self.rows)) or ((),) * arity
-        if self._np_columns is None:
-            import numpy as np
+        """One code column per attribute: the ``array('q')`` buffers below
+        the gate, their zero-copy int64 views on the numpy arm."""
+        if vectorize(len(self)):
+            return self.column_set.np_columns()
+        return self.column_set.columns
 
-            block = np.array(self.rows, dtype=np.int64).reshape(-1, arity)
-            self._np_columns = tuple(np.ascontiguousarray(block.T))
-        return self._np_columns
-
-    def _resorted(self, attrs: Sequence[str], columns: Sequence) -> "SignedDelta":
-        """These signs over ``attrs`` and the aligned, unsorted ``columns``,
-        sorted: one ``pack_keys`` argsort on the numpy arm, ``sorted`` of the
-        re-tupled rows below the gate."""
-        if not vectorize(len(self)):
-            entries = sorted(zip(zip(*columns), self.signs))
+    @classmethod
+    def sorted_from(
+        cls, attrs: Sequence[str], columns: Sequence, signs: array
+    ) -> "SignedDelta":
+        """The batch of ``signs`` over the aligned, unsorted ``columns``: one
+        ``pack_keys`` argsort on the numpy arm (row tuples stay lazy),
+        ``sorted`` of the re-tupled rows below the gate."""
+        if not vectorize(len(signs)):
+            entries = sorted(zip(zip(*columns), signs))
             signs = array("q", (sign for _, sign in entries))
-            return SignedDelta(attrs, [row for row, _ in entries], signs)
+            return cls(attrs, [row for row, _ in entries], signs)
         import numpy as np
 
         from repro.relational.vectorized import np_to_column, pack_keys
 
         by_row = np.argsort(pack_keys(columns)[0])
-        columns = tuple(column[by_row] for column in columns)
-        signs = np_to_column(np.frombuffer(self.signs, dtype=np.int64)[by_row])
-        rows = list(zip(*(column.tolist() for column in columns)))
-        out = SignedDelta(attrs, rows, signs)
-        out._np_columns = columns
-        return out
+        signs = np_to_column(np.frombuffer(signs, dtype=np.int64)[by_row])
+        columns = [np_to_column(column[by_row]) for column in columns]
+        return cls(attrs, None, signs, columns=columns)
+
+    @classmethod
+    def merged(cls, runs: Sequence["SignedDelta"]) -> "SignedDelta":
+        """Disjoint batches over the same attributes as one sorted batch —
+        a stratum's rounds as its net change."""
+        if len(runs) == 1:
+            return runs[0]
+        signs = array("q")
+        for run in runs:
+            signs.extend(run.signs)
+        if vectorize(len(signs)):
+            import numpy as np
+
+            parts = zip(*(run.column_set.np_columns() for run in runs))
+            columns = [np.concatenate(part) for part in parts]
+        else:
+            columns = list(zip(*(row for run in runs for row in run.rows)))
+        return cls.sorted_from(runs[0].attrs, columns, signs)
 
     def reordered(self, order: Sequence[str]) -> "SignedDelta":
         """The same changes with the columns permuted into ``order``."""
         columns = self.code_columns()
-        return self._resorted(order, [columns[self.attrs.index(a)] for a in order])
+        return self.sorted_from(
+            order, [columns[self.attrs.index(a)] for a in order], self.signs
+        )
 
     def relabeled(self, variables: Sequence[str]) -> "SignedDelta":
         """The same changes under positionally renamed attributes.
@@ -323,9 +346,10 @@ class SignedDelta:
         if variables == self.attrs:
             return self
         pairs = zip(self.attrs, variables, self.code_columns())
-        return self._resorted(
+        return self.sorted_from(
             variables,
             [Dictionary.of(a).translate(Dictionary.of(v), col) for a, v, col in pairs],
+            self.signs,
         )
 
     def decoded(self) -> list[tuple[tuple, int]]:

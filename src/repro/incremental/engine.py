@@ -466,9 +466,7 @@ class IncrementalQueryEngine(MaintainedEngine):
             run_terms = None
             if self.workers > 1:
                 run_terms = partial(
-                    self._pooled_terms,
-                    old_versions=old_atom_versions,
-                    atom_deltas=atom_deltas,
+                    self._pooled_terms, old_versions=old_atom_versions
                 )
             with scoped_backend(self.execution_backend):
                 net, executed = signed_join_delta(
@@ -591,13 +589,13 @@ class IncrementalQueryEngine(MaintainedEngine):
 
     # -- pooled maintenance ----------------------------------------------------------
 
-    def _pooled_terms(self, terms, old_versions, atom_deltas) -> list[list]:
+    def _pooled_terms(self, terms, old_versions) -> list[tuple]:
         """Fan one batch's delta-rule terms out over the worker pool.
 
         Each term lifts the atoms left of its delta to their new version
         and the atoms right of it to their old one;
         :func:`~repro.parallel.pool.map_delta_terms` ships only the runs
-        that takes.
+        that takes, plus the term's own sign-split delta relation.
         """
         from repro.parallel.pool import map_delta_terms
 
@@ -619,8 +617,8 @@ class IncrementalQueryEngine(MaintainedEngine):
                         for j, vr in enumerate(self._atoms)
                     ),
                     i,
-                    atom_deltas[i].signed_rows(sign),
+                    relations[i],
                 )
-                for i, sign, _ in terms
+                for i, _, relations in terms
             ],
         )

@@ -33,7 +33,7 @@ Fraction semirings have; min/max/or do not, and
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import IncrementalError
 from repro.faq.annotated import AnnotatedRelation
@@ -55,6 +55,7 @@ __all__ = [
     "maintain_join_rows",
     "probe_intersection",
     "signed_join_delta",
+    "term_rows",
     "term_variable_order",
 ]
 
@@ -148,15 +149,19 @@ def execute_delta_term(
     relations: Sequence[Relation],
     order: tuple[str, ...],
     delta_index: int,
-) -> list:
-    """Run one delta-rule term; rows come back in the canonical ``order``.
+) -> tuple:
+    """Run one delta-rule term; its output comes back as code columns.
+
+    One ``array('q')`` per variable of ``order``, picked from the buffers
+    the join produced: the term's distinct bindings, in no particular row
+    order (they are sorted under the delta-first order), nothing re-tupled.
 
     The single term protocol both the serial path (:func:`signed_join_delta`)
     and the pooled workers (:func:`repro.parallel.pool.run_delta_term_task`)
     execute — one definition, so serial and pooled maintenance cannot drift
     apart: the delta-first variable order, the delta-scoped trie-root
-    ranges, the probe intersection at every level, and the permutation back
-    to the canonical order all live here.
+    ranges, the probe intersection at every level, and the pick back into
+    ``order`` all live here.
     """
     delta_attrs = relations[delta_index].schema
     t_order = term_variable_order(order, delta_attrs)
@@ -165,11 +170,14 @@ def execute_delta_term(
         relations, t_order, "dQ", probe_intersection, ranges,
         leaf_intersect=probe_intersection,
     )
-    rows = term.code_rows
-    if t_order != order:
-        permutation = tuple(t_order.index(v) for v in order)
-        rows = [tuple(row[p] for p in permutation) for row in rows]
-    return rows
+    columns = term.column_set(t_order).columns
+    return tuple(columns[t_order.index(v)] for v in order)
+
+
+def term_rows(columns: tuple) -> Iterable[tuple]:
+    """One term's column output as code tuples; a term over no variables
+    has exactly the empty binding, which no column can carry."""
+    return zip(*columns) if columns else [()]
 
 
 def signed_join_delta(
@@ -182,9 +190,10 @@ def signed_join_delta(
     """The net signed change of the full join, plus the term count.
 
     Executes every delta-rule term (:func:`execute_delta_term`) and sums
-    the signed contributions; rows whose contributions cancel across terms
-    are dropped.  ``run_terms`` maps the ``(i, sign, relations)`` term list
-    to one row list per term somewhere else — the engine's worker pool —
+    the signed contributions row by row (:func:`term_rows`); rows whose
+    contributions cancel across terms are dropped.  ``run_terms`` maps the
+    ``(i, sign, relations)`` term list to one column tuple per term
+    somewhere else — the engine's worker pool —
     and is used when there is more than one term to spread; otherwise the
     terms run here, serially.  Returns ``(net, executed_terms)`` — the
     count only includes terms whose sign-split delta was non-empty, so the
@@ -199,8 +208,8 @@ def signed_join_delta(
     else:
         results = run_terms(terms)
     net: dict[tuple, int] = {}
-    for (_, sign, _), rows in zip(terms, results):
-        for row in rows:
+    for (_, sign, _), columns in zip(terms, results):
+        for row in term_rows(columns):
             count = net.get(row, 0) + sign
             if count:
                 net[row] = count

@@ -431,9 +431,10 @@ def _versioned_relation(
 ) -> Relation:
     """Reconstruct (and cache) one relation version from base + delta runs.
 
-    ``runs`` is the shipped tuple of ``(rows buffer, signs buffer)`` pairs
-    lifting the resident base to ``version``; each is a sorted signed merge
-    (:func:`~repro.incremental.delta.advance_relation`).  Reconstructions
+    ``runs`` is the shipped tuple of ``(column-major code buffer, signs
+    buffer)`` pairs lifting the resident base to ``version``; each is a
+    sorted signed merge (:func:`~repro.incremental.delta.advance_relation`)
+    of a delta adopted as the columns it arrived in.  Reconstructions
     cache under ``(key, base digest, version)`` so the two versions a
     maintenance batch needs (old and new) build once per worker, not once
     per term.
@@ -452,13 +453,12 @@ def _versioned_relation(
     previous = _versioned_relation(
         key, base_digest, attrs, base, version - 1, runs[:-1]
     )
-    rows_buffer, signs_buffer = runs[-1]
-    run_rows = unpack_columns(rows_buffer, len(attrs))
+    codes_buffer, signs_buffer = runs[-1]
     signs = array("q")
     signs.frombytes(signs_buffer)
-    relation = advance_relation(
-        previous, SignedDelta(previous.schema, run_rows, signs), name=key
-    )
+    columns = unpack_column_arrays(codes_buffer, len(attrs))
+    run = SignedDelta(previous.schema, None, signs, columns=columns)
+    relation = advance_relation(previous, run, name=key)
     if len(_WORKER_VERSIONS) >= 64:
         _WORKER_VERSIONS.clear()
     _WORKER_VERSIONS[cache_key] = relation
@@ -475,13 +475,14 @@ def run_delta_term_task(task: tuple) -> tuple[bytes, dict]:
     * ``("resident", key)`` — the resident base relation as-is;
     * ``("version", key, version, runs)`` — the base lifted to ``version``
       by the shipped signed runs (cached per worker);
-    * ``("delta", key, buffer)`` — the term's (tiny) sign-split delta rows,
-      shipped inline.
+    * ``("delta", key, buffer)`` — the term's sign-split delta relation,
+      shipped inline as its column bytes.
 
     Only delta runs and the delta relation travel with the task — the base
     relations are resident — which is what makes a maintenance batch's wire
-    cost proportional to the batch.  Returns the term's sorted output rows
-    (column-major buffer) and the work counts.
+    cost proportional to the batch.  Returns the column bytes of
+    :func:`~repro.incremental.ivm.execute_delta_term`'s output (one column
+    per variable of ``order``) and the work counts.
     """
     from repro.incremental.ivm import execute_delta_term
 
@@ -513,16 +514,15 @@ def run_delta_term_task(task: tuple) -> tuple[bytes, dict]:
                 )
             else:  # pragma: no cover - guarded by the engine
                 raise ValueError(f"unknown delta term spec {kind!r}")
-        rows = execute_delta_term(relations, order, delta_index)
-        buffer = pack_output_rows(rows, len(order))
+        buffer = b"".join(execute_delta_term(relations, order, delta_index))
         counts = counter.as_dict()
     return buffer, counts
 
 
 def map_delta_terms(
     pool: "WorkerPool", logs: dict, terms: Sequence[tuple]
-) -> list[list]:
-    """Fan delta-rule terms out over ``pool``; one sorted row list per term.
+) -> list[tuple]:
+    """Fan delta-rule terms out over ``pool``; one column tuple per term.
 
     ``logs`` maps each resident key to the log-structured relation behind
     it (``base`` / ``base_version`` / ``runs``, e.g. a
@@ -530,10 +530,12 @@ def map_delta_terms(
     resident under per-relation content-digest tokens, so they ship once
     per compaction epoch and the pool's digest diff decides
     reship-vs-recycle when a compaction moves some of them.  Each term is
-    ``(order, keys, versions, index, delta_rows)``: the input at ``index``
-    is the term's (tiny) delta, shipped inline; every other input ``j`` is
-    ``keys[j]`` lifted to ``versions[j]`` by the signed runs past its base
-    (packed once per ``(key, version)``), or the resident base itself.
+    ``(order, keys, versions, index, delta)``: the input at ``index`` is the
+    term's sign-split delta relation, shipped inline as its column bytes;
+    every other input ``j`` is ``keys[j]`` lifted to ``versions[j]`` by the
+    signed runs past its base (their columns packed once per ``(key,
+    version)``), or the resident base itself.  A result is what
+    :func:`~repro.incremental.ivm.execute_delta_term` returns in process.
     Terms run under the caller's current execution backend, and worker
     counts are absorbed into the caller's work counter.
     """
@@ -555,9 +557,8 @@ def map_delta_terms(
             return ("resident", key)
         runs = packed_runs.get((key, version))
         if runs is None:
-            arity = len(log.base.schema)
             runs = packed_runs[key, version] = tuple(
-                (pack_output_rows(run.rows, arity), run.signs.tobytes())
+                (pack_column_range(run.column_set, 0, len(run)), run.signs.tobytes())
                 for run in log.runs[: version - log.base_version]
             )
         return ("version", key, version, runs)
@@ -566,12 +567,14 @@ def map_delta_terms(
     # term under the same backend as the serial path.
     backend = current_backend()
     tasks = []
-    for order, keys, versions, index, delta_rows in terms:
+    for order, keys, versions, index, delta in terms:
         specs = []
         for j, key in enumerate(keys):
             if j == index:
-                arity = len(logs[key].base.schema)
-                specs.append(("delta", key, pack_output_rows(delta_rows, arity)))
+                canonical = delta.column_set(delta.schema)
+                specs.append(
+                    ("delta", key, pack_column_range(canonical, 0, len(delta)))
+                )
             else:
                 specs.append(lifted(key, versions[j]))
         tasks.append((tokens, order, tuple(specs), backend))
@@ -580,7 +583,7 @@ def map_delta_terms(
     results = []
     for task, (buffer, counts) in zip(tasks, pool.map(run_delta_term_task, tasks)):
         counter.absorb(counts)
-        results.append(unpack_columns(buffer, len(task[1])))
+        results.append(unpack_column_arrays(buffer, len(task[1])))
     return results
 
 

@@ -340,6 +340,27 @@ class ColumnSet:
         """
         return self._columns
 
+    @property
+    def materialized_rows(self) -> list | None:
+        """The row tuples if already built (see :attr:`materialized_columns`)."""
+        return self._rows
+
+    def find_row(self, row: tuple, lo: int = 0) -> tuple[int, bool]:
+        """Where ``row`` sorts among rows ``[lo, nrows)``, and whether it is there.
+
+        One bisection of the row tuples if they are held, else two column
+        binary searches per level — a columns-only set is never transposed
+        to answer membership or to place a small delta.
+        """
+        rows = self._rows
+        if rows is not None:
+            at = bisect_left(rows, row, lo)
+            return at, at < self._nrows and rows[at] == row
+        hi = self._nrows
+        for depth, code in enumerate(row):
+            lo, hi = self.code_range(code, code + 1, lo, hi, depth)
+        return lo, lo < hi
+
     def content_digest(self) -> str:
         """A content fingerprint of this column set (cached per version).
 
@@ -494,16 +515,18 @@ def merge_violation(row: tuple, present: bool) -> DeltaError:
 
 
 def signed_merge_plan(
-    rows: Sequence, delta_rows: Sequence, signs: Sequence[int]
+    base: "ColumnSet | Sequence", delta_rows: Sequence, signs: Sequence[int]
 ) -> list:
-    """The splice plan merging a sorted signed delta into sorted ``rows``.
+    """The splice plan merging a sorted signed delta into the sorted ``base``.
 
+    ``base`` is a list of code tuples or the :class:`ColumnSet` holding
+    them (searched by :meth:`ColumnSet.find_row`, in whichever form it has).
     Returns a delta-sized list of instructions — ``slice(lo, hi)`` objects
     for kept stretches of the base, interleaved with inserted row tuples
     (the two are type-distinguishable) — that :func:`apply_signed_rows`
     materializes as a row list and :func:`apply_plan_to_columns` as
-    per-attribute ``array('q')`` columns.  Each delta row costs one binary
-    search; everything between delta rows moves as one C-speed slice.  This
+    per-attribute ``array('q')`` columns.  Each delta row costs one search;
+    everything between delta rows moves as one C-speed slice.  This
     is the interpreted arm of the signed merge: a delta on the numpy arm
     never builds a plan (:func:`repro.incremental.delta.advance_relation`).
 
@@ -511,14 +534,15 @@ def signed_merge_plan(
     :class:`DeltaError`; the incremental engine validates batches up front,
     so a failure here means a maintenance bug, not bad user input.
     """
+    if not isinstance(base, ColumnSet):
+        base = ColumnSet((), base, presorted=True)  # row search reads no attrs
+    find, n = base.find_row, base.nrows
     plan: list = []
-    n = len(rows)
     prev = 0
     for row, sign in zip(delta_rows, signs):
-        pos = bisect_left(rows, row, prev, n)
+        pos, present = find(row, prev)
         if pos > prev:
             plan.append(slice(prev, pos))
-        present = pos < n and rows[pos] == row
         if present == (sign > 0):
             raise merge_violation(row, present)
         if present:

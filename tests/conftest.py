@@ -20,8 +20,9 @@ def rng():
 def no_row_transpose(monkeypatch):
     """Make deriving row tuples from columns an error.
 
-    ``ColumnSet.rows`` is the only place that conversion happens, so
-    guarding it covers every layer — forked pool workers inherit the patch.
+    ``ColumnSet.rows`` is the only place that conversion happens — a
+    ``SignedDelta`` keeps its rows in one too — so guarding it covers every
+    layer, the datalog rounds included; forked pool workers inherit the patch.
     """
     from repro.relational.columns import ColumnSet
 

@@ -59,6 +59,27 @@ path(x,y) :- edge(x,y).
 path(a,b) :- edge(a,c), path(c,b).
 """
 
+# Unary reachability: the head projects the body's variables, and the
+# recursive head renames the schema's ``x``.
+LAYERS_TEXT = """
+reach(x) :- start(x).
+reach(y) :- reach(x), edge(x,y).
+"""
+
+# Heads that permute and project the body's variables (the renaming head is
+# ``RENAMED_HEAD_TEXT`` in ``test_rounds_past_the_gate_match_naive``).
+HEAD_SHAPES = {
+    "permute": """
+        sym(x,y) :- edge(x,y).
+        sym(y,x) :- sym(x,y).
+    """,
+    "project": """
+        src(x) :- edge(x,y).
+        hop(z,x) :- edge(x,y), edge(y,z).
+        far(z) :- hop(z,x), src(x).
+    """,
+}
+
 NEG_TEXT = """
 path(x,y) :- edge(x,y).
 path(x,z) :- path(x,y), edge(y,z).
@@ -314,6 +335,7 @@ class TestBitIdentity:
         runs = {}
         for backend, workers in (
             ("interpreted", 1), ("vectorized", 1), ("vectorized", 2),
+            ("interpreted", 2),
         ):
             with DatalogEngine(
                 program, workers=workers, execution_backend=backend
@@ -332,6 +354,66 @@ class TestBitIdentity:
                     (stats.rounds, stats.delta_terms, stats.derived_rows),
                 )
         assert len(set(map(repr, runs.values()))) == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rounds_straddling_the_gate_match_naive(self, backend, monkeypatch):
+        """Rounds of 257 / 256 / 255 candidates inside one fixpoint: the
+        round takes the column arm or the rows arm by its own size."""
+        from repro.datalog import fixpoint
+
+        layers = (300, 257, 256, 255, 100, 3)
+        edges = [
+            ((k, i % layers[k]), (k + 1, i))
+            for k in range(len(layers) - 1)
+            for i in range(layers[k + 1])
+        ]
+        database = Database((
+            Relation.from_pairs("edge", "src", "dst", edges),
+            Relation("start", ("v",), [((0, i),) for i in range(layers[0])]),
+        ))
+        program = parse_program(LAYERS_TEXT)
+        seen = []
+        real = fixpoint._fresh_deltas
+
+        def counting(candidates, *rest):
+            seen.extend(
+                sum(len(block[0]) for block in blocks)
+                for blocks in candidates.values()
+            )
+            return real(candidates, *rest)
+
+        monkeypatch.setattr(fixpoint, "_fresh_deltas", counting)
+        with DatalogEngine(program, execution_backend=backend) as engine:
+            result = engine.execute(database)
+            assert seen == list(layers)
+            assert_fixpoint_matches_naive(result, program, database)
+            stats = engine.stats
+            assert (stats.rounds, stats.derived_rows) == (len(layers), sum(layers))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("text", sorted(HEAD_SHAPES.values()), ids=sorted(HEAD_SHAPES))
+    def test_head_shapes_past_the_gate_match_naive(self, text, backend):
+        """Heads that permute and project the body's variables, each column
+        re-coded into the schema attribute's dictionary."""
+        database = edge_database(chain_edges(chains=280, length=4))
+        program = parse_program(text)
+        with DatalogEngine(program, execution_backend=backend) as engine:
+            result = engine.execute(database)
+            assert engine.stats.derived_rows >= 2 * 256
+            assert_fixpoint_matches_naive(result, program, database)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negation_past_the_gate_matches_naive(self, backend):
+        """1 600 ``unreach`` candidates filtered against 780 paths."""
+        edges = chain_edges(chains=260, length=3)
+        nodes = sorted({v for edge in edges for v in edge})[:40]
+        database = edge_database(edges, nodes=nodes)
+        program = parse_program(NEG_TEXT)
+        with DatalogEngine(program, execution_backend=backend) as engine:
+            result = engine.execute(database)
+            assert_fixpoint_matches_naive(result, program, database)
+            assert len(result["path"]) == 260 * 3
+            assert 0 < len(result["unreach"]) < 40 * 40
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_body_atom_sharing_one_stored_attribute(self, backend):
@@ -379,6 +461,45 @@ class TestBitIdentity:
         assert len(seen[0][1]) == 260 * (25 * 26 // 2)
         assert sorted(seen[0][0]) == ["a", "b", "c", "dst", "src", "x", "y"]
         assert seen[0] == seen[1]
+
+    def test_rounds_stay_on_columns(self, request):
+        """Past the gate nothing between join output and the next delta is a
+        row list: a warm ``recompute()`` transposes no version and no delta,
+        and neither does the ``refresh()`` of a one-edge insert behind it —
+        a small round probes and splices the columns-only versions as they
+        are, and no set of the 19 800 derived rows is rebuilt first.  (The
+        ledger's right-linear program: under ``TC_TEXT`` the seeded term
+        wants ``path`` sorted (y, x), and a non-canonical order is still
+        built from row tuples — ROADMAP open item 1a.)"""
+        from repro.relational.backend import have_numpy
+
+        if not have_numpy():
+            pytest.skip("the column arm needs numpy")
+        edges = chain_edges(chains=300, length=12)
+        bridge = ("c0_11", "c1_0")
+        program = parse_program(
+            "path(x,y) :- edge(x,y). path(x,z) :- edge(x,y), path(y,z)."
+        )
+        expected = evaluate_program_naive(program, edge_database(edges))["path"]
+        bridged = evaluate_program_naive(program, edge_database(edges + [bridge]))
+        bridged = bridged["path"]
+        wanted = [
+            [bytes(column) for column in relation.column_set(relation.schema).columns]
+            for relation in (expected, bridged)
+        ]
+        with DatalogEngine(program, execution_backend="vectorized") as engine:
+            engine.execute(edge_database(edges))
+            request.getfixturevalue("no_row_transpose")
+            path = engine.recompute()["path"]
+            canonical = path.column_set(path.schema)
+            assert canonical._rows is None and len(path) == 300 * 66
+            assert [bytes(column) for column in canonical.columns] == wanted[0]
+            engine.insert("edge", [bridge])
+            path = engine.refresh()["path"]
+            assert engine.stats.continuations == 1
+            assert len(path) == 300 * 66 + 12 * 12
+            canonical = path.column_set(path.schema)
+            assert [bytes(column) for column in canonical.columns] == wanted[1]
 
     def test_low_level_run_stratum_matches_naive(self):
         """The library path (no engine, no planner) holds the contract too."""

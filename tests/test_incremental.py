@@ -326,6 +326,56 @@ class TestSignedMergeArms:
             ((b, a), sign) for (a, b), sign in zip(delta.rows, delta.signs)
         ) == list(zip(reordered.rows, reordered.signs))
 
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    @pytest.mark.parametrize("size", (255, 256, 700))
+    def test_column_built_delta_equals_row_built(self, size, backend):
+        """A delta adopted as ``array('q')`` columns — off the pool wire, out
+        of the fixpoint — derives its rows lazily and is the row-built delta
+        in every view, down to the ``DeltaError`` text."""
+        from array import array
+
+        a, b, x, y = (f"cb{size}_{backend}_{v}" for v in "abxy")
+        rng = random.Random(stable_seed("column-built", size))
+        data = set()
+        while len(data) < size + 200:
+            data.add((rng.randrange(4000), rng.randrange(4000)))
+        with scoped_backend(backend):
+            relation = Relation("CB", (a, b), sorted(data))
+            rows = relation.code_rows[100 : 100 + size]
+            signs = [rng.choice((1, -1)) for _ in rows]
+
+            def column_built():
+                delta = SignedDelta(
+                    (a, b), None, signs,
+                    columns=[array("q", column) for column in zip(*rows)],
+                )
+                assert delta.column_set.materialized_rows is None
+                assert len(delta) == size and not delta.is_empty
+                return delta
+
+            def views(make):
+                reordered, relabeled = make().reordered((b, a)), make().relabeled((x, y))
+                for delta in (make(), reordered, relabeled):
+                    assert all(type(code) is int for code in delta.rows[0])
+                return (
+                    make().rows, list(make().signs),
+                    reordered.attrs, reordered.rows, list(reordered.signs),
+                    relabeled.attrs, relabeled.rows, list(relabeled.signs),
+                    make().relation(1, "d").code_rows,
+                    make().relation(-1, "d").code_rows,
+                )
+
+            expected = views(lambda: SignedDelta((a, b), list(rows), signs))
+            with pytest.raises(DeltaError) as row_built:
+                advance_relation(relation, SignedDelta((a, b), list(rows), signs))
+            assert f"insert of already-present row {rows[signs.index(1)]}" == str(
+                row_built.value
+            )
+            assert views(column_built) == expected
+            with pytest.raises(DeltaError) as lazy:
+                advance_relation(relation, column_built())
+            assert str(lazy.value) == str(row_built.value)
+
     @pytest.mark.parametrize("rows", (255, 256, 700))
     def test_partial_rename_keeps_one_dictionary(self, rows):
         """(a, b) -> (a, c): column 0 keeps its dictionary (the identity
