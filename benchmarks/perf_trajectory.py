@@ -75,26 +75,11 @@ def _metrics_out_of_core(payload: dict) -> dict:
     return metrics
 
 
-def _metrics_serving(payload: dict) -> dict:
-    concurrent = next(
-        (r for r in payload.get("results", []) if r.get("arm") == "concurrent"),
-        None,
-    )
-    if concurrent is None:
-        return {}
-    return {
-        "serving.triangle/90-10.throughput_vs_recompute":
-            payload["throughput_ratio"],
-        "serving.triangle/90-10.read_p99_s": concurrent["read_p99_s"],
-    }
-
-
 #: benchmark name (the artifact's ``"benchmark"`` field) -> metric extractor.
 EXTRACTORS = {
     "wcoj_engine_comparison": _metrics_wcoj,
     "parallel_join": _metrics_parallel,
     "out_of_core": _metrics_out_of_core,
-    "serving_mixed_traffic": _metrics_serving,
 }
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.exceptions import DeltaError
+from repro.exceptions import DeltaError, SchemaError
 from repro.relational.backend import vectorize
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "apply_plan_to_columns",
     "apply_signed_rows",
     "decode_row",
+    "encode_columns",
     "gallop_left",
     "merge_runs",
     "merge_violation",
@@ -167,6 +168,39 @@ class Dictionary:
 def decode_row(dictionaries: Sequence[Dictionary], code_row: tuple) -> tuple:
     """Decode one code tuple through its aligned dictionaries."""
     return tuple(d.values[c] for d, c in zip(dictionaries, code_row))
+
+
+def encode_columns(attrs: tuple[str, ...], columns: Iterable[Sequence]) -> "ColumnSet":
+    """The canonical column set of aligned, unsorted value ``columns``.
+
+    The one encoder of ``Relation(...)`` and the CSV loader.  Repeated
+    ``attrs`` are rejected before anything is interned.  Each column's
+    distinct values are interned once into its attribute's shared
+    dictionary in first-appearance order (what a per-row pass does, since
+    distinct attributes have distinct dictionaries) and coded by one
+    ``map``.  The code columns are sorted and deduplicated by one
+    ``np.unique`` of their ``pack_keys`` keys past the ``vectorize`` gate
+    (the set holds columns only), by ``sorted(set(zip(...)))`` below it.
+    ``attrs`` must be non-empty: columns cannot carry a nullary row count.
+    """
+    if len(set(attrs)) != len(attrs):
+        raise SchemaError(f"duplicate attributes in schema {attrs}")
+    codes = []
+    for attr, values in zip(attrs, columns):
+        table = dict.fromkeys(values)
+        encode = Dictionary.of(attr).encode
+        for value in table:
+            table[value] = encode(value)
+        codes.append(array("q", list(map(table.__getitem__, values))))
+    if codes and vectorize(len(codes[0])):
+        import numpy as np
+
+        from repro.relational.vectorized import np_to_column, pack_keys
+
+        arrays = [np.frombuffer(column, dtype=np.int64) for column in codes]
+        first = np.unique(pack_keys(arrays)[0], return_index=True)[1]
+        return ColumnSet(attrs, columns=[np_to_column(a[first]) for a in arrays])
+    return ColumnSet(attrs, sorted(set(zip(*codes))), presorted=True)
 
 
 class ColumnSet:

@@ -6,21 +6,21 @@ the header row is the schema, every following row a tuple.  Values are
 integer-coerced when the whole column parses as integers (the bounds and
 PANDA are domain-agnostic; coercion only normalizes equality).
 
-Ingestion streams straight into dictionary codes: each cell is interned into
-a per-column staging dictionary as it is read, so the loader holds one code
-tuple per row plus one string per *distinct* value — never an all-string row
-list.  After the stream ends, each column's distinct values are coerced (or
-not) in one pass and translated into the schema attributes' shared
-:class:`~repro.relational.columns.Dictionary` codes, and the relation is
-built directly from the final code tuples.
+Ingestion works a column at a time: the file's rows are checked against the
+header, split into columns by one ``zip``, coerced column by column and
+encoded by :func:`~repro.relational.columns.encode_columns` (the encoder of
+``Relation(...)``) straight into the relation's sorted code columns — no
+code tuple per row is built on the way.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Sequence
+
 from repro.exceptions import SchemaError
-from repro.relational.columns import Dictionary
+from repro.relational.columns import encode_columns
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -35,6 +35,34 @@ __all__ = [
 ]
 
 
+def _read_csv(path: Path, delimiter: str) -> tuple[tuple[str, ...], list]:
+    """The stripped header and the non-blank body rows of a CSV file."""
+    with open(path, newline="") as handle:
+        rows = list(filter(None, csv.reader(handle, delimiter=delimiter)))
+    if not rows:
+        raise SchemaError(f"{path} is empty (need a header row)")
+    return tuple(column.strip() for column in rows[0]), rows[1:]
+
+
+def _check_widths(path: Path, header: tuple[str, ...], body: list) -> None:
+    """Reject the first body row whose width is not the header's."""
+    if set(map(len, body)) - {len(header)}:
+        row = next(row for row in body if len(row) != len(header))
+        raise SchemaError(f"{path}: row {row} does not match header {header}")
+
+
+def _coerce_column(cells: Sequence[str]) -> Sequence:
+    """``cells`` as ints when every distinct cell parses as one, else as is
+    (the one coercion rule of relation files and change feeds)."""
+    values = dict.fromkeys(cells)
+    try:
+        for cell in values:
+            values[cell] = int(cell)
+    except ValueError:
+        return cells
+    return list(map(values.__getitem__, cells))
+
+
 def load_relation_csv(
     path: str | Path, name: str | None = None, delimiter: str = ","
 ) -> Relation:
@@ -46,60 +74,14 @@ def load_relation_csv(
         delimiter: CSV delimiter.
 
     Raises:
-        SchemaError: on an empty file or ragged rows.
+        SchemaError: on an empty file, ragged rows or a repeated header
+            name, before any value is interned.
     """
     path = Path(path)
-    header: tuple[str, ...] | None = None
-    staging: list[dict[str, int]] = []
-    distinct: list[list[str]] = []
-    code_rows: list[tuple[int, ...]] = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle, delimiter=delimiter):
-            if not row:
-                continue
-            if header is None:
-                header = tuple(column.strip() for column in row)
-                staging = [{} for _ in header]
-                distinct = [[] for _ in header]
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {row} does not match header {header}"
-                )
-            coded = []
-            for i, cell in enumerate(row):
-                column = staging[i]
-                code = column.get(cell)
-                if code is None:
-                    code = len(distinct[i])
-                    column[cell] = code
-                    distinct[i].append(cell)
-                coded.append(code)
-            code_rows.append(tuple(coded))
-    if header is None:
-        raise SchemaError(f"{path} is empty (need a header row)")
-
-    # Per column: coerce the distinct values to int when they all parse,
-    # then translate staging codes into the attribute's shared dictionary.
-    translations: list[list[int]] = []
-    for attr, values in zip(header, distinct):
-        coerced: list[object] = []
-        numeric = True
-        for value in values:
-            try:
-                coerced.append(int(value))
-            except ValueError:
-                numeric = False
-                break
-        final_values = coerced if numeric else values
-        encode = Dictionary.of(attr).encode
-        translations.append([encode(v) for v in final_values])
-
-    rows = [
-        tuple(translation[code] for translation, code in zip(translations, row))
-        for row in code_rows
-    ]
-    return Relation.from_codes(name or path.stem, header, rows)
+    header, body = _read_csv(path, delimiter)
+    _check_widths(path, header, body)
+    columns = map(_coerce_column, zip(*body))
+    return Relation.from_column_set(name or path.stem, encode_columns(header, columns))
 
 
 def save_relation_csv(
@@ -130,51 +112,22 @@ def load_changes_csv(
     :class:`repro.incremental.SignedDelta`, not here.
     """
     path = Path(path)
-    header: tuple[str, ...] | None = None
-    ops: list[str] = []
-    raw_rows: list[tuple[str, ...]] = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle, delimiter=delimiter):
-            if not row:
-                continue
-            if header is None:
-                header = tuple(column.strip() for column in row)
-                if not header or header[0] != "op":
-                    raise SchemaError(
-                        f"{path}: change feed header must start with 'op', "
-                        f"got {header}"
-                    )
-                header = header[1:]
-                continue
-            if len(row) != len(header) + 1:
-                raise SchemaError(
-                    f"{path}: row {row} does not match header {('op',) + header}"
-                )
-            op = row[0].strip()
-            if op not in ("+", "-"):
-                raise SchemaError(
-                    f"{path}: op column must be '+' or '-', got {op!r}"
-                )
-            ops.append(op)
-            raw_rows.append(tuple(row[1:]))
-    if header is None:
-        raise SchemaError(f"{path} is empty (need an op,... header row)")
-
-    # Whole-column integer coercion, matching load_relation_csv.
-    columns: list[list[object]] = []
-    for i in range(len(header)):
-        values: list[object] = [row[i] for row in raw_rows]
-        try:
-            values = [int(v) for v in values]
-        except ValueError:
-            pass
-        columns.append(values)
+    header, body = _read_csv(path, delimiter)
+    if header[0] != "op":
+        raise SchemaError(
+            f"{path}: change feed header must start with 'op', got {header}"
+        )
+    _check_widths(path, header, body)
+    ops = [row[0].strip() for row in body]
+    wrong = next((op for op in ops if op not in ("+", "-")), None)
+    if wrong is not None:
+        raise SchemaError(f"{path}: op column must be '+' or '-', got {wrong!r}")
+    columns = [_coerce_column(column) for column in list(zip(*body))[1:]]
     inserts: list[tuple] = []
     deletes: list[tuple] = []
-    for j, op in enumerate(ops):
-        row = tuple(column[j] for column in columns)
+    for op, row in zip(ops, zip(*columns) if columns else [()] * len(ops)):
         (inserts if op == "+" else deletes).append(row)
-    return header, inserts, deletes
+    return header[1:], inserts, deletes
 
 
 def save_changes_csv(

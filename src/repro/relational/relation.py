@@ -8,7 +8,8 @@ canonical sorted :class:`~repro.relational.columns.ColumnSet` per requested
 attribute order.  Every operator, join algorithm, degree computation, and
 statistic runs on those sorted integer columns (via the shared
 :class:`~repro.relational.trie.SortedTrieIterator` or direct run scans);
-values are decoded only at the API boundary.
+values cross the API boundary a column at a time, in by
+:func:`~repro.relational.columns.encode_columns`, out by :attr:`tuples`.
 
 The historical tuple-facing API survives as thin adapters: ``__iter__`` /
 ``tuples`` / ``index_on`` / ``key_of`` decode on demand (and cache), so
@@ -19,11 +20,12 @@ new relation — which keeps sharing across PANDA's recursive branches safe.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SchemaError
 from repro.relational.backend import vectorize
-from repro.relational.columns import ColumnSet, Dictionary, decode_row
+from repro.relational.columns import ColumnSet, Dictionary, decode_row, encode_columns
 from repro.relational.trie import SortedTrieIterator
 
 __all__ = ["Relation"]
@@ -88,17 +90,20 @@ class Relation:
     ) -> None:
         schema = tuple(schema)
         arity = len(schema)
-        encoders = tuple(Dictionary.of(attr).encode for attr in schema)
-        rows: set[tuple[int, ...]] = set()
-        for row in tuples:
-            row = tuple(row)
-            if len(row) != arity:
-                raise SchemaError(
-                    f"tuple {row} has arity {len(row)}, schema {schema} "
-                    f"expects {arity}"
-                )
-            rows.add(tuple(enc(v) for enc, v in zip(encoders, row)))
-        self._adopt(name, ColumnSet(schema, sorted(rows), presorted=True))
+        rows = list(map(tuple, tuples))  # every row validated before any encode
+        if set(map(len, rows)) - {arity}:
+            row = next(row for row in rows if len(row) != arity)
+            raise SchemaError(
+                f"tuple {row} has arity {len(row)}, schema {schema} "
+                f"expects {arity}"
+            )
+        if schema:
+            # One itemgetter pass per column: ``zip(*rows)`` would allocate a
+            # GC-tracked iterator per row, whose collections dominate at 10^6.
+            columns = [list(map(itemgetter(i), rows)) for i in range(arity)]
+            self._adopt(name, encode_columns(schema, columns))
+        else:
+            self._adopt(name, ColumnSet((), rows[:1], presorted=True))
 
     def _adopt(self, name: str, canonical: ColumnSet) -> None:
         """Install ``canonical`` — the schema-order sorted distinct code
@@ -358,14 +363,17 @@ class Relation:
 
     @property
     def tuples(self) -> frozenset:
-        """The decoded value tuples (adapter boundary; cached)."""
+        """The decoded value tuples (adapter boundary; cached), decoded one
+        ``map`` per attribute over the canonical columns and one ``zip`` —
+        a columns-only relation is never transposed into code rows."""
         decoded = self._decoded
         if decoded is None:
-            values = tuple(d.values for d in self._dicts)
-            decoded = frozenset(
-                tuple(col[c] for col, c in zip(values, row))
-                for row in self.code_rows
-            )
+            canonical = self._column_sets[self.schema]
+            columns = canonical.materialized_columns or [
+                map(itemgetter(i), canonical.rows) for i in range(len(self.schema))
+            ]
+            values = [map(d.values.__getitem__, c) for d, c in zip(self._dicts, columns)]
+            decoded = frozenset(zip(*values) if values else canonical.rows)
             self._decoded = decoded
         return decoded
 

@@ -1,8 +1,11 @@
 """Tests for the CSV I/O layer and the ``python -m repro`` CLI."""
 
 import csv
+import random
 
 import pytest
+
+from _helpers import stable_seed
 
 from repro.cli import main
 from repro.exceptions import SchemaError
@@ -74,6 +77,132 @@ class TestCsvIO:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             load_database_dir(tmp_path)
+
+
+def reference_load(path, dictionaries):
+    """The row-at-a-time loader ``load_relation_csv`` replaced: every cell is
+    staged per row, each column's distinct cells are coerced (all or none),
+    translated into ``dictionaries`` in first-appearance order, and the code
+    rows re-tupled, deduplicated and sorted."""
+    header, staging, code_rows = None, [], []
+    with open(path, newline="") as handle:
+        for row in csv.reader(handle):
+            if not row:
+                continue
+            if header is None:
+                header = tuple(column.strip() for column in row)
+                staging = [{} for _ in header]
+                continue
+            code_rows.append(
+                tuple(column.setdefault(cell, len(column)) for column, cell in zip(staging, row))
+            )
+    translations = []
+    for dictionary, cells in zip(dictionaries, staging):
+        try:
+            values = [int(cell) for cell in cells]
+        except ValueError:
+            values = list(cells)
+        translations.append([dictionary.encode(value) for value in values])
+    rows = {tuple(t[code] for t, code in zip(translations, row)) for row in code_rows}
+    return header, sorted(rows)
+
+
+class TestColumnarLoader:
+    """``load_relation_csv`` encodes a column at a time; it must equal the
+    row-wise reference in code rows, dictionary values and digest on both
+    sides of the ``backend.vectorize`` gate."""
+
+    @staticmethod
+    def cell(rng, position):
+        value = rng.randrange(-3, 40)
+        if position == 0:  # "5" and "05" collapse to one integer
+            return f"{value:03d}" if value >= 0 and rng.random() < 0.3 else str(value)
+        if position == 1:
+            return f"v{value}"  # a text column
+        return f" {value}" if rng.random() < 0.2 else str(value)
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    @pytest.mark.parametrize("arity", (1, 2, 3))
+    @pytest.mark.parametrize("nrows", (255, 256, 257))
+    def test_matches_row_wise_reference(self, tmp_path, backend, arity, nrows):
+        from repro.relational.backend import scoped_backend
+        from repro.relational.columns import ColumnSet, Dictionary
+
+        rng = random.Random(stable_seed("loader", backend, arity, nrows))
+        header = tuple(f"ld_{backend}_{arity}_{nrows}_{i}" for i in range(arity))
+        lines = [",".join(header)]
+        for _ in range(nrows):
+            lines.append(",".join(self.cell(rng, i) for i in range(arity)))
+            if rng.random() < 0.05:
+                lines.append("")  # blank lines are skipped
+        path = tmp_path / "R.csv"
+        path.write_text("\n".join(lines) + "\n")
+        references = [Dictionary(attr) for attr in header]
+        for live, reference in zip((Dictionary.of(a) for a in header), references):
+            live.encode(7), reference.encode(7)  # pre-interned values keep codes
+        _, expected = reference_load(path, references)
+        with scoped_backend(backend):
+            relation = load_relation_csv(path)
+            canonical = relation.column_set(header)
+            digest = canonical.content_digest()
+        assert relation.schema == header
+        assert relation.code_rows == expected
+        for attr, reference in zip(header, references):
+            assert Dictionary.of(attr).values == reference.values
+        assert digest == ColumnSet(header, expected, presorted=True).content_digest()
+
+    def test_header_only_file_is_empty_and_interns_nothing(self, tmp_path):
+        from repro.relational.columns import Dictionary
+
+        (tmp_path / "H.csv").write_text("ho_A,ho_B\n\n")
+        relation = load_relation_csv(tmp_path / "H.csv")
+        assert relation.schema == ("ho_A", "ho_B") and len(relation) == 0
+        assert len(Dictionary.of("ho_A")) == len(Dictionary.of("ho_B")) == 0
+
+    def test_duplicate_header_interns_nothing(self, tmp_path):
+        from repro.relational.columns import Dictionary
+
+        before = len(Dictionary.of("dh_A"))
+        (tmp_path / "D.csv").write_text("dh_A,dh_A\n1,2\n")
+        with pytest.raises(SchemaError, match="duplicate attributes"):
+            load_relation_csv(tmp_path / "D.csv")
+        assert len(Dictionary.of("dh_A")) == before
+
+    def test_feed_and_relation_coerce_alike(self, tmp_path):
+        from repro.relational.io import load_changes_csv
+
+        columns = {
+            "padded": ["05", "5", " 5", "-3"],
+            "mixed": ["1", "x", "05"],
+        }
+        for label, cells in columns.items():
+            write_csv(tmp_path / f"{label}.csv", (f"co_{label}",), [(c,) for c in cells])
+            write_csv(
+                tmp_path / f"{label}.changes.csv",
+                ("op", f"co_{label}"),
+                [("+", c) for c in cells],
+            )
+            relation = load_relation_csv(tmp_path / f"{label}.csv")
+            _, inserts, deletes = load_changes_csv(tmp_path / f"{label}.changes.csv")
+            assert deletes == [] and relation.tuples == frozenset(inserts)
+        assert sorted(load_relation_csv(tmp_path / "padded.csv").tuples) == [(-3,), (5,)]
+        assert load_changes_csv(tmp_path / "mixed.changes.csv")[1] == [("1",), ("x",), ("05",)]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("\n", "is empty"),
+            ("A,B\n+,1,2\n", "must start with 'op'"),
+            ("op,A\n+,1\n-,1,2\n", "does not match header"),
+            ("op,A\n+,1\n*,2\n", "op column must be"),
+        ],
+    )
+    def test_malformed_feed_rejected(self, tmp_path, text, message):
+        from repro.relational.io import load_changes_csv
+
+        (tmp_path / "R.changes.csv").write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            load_changes_csv(tmp_path / "R.changes.csv")
 
 
 class TestLog2Display:

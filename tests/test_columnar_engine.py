@@ -246,6 +246,101 @@ class TestConstructorParity:
         with pytest.raises(SchemaError):
             Relation.from_columns("R", ("A", "A"), short)
 
+    @pytest.mark.parametrize(
+        "schema,rows",
+        [(("rj_a", "rj_a"), [(1, 2)]), (("rj_b", "rj_c"), [(1, 2), (3,)])],
+        ids=["duplicate-schema", "ragged-row"],
+    )
+    def test_rejected_construction_interns_nothing(self, schema, rows):
+        before = [len(Dictionary.of(attr)) for attr in schema]
+        with pytest.raises(SchemaError):
+            Relation("R", schema, rows)
+        assert [len(Dictionary.of(attr)) for attr in schema] == before
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    @pytest.mark.parametrize("nrows", (0, 255, 256, 700))
+    def test_value_constructor_matches_row_wise_encode(self, backend, nrows):
+        """``Relation(...)`` encodes per column; a per-row pass is the reference."""
+        rng = random.Random(stable_seed("value-ctor", backend, nrows))
+        schema = tuple(f"vc_{backend}_{nrows}_{i}" for i in range(3))
+        values = [
+            (rng.randrange(50), f"s{rng.randrange(9)}", rng.randrange(-5, 5))
+            for _ in range(nrows)
+        ]
+        references = [Dictionary(attr) for attr in schema]
+        expected = sorted(
+            {tuple(d.encode(v) for d, v in zip(references, row)) for row in values}
+        )
+        with scoped_backend(backend):
+            relation = Relation("R", schema, iter(values))
+        assert relation.code_rows == expected
+        assert [Dictionary.of(a).values for a in schema] == [
+            d.values for d in references
+        ]
+
+
+class TestDecodeParity:
+    """``Relation.tuples`` decodes per column; a per-row decode is the reference."""
+
+    @staticmethod
+    def per_row(relation):
+        return frozenset(relation.decode_row(row) for row in relation.code_rows)
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_every_storage_form(self, tmp_path, backend):
+        from repro.relational.storage import (
+            LazyDictionary,
+            open_database_dir,
+            save_database_dir,
+        )
+
+        rng = random.Random(stable_seed("decode-parity", backend))
+        schema = (f"dp_{backend}_A", f"dp_{backend}_B")
+        values = {(rng.randrange(40), f"t{rng.randrange(30)}") for _ in range(600)}
+        with scoped_backend(backend):
+            base = Relation("R", schema, values)
+            rows_born = Relation.from_codes("R", schema, base.code_rows)
+            columns_born = Relation.from_columns(
+                "R", schema, base.column_set(schema).columns
+            )
+            save_database_dir(Database([base]), tmp_path / "db")
+            saved = dict(Dictionary._registry)
+            try:
+                Dictionary.reset_registry()
+                file_backed = open_database_dir(tmp_path / "db")["R"]
+                assert all(
+                    isinstance(d, LazyDictionary) for d in file_backed.dictionaries
+                )
+                assert file_backed.tuples == frozenset(values)
+                assert file_backed.tuples == self.per_row(file_backed)
+            finally:
+                Dictionary._registry.clear()
+                Dictionary._registry.update(saved)
+            nullary = [Relation("N", (), [()]), Relation("N", (), [])]
+        for relation in [base, rows_born, columns_born, *nullary]:
+            assert relation.tuples == self.per_row(relation)
+        assert columns_born.tuples == rows_born.tuples == frozenset(values)
+        assert [n.tuples for n in nullary] == [frozenset({()}), frozenset()]
+
+    def test_csv_to_store_to_decode_transposes_no_rows(
+        self, tmp_path, no_row_transpose
+    ):
+        from repro.relational.io import load_database_dir
+        from repro.relational.storage import open_database_dir, save_database_dir
+
+        rng = random.Random(stable_seed("csv-store-decode"))
+        source = tmp_path / "csv"
+        source.mkdir()
+        expected = {}
+        for name, header in (("R", "nt_A,nt_B"), ("S", "nt_B,nt_C")):
+            rows = [(rng.randrange(90), rng.randrange(90)) for _ in range(400)]
+            lines = [header] + [f"{a},{b}" for a, b in rows]
+            (source / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            expected[name] = frozenset(rows)
+        save_database_dir(load_database_dir(source), tmp_path / "db")
+        reopened = open_database_dir(tmp_path / "db")
+        assert {r.name: r.tuples for r in reopened} == expected
+
 
 class TestSortedTrieIterator:
     def make(self, rows, attrs=("A", "B")):
