@@ -7,8 +7,10 @@ integer-coerced when the whole column parses as integers (the bounds and
 PANDA are domain-agnostic; coercion only normalizes equality).
 
 Ingestion works a column at a time: the file's rows are checked against the
-header, split into columns by one ``zip``, coerced column by column and
-encoded by :func:`~repro.relational.columns.encode_columns` (the encoder of
+header, split into columns by one ``itemgetter`` pass per column
+(``zip(*body)`` would allocate a GC-tracked iterator per row, whose
+collections dominate a 10^5-row load), coerced column by column and encoded
+by :func:`~repro.relational.columns.encode_columns` (the encoder of
 ``Relation(...)``) straight into the relation's sorted code columns — no
 code tuple per row is built on the way.
 """
@@ -16,8 +18,9 @@ code tuple per row is built on the way.
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.exceptions import SchemaError
 from repro.relational.columns import encode_columns
@@ -51,6 +54,12 @@ def _check_widths(path: Path, header: tuple[str, ...], body: list) -> None:
         raise SchemaError(f"{path}: row {row} does not match header {header}")
 
 
+def _split_columns(body: list, positions: range) -> Iterator[list]:
+    """The body's cells at each of ``positions``, one column at a time (one
+    ``itemgetter`` pass each: no per-row iterator, unlike ``zip(*body)``)."""
+    return (list(map(itemgetter(i), body)) for i in positions)
+
+
 def _coerce_column(cells: Sequence[str]) -> Sequence:
     """``cells`` as ints when every distinct cell parses as one, else as is
     (the one coercion rule of relation files and change feeds)."""
@@ -80,7 +89,7 @@ def load_relation_csv(
     path = Path(path)
     header, body = _read_csv(path, delimiter)
     _check_widths(path, header, body)
-    columns = map(_coerce_column, zip(*body))
+    columns = map(_coerce_column, _split_columns(body, range(len(header))))
     return Relation.from_column_set(name or path.stem, encode_columns(header, columns))
 
 
@@ -122,7 +131,7 @@ def load_changes_csv(
     wrong = next((op for op in ops if op not in ("+", "-")), None)
     if wrong is not None:
         raise SchemaError(f"{path}: op column must be '+' or '-', got {wrong!r}")
-    columns = [_coerce_column(column) for column in list(zip(*body))[1:]]
+    columns = list(map(_coerce_column, _split_columns(body, range(1, len(header)))))
     inserts: list[tuple] = []
     deletes: list[tuple] = []
     for op, row in zip(ops, zip(*columns) if columns else [()] * len(ops)):

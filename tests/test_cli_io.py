@@ -107,6 +107,21 @@ def reference_load(path, dictionaries):
     return header, sorted(rows)
 
 
+def reference_feed(header, rows):
+    """The row-wise change-feed split ``load_changes_csv`` replaced: each
+    column coerced to ints all or none, rows re-tupled and routed by op."""
+    columns = []
+    for cells in list(zip(*rows))[1:]:
+        try:
+            columns.append([int(cell) for cell in cells])
+        except ValueError:
+            columns.append(list(cells))
+    inserts, deletes = [], []
+    for row, values in zip(rows, zip(*columns) if columns else [()] * len(rows)):
+        (inserts if row[0] == "+" else deletes).append(values)
+    return header[1:], inserts, deletes
+
+
 class TestColumnarLoader:
     """``load_relation_csv`` encodes a column at a time; it must equal the
     row-wise reference in code rows, dictionary values and digest on both
@@ -122,8 +137,8 @@ class TestColumnarLoader:
         return f" {value}" if rng.random() < 0.2 else str(value)
 
     @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
-    @pytest.mark.parametrize("arity", (1, 2, 3))
-    @pytest.mark.parametrize("nrows", (255, 256, 257))
+    @pytest.mark.parametrize("arity", (1, 2, 3, 4))
+    @pytest.mark.parametrize("nrows", (0, 255, 256, 257))
     def test_matches_row_wise_reference(self, tmp_path, backend, arity, nrows):
         from repro.relational.backend import scoped_backend
         from repro.relational.columns import ColumnSet, Dictionary
@@ -150,6 +165,30 @@ class TestColumnarLoader:
         for attr, reference in zip(header, references):
             assert Dictionary.of(attr).values == reference.values
         assert digest == ColumnSet(header, expected, presorted=True).content_digest()
+
+    @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
+    def test_padded_integers_share_one_code(self, tmp_path, backend):
+        from repro.relational.backend import scoped_backend
+        from repro.relational.columns import Dictionary
+
+        header = (f"pi_{backend}_A", f"pi_{backend}_B")
+        cells = ["5", "05", " 5", "7"] * 70  # 280 rows: past the numpy gate
+        write_csv(tmp_path / "P.csv", header, [(c, i % 3) for i, c in enumerate(cells)])
+        with scoped_backend(backend):
+            relation = load_relation_csv(tmp_path / "P.csv")
+        assert Dictionary.of(header[0]).values == [5, 7]
+        assert sorted(relation.tuples) == [(5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2)]
+
+    def test_ragged_row_names_first_offender(self, tmp_path):
+        from repro.relational.columns import Dictionary
+
+        (tmp_path / "B.csv").write_text("rr_A,rr_B\n1,2\n3\n4,5,6\n")
+        with pytest.raises(SchemaError) as raised:
+            load_relation_csv(tmp_path / "B.csv")
+        assert str(raised.value) == (
+            f"{tmp_path / 'B.csv'}: row ['3'] does not match header ('rr_A', 'rr_B')"
+        )
+        assert len(Dictionary.of("rr_A")) == 0
 
     def test_header_only_file_is_empty_and_interns_nothing(self, tmp_path):
         from repro.relational.columns import Dictionary
@@ -187,6 +226,20 @@ class TestColumnarLoader:
             assert deletes == [] and relation.tuples == frozenset(inserts)
         assert sorted(load_relation_csv(tmp_path / "padded.csv").tuples) == [(-3,), (5,)]
         assert load_changes_csv(tmp_path / "mixed.changes.csv")[1] == [("1",), ("x",), ("05",)]
+
+    @pytest.mark.parametrize("width", (1, 3))
+    @pytest.mark.parametrize("nrows", (0, 40))
+    def test_feed_matches_row_wise_reference(self, tmp_path, width, nrows):
+        from repro.relational.io import load_changes_csv
+
+        rng = random.Random(stable_seed("feed", width, nrows))
+        header = ("op",) + tuple(f"fd_{i}" for i in range(width))
+        rows = [
+            (rng.choice("+-"),) + tuple(self.cell(rng, i) for i in range(width))
+            for _ in range(nrows)
+        ]
+        write_csv(tmp_path / "R.changes.csv", header, rows)
+        assert load_changes_csv(tmp_path / "R.changes.csv") == reference_feed(header, rows)
 
     @pytest.mark.parametrize(
         "text,message",
