@@ -21,7 +21,7 @@ Three phases, one contract:
    *in-heap* (no ceiling) and cross-checks both the per-relation ingest
    digests and the join-result digest bit-for-bit.
 3. **Zero-byte rebind** (parent): a 2-worker
-   :class:`~repro.parallel.ParallelQueryEngine` binds the persisted
+   :class:`~repro.planner.QueryEngine` with ``workers=2`` binds the persisted
    database — the pool must ship **file references only** (zero column
    bytes), and re-opening + re-executing against the unchanged directory
    must ship nothing further.  Gated exactly, not approximately.
@@ -345,7 +345,7 @@ def test_out_of_core_triangle(tmp_path):
     del database  # keep the fork light: the reference heap is done
     from repro.datalog.atoms import Atom
     from repro.datalog.conjunctive import ConjunctiveQuery
-    from repro.parallel import ParallelQueryEngine
+    from repro.planner import QueryEngine
     from repro.relational.storage import open_database_dir
 
     query = ConjunctiveQuery.full(
@@ -355,7 +355,7 @@ def test_out_of_core_triangle(tmp_path):
     start = time.perf_counter()
     opened = open_database_dir(directory)
     cold_open_s = time.perf_counter() - start
-    with ParallelQueryEngine(query, workers=2) as engine:
+    with QueryEngine(query, workers=2) as engine:
         start = time.perf_counter()
         pooled = engine.execute(opened, driver="generic")
         pooled_s = time.perf_counter() - start

@@ -34,8 +34,9 @@ import time
 
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
-from repro.parallel import ParallelQueryEngine, plan_shards
+from repro.parallel import plan_shards
 from repro.parallel.engine import _order_tables
+from repro.planner import QueryEngine
 from repro.relational import Database, Relation, generic_join
 
 from _bench_utils import artifact_path, print_table
@@ -110,7 +111,7 @@ def _measure(label, query, database):
     # the engine uses: workers x its oversharding factor).
     tables = _order_tables(relations, order)
     specs = plan_shards(
-        tables, order, WORKERS * ParallelQueryEngine.OVERSHARD
+        tables, order, WORKERS * QueryEngine.OVERSHARD
     )
     assert any(spec.is_heavy for spec in specs), (
         f"{label}: hub key was not detected as heavy — the skewed workload "
@@ -119,7 +120,7 @@ def _measure(label, query, database):
 
     serial_s, oracle = _best(lambda: generic_join(relations, order))
 
-    engine = ParallelQueryEngine(query, workers=WORKERS)
+    engine = QueryEngine(query, workers=WORKERS)
     try:
         cold_start = time.perf_counter()
         cold_result = engine.execute(database, driver="generic")
@@ -197,7 +198,7 @@ def test_parallel_join_speedup(benchmark):
         )
 
     query, database = _triangle_workload(SCALE // 10)
-    engine = ParallelQueryEngine(query, workers=WORKERS)
+    engine = QueryEngine(query, workers=WORKERS)
     try:
         engine.execute(database, driver="generic")  # warm the pool
         benchmark(lambda: engine.execute(database, driver="generic"))

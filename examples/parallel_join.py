@@ -6,7 +6,7 @@ Walkthrough of the `repro.parallel` subsystem:
 2. inspect the shard plan — contiguous code ranges on the first variable,
    with the hub split further on the second variable (the Lemma 6.1-style
    heavy-hitter test), so skew doesn't serialize onto one worker;
-3. run the same query serially and through :class:`ParallelQueryEngine`
+3. run the same query serially and through :class:`QueryEngine` with ``workers=N``
    at several worker counts and drivers, checking every result is
    *bit-identical* (same sorted code rows — parallelism changes wall-clock,
    never results);
@@ -26,8 +26,9 @@ from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import COUNTING
-from repro.parallel import ParallelQueryEngine, parallel_faq_join, plan_shards
+from repro.parallel import parallel_faq_join, plan_shards
 from repro.parallel.engine import _order_tables
+from repro.planner import QueryEngine
 from repro.relational import Database, Relation, generic_join, scoped_work_counter
 
 
@@ -72,7 +73,7 @@ def main() -> None:
     print(f"\nserial generic join: {len(serial)} rows in {serial_s:.3f}s")
 
     for workers in (1, 2, 4):
-        with ParallelQueryEngine(query, workers=workers) as engine:
+        with QueryEngine(query, workers=workers) as engine:
             for driver in ("generic", "leapfrog", "yannakakis"):
                 with scoped_work_counter() as counter:
                     start = time.perf_counter()

@@ -53,7 +53,7 @@ from repro.core.constraints import (
 from repro.datalog import parse_query, parse_rule
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import ReproError
-from repro.planner.engine import DRIVERS
+from repro.core.query_plans import DRIVERS
 
 __all__ = ["main", "build_parser"]
 
@@ -104,10 +104,9 @@ def _add_engine_args(
             help="max rows to print per result relation without --out",
         )
     parser.add_argument(
-        "--driver", default=None, choices=DRIVERS,
-        help="execution strategy (default generic; results are bit-identical "
-             "regardless).  On `run`, giving it opts into the parallel "
-             "engine even at --workers 1",
+        "--driver", default=None, choices=tuple(DRIVERS),
+        help="execution strategy (results are bit-identical regardless; "
+             "default generic, and dasubw for `run` at --workers 1)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -416,9 +415,9 @@ def cmd_run(args) -> int:
     from pathlib import Path
 
     from repro.core.panda import panda
-    from repro.core.query_plans import dasubw_plan, proper_query_plan
+    from repro.core.query_plans import proper_query_plan
     from repro.datalog.rule import DisjunctiveRule
-    from repro.planner import Planner
+    from repro.planner import Planner, QueryEngine
     from repro.relational.backend import scoped_backend
     from repro.relational.io import save_relation_csv
     from repro.relational.operators import scoped_work_counter
@@ -432,12 +431,9 @@ def cmd_run(args) -> int:
     disjunctive = isinstance(statement, DisjunctiveRule)
 
     workers = max(1, args.workers)
-    # An explicit --driver opts into the parallel engine even at 1 worker
-    # (the driver then runs in-process over the same shard plan).
+    conjunctive = not disjunctive and (statement.is_full or statement.is_boolean)
     parallel = workers > 1 or args.driver is not None
-    if parallel and (
-        disjunctive or not (statement.is_full or statement.is_boolean)
-    ):
+    if parallel and not conjunctive:
         print(
             "note: --workers/--driver apply to full/Boolean conjunctive "
             "queries; running this statement serially",
@@ -448,15 +444,12 @@ def cmd_run(args) -> int:
     with scoped_backend(args.backend), scoped_work_counter() as counter:
         if disjunctive:
             result = panda(statement, database, planner=planner)
-        elif parallel:
-            from repro.parallel import ParallelQueryEngine
-
-            with ParallelQueryEngine(
+        elif conjunctive:
+            default = "generic" if workers > 1 else "dasubw"
+            with QueryEngine(
                 statement, planner=planner, **_engine_options(args)
             ) as engine:
-                plan = engine.execute(database, driver=args.driver or "generic")
-        elif statement.is_full or statement.is_boolean:
-            plan = dasubw_plan(statement, database, planner=planner)
+                plan = engine.execute(database, driver=args.driver or default)
         else:
             plan = proper_query_plan(statement, database, planner=planner)
 
@@ -644,7 +637,7 @@ def cmd_serve(args) -> int:
     if args.apply_deltas:
         from repro.incremental import IncrementalQueryEngine as Engine
     else:
-        from repro.parallel import ParallelQueryEngine as Engine
+        from repro.planner import QueryEngine as Engine
 
     with scoped_work_counter() as counter:
         with Engine(statement, **_engine_options(args)) as engine:

@@ -16,15 +16,21 @@ Three PANDA drivers plus the traditional baseline:
   join of the restricted atoms, then Yannakakis.  On the 4-cycle's worst-case
   instance this pays ``Θ(N²)`` while :func:`dasubw_plan` stays at
   ``O~(N^{3/2})``.
+
+:data:`DRIVERS` is the driver table: every name ``QueryEngine.execute``,
+the maintained engines and the CLI's ``--driver`` accept, with the serial
+driver it runs.  Pooled shards run the same entries
+(:mod:`repro.parallel.pool`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from repro.core.constraints import ConstraintSet
 from repro.core.panda import PandaResult, panda
+from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.datalog.rule import DisjunctiveRule
 from repro.decompositions.enumeration import tree_decompositions
@@ -32,13 +38,17 @@ from repro.decompositions.selectors import selector_images
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.exceptions import QueryError
 from repro.relational.database import Database
+from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.operators import project, semijoin, union
 from repro.relational.relation import Relation
 from repro.relational.wcoj import generic_join
 from repro.relational.yannakakis import acyclic_boolean, acyclic_join, join_tree_from_bags
 
 __all__ = [
+    "DRIVERS",
+    "Driver",
     "PlanResult",
+    "check_query",
     "panda_full_query",
     "dafhtw_plan",
     "dasubw_plan",
@@ -84,8 +94,16 @@ def _best_decomposition(
     """The decomposition minimizing its worst bag's polymatroid bound.
 
     All bag LPs go through the planner's shared batched solver, so repeated
-    bags (within and across driver calls) solve once.
+    bags (within and across driver calls) solve once.  Constraints over
+    attributes outside the query's variables (a self-join database's stored
+    schemas) cannot inform the choice; with none usable the first
+    decomposition is taken — the choice only affects speed.
     """
+    universe = frozenset(hypergraph.vertices)
+    if not all(c.y <= universe for c in constraints):
+        constraints = ConstraintSet(c for c in constraints if c.y <= universe)
+        if not len(constraints):
+            return decompositions[0]
     solver = planner.bound_solver(hypergraph.vertices, constraints)
 
     def bag_cost(bag: frozenset):
@@ -94,7 +112,8 @@ def _best_decomposition(
     return min(decompositions, key=lambda td: max(bag_cost(b) for b in td.bags))
 
 
-def _check_query(query: ConjunctiveQuery) -> None:
+def check_query(query: ConjunctiveQuery) -> None:
+    """Reject a query outside the drivers' reach: full or Boolean CQs only."""
     if not (query.is_full or query.is_boolean):
         raise QueryError(
             "the paper's drivers cover full and Boolean conjunctive queries "
@@ -112,13 +131,18 @@ def panda_full_query(
     constraints: ConstraintSet | None = None,
     backend: str = "exact",
     planner=None,
+    decompositions: Sequence[TreeDecomposition] | None = None,
 ) -> PlanResult:
-    """Corollary 7.10: evaluate a full/Boolean CQ in ``O~(N + 2^{DAPB})``."""
-    _check_query(query)
+    """Corollary 7.10: evaluate a full/Boolean CQ in ``O~(N + 2^{DAPB})``.
+
+    ``decompositions`` is unused (one rule over all variables); it is
+    accepted so every entry of :data:`DRIVERS` takes the same arguments.
+    """
+    check_query(query)
     if planner is None:
         planner = _new_planner()
-    variables = tuple(sorted(query.variable_set))
-    rule = DisjunctiveRule((frozenset(variables),), query.body, name=query.name)
+    (targets,) = _full_target(query)
+    rule = DisjunctiveRule(targets, query.body, name=query.name)
     result = panda(
         rule, database, constraints=constraints, backend=backend, planner=planner
     )
@@ -162,7 +186,7 @@ def tree_decomposition_plan(
     chosen by its worst bag's polymatroid bound, with the bound LPs served
     by the planner's shared (and cached) batched solver.
     """
-    _check_query(query)
+    check_query(query)
     if decomposition is None:
         if planner is None:
             planner = _new_planner()
@@ -209,7 +233,7 @@ def dafhtw_plan(
     materializes every bag with single-target PANDA, semijoin-reduces, and
     runs Yannakakis.
     """
-    _check_query(query)
+    check_query(query)
     if planner is None:
         planner = _new_planner()
     if constraints is None:
@@ -284,7 +308,7 @@ def dasubw_plan(
     plan cache collapses the per-image LP + proof-sequence work to one build
     per isomorphism class.
     """
-    _check_query(query)
+    check_query(query)
     if planner is None:
         planner = _new_planner()
     if constraints is None:
@@ -292,16 +316,12 @@ def dasubw_plan(
     hypergraph = query.hypergraph()
     if decompositions is None:
         decompositions = tree_decompositions(hypergraph)
-    images = selector_images(decompositions)
 
     # Step 1: one PANDA disjunctive rule per selector image.
     runs: list[PandaResult] = []
     produced: dict[frozenset, Relation] = {}
-    image_targets: list[list[frozenset]] = []
-    for image in images:
-        targets = sorted(image, key=lambda b: tuple(sorted(b)))
-        image_targets.append(targets)
-        rule = DisjunctiveRule(tuple(targets), query.body, name="P_image")
+    for targets in _image_targets(query, constraints, decompositions, planner, backend):
+        rule = DisjunctiveRule(targets, query.body, name="P_image")
         result = panda(
             rule,
             database,
@@ -468,3 +488,108 @@ def proper_query_plan(
         panda_runs=runs,
         decompositions_used=[best],
     )
+
+
+# -- the driver table ----------------------------------------------------------------
+
+
+def _image_targets(query, constraints, decompositions, planner, backend) -> list:
+    """dasubw's PANDA rules: one per bag-selector image (Cor. 7.13)."""
+    return [
+        tuple(sorted(image, key=lambda b: tuple(sorted(b))))
+        for image in selector_images(decompositions)
+    ]
+
+
+def _bag_targets(query, constraints, decompositions, planner, backend) -> list:
+    """dafhtw's PANDA rules: one per bag of the chosen decomposition."""
+    best = _best_decomposition(
+        planner, query.hypergraph(), constraints, decompositions, backend
+    )
+    return [(bag,) for bag in best.bags]
+
+
+def _full_target(query, *_) -> list:
+    """panda_full's one PANDA rule, over all the variables (Cor. 7.10)."""
+    return [(frozenset(query.variable_set),)]
+
+
+@dataclass(frozen=True)
+class Driver:
+    """One entry of the driver table.
+
+    Every driver answers a full or Boolean conjunctive query with the same
+    rows (the bit-identity contract); entries differ only in how.
+
+    Attributes:
+        name: the name ``execute(driver=...)`` and ``--driver`` take.
+        plan: the serial plan driver, called as ``plan(query, database,
+            constraints=, decompositions=, backend=, planner=)``.
+        join: for a bare worst-case-optimal join instead, its kernel, run
+            on the bound atoms; a pooled shard restricts the kernel's trie
+            roots to its row ranges (zero copy) rather than slicing.
+        targets: for a PANDA driver, the targets of the rules it solves, as
+            ``targets(query, constraints, decompositions, planner,
+            backend)``; a pooled run plans them once in the parent and
+            ships the plans, with the dictionaries PANDA decodes, to the
+            workers.
+    """
+
+    name: str
+    plan: Callable | None = None
+    join: Callable | None = None
+    targets: Callable | None = None
+
+    def run(self, query, relations, ranges=None, **options) -> PlanResult:
+        """Evaluate ``query`` on its atoms' bindings, in process.
+
+        ``relations[i]`` is the binding of ``query.body[i]``.  ``ranges``
+        (one ``(lo, hi)`` per relation, rows of its column set under the
+        sorted variable order) restricts the run to one shard: a join
+        restricts its trie roots, a plan driver runs on zero-copy slices.
+        A plan driver sees a database holding exactly the bindings, each
+        under its atom's name — self-join occurrences as ``name__i``.
+        """
+        order = tuple(sorted(query.variable_set))
+        if self.join is not None:
+            joined = self.join(relations, order, name=query.name, root_ranges=ranges)
+            non_empty = not joined.is_empty()
+            if query.is_boolean:
+                joined = _boolean_result(query, non_empty)
+            return PlanResult(relation=joined, boolean=non_empty)
+        names = [atom.name for atom in query.body]
+        atoms = []
+        bound = []
+        for index, (atom, relation) in enumerate(zip(query.body, relations)):
+            if ranges is not None:
+                attrs = tuple(v for v in order if v in relation.attributes)
+                column_set = relation.column_set(attrs)
+                lo, hi = ranges[index]
+                if (lo, hi) != (0, column_set.nrows):
+                    relation = Relation.from_column_set(
+                        relation.name, column_set.restrict_range(lo, hi)
+                    )
+            name = atom.name if names.count(atom.name) == 1 else f"{atom.name}__{index}"
+            atoms.append(Atom(name, relation.schema))
+            bound.append(relation if relation.name == name else relation.renamed(name))
+        return self.plan(
+            replace(query, body=tuple(atoms)), Database(bound), **options
+        )
+
+
+#: The driver table, by name.  ``panda`` and ``yannakakis`` are the names
+#: the pooled and maintained engines gave ``dasubw`` and
+#: ``tree_decomposition``; the CLI's ``--driver`` takes all of them.
+DRIVERS: dict[str, Driver] = {
+    entry.name: entry
+    for entry in (
+        Driver("generic", join=generic_join),
+        Driver("leapfrog", join=leapfrog_triejoin),
+        Driver("yannakakis", plan=tree_decomposition_plan),
+        Driver("panda", plan=dasubw_plan, targets=_image_targets),
+        Driver("dasubw", plan=dasubw_plan, targets=_image_targets),
+        Driver("dafhtw", plan=dafhtw_plan, targets=_bag_targets),
+        Driver("panda_full", plan=panda_full_query, targets=_full_target),
+        Driver("tree_decomposition", plan=tree_decomposition_plan),
+    )
+}

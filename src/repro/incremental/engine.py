@@ -48,7 +48,12 @@ from repro.incremental.ivm import (
     signed_join_delta,
     term_variable_order,
 )
-from repro.planner.engine import EngineBase, check_driver, pinned_cardinalities
+from repro.planner.engine import (
+    EngineBase,
+    QueryEngine,
+    check_driver,
+    pinned_cardinalities,
+)
 from repro.relational.backend import scoped_backend
 from repro.relational.relation import Relation
 
@@ -157,7 +162,7 @@ class MaintainedEngine(EngineBase):
     def _from_scratch(self, key, query, database, driver: str, sized_atoms):
         """Run ``query`` on ``database`` from scratch, plan-warm.
 
-        One single-worker :class:`~repro.parallel.ParallelQueryEngine` per
+        One single-worker :class:`~repro.planner.QueryEngine` per
         ``key`` shares this engine's planner and backends.  It plans under
         the explicit engine-level constraints when there are any, otherwise
         under :func:`~repro.planner.engine.pinned_cardinalities` of
@@ -166,9 +171,7 @@ class MaintainedEngine(EngineBase):
         """
         entry = self._scratch.get(key)
         if entry is None:
-            from repro.parallel import ParallelQueryEngine
-
-            engine = ParallelQueryEngine(
+            engine = QueryEngine(
                 query,
                 backend=self.backend,
                 planner=self.planner,
@@ -198,11 +201,11 @@ class IncrementalQueryEngine(MaintainedEngine):
         >>> second = engine.refresh()              # delta-sized maintenance
         >>> second.relation == dasubw_plan(...).relation   # bit-identical
 
-    Restrictions match :class:`repro.parallel.ParallelQueryEngine`: the
-    query must be a full or Boolean conjunctive query (the maintained view
-    is the full join over the canonical sorted variable order — exactly the
-    rows every driver emits, which is what makes one maintained view serve
-    all of them).
+    Restrictions match :class:`repro.planner.QueryEngine`: the query must
+    be a full or Boolean conjunctive query (the maintained view is the full
+    join over the canonical sorted variable order — exactly the rows every
+    driver emits, which is what makes one maintained view serve all of
+    them).
     """
 
     def __init__(

@@ -12,11 +12,13 @@ the shards out over a persistent ``multiprocessing`` worker pool:
 * :mod:`repro.parallel.pool` is the worker pool: the dictionary-encoded
   relations ship to each worker *once per database* as raw column-major
   ``array('q')`` code buffers (plans and dictionaries likewise seed once),
-  and each shard task — just per-relation row ranges — executes through the
-  existing serial drivers over the worker-resident relations;
-* :mod:`repro.parallel.engine` exposes :class:`ParallelQueryEngine` — the
-  :class:`repro.planner.QueryEngine`-shaped facade with ``workers=N`` — and
-  the ordered merge that reassembles per-shard outputs into one relation.
+  and each shard task — just per-relation row ranges — runs the serial
+  driver-table entry over the worker-resident relations;
+* :mod:`repro.parallel.engine` holds the ordered merge that reassembles
+  per-shard outputs into one relation, and parallel FAQ.  The facade is
+  :class:`repro.planner.QueryEngine` with ``workers=N``;
+  ``ParallelQueryEngine`` is a subclass that keeps its older defaults
+  (all cores, the ``generic`` driver).
 
 Hard contract: for every driver and semiring, parallel output is
 *bit-identical* to serial execution — the same sorted code rows, the same

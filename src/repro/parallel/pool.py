@@ -9,13 +9,15 @@ rebuilds them exactly once.  Relations bound to a persisted column store
 references* (paths + digest, a few strings on the wire) and each worker
 maps the digest-named artifact read-only with ``mmap``, so bind cost is
 independent of data size and the mapped pages are shared across the pool.
-A shard task is then just ``(driver, order,
-row ranges, extra)``: the worker executes its shard through the serial
-drivers with :func:`repro.relational.execution.execute_join`'s zero-copy
-root-range restriction over its resident relations, so per-shard marginal
-cost is pure join work (and the shared per-node trie caches of
+A shard task is then just ``(driver, row
+ranges, extra)``: the worker runs the named driver-table entry
+(:meth:`repro.core.query_plans.Driver.run`) over its resident relations
+restricted to the ranges — a join through
+:func:`repro.relational.execution.execute_join`'s zero-copy root-range
+restriction, so per-shard marginal cost is pure join work (and the shared
+per-node trie caches of
 :meth:`~repro.relational.columns.ColumnSet.trie_caches` accumulate across
-shards and executes).
+shards and executes), a plan driver on zero-copy slices.
 
 Residency is content-addressed **per relation**: the database token is a
 tuple of ``(key, content digest)`` pairs, one per bound relation
@@ -30,13 +32,14 @@ ships only signed *delta runs* against the resident base relations
 ``(key, base digest, version)``.
 
 Codes are parent-process codes throughout; workers never decode.  The one
-exception is the ``panda`` driver, whose Lemma 6.1 bucket halving orders
+exception is the PANDA drivers, whose Lemma 6.1 bucket halving orders
 heavy keys by decoded *values* — those tasks ship the relevant
 dictionaries' value lists and :func:`adopt_dictionaries` installs them
-wholesale.  The data-independent :class:`~repro.planner.PandaPlan` bundle
-(one plan per isomorphism class, exported by the parent's planner) is also
-cached worker-side under a fingerprint token, so repeated executions seed
-each worker exactly once.
+wholesale.  A plan driver's bundle — the parent's enumerated tree
+decompositions and, for PANDA, the data-independent
+:class:`~repro.planner.PandaPlan` of every rule it solves — is cached
+worker-side under a fingerprint token, so repeated executions seed each
+worker exactly once.
 
 Every task runs under its own
 :func:`~repro.relational.operators.scoped_work_counter` and reports the
@@ -249,24 +252,29 @@ def adopt_dictionaries(dict_values: dict[str, list]) -> None:
         _WORKER_DICTS[attribute] = list(values)
 
 
-def _seeded_planner(plans_token, plans_blob: bytes | None):
-    """The worker's planner, seeded once per plan-bundle fingerprint."""
+def _seeded_planner(plans_token, plans_blob: bytes) -> tuple:
+    """The worker's ``(planner, decompositions)``, seeded once per bundle.
+
+    The bundle is the parent's enumerated decompositions plus the
+    ``PandaPlan`` of every rule the driver solves (see
+    ``QueryEngine._shard_plans``).
+    """
     from repro.planner import Planner
 
-    planner = _WORKER_PLANNERS.get(plans_token)
-    if planner is not None:
-        return planner
+    seeded = _WORKER_PLANNERS.get(plans_token)
+    if seeded is not None:
+        return seeded
     planner = Planner()
-    if plans_blob is not None:
-        for universe, targets, constraints, backend, plan in pickle.loads(plans_blob):
-            exact_key = planner.cache.instance_key(universe, targets, constraints)
-            sig_key, canonical_to_instance = planner.cache.signature(
-                universe, targets, constraints, exact_key=exact_key
-            )
-            planner.cache.put((sig_key, backend), plan, canonical_to_instance)
-            planner.cache.store_instance((exact_key, backend), plan)
-    _WORKER_PLANNERS[plans_token] = planner
-    return planner
+    decompositions, plans = pickle.loads(plans_blob)
+    for universe, targets, constraints, backend, plan in plans:
+        exact_key = planner.cache.instance_key(universe, targets, constraints)
+        sig_key, canonical_to_instance = planner.cache.signature(
+            universe, targets, constraints, exact_key=exact_key
+        )
+        planner.cache.put((sig_key, backend), plan, canonical_to_instance)
+        planner.cache.store_instance((exact_key, backend), plan)
+    seeded = _WORKER_PLANNERS[plans_token] = (planner, decompositions)
+    return seeded
 
 
 # -- per-shard execution ------------------------------------------------------------
@@ -293,132 +301,57 @@ def _resident_database(tokens) -> list[tuple]:
     return entries
 
 
-def _sliced_relation(relation: Relation, attrs: tuple, lo: int, hi: int) -> Relation:
-    """The shard's slice of one resident relation, as its own relation.
-
-    A :meth:`~repro.relational.columns.ColumnSet.restrict_range` view over
-    the order-restricted column set: the slice shares the resident column
-    buffers; full-range slices reuse the resident relation outright when
-    its schema already matches.
-    """
-    column_set = relation.column_set(attrs)
-    if lo == 0 and hi == column_set.nrows and relation.schema == attrs:
-        return relation
-    return Relation.from_column_set(
-        relation.name, column_set.restrict_range(lo, hi)
-    )
-
-
-def _panda_shard(sliced: list[Relation], order: tuple[str, ...], extra: dict):
-    """Run the serial da-subw PANDA driver on one shard's database."""
-    from repro.core.query_plans import dasubw_plan
-    from repro.datalog.atoms import Atom
-    from repro.datalog.conjunctive import ConjunctiveQuery
-    from repro.relational.database import Database
-
-    if extra.get("parent_pid") != os.getpid():
-        # In-process (single-worker) runs already share the parent's
-        # dictionaries; only real worker processes adopt.
-        adopt_dictionaries(extra["dict_values"])
-    planner = _seeded_planner(extra["plans_token"], extra.get("plans_blob"))
-    # Atoms are renamed R__0, R__1, ... because self-joins restrict the two
-    # occurrences of a base relation *differently* per shard — each slice
-    # must be its own database entry.
-    atoms = []
-    db_relations = []
-    for i, (relation, variables) in enumerate(zip(sliced, extra["atom_vars"])):
-        atom_name = f"{relation.name}__{i}"
-        db_relations.append(
-            Relation.from_column_set(atom_name, relation.column_set(variables))
-        )
-        atoms.append(Atom(atom_name, variables))
-    if extra["boolean"]:
-        query = ConjunctiveQuery.boolean(tuple(atoms), name=extra["query_name"])
-    else:
-        query = ConjunctiveQuery.full(tuple(atoms), name=extra["query_name"])
-    result = dasubw_plan(
-        query,
-        Database(db_relations),
-        constraints=extra["constraints"],
-        backend=extra["backend"],
-        planner=planner,
-    )
-    return result.relation, result.boolean
-
-
-def _yannakakis_shard(sliced: list[Relation], order: tuple[str, ...], extra: dict):
-    """Materialize the shipped decomposition's bags and run Yannakakis."""
-    from repro.relational.operators import project
-    from repro.relational.wcoj import generic_join
-    from repro.relational.yannakakis import (
-        acyclic_boolean,
-        acyclic_join,
-        join_tree_from_bags,
-    )
-
-    bag_tables = []
-    for bag in extra["bags"]:
-        bag_atoms = []
-        for relation in sliced:
-            overlap = relation.attributes & bag
-            if overlap:
-                bag_atoms.append(project(relation, overlap))
-        bag_tables.append(
-            generic_join(bag_atoms, name=f"T_{''.join(sorted(bag))}")
-        )
-    tree = join_tree_from_bags(bag_tables)
-    if extra["boolean"]:
-        non_empty = acyclic_boolean(tree)
-        return Relation("Q", order), non_empty
-    joined = acyclic_join(tree)
-    return joined, not joined.is_empty()
-
-
 def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
     """Execute one shard over the resident database (worker-side entry).
 
-    ``task`` is ``(db_tokens, driver, order, ranges, extra)`` with one
-    ``(lo, hi)`` row range per resident relation.  Returns the shard's
-    output rows as a raw column-major buffer (sorted under ``order``), the
-    shard's Boolean answer, and the shard's work counts.
+    ``task`` is ``(db_tokens, driver, ranges, extra)`` with one ``(lo, hi)``
+    row range per resident relation; ``extra`` carries the query and, for
+    a plan driver, the parent's plan bundle.  The shard runs the
+    driver-table entry the parent named over the resident relations,
+    restricted to the ranges (:meth:`~repro.core.query_plans.Driver.run`).
+    Returns the shard's output rows as a raw column-major buffer (sorted
+    under the sorted variable order), the shard's Boolean answer, and the
+    shard's work counts.
     """
-    db_tokens, driver, order, ranges, extra = task
-    entries = _resident_database(db_tokens)
+    from repro.core.query_plans import DRIVERS
+
+    db_tokens, driver, ranges, extra = task
+    entry = DRIVERS[driver]
+    query = extra["query"]
+    relations = [relation for _, _, relation in _resident_database(db_tokens)]
+    options = {}
+    if entry.join is None:
+        if entry.targets is not None and extra["parent_pid"] != os.getpid():
+            # PANDA orders heavy keys by decoded value; in-process runs
+            # already share the parent's dictionaries, workers adopt them.
+            adopt_dictionaries(extra["dict_values"])
+        planner, decompositions = _seeded_planner(
+            extra["plans_token"], extra["plans_blob"]
+        )
+        options = {
+            "constraints": extra["constraints"],
+            "decompositions": decompositions,
+            "backend": extra["backend"],
+            "planner": planner,
+        }
     # The parent resolves the execution backend once and ships the concrete
     # name; entering the scope here keeps worker execution bit-identical to
     # (and backend-consistent with) the parent's serial reference.
     with (
-        scoped_backend(extra.get("execution_backend")),
+        scoped_backend(extra["execution_backend"]),
         scoped_work_counter() as counter,
     ):
-        if driver in ("generic", "leapfrog"):
-            if driver == "generic":
-                from repro.relational.wcoj import generic_join as join
-            else:
-                from repro.relational.leapfrog import leapfrog_triejoin as join
-
-            relations = [relation for _, _, relation in entries]
-            out = join(relations, order, root_ranges=ranges)
-            boolean = not out.is_empty()
-        else:
-            sliced = [
-                _sliced_relation(relation, attrs, lo, hi)
-                for (_, attrs, relation), (lo, hi) in zip(entries, ranges)
-            ]
-            if driver == "yannakakis":
-                out, boolean = _yannakakis_shard(sliced, order, extra)
-            elif driver == "panda":
-                out, boolean = _panda_shard(sliced, order, extra)
-            else:  # pragma: no cover - guarded by the engine
-                raise ValueError(f"unknown shard driver {driver!r}")
-        if extra.get("boolean") or not out.schema:
+        result = entry.run(query, relations, ranges, **options)
+        if query.is_boolean:
             # Boolean queries only need the flag (which travels separately);
             # don't serialize join rows the parent would discard.
             buffer = b""
         else:
+            out = result.relation
+            order = tuple(sorted(query.variable_set))
             buffer = pack_column_range(out.column_set(order), 0, len(out))
         counts = counter.as_dict()
-    return buffer, boolean, counts
+    return buffer, result.boolean, counts
 
 
 def _versioned_relation(

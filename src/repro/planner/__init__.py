@@ -9,7 +9,8 @@ signatures on the mask kernel), :mod:`~repro.planner.cache` (bounded LRU
 plan cache with hit/miss statistics), :mod:`~repro.planner.batch` (bound
 solves sharing one polymatroid program per universe/constraints), and
 :mod:`~repro.planner.engine` (the :class:`Planner` policy object and the
-:class:`QueryEngine` facade wired through PANDA and all query drivers).
+:class:`QueryEngine` facade over every driver of the driver table, serial
+or sharded over a worker pool).
 """
 
 from repro.planner.batch import BatchedBoundSolver

@@ -17,14 +17,19 @@ through one shared :class:`~repro.planner.batch.BatchedBoundSolver` per
 ``(universe, constraints)``.
 
 :class:`QueryEngine` is the user-facing facade: construct it once for a
-query, call :meth:`QueryEngine.execute` per database; all planning work is
-reused across executions (and across isomorphic sub-instances within one).
-:class:`EngineBase`, :func:`check_driver` and :func:`pinned_cardinalities`
-are what it shares with the parallel, incremental and datalog engines.
+query, call :meth:`QueryEngine.execute` per database with any name of the
+driver table; all planning work is reused across executions (and across
+isomorphic sub-instances within one), and ``workers=N`` shards the same
+drivers over a process pool.  :class:`EngineBase`, :func:`check_driver`
+and :func:`pinned_cardinalities` are what it shares with the incremental,
+serving and datalog engines.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +52,6 @@ from repro.planner.signature import (
 )
 
 __all__ = [
-    "DRIVERS",
-    "PLAN_DRIVERS",
     "EngineBase",
     "PandaPlan",
     "Planner",
@@ -268,32 +271,21 @@ class Planner:
         return plan
 
 
-#: The shard drivers of the parallel, incremental, serving and datalog
-#: engines, and the plan drivers of :class:`QueryEngine` — the one
-#: definition every facade and the CLI's ``--driver`` choices import.
-DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
-PLAN_DRIVERS = ("dasubw", "dafhtw", "panda_full", "tree_decomposition")
+def check_driver(driver: str):
+    """The driver-table entry named ``driver``, or a typed error.
 
-
-def check_driver(driver: str, accepted: tuple[str, ...] = DRIVERS) -> None:
-    """Reject a driver name outside ``accepted`` before any work happens.
-
-    A name from the other vocabulary gets a message saying which engine
-    takes it instead of a bare "unknown driver".
+    Every engine calls this before it touches the database, the planner or
+    a running broker; the message lists the table
+    (:data:`repro.core.query_plans.DRIVERS`).
     """
-    if driver in accepted:
-        return
-    takes = "/".join(accepted)
-    if accepted == DRIVERS and driver in PLAN_DRIVERS:
+    from repro.core.query_plans import DRIVERS
+
+    entry = DRIVERS.get(driver)
+    if entry is None:
         raise QueryError(
-            f"{driver!r} is a QueryEngine driver; this engine takes {takes}"
+            f"unknown driver {driver!r}; pick from {'/'.join(DRIVERS)}"
         )
-    if accepted == PLAN_DRIVERS and driver in DRIVERS:
-        raise QueryError(
-            f"{driver!r} is a shard driver (parallel, incremental, serving "
-            f"and datalog engines); QueryEngine takes {takes}"
-        )
-    raise QueryError(f"unknown driver {driver!r}; pick from {accepted}")
+    return entry
 
 
 def pinned_cardinalities(
@@ -331,8 +323,6 @@ class EngineBase:
     ship the resolved name so workers execute under the same backend).
     """
 
-    DRIVERS = DRIVERS
-
     def __init__(
         self,
         constraints: ConstraintSet | None,
@@ -351,7 +341,6 @@ class EngineBase:
         self.planner = planner if planner is not None else Planner()
         self.workers = max(1, workers)
         self._pool = None
-        self._decompositions = None
 
     @property
     def cache_stats(self) -> PlanCacheStats:
@@ -363,14 +352,6 @@ class EngineBase:
 
             self._pool = WorkerPool(self.workers)
         return self._pool
-
-    def _query_decompositions(self):
-        """The tree decompositions of ``self.query`` (enumerated once)."""
-        if self._decompositions is None:
-            from repro.decompositions.enumeration import tree_decompositions
-
-            self._decompositions = tree_decompositions(self.query.hypergraph())
-        return self._decompositions
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -386,16 +367,31 @@ class EngineBase:
 
 
 class QueryEngine(EngineBase):
-    """Plan a query once; execute it against many databases.
+    """Plan a query once; execute it against many databases, on N workers.
+
+    ``execute(database, driver)`` takes every name of the driver table
+    (:data:`repro.core.query_plans.DRIVERS`).  With ``workers=1`` the
+    named serial driver runs in process.  With ``workers > 1`` the engine
+    range-partitions the query on its first global-order attribute
+    (:mod:`repro.parallel.partition`), fans the shards out over a
+    persistent worker pool (:mod:`repro.parallel.pool`), where each shard
+    runs the same driver-table entry, and concatenates the sorted shard
+    outputs.  Either way the answer is the query's sorted code rows over
+    its sorted variables — bit-identical across drivers and worker counts.
 
     Example:
         >>> engine = QueryEngine(cycle_query(4))        # doctest: +SKIP
         >>> first = engine.execute(database_monday)     # cold: plans + runs
         >>> second = engine.execute(database_tuesday)   # warm: plans cached
         >>> engine.cache_stats.hit_rate                 # doctest: +SKIP
+        >>> with QueryEngine(cycle_query(4), workers=4) as pooled:  # doctest: +SKIP
+        ...     assert pooled.execute(database_monday).relation == first.relation
     """
 
-    DRIVERS = PLAN_DRIVERS
+    #: Shards planned per worker.  Finer shards let the pool balance residual
+    #: skew (the slowest shard bounds the wall-clock) at near-zero extra cost:
+    #: whole-relation payloads are cached per worker, and slicing is C-speed.
+    OVERSHARD = 2
 
     def __init__(
         self,
@@ -403,10 +399,36 @@ class QueryEngine(EngineBase):
         constraints: ConstraintSet | None = None,
         backend: str = "exact",
         planner: Planner | None = None,
+        workers: int = 1,
         execution_backend: str | None = None,
     ) -> None:
-        super().__init__(constraints, backend, planner, execution_backend)
+        super().__init__(constraints, backend, planner, execution_backend, workers)
         self.query = query
+        self._decompositions = None
+        #: (driver, constraints fingerprint, backend) -> shipped plan bundle.
+        self._plan_bundles: dict = {}
+        #: The query's atoms bound against the current database (pinned),
+        #: so atoms whose variables differ from the stored schemas don't
+        #: re-relabel — and hence re-pack/re-digest — on every execute.
+        self._bound_db: tuple | None = None
+        #: The current database's shard memo: ``(column-set identity key,
+        #: pinned column sets, {"specs"/"tokens": ...})``.  Pinning the
+        #: column sets keeps their ids stable while the memo lives.
+        self._binding: tuple | None = None
+        #: Shipped dictionary value lists, rebuilt only when a dictionary
+        #: grows (``((universe, lengths), {attr: values})``).
+        self._dict_values: tuple | None = None
+
+    @property
+    def shipping_stats(self) -> dict:
+        """The pool's cumulative wire cost (column bytes vs file refs).
+
+        Zeros before the first pooled execute; file-backed relations keep
+        ``column_bytes`` at zero across binds and rebinds.
+        """
+        if self._pool is None:
+            return {"column_bytes": 0, "file_refs": 0}
+        return self._pool.shipping_stats
 
     def execute(
         self,
@@ -414,36 +436,212 @@ class QueryEngine(EngineBase):
         driver: str = "dasubw",
         constraints: ConstraintSet | None = None,
     ):
-        """Evaluate the query on one database with the chosen driver.
+        """Evaluate the query on one database with the named driver.
 
         Constraint resolution: an explicit ``constraints`` argument wins,
         then the engine-level constraints, then the database's extracted
         cardinalities.  Plans are cached across calls whenever the resolved
         constraints (and hence the bound LPs) coincide.
         """
-        from repro.core import query_plans
+        from repro.core.query_plans import check_query
         from repro.relational.backend import scoped_backend
+        from repro.relational.relation import Relation
 
-        check_driver(driver, PLAN_DRIVERS)
+        entry = check_driver(driver)
+        query = self.query
+        check_query(query)
         if constraints is None:
             constraints = self.constraints
         if constraints is None:
             constraints = database.extract_cardinalities()
-        run = {
-            "dasubw": query_plans.dasubw_plan,
-            "dafhtw": query_plans.dafhtw_plan,
-            "panda_full": query_plans.panda_full_query,
-            "tree_decomposition": query_plans.tree_decomposition_plan,
-        }[driver]
-        options = {}
-        if driver != "panda_full":
-            options["decompositions"] = self._query_decompositions()
         with scoped_backend(self.execution_backend):
-            return run(
-                self.query,
-                database,
+            if self.workers > 1:
+                return self._execute_sharded(entry, database, constraints)
+            result = entry.run(
+                query,
+                self._bind_atoms(database),
                 constraints=constraints,
+                decompositions=(
+                    None if entry.join else self._query_decompositions()
+                ),
                 backend=self.backend,
                 planner=self.planner,
-                **options,
             )
+        order = tuple(sorted(query.variable_set))
+        if not query.is_boolean and result.relation.schema != order:
+            result.relation = Relation.from_column_set(
+                query.name, result.relation.column_set(order)
+            )
+        return result
+
+    def _query_decompositions(self):
+        """The tree decompositions of ``self.query`` (enumerated once)."""
+        if self._decompositions is None:
+            from repro.decompositions.enumeration import tree_decompositions
+
+            self._decompositions = tree_decompositions(self.query.hypergraph())
+        return self._decompositions
+
+    def _bind_atoms(self, database) -> list:
+        """The query's atoms bound against ``database`` (cached, pinned).
+
+        Safe to cache: relations are immutable and ``Database.add`` only
+        admits new names, so existing bindings never change under it.
+        """
+        cached = self._bound_db
+        if cached is not None and cached[0] is database:
+            return cached[1]
+        relations = [atom.bind(database) for atom in self.query.body]
+        self._bound_db = (database, relations)
+        return relations
+
+    def _database_state(self, tables) -> dict:
+        """The memo of the database behind ``tables`` (one kept at a time)."""
+        key = tuple((id(t.column_set), t.column_set.nrows) for t in tables)
+        binding = self._binding
+        if binding is None or binding[0] != key:
+            binding = (key, tuple(t.column_set for t in tables), {})
+            self._binding = binding
+        return binding[2]
+
+    # -- sharded execution ---------------------------------------------------------
+
+    def _shard_plans(self, entry, constraints: ConstraintSet) -> dict:
+        """What a plan driver's shards need besides their slices.
+
+        The parent enumerates the decompositions once and, for a PANDA
+        driver, plans each of its rules — pure LP / proof-sequence work,
+        data-independent — so the bundle ships to the pool, where each
+        worker seeds its planner once per bundle token.  PANDA orders heavy
+        keys by decoded value, so its shards also get the dictionaries.
+        """
+        from repro.relational.columns import Dictionary
+
+        key = (entry.name, constraints_fingerprint(constraints), self.backend)
+        universe = tuple(sorted(self.query.variable_set))
+        bundle = self._plan_bundles.get(key)
+        if bundle is None:
+            decompositions = self._query_decompositions()
+            rules = ()
+            if entry.targets:
+                rules = entry.targets(
+                    self.query, constraints, decompositions, self.planner, self.backend
+                )
+            plans = []
+            for targets in rules:
+                plan = self.planner.plan_rule(
+                    universe, targets, constraints, backend=self.backend
+                )
+                plans.append((universe, targets, constraints, self.backend, plan))
+            blob = pickle.dumps((decompositions, plans))
+            bundle = (blob, hashlib.sha1(blob).hexdigest())
+            self._plan_bundles[key] = bundle
+        extra = {
+            "constraints": constraints,
+            "backend": self.backend,
+            "plans_blob": bundle[0],
+            "plans_token": bundle[1],
+        }
+        if entry.targets:
+            # Dictionary value lists are append-only; rebuild the shipped
+            # copies only when some dictionary actually grew.
+            lengths = tuple(len(Dictionary.of(v)) for v in universe)
+            cached = self._dict_values
+            if cached is None or cached[0] != (universe, lengths):
+                cached = (
+                    (universe, lengths),
+                    {v: list(Dictionary.of(v).values) for v in universe},
+                )
+                self._dict_values = cached
+            extra["dict_values"] = cached[1]
+            extra["parent_pid"] = os.getpid()
+        return extra
+
+    def _execute_sharded(self, entry, database, constraints: ConstraintSet):
+        """Bind the database to the pool, fan row-range tasks out, merge.
+
+        Shipping is content-addressed **per relation**
+        (:meth:`~repro.relational.columns.ColumnSet.content_digest`): on the
+        first bind the full payload seeds every worker, and a later rebind
+        reships only the relations whose digests changed (see
+        :class:`~repro.parallel.pool.WorkerPool`).  Shard tasks then carry
+        only per-relation ``(lo, hi)`` row ranges over the resident
+        relations.
+        """
+        from repro.core.query_plans import PlanResult
+        from repro.parallel.engine import _merge_shard_columns, _order_tables
+        from repro.parallel.partition import plan_shards, slice_bounds
+        from repro.parallel.pool import run_shard_task, unpack_column_arrays
+        from repro.relational.backend import current_backend
+        from repro.relational.operators import current_counter
+        from repro.relational.relation import Relation
+
+        query = self.query
+        order = tuple(sorted(query.variable_set))
+        relations = self._bind_atoms(database)
+        tables = _order_tables(relations, order)
+        state = self._database_state(tables)
+        specs = state.get("specs")
+        if specs is None:
+            specs = state["specs"] = plan_shards(
+                tables, order, self.workers * self.OVERSHARD
+            )
+        tokens = state.get("tokens")
+        if tokens is None:
+            # Keys qualify the atom position so self-joins restricted to
+            # different variable orders stay distinct resident entries.
+            tokens = state["tokens"] = tuple(
+                (f"{relation.name}#{index}", table.column_set.content_digest())
+                for index, (relation, table) in enumerate(zip(relations, tables))
+            )
+        counter = current_counter()
+        counter.partitions += 1
+        # Resolved once in the parent and shipped as the concrete name, so
+        # an engine-level override (or an enclosing ``scoped_backend``)
+        # reaches the forked workers, whose environment only carries
+        # ``REPRO_BACKEND``.
+        extra = {"query": query, "execution_backend": current_backend()}
+        if entry.join is None:
+            extra.update(self._shard_plans(entry, constraints))
+        pool = self._worker_pool()
+        pool.ensure_database(
+            tokens,
+            [
+                (key, table.attrs, relation, digest)
+                for (key, digest), relation, table in zip(tokens, relations, tables)
+            ],
+        )
+        tasks = [
+            (
+                tokens,
+                entry.name,
+                tuple(slice_bounds(table, order, spec) for table in tables),
+                extra,
+            )
+            for spec in specs
+        ]
+        boolean = False
+        shards = []
+        for buffer, shard_boolean, counts in pool.map(run_shard_task, tasks):
+            boolean = boolean or shard_boolean
+            counter.absorb(counts)
+            shards.append(unpack_column_arrays(buffer, len(order)))
+        if query.is_boolean:
+            relation = Relation(query.name, (), [()] if boolean else [])
+            return PlanResult(relation=relation, boolean=boolean)
+        relation = Relation.from_columns(
+            query.name, order, _merge_shard_columns(shards, len(order))
+        )
+        return PlanResult(relation=relation, boolean=not relation.is_empty())
+
+    def execute_faq(self, factors, free: Iterable[str] = ()):
+        """⊗-join annotated factors and ⊕-marginalize to ``free``, sharded.
+
+        Delegates to :func:`repro.parallel.engine.parallel_faq_join` on this
+        engine's pool; see there for the exactness contract.
+        """
+        from repro.parallel.engine import parallel_faq_join
+
+        return parallel_faq_join(
+            factors, free, workers=self.workers, pool=self._worker_pool()
+        )

@@ -486,8 +486,8 @@ class ColumnSet:
         slices, so restricting costs O(arity) regardless of the range size;
         its row tuples stay lazy, and it owns its caches and digest — row
         indices are shifted, so nothing derived from the base carries over.
-        The worker pool builds each shard's slice of a resident relation
-        this way (:func:`repro.parallel.pool._sliced_relation`); trie
+        A plan driver's shard slices each resident relation this way
+        (:meth:`repro.core.query_plans.Driver.run`); trie
         iterators restrict through their root bounds instead.
         """
         if not 0 <= lo <= hi <= self._nrows:

@@ -206,7 +206,7 @@ def execute_join(
     relation's trie root to a row range (see :func:`level_plan`): with every
     relation containing the first variable bounded to one code range, the
     call computes exactly that shard of the join — the serial building block
-    of :class:`repro.parallel.ParallelQueryEngine`.
+    of :class:`repro.planner.QueryEngine`'s pooled shards.
 
     ``leaf_intersect`` overrides the leaf-block intersection (default: the
     whole-block hash-set intersection).  The delta-maintenance terms pass

@@ -1,6 +1,6 @@
 """:class:`ServingEngine` — the QueryEngine-shaped concurrent facade.
 
-The shape matches :class:`~repro.parallel.ParallelQueryEngine` and
+The shape matches :class:`~repro.planner.QueryEngine` and
 :class:`~repro.incremental.IncrementalQueryEngine`: construct per query,
 ``execute(database)`` once to bind and materialize — which here also starts
 the broker (one writer thread + a reader pool) — then drive it with
@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 from repro.exceptions import ServingError
 from repro.incremental.engine import IncrementalQueryEngine
-from repro.planner.engine import DRIVERS, check_driver
+from repro.planner.engine import check_driver
 from repro.serving.admission import AdmissionController
 from repro.serving.server import SnapshotServer
 from repro.serving.snapshot import Snapshot
@@ -52,8 +52,6 @@ class ServingEngine:
         >>> rows = engine.read().result().relation        # snapshot read
         >>> engine.close()
     """
-
-    DRIVERS = DRIVERS
 
     def __init__(
         self,

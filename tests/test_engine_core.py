@@ -1,6 +1,8 @@
-"""What the five engine facades share: the driver check and plan pinning.
+"""What the engine facades share: one driver table, checked up front.
 
-``check_driver`` must reject a bad name with one typed error *before* the
+Every facade takes every name of the driver table
+(``repro.core.query_plans.DRIVERS``) and answers with the same rows;
+``check_driver`` rejects any other name with one typed error *before* the
 facade touches the database, the planner, or a running broker, and
 ``pinned_cardinalities`` is the one power-of-two pinning both maintained
 engines plan under.
@@ -8,6 +10,7 @@ engines plan under.
 
 import pytest
 
+from repro.core.query_plans import DRIVERS
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.datalog.engine import DatalogEngine
@@ -15,7 +18,7 @@ from repro.exceptions import IncrementalError, QueryError
 from repro.incremental import IncrementalQueryEngine
 from repro.parallel import ParallelQueryEngine
 from repro.planner import Planner, QueryEngine
-from repro.planner.engine import DRIVERS, PLAN_DRIVERS, pinned_cardinalities
+from repro.planner.engine import pinned_cardinalities
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.serving import ServingEngine
@@ -34,7 +37,7 @@ class Untouchable:
 
 
 def triangle_database() -> Database:
-    rows = [(1, 2), (2, 3), (1, 3)]
+    rows = [(1, 2), (2, 3), (1, 3), (3, 1), (2, 1)]
     return Database(
         (
             Relation("R", ("A", "B"), rows),
@@ -46,9 +49,7 @@ def triangle_database() -> Database:
 
 FACADES = {
     "query": lambda planner: QueryEngine(TRIANGLE, planner=planner),
-    "parallel": lambda planner: ParallelQueryEngine(
-        TRIANGLE, planner=planner, workers=1
-    ),
+    "pooled": lambda planner: QueryEngine(TRIANGLE, planner=planner, workers=2),
     "incremental": lambda planner: IncrementalQueryEngine(
         TRIANGLE, planner=planner
     ),
@@ -59,23 +60,14 @@ FACADES = {
 
 class TestDriverCheck:
     @pytest.mark.parametrize("facade", sorted(FACADES))
-    @pytest.mark.parametrize("wrong_vocabulary", (False, True))
-    def test_bad_driver_is_a_query_error_before_any_work(
-        self, facade, wrong_vocabulary
-    ):
+    def test_bad_driver_is_a_query_error_before_any_work(self, facade):
         planner = Planner()
         engine = FACADES[facade](planner)
-        accepted = engine.DRIVERS
-        other = DRIVERS if accepted == PLAN_DRIVERS else PLAN_DRIVERS
-        if wrong_vocabulary:
-            driver, message = other[0], f"{other[0]!r} is a .* driver"
-        else:
-            driver, message = "turbo", "unknown driver 'turbo'"
         with engine:
-            with pytest.raises(QueryError, match=message) as raised:
-                engine.execute(Untouchable(), driver=driver)
-            # The message names what this engine does take.
-            assert accepted[0] in str(raised.value)
+            with pytest.raises(QueryError, match="unknown driver 'turbo'") as raised:
+                engine.execute(Untouchable(), driver="turbo")
+            # The message is the driver table.
+            assert "/".join(DRIVERS) in str(raised.value)
             assert planner.stats.lookups == 0
             if facade in ("incremental", "datalog"):
                 with pytest.raises(IncrementalError, match="not bound"):
@@ -85,8 +77,35 @@ class TestDriverCheck:
         with ServingEngine(TRIANGLE, readers=1) as engine:
             engine.execute(triangle_database())
             with pytest.raises(QueryError):
-                engine.execute(triangle_database(), driver="dasubw")
-            assert len(engine.read().result(timeout=30).relation) == 1
+                engine.execute(triangle_database(), driver="turbo")
+            assert len(engine.read().result(timeout=30).relation) == 3
+
+    def test_the_parallel_engine_keeps_its_defaults(self):
+        from repro.parallel.pool import default_worker_count
+
+        assert issubclass(ParallelQueryEngine, QueryEngine)
+        assert QueryEngine(TRIANGLE).workers == 1
+        with ParallelQueryEngine(TRIANGLE) as engine:
+            assert engine.workers == default_worker_count()
+        with ParallelQueryEngine(TRIANGLE, workers=1) as engine:
+            # The default driver is the generic join, not PANDA.
+            assert engine.execute(triangle_database()).panda_runs == []
+
+    @pytest.mark.parametrize("driver", list(DRIVERS))
+    def test_every_facade_answers_every_driver_alike(self, driver):
+        """One table: every name works on every facade, with the same rows."""
+        database = triangle_database()
+        order = ("A", "B", "C")
+        expected = [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
+        for facade in ("query", "pooled", "incremental", "serving"):
+            with FACADES[facade](Planner()) as engine:
+                relation = engine.execute(database, driver=driver).relation
+                assert relation.schema == order, (facade, driver)
+                assert sorted(relation.tuples) == expected, (facade, driver)
+        edges = Database([Relation("edge", ("x", "y"), [(1, 2), (2, 3)])])
+        with FACADES["datalog"](Planner()) as engine:
+            paths = engine.execute(edges, driver=driver)["path"]
+            assert sorted(paths.tuples) == [(1, 2), (1, 3), (2, 3)]
 
 
 class SizedAtom:

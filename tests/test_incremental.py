@@ -908,8 +908,8 @@ class TestEngineBehavior:
 class TestPerRelationDigests:
     def test_unchanged_relations_not_repacked_on_rebind(self):
         """Rebinding with one changed relation reships only that relation."""
-        from repro.parallel import ParallelQueryEngine
         from repro.parallel import pool as pool_module
+        from repro.planner import QueryEngine
 
         rng = random.Random(stable_seed("digests"))
         query = make_query("triangle")
@@ -924,7 +924,7 @@ class TestPerRelationDigests:
 
         pool_module._pack_entry = spying_pack
         try:
-            with ParallelQueryEngine(query, workers=2) as engine:
+            with QueryEngine(query, workers=2) as engine:
                 first = engine.execute(database, driver="generic")
                 baseline_packs = list(packed_keys)
                 assert len(baseline_packs) == 3  # full payload once

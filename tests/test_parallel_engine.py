@@ -24,7 +24,6 @@ from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import BOOLEAN, COUNTING, MIN_PLUS
 from repro.parallel import (
-    ParallelQueryEngine,
     ShardTable,
     parallel_faq_join,
     plan_shards,
@@ -262,7 +261,7 @@ class TestParallelSerialBitIdentity:
         relations = [atom.bind(database) for atom in query.body]
         oracle = generic_join(relations, order)
         for workers in WORKER_COUNTS:
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 for driver in ("generic", "leapfrog", "yannakakis"):
                     result = engine.execute(database, driver=driver)
                     assert result.relation.schema == order
@@ -282,12 +281,30 @@ class TestParallelSerialBitIdentity:
         serial = QueryEngine(query).execute(database)
         canonical = serial.relation.column_set(order).rows
         for workers in WORKER_COUNTS:
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 result = engine.execute(database, driver="panda")
                 assert result.relation.schema == order
                 assert result.relation.code_rows == canonical, workers
                 assert result.relation == serial.relation
                 assert result.boolean == serial.boolean
+
+    @pytest.mark.parametrize(
+        "driver", ["dasubw", "dafhtw", "panda_full", "tree_decomposition"]
+    )
+    def test_every_plan_driver_shards_like_serial(self, driver):
+        """Each shard runs the serial driver-table entry on its slices."""
+        rng = random.Random(stable_seed("plan-shards", driver))
+        query = make_query("four_cycle")
+        database = make_database(query, rng, skewed=True)
+        order = tuple(sorted(query.variable_set))
+        serial = QueryEngine(query).execute(database, driver=driver)
+        assert serial.relation.schema == order
+        with QueryEngine(query, workers=2) as engine:
+            for _ in range(2):  # the second run reuses the shipped plan bundle
+                pooled = engine.execute(database, driver=driver)
+                assert pooled.relation.schema == order
+                assert pooled.relation.code_rows == serial.relation.code_rows
+                assert pooled.boolean == serial.boolean
 
     @pytest.mark.parametrize("query_name", ["triangle", "path"])
     def test_boolean_queries(self, query_name):
@@ -297,7 +314,7 @@ class TestParallelSerialBitIdentity:
         relations = [atom.bind(database) for atom in query.body]
         expected = not generic_join(relations).is_empty()
         for workers in WORKER_COUNTS:
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 for driver in ("generic", "yannakakis", "panda"):
                     result = engine.execute(database, driver=driver)
                     assert result.boolean is expected, (driver, workers)
@@ -307,7 +324,7 @@ class TestParallelSerialBitIdentity:
     def test_engine_rebinds_on_database_change(self):
         """One engine, several databases: the pool recycles per database."""
         query = make_query("triangle")
-        with ParallelQueryEngine(query, workers=2) as engine:
+        with QueryEngine(query, workers=2) as engine:
             for seed in range(3):
                 rng = random.Random(stable_seed("rebind", seed))
                 database = make_database(query, rng, skewed=bool(seed % 2))
@@ -320,31 +337,36 @@ class TestParallelSerialBitIdentity:
                     assert result.relation.code_rows == oracle.code_rows, seed
 
     def test_interleaved_engines_share_the_inprocess_database_slot(self):
-        """Regression: two engines alternating in-process shard execution.
+        """Regression: two pooled engines alternating in-process shard runs.
 
-        The locally resident database is a module-level slot; an engine must
-        reinstall its own database when another engine displaced it, even
-        though its pool-level token still matches.
+        A map of one task runs in process against the locally resident
+        database, a module-level slot; an engine must reinstall its own
+        database when another engine displaced it, even though its
+        pool-level token still matches.  One distinct key of a one-variable
+        query plans to exactly one shard, so every map here runs in process.
         """
-        def build(shift):
-            rows = [(i + shift, (i * 3) % 7) for i in range(25)]
+        def build(key):
             return Database(
-                [
-                    Relation(n, a, rows)
-                    for n, a in [("R", ("A", "B")), ("S", ("B", "C")),
-                                 ("T", ("A", "C"))]
-                ]
+                [Relation("R", ("A",), [(key,)]), Relation("S", ("A",), [(key,)])]
             )
 
-        query = make_query("triangle")
-        order = tuple(sorted(query.variable_set))
-        db1, db2 = build(0), build(100)
-        with ParallelQueryEngine(query, workers=1) as first, \
-                ParallelQueryEngine(query, workers=1) as second:
+        query = ConjunctiveQuery.full(
+            (Atom("R", ("A",)), Atom("S", ("A",))), name="both"
+        )
+        order = ("A",)
+        db1, db2 = build(1), build(101)
+        workers = 2
+        for database in (db1, db2):
+            tables = order_tables([a.bind(database) for a in query.body], order)
+            specs = plan_shards(tables, order, workers * QueryEngine.OVERSHARD)
+            assert len(specs) == 1
+        with QueryEngine(query, workers=workers) as first, \
+                QueryEngine(query, workers=workers) as second:
             baseline = first.execute(db1, driver="yannakakis")
             other = second.execute(db2, driver="yannakakis")
             again = first.execute(db1, driver="yannakakis")
             assert again.relation.code_rows == baseline.relation.code_rows
+            assert sorted(baseline.relation.tuples) == [(1,)]
             oracle2 = generic_join(
                 [atom.bind(db2) for atom in query.body], order
             )
@@ -356,7 +378,7 @@ class TestParallelSerialBitIdentity:
             [Relation(a.name, a.variables, []) for a in query.body]
         )
         for workers in (1, 4):
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 for driver in ("generic", "leapfrog"):
                     result = engine.execute(database, driver=driver)
                     assert result.relation.is_empty()
@@ -371,7 +393,7 @@ class TestParallelSerialBitIdentity:
         order = tuple(sorted(query.variable_set))
         oracle = generic_join([a.bind(database) for a in query.body], order)
         for workers in WORKER_COUNTS:
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 for driver in ("generic", "leapfrog", "yannakakis"):
                     result = engine.execute(database, driver=driver)
                     assert result.relation.code_rows == oracle.code_rows
@@ -390,7 +412,7 @@ class TestWorkAccounting:
             output = generic_join(relations)
         emitted = []
         for workers in WORKER_COUNTS:
-            with ParallelQueryEngine(query, workers=workers) as engine:
+            with QueryEngine(query, workers=workers) as engine:
                 with scoped_work_counter() as counter:
                     engine.execute(database, driver="generic")
                 emitted.append(counter.tuples_emitted)
@@ -403,7 +425,7 @@ class TestWorkAccounting:
         rng = random.Random(stable_seed("scope"))
         query = make_query("triangle")
         database = make_database(query, rng, skewed=False)
-        with ParallelQueryEngine(query, workers=2) as engine:
+        with QueryEngine(query, workers=2) as engine:
             with scoped_work_counter() as outer:
                 engine.execute(database, driver="generic")
             # Work done inside worker processes was absorbed here, and none

@@ -29,7 +29,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import StorageError
 from repro.incremental import IncrementalQueryEngine, SignedDelta, VersionedRelation
-from repro.parallel import ParallelQueryEngine
+from repro.planner import QueryEngine
 from repro.relational import Database, Dictionary, Relation, generic_join
 from repro.relational.backend import scoped_backend
 from repro.relational.columns import ColumnSet
@@ -191,7 +191,7 @@ class TestDriversAndBackends:
             Dictionary.reset_registry()
             reopened = open_database_dir(directory)
             with scoped_backend(backend):
-                with ParallelQueryEngine(
+                with QueryEngine(
                     query, workers=workers, execution_backend=backend
                 ) as engine:
                     result = engine.execute(reopened, driver=driver)
@@ -283,7 +283,7 @@ class TestPoolShipping:
         database, directory = saved_triangle(tmp_path, seed="shipping")
         Dictionary.reset_registry()
         reopened = open_database_dir(directory)
-        with ParallelQueryEngine(query, workers=2) as engine:
+        with QueryEngine(query, workers=2) as engine:
             first = engine.execute(reopened, driver="generic")
             stats = engine.shipping_stats
             assert stats["column_bytes"] == 0
@@ -309,7 +309,7 @@ class TestPoolShipping:
         expected = len(generic_join(list(database), ("A", "B", "C")))
         Dictionary.reset_registry()
         reopened = open_database_dir(directory)
-        with ParallelQueryEngine(
+        with QueryEngine(
             triangle_query(), workers=2, execution_backend="vectorized"
         ) as engine:
             result = engine.execute(reopened, driver)
@@ -320,7 +320,7 @@ class TestPoolShipping:
         query = triangle_query()
         rng = random.Random(stable_seed("heap-shipping"))
         database = triangle_database(rng)
-        with ParallelQueryEngine(query, workers=2) as engine:
+        with QueryEngine(query, workers=2) as engine:
             engine.execute(database, driver="generic")
             stats = engine.shipping_stats
             assert stats["file_refs"] == 0

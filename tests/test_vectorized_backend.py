@@ -15,12 +15,12 @@ import pytest
 
 from _helpers import stable_seed
 
+from repro.core.query_plans import DRIVERS
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import QueryError
 from repro.faq.semiring import BOOLEAN, COUNTING, FRACTION, MAX_PRODUCT, MIN_PLUS
 from repro.incremental import IncrementalQueryEngine
-from repro.parallel import ParallelQueryEngine
 from repro.parallel.engine import _order_tables
 from repro.parallel.partition import plan_shards, slice_bounds
 from repro.parallel.pool import pack_column_range, pack_output_rows
@@ -336,7 +336,7 @@ class TestKernelBitIdentity:
 
 @requires_numpy
 class TestEngineBitIdentity:
-    @pytest.mark.parametrize("driver", QueryEngine.DRIVERS)
+    @pytest.mark.parametrize("driver", list(DRIVERS))
     def test_planner_drivers_match_across_backends(self, driver):
         query = make_query("triangle")
         order = tuple(sorted(query.variable_set))
@@ -364,10 +364,10 @@ class TestEngineBitIdentity:
             [atom.bind(database) for atom in query.body], order
         )
         for backend in BACKENDS:
-            with ParallelQueryEngine(
+            with QueryEngine(
                 query, workers=workers, execution_backend=backend
             ) as engine:
-                for driver in ("generic", "leapfrog", "yannakakis", "panda"):
+                for driver in DRIVERS:
                     result = engine.execute(database, driver=driver)
                     assert result.relation.code_rows == oracle.code_rows, (
                         backend,
