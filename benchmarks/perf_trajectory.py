@@ -39,17 +39,6 @@ DEFAULT_BASELINE = os.path.join(BENCH_DIR, "baseline.json")
 DEFAULT_SUMMARY = os.path.join(DEFAULT_ARTIFACTS, "perf_summary.json")
 
 
-def _metrics_wcoj(payload: dict) -> dict:
-    metrics = {}
-    for entry in payload.get("results", []):
-        if not entry.get("gated", True):
-            continue  # reported-only instances (e.g. the node-bound skew)
-        instance = entry["instance"]
-        for arm in ("generic_join", "leapfrog"):
-            metrics[f"wcoj.{instance}.{arm}.speedup"] = entry[arm]["speedup"]
-    return metrics
-
-
 def _metrics_parallel(payload: dict) -> dict:
     if payload.get("min_speedup_gate") is None:
         return {}  # host had fewer cores than workers; numbers not comparable
@@ -77,7 +66,6 @@ def _metrics_out_of_core(payload: dict) -> dict:
 
 #: benchmark name (the artifact's ``"benchmark"`` field) -> metric extractor.
 EXTRACTORS = {
-    "wcoj_engine_comparison": _metrics_wcoj,
     "parallel_join": _metrics_parallel,
     "out_of_core": _metrics_out_of_core,
 }

@@ -113,12 +113,16 @@ def _best_decomposition(
 
 
 def check_query(query: ConjunctiveQuery) -> None:
-    """Reject a query outside the drivers' reach: full or Boolean CQs only."""
+    """Reject a query outside the drivers' reach: full or Boolean CQs only,
+    over body atoms with variables (a nullary atom has no constraint)."""
     if not (query.is_full or query.is_boolean):
         raise QueryError(
             "the paper's drivers cover full and Boolean conjunctive queries "
             "(§8 sketches the general case); project the full result instead"
         )
+    for atom in query.body:
+        if not atom.variables:
+            raise QueryError(f"nullary body atom {atom} is not supported")
 
 
 def _boolean_result(query: ConjunctiveQuery, non_empty: bool) -> Relation:

@@ -219,11 +219,9 @@ class IncrementalQueryEngine(MaintainedEngine):
         compact_min: int | None = None,
         execution_backend: str | None = None,
     ) -> None:
-        if not (query.is_full or query.is_boolean):
-            raise QueryError(
-                "the incremental engine maintains full and Boolean "
-                "conjunctive queries; project the full result instead"
-            )
+        from repro.core.query_plans import check_query
+
+        check_query(query)
         super().__init__(constraints, backend, planner, execution_backend, workers)
         self.query = query
         self.stats = MaintenanceStats()

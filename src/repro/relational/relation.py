@@ -212,6 +212,10 @@ class Relation:
         Cached per order; the schema-order set exists from construction.
         Partial orders keep one row per relation tuple (duplicates under the
         projection preserved) so run boundaries give exact distinct counts.
+        A full-arity permutation past the ``vectorize`` gate is one argsort
+        of the permuted canonical columns' ``pack_keys`` key, taken into a
+        columns-only set; partial orders (the nullary one included) and
+        every order below the gate sort permuted row tuples.
         """
         order = tuple(order)
         cached = self._column_sets.get(order)
@@ -220,10 +224,18 @@ class Relation:
         positions = tuple(self.position(a) for a in order)
         if len(set(positions)) != len(positions):
             raise SchemaError(f"column order {order} repeats an attribute")
-        rows = sorted(
-            [tuple(row[p] for p in positions) for row in self.code_rows]
-        )
-        cached = ColumnSet(order, rows, presorted=True)
+        canonical = self._column_sets[self.schema]
+        if len(order) == len(self.schema) and vectorize(canonical.nrows):
+            from repro.relational.vectorized import np_to_column, pack_keys
+
+            picked = [canonical.np_columns()[p] for p in positions]
+            by_row = pack_keys(picked)[0].argsort()
+            cached = ColumnSet.from_columns(
+                order, [np_to_column(column.take(by_row)) for column in picked]
+            )
+        else:
+            rows = sorted([tuple(row[p] for p in positions) for row in canonical.rows])
+            cached = ColumnSet(order, rows, presorted=True)
         self._column_sets[order] = cached
         return cached
 

@@ -48,14 +48,19 @@ def triangle_database() -> Database:
 
 
 FACADES = {
-    "query": lambda planner: QueryEngine(TRIANGLE, planner=planner),
-    "pooled": lambda planner: QueryEngine(TRIANGLE, planner=planner, workers=2),
-    "incremental": lambda planner: IncrementalQueryEngine(
-        TRIANGLE, planner=planner
+    "query": lambda planner, query=TRIANGLE: QueryEngine(query, planner=planner),
+    "pooled": lambda planner, query=TRIANGLE: QueryEngine(
+        query, planner=planner, workers=2
     ),
-    "serving": lambda planner: ServingEngine(TRIANGLE, planner=planner, readers=1),
+    "incremental": lambda planner, query=TRIANGLE: IncrementalQueryEngine(
+        query, planner=planner
+    ),
+    "serving": lambda planner, query=TRIANGLE: ServingEngine(
+        query, planner=planner, readers=1
+    ),
     "datalog": lambda planner: DatalogEngine(TC_TEXT, planner=planner),
 }
+QUERY_FACADES = ("query", "pooled", "incremental", "serving")
 
 
 class TestDriverCheck:
@@ -72,6 +77,17 @@ class TestDriverCheck:
             if facade in ("incremental", "datalog"):
                 with pytest.raises(IncrementalError, match="not bound"):
                     engine.relation("R")
+
+    @pytest.mark.parametrize("facade", QUERY_FACADES)
+    def test_nullary_body_atom_is_a_query_error_before_any_work(self, facade):
+        """``Q(A,B) :- R(A,B), S()`` is rejected by name before bind or plan,
+        not by constraint extraction after bind."""
+        query = ConjunctiveQuery.full((Atom("R", ("A", "B")), Atom("S", ())))
+        planner = Planner()
+        with pytest.raises(QueryError, match=r"nullary body atom S\(\)"):
+            with FACADES[facade](planner, query) as engine:
+                engine.execute(Untouchable())
+        assert planner.stats.lookups == 0
 
     def test_serving_engine_keeps_serving_after_a_bad_driver(self):
         with ServingEngine(TRIANGLE, readers=1) as engine:
@@ -97,7 +113,7 @@ class TestDriverCheck:
         database = triangle_database()
         order = ("A", "B", "C")
         expected = [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
-        for facade in ("query", "pooled", "incremental", "serving"):
+        for facade in QUERY_FACADES:
             with FACADES[facade](Planner()) as engine:
                 relation = engine.execute(database, driver=driver).relation
                 assert relation.schema == order, (facade, driver)

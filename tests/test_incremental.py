@@ -207,18 +207,45 @@ def merge_case(arity: int, shape: str, size: int = 300):
 
 
 def advanced_orders(backend: str, arity: int, base, delta_rows, signs):
-    """Advance a relation holding every full order; all orders' contents."""
+    """Advance a relation holding every full order: all orders' contents,
+    the merge arm each order took, and which orders came out columns-only.
+
+    The arm is observed at its entry, not read off the result's form (past
+    the gate an order is born columns-only whichever arm later merges into
+    it): the interpreted arm asks ``signed_merge_plan`` for a splice plan,
+    the numpy arm keys base and delta by one two-operand ``pack_keys``.
+    """
     import itertools
+    from unittest import mock
+
+    from repro.incremental import delta as delta_module
+    from repro.relational import vectorized
+
+    arms = []
+    real_plan, real_pack = delta_module.signed_merge_plan, vectorized.pack_keys
+
+    def plan_arm(*args, **kwargs):
+        arms.append("plan")
+        return real_plan(*args, **kwargs)
+
+    def numpy_arm(*operands):
+        if len(operands) == 2:
+            arms.append("numpy")
+        return real_pack(*operands)
 
     attrs = MERGE_ATTRS[:arity]
     with scoped_backend(backend):
         relation = Relation.from_codes("W", attrs, base, presorted=True, distinct=True)
         for order in itertools.permutations(attrs):
             relation.column_set(order).columns
-        out = advance_relation(relation, SignedDelta(attrs, delta_rows, signs))
+        with (
+            mock.patch.object(delta_module, "signed_merge_plan", plan_arm),
+            mock.patch.object(vectorized, "pack_keys", numpy_arm),
+        ):
+            out = advance_relation(relation, SignedDelta(attrs, delta_rows, signs))
         lazy = [out.column_set(attrs)._rows is None]
         lazy += [column_set._rows is None for _, column_set in out.cached_full_orders()]
-        assert len(lazy) == len(list(itertools.permutations(attrs)))
+        assert len(lazy) == len(arms) == len(list(itertools.permutations(attrs)))
         contents = {
             order: (
                 list(out.column_set(order).rows),
@@ -227,7 +254,7 @@ def advanced_orders(backend: str, arity: int, base, delta_rows, signs):
             )
             for order in itertools.permutations(attrs)
         }
-    return contents, lazy
+    return contents, arms, lazy
 
 
 @pytest.mark.skipif(not have_numpy(), reason="the numpy arm needs numpy")
@@ -238,10 +265,12 @@ class TestSignedMergeArms:
     @pytest.mark.parametrize("arity", (1, 2, 3))
     def test_arms_agree_on_every_cached_order(self, arity, shape):
         base, delta, signs = merge_case(arity, shape)
-        interpreted, lazy = advanced_orders("interpreted", arity, base, delta, signs)
-        assert not any(lazy)  # the plan arm splices rows and columns
-        vectorized, lazy = advanced_orders("vectorized", arity, base, delta, signs)
-        assert all(lazy)  # the numpy arm leaves columns only
+        interpreted, arms, lazy = advanced_orders(
+            "interpreted", arity, base, delta, signs
+        )
+        assert set(arms) == {"plan"} and not any(lazy)  # rows and columns spliced
+        vectorized, arms, lazy = advanced_orders("vectorized", arity, base, delta, signs)
+        assert set(arms) == {"numpy"} and all(lazy)  # columns only
         assert vectorized == interpreted
         expected = sorted(
             (set(base) | {r for r, s in zip(delta, signs) if s > 0})
@@ -252,22 +281,22 @@ class TestSignedMergeArms:
     @pytest.mark.parametrize("size", (255, 256, 257))
     def test_gate_straddle(self, size):
         base, delta, signs = merge_case(2, "mixed", size)
-        interpreted, _ = advanced_orders("interpreted", 2, base, delta, signs)
-        vectorized, lazy = advanced_orders("vectorized", 2, base, delta, signs)
+        interpreted, _, _ = advanced_orders("interpreted", 2, base, delta, signs)
+        vectorized, arms, _ = advanced_orders("vectorized", 2, base, delta, signs)
         assert vectorized == interpreted
-        assert all(lazy) == (size >= 256) and any(lazy) == (size >= 256)
+        assert arms == ["numpy" if size >= 256 else "plan"] * 2
 
     def test_sparse_codes_take_the_rerank_path(self):
         """Codes ~2^40 apart at arity 3 overflow the mixed-radix key."""
         base, delta, signs = merge_case(3, "mixed")
         spread = lambda rows: [tuple(code << 40 for code in row) for row in rows]
-        interpreted, _ = advanced_orders(
+        interpreted, _, _ = advanced_orders(
             "interpreted", 3, spread(base), spread(delta), signs
         )
-        vectorized, lazy = advanced_orders(
+        vectorized, arms, lazy = advanced_orders(
             "vectorized", 3, spread(base), spread(delta), signs
         )
-        assert all(lazy) and vectorized == interpreted
+        assert set(arms) == {"numpy"} and all(lazy) and vectorized == interpreted
 
     @pytest.mark.parametrize("arity", (1, 2, 3))
     @pytest.mark.parametrize("flip", ("insert_present", "delete_absent"))

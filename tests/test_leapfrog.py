@@ -1,14 +1,18 @@
 """Tests for Leapfrog Triejoin ([47]; the second WCOJ baseline of §2.1.1)."""
 
+import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import QueryError
+from repro.instances import skew_triangle, triangle_query
 from repro.relational import (
     Relation,
+    binary_join_plan,
     generic_join,
     leapfrog_triejoin,
 )
@@ -105,6 +109,7 @@ class TestLeapfrogTriejoin:
         with scoped_work_counter() as counter:
             out = leapfrog_triejoin(rels)
         assert len(out) == k ** 3  # == N^{3/2}: AGM-tight output
+        assert generic_join(rels) == out
         # A binary plan would touch ~N² = k⁴ tuples; LFTJ stays near k³.
         assert counter.tuples_scanned <= 8 * k ** 3
 
@@ -128,3 +133,31 @@ class TestLeapfrogTriejoin:
             for i in range(1, 5)
         ]
         assert leapfrog_triejoin(rels) == generic_join(rels)
+
+
+def test_worst_case_optimal_work_slopes():
+    """§2.1.1 on work counters: Generic Join [43] and Leapfrog Triejoin [47]
+    stay below the AGM exponent 1.5 on the skew triangle (output Θ(N)),
+    where every binary plan is quadratic because each pairwise join has
+    Θ(N²) tuples.  (Both emit exactly N^{3/2} tuples on the AGM-tight
+    triangle: ``test_agm_compliance_on_tight_triangle``.)
+    """
+    sizes = [32, 64, 128, 256]  # m; relation sizes are 2m - 1
+    joins = (generic_join, leapfrog_triejoin, binary_join_plan)
+    work = {join: [] for join in joins}
+    for m in sizes:
+        relations = [atom.bind(skew_triangle(m)) for atom in triangle_query().body]
+        outputs = []
+        for join in joins:
+            with scoped_work_counter() as counter:
+                outputs.append(join(relations))
+                work[join].append(counter.total)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def slope(counts):
+        logs = [math.log(m) for m in sizes], [math.log(c) for c in counts]
+        return statistics.linear_regression(*logs).slope
+
+    assert slope(work[generic_join]) < 1.5
+    assert slope(work[leapfrog_triejoin]) < 1.5
+    assert slope(work[binary_join_plan]) > 1.8

@@ -176,17 +176,85 @@ def test_project_matches(attrs, size):
     assert out.schema == tuple(a for a in ("A", "B", "C") if a in attrs)
 
 
+def order_builds(make, order):
+    """``make().column_set(order)`` under each backend, asserted equal in
+    digest, rows and column bytes; per arm, whether the set was born
+    columns-only (the argsort arm) rather than as row tuples."""
+    built = []
+    for backend in ("interpreted", "vectorized"):
+        with scoped_backend(backend):
+            column_set = make().column_set(order)
+            built.append(
+                (
+                    column_set._rows is None,
+                    column_set.content_digest(),
+                    column_set.rows,
+                    [bytes(column) for column in column_set.columns],
+                )
+            )
+    assert built[0][1:] == built[1][1:]
+    assert built[0][2] == sorted(built[0][2])
+    return built[0][0], built[1][0]
+
+
 def test_non_canonical_order_builds_match():
     rng = random.Random(stable_seed("orders"))
     rows = random_rows(rng, 3, 3 * GATE)
     for order in [("C", "A", "B"), ("B",), ("C", "B"), ("A", "B", "C")]:
-        built = []
-        for backend in ("interpreted", "vectorized"):
-            with scoped_backend(backend):
-                column_set = Relation("T", ("A", "B", "C"), rows).column_set(order)
-            built.append((column_set.rows, [list(c) for c in column_set.columns]))
-        assert built[0] == built[1]
-        assert built[0][0] == sorted(built[0][0])
+        order_builds(lambda: Relation("T", ("A", "B", "C"), rows), order)
+
+
+@pytest.mark.parametrize("size", [GATE - 1, GATE, GATE + 1])
+def test_full_order_build_straddles_the_gate(size):
+    rng = random.Random(stable_seed("order-gate", size))
+    rows = random_rows(rng, 3, size)
+    arms = order_builds(lambda: Relation("T", ("A", "B", "C"), rows), ("C", "A", "B"))
+    assert arms == (False, size >= GATE)
+
+
+def test_full_order_build_with_sparse_codes_reranks():
+    """Codes ~2^40 apart at arity 3 overflow the mixed-radix key."""
+    rng = random.Random(stable_seed("order-sparse"))
+    rows = [tuple(code << 40 for code in row) for row in random_rows(rng, 3, 3 * GATE)]
+    assert (max(map(max, rows)) + 1) ** 2 >= 1 << 63
+    make = lambda: Relation.from_codes("T", ("A", "B", "C"), rows)  # noqa: E731
+    assert order_builds(make, ("B", "C", "A")) == (False, True)
+
+
+@pytest.mark.parametrize("order", [(), ("B",), ("C", "A")])
+def test_partial_and_nullary_orders_stay_on_the_row_arm(order):
+    rng = random.Random(stable_seed("order-partial", *order))
+    rows = random_rows(rng, 3, 3 * GATE)
+    make = lambda: Relation("T", ("A", "B", "C"), rows)  # noqa: E731
+    assert order_builds(make, order) == (False, False)
+
+
+def test_full_order_of_a_csv_born_relation_no_row_transpose(tmp_path, no_row_transpose):
+    """A columns-only relation past the gate gets its permutation as columns."""
+    from repro.relational.columns import Dictionary
+    from repro.relational.io import load_relation_csv
+
+    rng = random.Random(stable_seed("order-csv"))
+    rows = random_rows(rng, 3, 3 * GATE)
+    path = tmp_path / "T.csv"
+    path.write_text("A,B,C\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    built = []
+    for backend in ("interpreted", "vectorized"):
+        with scoped_backend(backend):
+            column_set = load_relation_csv(path).column_set(("C", "A", "B"))
+            built.append(
+                (
+                    column_set.content_digest(),
+                    [bytes(column) for column in column_set.columns],
+                    list(zip(*column_set.columns)),
+                )
+            )
+    assert built[0] == built[1]
+    codes = built[0][2]
+    values = [Dictionary.of(attr).values for attr in ("C", "A", "B")]
+    decoded = [tuple(v[code] for v, code in zip(values, row)) for row in codes]
+    assert codes == sorted(codes)
+    assert sorted(decoded) == sorted((c, a, b) for a, b, c in rows)
 
 
 # -- Lemma 6.1 ------------------------------------------------------------------------
