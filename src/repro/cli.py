@@ -131,6 +131,15 @@ def _split_vars(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _int_value(flag: str, item: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ReproError(
+            f"{flag} {item}: size {value!r} is not an integer"
+        ) from None
+
+
 def _parse_constraints(args, query) -> ConstraintSet:
     constraints = []
     atoms_by_name = {atom.name: atom for atom in query.body}
@@ -139,7 +148,9 @@ def _parse_constraints(args, query) -> ConstraintSet:
         if name not in atoms_by_name:
             raise ReproError(f"--size {item}: no atom named {name!r}")
         constraints.append(
-            cardinality(atoms_by_name[name].variables, int(value))
+            cardinality(
+                atoms_by_name[name].variables, _int_value("--size", item, value)
+            )
         )
     for item in args.fd:
         left, _, right = item.partition(":")
@@ -151,8 +162,9 @@ def _parse_constraints(args, query) -> ConstraintSet:
         left, _, right = spec.partition(">")
         x = _split_vars(left)
         y = _split_vars(right)
+        bound = _int_value("--degree", item, value)
         constraints.append(
-            DegreeConstraint.make(x, tuple(sorted(set(x) | set(y))), int(value))
+            DegreeConstraint.make(x, tuple(sorted(set(x) | set(y))), bound)
         )
     return ConstraintSet(constraints)
 

@@ -14,10 +14,12 @@ derivations.
 Rule bodies plan through the shared :class:`~repro.planner.Planner` with
 power-of-two-pinned cardinality constraints, so each body plans exactly
 once per isomorphism class and round-0 evaluations across refreshes are
-cache hits (``cache_stats``).  With ``workers > 1`` the delta-rule terms
-of each round fan out over the :mod:`repro.parallel` worker pool using the
-same resident-base protocol as the incremental engine: bases ship once per
-compaction epoch, rounds ship only their (tiny) delta runs.
+cache hits (``cache_stats``).  Predicates live in the incremental engine's
+:class:`~repro.incremental.delta.PredicateStore`, and each round's terms go
+through its builder and runner (:mod:`repro.incremental.ivm`): with
+``workers > 1`` they fan out over the :mod:`repro.parallel` worker pool —
+bases ship once per compaction epoch, rounds ship only their (tiny) delta
+runs.
 
 The engine's contract is the repo-wide one: results are bit-identical to
 :func:`~repro.datalog.fixpoint.evaluate_program_naive` for every driver,
@@ -34,16 +36,12 @@ from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.datalog.fixpoint import (
     DatalogProgram,
     FixpointStats,
-    PredicateStore,
     Stratum,
-    TermJob,
-    execute_jobs_serial,
     run_stratum,
 )
 from repro.exceptions import DatalogError, IncrementalError
-from repro.incremental.delta import SignedDelta
+from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.incremental.engine import MaintainedEngine
-from repro.incremental.ivm import execute_delta_term
 from repro.planner.engine import check_driver
 from repro.relational.backend import scoped_backend
 from repro.relational.database import Database
@@ -112,7 +110,6 @@ class DatalogEngine(MaintainedEngine):
         self.strata: tuple[Stratum, ...] = program.stratify()
         super().__init__(constraints, backend, planner, execution_backend, workers)
         self.stats = FixpointStats()
-        self._store: PredicateStore | None = None
         self._source = None
         self._materialized = False
         self._driver = "generic"
@@ -161,13 +158,6 @@ class DatalogEngine(MaintainedEngine):
         for rule in self.program.rules:
             for atom in rule.body + rule.negated:
                 store.register(atom)
-
-    def _require_bound(self) -> PredicateStore:
-        if self._store is None:
-            raise IncrementalError(
-                "engine is not bound — call execute(database) first"
-            )
-        return self._store
 
     def relation(self, name: str) -> Relation:
         """The current version of any predicate (EDB or IDB)."""
@@ -228,8 +218,7 @@ class DatalogEngine(MaintainedEngine):
         self._driver = driver
         with scoped_backend(self.execution_backend):
             deltas = self._drain_pending(store.relation)
-            for name in sorted(deltas):
-                store.apply(name, deltas[name])
+            store.apply(deltas)
             self._reset_predicates(self.program.idb_predicates)
             for stratum in self.strata:
                 self._run_stratum(stratum)
@@ -276,7 +265,7 @@ class DatalogEngine(MaintainedEngine):
         return run_stratum(
             stratum, self.program, self._require_bound(), self.stats,
             evaluate_rule=self._evaluate_rule,
-            executor=self._executor(),
+            pool=self._worker_pool if self.workers > 1 else None,
             **seeding,
         )
 
@@ -288,9 +277,7 @@ class DatalogEngine(MaintainedEngine):
             return False
         self.stats.batches += 1
         affected = self._affected_strata(frozenset(deltas))
-        insert_only = all(
-            min(delta.signs) > 0 for delta in deltas.values()
-        )
+        insert_only = all(delta.insert_only for delta in deltas.values())
         changed = set(deltas)
         for stratum in affected:
             changed.update(stratum.predicates)
@@ -338,14 +325,14 @@ class DatalogEngine(MaintainedEngine):
         # pre-change binding relations).  Downstream strata consume them as
         # seed rounds; snapshots stay valid because a predicate is
         # quiescent between its announcement and every consumption.
-        announced: dict[str, tuple[SignedDelta, dict]] = {}
-        for name in sorted(deltas):
-            snapshot = {
-                key: store.binding_by_key(key).current
-                for key in store.binding_keys(name)
-            }
-            store.apply(name, deltas[name])
-            announced[name] = (deltas[name], snapshot)
+        old, _ = store.apply(deltas)
+        announced: dict[str, tuple[SignedDelta, dict]] = {
+            name: (
+                deltas[name],
+                {key: old[key][0] for key in store.binding_keys(name)},
+            )
+            for name in sorted(deltas)
+        }
         for stratum in affected:
             referenced = {
                 name
@@ -376,8 +363,7 @@ class DatalogEngine(MaintainedEngine):
         self, deltas: dict[str, SignedDelta], affected: list[Stratum]
     ) -> None:
         store = self._require_bound()
-        for name in sorted(deltas):
-            store.apply(name, deltas[name])
+        store.apply(deltas)
         reset = sorted(
             {name for stratum in affected for name in stratum.predicates}
         )
@@ -403,6 +389,8 @@ class DatalogEngine(MaintainedEngine):
         Empty inputs shortcut to the empty join — a recursive rule whose
         stratum predicate is still empty at round 0 never reaches the
         planner, so plans are built only for joins that can produce rows.
+        A positive nullary atom is a Boolean guard: empty, it empties the
+        rule; non-empty, it drops out of the planned body.
         """
         store = self._require_bound()
         rule = state.rule
@@ -411,67 +399,18 @@ class DatalogEngine(MaintainedEngine):
             current.setdefault(atom.name, store.relation(atom.name))
         if any(relation.is_empty() for relation in current.values()):
             return Relation.from_codes(rule.head.name, state.order, [])
+        body = tuple(atom for atom in rule.body if atom.variables)
+        if not body:
+            return Relation.from_codes(rule.head.name, state.order, [()])
         # One scratch engine per rule, planned under its bindings' pinned
         # cardinalities: round-0 evaluations across refreshes are planner
         # cache hits instead of fresh plans.
+        relations = {atom.name: current[atom.name] for atom in body}
         result = self._from_scratch(
             rule,
-            ConjunctiveQuery.full(rule.body, name=rule.head.name),
-            Database(tuple(current.values())),
+            ConjunctiveQuery.full(body, name=rule.head.name),
+            Database(tuple(relations.values())),
             self._driver,
-            [(atom, len(store.binding(atom).current)) for atom in rule.body],
+            [(atom, len(store.binding(atom).current)) for atom in body],
         )
         return result.relation
-
-    # -- pooled delta terms ----------------------------------------------------------
-
-    def _executor(self):
-        if self.workers <= 1:
-            return execute_jobs_serial
-        return self._execute_jobs_pooled
-
-    def _execute_jobs_pooled(self, jobs: Sequence[TermJob]) -> list[tuple]:
-        """Fan a round's delta-rule terms out over the worker pool.
-
-        Jobs carrying version lifts go through
-        :func:`~repro.parallel.pool.map_delta_terms` with their binding
-        logs resident; jobs without — seed rounds consuming announcement
-        snapshots — run in-process alongside.
-        """
-        from repro.parallel.pool import map_delta_terms
-
-        store = self._require_bound()
-        pooled = [job for job in jobs if job.versions is not None]
-        if len(pooled) <= 1:
-            return execute_jobs_serial(jobs)
-
-        token_of = {
-            key: f"{key[0]}|{'.'.join(key[1])}"
-            for key in sorted({key for job in pooled for key in job.keys})
-        }
-        outputs = iter(
-            map_delta_terms(
-                self._worker_pool(),
-                {
-                    token: store.binding_by_key(key)
-                    for key, token in token_of.items()
-                },
-                [
-                    (
-                        job.state.order,
-                        tuple(token_of[key] for key in job.keys),
-                        job.versions,
-                        job.index,
-                        job.relations[job.index],
-                    )
-                    for job in pooled
-                ],
-            )
-        )
-        self.stats.pooled_rounds += 1
-        return [
-            next(outputs)
-            if job.versions is not None
-            else execute_delta_term(job.relations, job.state.order, job.index)
-            for job in jobs
-        ]

@@ -12,18 +12,20 @@ both documented in ``docs/datalog.md``:
   :class:`~repro.exceptions.DatalogError` — the classic stratified-negation
   condition: by the time a stratum runs, every negated predicate is final.
 
-* **Semi-naïve fixpoint** (:func:`run_stratum`): the PR 5 delta rule
+* **Semi-naïve fixpoint** (:func:`run_stratum`): the layer-8 delta rule
 
       d(R₁ ⋈ … ⋈ Rₖ) = Σᵢ R₁' ⋈ … ⋈ dRᵢ ⋈ … ⋈ Rₖ
 
   *is* semi-naïve evaluation's inner step.  Each round's newly derived
   tuples become an insert-only :class:`~repro.incremental.delta.SignedDelta`
-  applied to the predicate's log-structured
-  :class:`~repro.incremental.delta.VersionedRelation`; every rule whose body
-  references a changed predicate re-fires only through
-  :func:`~repro.incremental.ivm.execute_delta_term` — delta-first variable
-  orders, delta-scoped trie-root bounds, probe intersections — so a round
-  costs what the round *derived*, not the accumulated database.  Because
+  applied to the predicate's logs in the incremental engine's
+  :class:`~repro.incremental.delta.PredicateStore`; every rule whose body
+  references a changed predicate re-fires only through the delta terms
+  :func:`~repro.incremental.ivm.delta_terms` builds and
+  :func:`~repro.incremental.ivm.run_delta_terms` runs (in process, or on the
+  worker pool) — delta-first variable orders, delta-scoped trie-root
+  bounds, probe intersections — so a round costs what the round *derived*,
+  not the accumulated database.  Because
   within-stratum deltas are insert-only over set relations, the delta-rule
   terms telescope to exactly the new body-join rows, each derived once.
 
@@ -38,12 +40,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.datalog.atoms import Atom
 from repro.exceptions import DatalogError
-from repro.incremental.delta import SignedDelta, VersionedRelation
-from repro.incremental.ivm import execute_delta_term, term_rows
+from repro.incremental.delta import PredicateStore, SignedDelta
+from repro.incremental.ivm import delta_terms, run_delta_terms, term_rows
 from repro.relational.backend import vectorize
 from repro.relational.columns import ColumnSet, Dictionary
 from repro.relational.database import Database
@@ -53,9 +55,7 @@ __all__ = [
     "DatalogProgram",
     "DatalogRule",
     "FixpointStats",
-    "PredicateStore",
     "Stratum",
-    "TermJob",
     "evaluate_program_naive",
     "run_stratum",
 ]
@@ -343,114 +343,6 @@ class FixpointStats:
     extras: dict = field(default_factory=dict)
 
 
-class PredicateStore:
-    """Versioned storage for every predicate: name-level + per-binding logs.
-
-    Mirrors the incremental engine's layout: one
-    :class:`~repro.incremental.delta.VersionedRelation` per predicate name
-    and one per distinct ``(predicate, variables)`` binding — a binding
-    whose variables equal the stored schema shares the name-level log
-    outright.  :meth:`apply` advances the name log and every binding log by
-    one relabeled delta, so the delta-first sort orders each binding has
-    materialized carry across rounds by C-level splices.
-    """
-
-    def __init__(self) -> None:
-        self._names: dict[str, VersionedRelation] = {}
-        self._bindings: dict[tuple[str, tuple[str, ...]], VersionedRelation] = {}
-
-    @staticmethod
-    def binding_key(atom: Atom) -> tuple[str, tuple[str, ...]]:
-        return (atom.name, atom.variables)
-
-    def adopt(self, relation: Relation) -> None:
-        """(Re)install ``relation`` as the current version of its name."""
-        self._names[relation.name] = VersionedRelation(relation)
-        stale = [
-            key for key in sorted(self._bindings) if key[0] == relation.name
-        ]
-        for key in stale:
-            del self._bindings[key]
-
-    def register(self, atom: Atom) -> VersionedRelation:
-        """Ensure a binding log exists for ``atom``; returns it."""
-        key = self.binding_key(atom)
-        found = self._bindings.get(key)
-        if found is None:
-            name_log = self._names[atom.name]
-            if atom.variables == name_log.schema:
-                found = name_log
-            else:
-                found = VersionedRelation(
-                    name_log.current.relabeled(atom.name, atom.variables)
-                )
-            self._bindings[key] = found
-        return found
-
-    def versioned(self, name: str) -> VersionedRelation:
-        return self._names[name]
-
-    def relation(self, name: str) -> Relation:
-        return self._names[name].current
-
-    def binding(self, atom: Atom) -> VersionedRelation:
-        return self._bindings[self.binding_key(atom)]
-
-    def binding_by_key(
-        self, key: tuple[str, tuple[str, ...]]
-    ) -> VersionedRelation:
-        return self._bindings[key]
-
-    def binding_keys(self, name: str) -> list[tuple[str, tuple[str, ...]]]:
-        return [key for key in sorted(self._bindings) if key[0] == name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._names
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._names))
-
-    def apply(self, name: str, delta: SignedDelta) -> dict[tuple, SignedDelta]:
-        """Advance the name log and every binding log by one delta.
-
-        Compaction is deferred (``compact=False``) so pooled delta terms
-        can replay this round's runs against the bases workers hold
-        resident; call :meth:`compact` at a safe boundary.  Returns the
-        per-binding relabeled deltas (keyed by binding key) for the
-        delta-rule terms.
-        """
-        name_log = self._names[name]
-        name_log.apply(delta, compact=False)
-        relabeled: dict[tuple, SignedDelta] = {}
-        for key in self.binding_keys(name):
-            log = self._bindings[key]
-            if log is name_log:
-                relabeled[key] = delta
-                continue
-            binding_delta = delta.relabeled(key[1])
-            log.apply(binding_delta, compact=False)
-            relabeled[key] = binding_delta
-        return relabeled
-
-    def compact(self, names: Iterable[str] | None = None) -> int:
-        """Threshold-compact the logs of ``names`` (default: all); count them."""
-        selected = self.names() if names is None else tuple(sorted(set(names)))
-        compacted = 0
-        seen: set[int] = set()
-        for name in selected:
-            logs = [self._names[name]] + [
-                self._bindings[key] for key in self.binding_keys(name)
-            ]
-            for log in logs:
-                if id(log) in seen:
-                    continue
-                seen.add(id(log))
-                if log.should_compact:
-                    log.compact()
-                    compacted += 1
-        return compacted
-
-
 class _RuleState:
     """Per-rule evaluation state: orders, head projection, negated atoms."""
 
@@ -547,35 +439,6 @@ def _head_block(
     return state.head_columns(columns) if nrows else None
 
 
-@dataclass
-class TermJob:
-    """One delta-rule term, ready for serial or pooled execution.
-
-    ``relations`` is the in-process input list (new versions left of the
-    delta, old versions right — the :func:`iter_delta_terms` layout) and
-    ``relations[index]`` the term's delta relation, which is also what the
-    pool ships; ``keys``/``versions`` describe the other inputs for the
-    worker pool's resident-base protocol (``versions[index]`` is ``None``
-    at the delta position; a ``versions`` of ``None`` marks a term that
-    must run in-process, e.g. when the old side is a retained snapshot with
-    no version lift available).
-    """
-
-    state: _RuleState
-    index: int
-    relations: list
-    keys: tuple
-    versions: tuple | None
-
-
-def execute_jobs_serial(jobs: Sequence[TermJob]) -> list[tuple]:
-    """The in-process term executor: one :func:`execute_delta_term` per job."""
-    return [
-        execute_delta_term(job.relations, job.state.order, job.index)
-        for job in jobs
-    ]
-
-
 def _fresh_deltas(
     candidates: dict[str, list],
     store: PredicateStore,
@@ -636,7 +499,7 @@ def run_stratum(
     store: PredicateStore,
     stats: FixpointStats,
     evaluate_rule: Callable[[_RuleState], Relation] | None = None,
-    executor: Callable[[Sequence[TermJob]], list] | None = None,
+    pool: Callable[[], object] | None = None,
     seeds: Mapping[str, SignedDelta] | None = None,
     seed_old: Mapping[tuple, Relation] | None = None,
 ) -> dict[str, SignedDelta]:
@@ -664,8 +527,6 @@ def run_stratum(
     nothing in the size of its predicates.
     """
     states = [_RuleState(rule, program) for rule in stratum.rules]
-    if executor is None:
-        executor = execute_jobs_serial
     if evaluate_rule is None:
         evaluate_rule = partial(_evaluate_rule_inline, store=store)
     totals: dict[str, list] = {name: [] for name in stratum.predicates}
@@ -693,7 +554,7 @@ def run_stratum(
     while pending:
         stats.rounds += 1
         pending = _run_round(
-            states, store, pending, external_old, totals, stats, executor
+            states, store, pending, external_old, totals, stats, pool
         )
         external_old = {}
         stats.compactions += store.compact(stratum.predicates)
@@ -721,89 +582,42 @@ def _run_round(
     external_old: Mapping[tuple, Relation],
     totals: dict[str, list],
     stats: FixpointStats,
-    executor: Callable[[Sequence[TermJob]], list],
+    pool: Callable[[], object] | None,
 ) -> dict[str, SignedDelta]:
     """One delta round: apply the incoming deltas, fire the affected terms."""
-    changed = sorted(deltas)
-    old_relations: dict[tuple, Relation] = {}
-    old_versions: dict[tuple, int | None] = {}
-    binding_deltas: dict[tuple, SignedDelta] = {}
-    for name in changed:
-        keys = store.binding_keys(name)
-        if any(key in external_old for key in keys):
-            # Announced delta: already applied upstream; the old side comes
-            # from the retained snapshots (no version lift — serial terms).
-            for key in keys:
-                old_relations[key] = external_old[key]
-                old_versions[key] = None
-                binding_deltas[key] = deltas[name].relabeled(key[1])
-            continue
-        for key in keys:
-            log = store.binding_by_key(key)
-            old_relations[key] = log.current
-            old_versions[key] = log.version
-        binding_deltas.update(store.apply(name, deltas[name]))
+    announced = {
+        name
+        for name in deltas
+        if any(key in external_old for key in store.binding_keys(name))
+    }
+    old, binding_deltas = store.apply(
+        {name: delta for name, delta in deltas.items() if name not in announced}
+    )
+    for name in sorted(announced):
+        # Announced delta: already applied upstream; the old side is the
+        # retained snapshot (no version lift — its terms run in process).
+        for key in store.binding_keys(name):
+            old[key] = (external_old[key], None)
+            binding_deltas[key] = deltas[name].relabeled(key[1])
 
-    jobs: list[TermJob] = []
+    jobs: list[tuple] = []
     for state in states:
         body = state.rule.body
-        if not any(atom.name in deltas for atom in body):
-            continue
-        keys = tuple(PredicateStore.binding_key(atom) for atom in body)
-        new_bindings = [store.binding(atom).current for atom in body]
-        old_bindings = [
-            old_relations.get(key, relation)
-            for key, relation in zip(keys, new_bindings)
-        ]
-        for i, atom in enumerate(body):
-            delta = binding_deltas.get(keys[i])
-            if delta is None or delta.is_empty:
-                continue
-            delta_relation = delta.relation(1, f"d{atom.name}")
-            if delta_relation.is_empty():
-                continue
-            relations = list(new_bindings[:i])
-            relations.append(delta_relation)
-            relations.extend(old_bindings[i + 1:])
-            # The delta rule: new versions left of the delta, old versions
-            # right.  ``versions`` mirrors ``relations`` for the pool's
-            # resident-base protocol; a ``None`` in any non-delta slot
-            # (a retained announcement snapshot with no version lift)
-            # forces the whole term in-process.
-            slots: list[int | None] = []
-            pool_ok = True
-            for j in range(len(body)):
-                if j == i:
-                    slots.append(None)
-                    continue
-                if j < i:
-                    slots.append(store.binding(body[j]).version)
-                    continue
-                old_version = old_versions.get(
-                    keys[j], store.binding(body[j]).version
-                )
-                if old_version is None:
-                    pool_ok = False
-                slots.append(old_version)
-            versions = tuple(slots) if pool_ok else None
-            jobs.append(
-                TermJob(
-                    state=state,
-                    index=i,
-                    relations=relations,
-                    keys=keys,
-                    versions=versions,
-                )
-            )
+        if any(atom.name in deltas for atom in body):
+            keys = [PredicateStore.binding_key(atom) for atom in body]
+            for term in delta_terms(state.order, keys, store, old, binding_deltas):
+                jobs.append((state, term))
 
     stats.delta_terms += len(jobs)
+    results, pooled = run_delta_terms([term for _, term in jobs], store, pool)
+    stats.pooled_rounds += pooled
     candidates: dict[str, list] = {}
-    for job, columns in zip(jobs, executor(jobs)):
+    for (state, _), columns in zip(jobs, results):
         # A term over no variables has the one empty binding (``term_rows``).
         nrows = len(columns[0]) if columns else 1
-        block = _head_block(job.state, columns, nrows, store)
+        block = _head_block(state, columns, nrows, store)
         if block is not None:
-            candidates.setdefault(job.state.rule.head.name, []).append(block)
+            candidates.setdefault(state.rule.head.name, []).append(block)
     return _fresh_deltas(candidates, store, totals, stats)
 
 

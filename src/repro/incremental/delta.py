@@ -25,13 +25,15 @@ since.  The *current* relation is materialized by the sorted-run merge
 unchanged, because it is an ordinary sorted column set.  Once the pending
 runs outgrow a size threshold the log compacts: the merged relation becomes
 the new base and the runs clear (pool baselines then recycle, exactly like
-a database rebind).
+a database rebind).  A :class:`PredicateStore` keeps one such log per
+relation name and one per atom binding — the storage of both maintained
+engines.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import DeltaError, IncrementalError
 from repro.relational.backend import vectorize
@@ -45,7 +47,12 @@ from repro.relational.columns import (
 )
 from repro.relational.relation import Relation
 
-__all__ = ["SignedDelta", "VersionedRelation", "advance_relation"]
+__all__ = [
+    "PredicateStore",
+    "SignedDelta",
+    "VersionedRelation",
+    "advance_relation",
+]
 
 
 def advance_relation(
@@ -254,6 +261,15 @@ class SignedDelta:
     @property
     def is_empty(self) -> bool:
         return not self.signs
+
+    @property
+    def insert_only(self) -> bool:
+        """Whether every row is an insert (one numpy ``min`` past the gate)."""
+        if not vectorize(len(self)):
+            return min(self.signs, default=1) > 0
+        import numpy as np
+
+        return bool(np.frombuffer(self.signs, dtype=np.int64).min() > 0)
 
     def __repr__(self) -> str:
         pos = sum(1 for s in self.signs if s > 0)
@@ -569,3 +585,122 @@ class VersionedRelation:
             f"VersionedRelation({self.name}: v{self.version}, "
             f"{len(self.current)} rows, {self.pending_rows} pending)"
         )
+
+
+class PredicateStore:
+    """Versioned storage for every relation: name-level + per-binding logs.
+
+    One :class:`VersionedRelation` per relation name and one per distinct
+    ``(name, variables)`` binding — a binding whose variables equal the
+    stored schema shares the name-level log outright.  :meth:`apply`
+    advances the name log and every binding log by one relabeled delta, so
+    the delta-first sort orders each binding has materialized carry across
+    versions by delta-sized merges.  The one store of both maintained
+    engines: the incremental engine's base relations and query atoms, the
+    datalog engine's predicates and rule atoms.  ``compact_ratio`` /
+    ``compact_min`` go to every log it creates.
+    """
+
+    def __init__(
+        self, compact_ratio: float | None = None, compact_min: int | None = None
+    ) -> None:
+        self._thresholds = (compact_ratio, compact_min)
+        self._names: dict[str, VersionedRelation] = {}
+        self._bindings: dict[tuple[str, tuple[str, ...]], VersionedRelation] = {}
+
+    @staticmethod
+    def binding_key(atom) -> tuple[str, tuple[str, ...]]:
+        return (atom.name, atom.variables)
+
+    def adopt(self, relation: Relation) -> None:
+        """(Re)install ``relation`` as the current version of its name."""
+        self._names[relation.name] = VersionedRelation(relation, *self._thresholds)
+        stale = [
+            key for key in sorted(self._bindings) if key[0] == relation.name
+        ]
+        for key in stale:
+            del self._bindings[key]
+
+    def register(self, atom) -> VersionedRelation:
+        """Ensure a binding log exists for ``atom``; returns it."""
+        key = self.binding_key(atom)
+        found = self._bindings.get(key)
+        if found is None:
+            name_log = self._names[atom.name]
+            if atom.variables == name_log.schema:
+                found = name_log
+            else:
+                found = VersionedRelation(
+                    name_log.current.relabeled(atom.name, atom.variables),
+                    *self._thresholds,
+                )
+            self._bindings[key] = found
+        return found
+
+    def versioned(self, name: str) -> VersionedRelation:
+        return self._names[name]
+
+    def relation(self, name: str) -> Relation:
+        return self._names[name].current
+
+    def binding(self, atom) -> VersionedRelation:
+        return self._bindings[self.binding_key(atom)]
+
+    def binding_by_key(
+        self, key: tuple[str, tuple[str, ...]]
+    ) -> VersionedRelation:
+        return self._bindings[key]
+
+    def binding_keys(self, name: str) -> list[tuple[str, tuple[str, ...]]]:
+        return [key for key in sorted(self._bindings) if key[0] == name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._names
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(self._names))
+
+    def apply(self, deltas: Mapping[str, SignedDelta]) -> tuple[dict, dict]:
+        """Advance each named log and all its binding logs by its delta.
+
+        Returns the pre-apply ``{key: (relation, version)}`` of every
+        binding log it advanced — the old side of the delta rule — and the
+        per-binding relabeled deltas, both keyed by binding key.
+        Compaction is deferred (``compact=False``) so pooled delta terms
+        can replay these runs against the bases workers hold resident;
+        call :meth:`compact` at a safe boundary.
+        """
+        old: dict[tuple, tuple[Relation, int]] = {}
+        relabeled: dict[tuple, SignedDelta] = {}
+        for name in sorted(deltas):
+            delta = deltas[name]
+            name_log = self._names[name]
+            before = (name_log.current, name_log.version)
+            name_log.apply(delta, compact=False)
+            for key in self.binding_keys(name):
+                log = self._bindings[key]
+                if log is name_log:
+                    old[key], relabeled[key] = before, delta
+                    continue
+                old[key] = (log.current, log.version)
+                relabeled[key] = delta.relabeled(key[1])
+                log.apply(relabeled[key], compact=False)
+        return old, relabeled
+
+    def compact(self, names: Iterable[str] | None = None) -> int:
+        """Threshold-compact the logs of ``names`` (default: all); count them."""
+        selected = self.names() if names is None else tuple(sorted(set(names)))
+        compacted = 0
+        seen: set[int] = set()
+        for name in selected:
+            logs = [self._names[name]] + [
+                self._bindings[key] for key in self.binding_keys(name)
+            ]
+            for log in logs:
+                if id(log) in seen:
+                    continue
+                seen.add(id(log))
+                if log.should_compact:
+                    log.compact()
+                    compacted += 1
+        return compacted

@@ -5,9 +5,10 @@ construct it per query, ``execute(database)`` once to bind and materialize,
 then ``insert``/``delete``/``refresh`` instead of re-executing.  Between
 refreshes the engine holds
 
-* one log-structured :class:`~repro.incremental.delta.VersionedRelation`
-  per base relation *and* per query atom (atom-coded, so self-joins each
-  maintain their own binding);
+* one :class:`~repro.incremental.delta.PredicateStore`: a log-structured
+  :class:`~repro.incremental.delta.VersionedRelation` per base relation
+  *and* per distinct atom binding (coded under the atom's variables, so
+  self-joins each maintain their own binding);
 * the materialized join view (canonical sorted code rows over the sorted
   global variable order — the same rows every driver produces);
 * any registered FAQ views (⊕⊗ over the atoms' lifted factors).
@@ -23,24 +24,25 @@ the planner's canonical-signature cache keeps serving the same
 and re-pins — rebuilding plans — only when a relation outgrows its bound.
 
 With ``workers > 1`` the delta-rule terms fan out over the
-:mod:`repro.parallel` worker pool: the atom-level *base* relations ship
-once per compaction epoch (per-relation content-digest tokens), and each
-term task carries only the pending delta runs it needs — tiny, signed,
-version-tagged buffers the workers merge and cache — never the whole
-database.
+:mod:`repro.parallel` worker pool through the runner the datalog engine
+uses too (:func:`~repro.incremental.ivm.run_delta_terms`): the binding
+logs' *base* relations ship once per compaction epoch (per-binding
+content-digest tokens), and each term task carries only the pending
+delta runs it needs — tiny, signed, version-tagged buffers the workers
+merge and cache — never the whole database.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from repro.core.constraints import ConstraintSet
 from repro.exceptions import IncrementalError, QueryError
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import Semiring
-from repro.incremental.delta import SignedDelta, VersionedRelation
+from repro.incremental.delta import PredicateStore, SignedDelta, VersionedRelation
 from repro.incremental.ivm import (
     delta_factor,
     maintain_faq,
@@ -91,14 +93,16 @@ class _FaqView:
 class MaintainedEngine(EngineBase):
     """An engine that buffers inserts/deletes and applies them on refresh.
 
-    The change buffer, batch validation and plan-warm from-scratch runs
-    the incremental and datalog engines share.  Subclasses supply
+    The store (:meth:`_require_bound`), change buffer, batch validation
+    and plan-warm from-scratch runs the incremental and datalog engines
+    share.  Subclasses supply
     :meth:`_check_writable` (which names take changes) and a ``stats``
     object with a ``replans`` counter.
     """
 
     def __init__(self, constraints, backend, planner, execution_backend, workers):
         super().__init__(constraints, backend, planner, execution_backend, workers)
+        self._store: PredicateStore | None = None
         self._pending: dict[str, tuple[list, list]] = {}
         #: key -> [single-worker engine, its pinned constraints]; dropped
         #: on :meth:`close`, hence on every re-bind.
@@ -110,6 +114,14 @@ class MaintainedEngine(EngineBase):
         for engine, _ in self._scratch.values():
             engine.close()
         self._scratch = {}
+
+    def _require_bound(self) -> PredicateStore:
+        """The bound store; raises until ``execute(database)`` has bound one."""
+        if self._store is None:
+            raise IncrementalError(
+                "engine is not bound — call execute(database) first"
+            )
+        return self._store
 
     def _check_writable(self, name: str) -> None:
         """Raise unless the engine is bound and ``name`` accepts changes."""
@@ -229,10 +241,9 @@ class IncrementalQueryEngine(MaintainedEngine):
         self._compact_min = compact_min
         self._order = tuple(sorted(query.variable_set))
 
+        self._keys = tuple(PredicateStore.binding_key(atom) for atom in query.body)
         self._source = None  # the Database the engine was bound to
         self._database = None  # the current (post-batch) Database
-        self._names: dict[str, VersionedRelation] = {}
-        self._atoms: list[VersionedRelation] = []
         self._view_rows: list | None = None
         self._view_relation: Relation | None = None
         self._faq_views: dict = {}
@@ -249,26 +260,12 @@ class IncrementalQueryEngine(MaintainedEngine):
     def bind(self, database) -> None:
         """Adopt ``database`` as version 0 (resets any previous binding)."""
         self.close()
-        versioned = partial(
-            VersionedRelation,
-            compact_ratio=self._compact_ratio,
-            compact_min=self._compact_min,
-        )
-        names: dict[str, VersionedRelation] = {}
+        store = PredicateStore(self._compact_ratio, self._compact_min)
         for atom in self.query.body:
-            if atom.name not in names:
-                names[atom.name] = versioned(database[atom.name])
-        self._names = names
-        # Atom-level logs: an atom whose binding *is* the stored relation
-        # (schema == variables, the common case) shares the name-level log
-        # outright — one merge per batch, not two copies of the same data.
-        self._atoms = []
-        for atom in self.query.body:
-            binding = atom.bind(database)
-            if binding is database[atom.name]:
-                self._atoms.append(names[atom.name])
-            else:
-                self._atoms.append(versioned(binding))
+            if atom.name not in store:
+                store.adopt(database[atom.name])
+            store.register(atom)
+        self._store = store
         self._source = database
         self._database = database
         self._pending = {}
@@ -284,14 +281,13 @@ class IncrementalQueryEngine(MaintainedEngine):
 
     def relation(self, name: str) -> Relation:
         """The current version of one base relation."""
-        self._require_bound()
-        return self._names[name].current
+        return self._require_bound().relation(name)
 
     @property
     def relation_names(self) -> tuple[str, ...]:
         """The base relation names the query references (atom order)."""
         self._require_bound()
-        return tuple(self._names)
+        return tuple(dict.fromkeys(atom.name for atom in self.query.body))
 
     def relation_log(self, name: str) -> VersionedRelation:
         """The name-level log of one base relation.
@@ -301,18 +297,15 @@ class IncrementalQueryEngine(MaintainedEngine):
         else should treat the log as read-only and go through
         :meth:`insert`/:meth:`delete`/:meth:`refresh`.
         """
-        self._require_bound()
-        return self._names[name]
+        return self._require_bound().versioned(name)
 
-    def _require_bound(self) -> None:
-        if self._database is None:
-            raise IncrementalError(
-                "engine is not bound — call execute(database) first"
-            )
+    def _bindings(self) -> list[Relation]:
+        """The current binding of every query atom, in atom order."""
+        store = self._require_bound()
+        return [store.binding_by_key(key).current for key in self._keys]
 
     def _check_writable(self, name: str) -> None:
-        self._require_bound()
-        if name not in self._names:
+        if name not in self._require_bound():
             raise IncrementalError(
                 f"relation {name!r} is not referenced by {self.query.name}"
             )
@@ -329,7 +322,7 @@ class IncrementalQueryEngine(MaintainedEngine):
         check_driver(driver)
         if database is not None and database not in (self._source, self._database):
             self.bind(database)
-        elif self._database is None:
+        elif self._store is None:
             if database is None:
                 self._require_bound()
             self.bind(database)
@@ -407,9 +400,8 @@ class IncrementalQueryEngine(MaintainedEngine):
         return view.result
 
     def _lift_factors(self, semiring, weights):
-        bindings = [vr.current for vr in self._atoms]
         factors = []
-        for i, relation in enumerate(bindings):
+        for i, relation in enumerate(self._bindings()):
             weight = weights[i] if weights else None
             factors.append(
                 AnnotatedRelation.from_relation(relation, semiring, weight)
@@ -431,65 +423,38 @@ class IncrementalQueryEngine(MaintainedEngine):
         view untouched with the batch still buffered (fix it or
         :meth:`discard_pending`).
         """
-        deltas = self._drain_pending(lambda name: self._names[name].current)
+        store = self._require_bound()
+        deltas = self._drain_pending(store.relation)
         if not deltas:
             return False
 
-        # Apply name-level; compaction waits until maintenance is done so
-        # the pooled path can still replay this batch's runs from the base.
-        old_atom_versions = [vr.version for vr in self._atoms]
-        old_bindings = [vr.current for vr in self._atoms]
-        for name, delta in deltas.items():
-            self._names[name].apply(delta, compact=False)
-        atom_deltas: list[SignedDelta | None] = []
-        for atom, vr in zip(self.query.body, self._atoms):
-            delta = deltas.get(atom.name)
-            if delta is None:
-                atom_deltas.append(None)
-                continue
-            if vr is self._names[atom.name]:
-                # Shared log: the name-level apply above already advanced it,
-                # and the delta is already coded under the atom's variables.
-                atom_deltas.append(delta)
-                continue
-            relabeled = delta.relabeled(atom.variables)
-            vr.apply(relabeled, compact=False)
-            atom_deltas.append(relabeled)
-        new_bindings = [vr.current for vr in self._atoms]
+        # Compaction waits until maintenance is done so the pooled path
+        # can still replay this batch's runs from the base.
+        old, binding_deltas = store.apply(deltas)
         self._database = self._database.updated(
-            [self._names[name].current for name in deltas]
+            [store.relation(name) for name in deltas]
         )
 
         self.stats.batches += 1
         self.stats.delta_rows += sum(len(d) for d in deltas.values())
 
         if self._view_rows is not None:
-            run_terms = None
-            if self.workers > 1:
-                run_terms = partial(
-                    self._pooled_terms, old_versions=old_atom_versions
-                )
+            pool = self._worker_pool if self.workers > 1 else None
             with scoped_backend(self.execution_backend):
-                net, executed = signed_join_delta(
-                    old_bindings, new_bindings, atom_deltas, self._order,
-                    run_terms,
+                net, executed, pooled = signed_join_delta(
+                    self._order, self._keys, store, old, binding_deltas, pool
                 )
             self.stats.join_terms += executed
+            self.stats.pooled_batches += pooled
             rows = maintain_join_rows(self._view_rows, net)
             self.stats.view_rows_changed += len(net)
             self._install_view(rows)
 
+        atom_deltas = [binding_deltas.get(key) for key in self._keys]
         for view in self._faq_views.values():
             self._maintain_faq_view(view, atom_deltas)
 
-        seen_logs: set[int] = set()
-        for vr in list(self._names.values()) + self._atoms:
-            if id(vr) in seen_logs:
-                continue  # atom logs may share the name-level log
-            seen_logs.add(id(vr))
-            if vr.should_compact:
-                vr.compact()
-                self.stats.compactions += 1
+        self.stats.compactions += store.compact()
         return True
 
     def _install_view(self, rows: list) -> None:
@@ -531,8 +496,8 @@ class IncrementalQueryEngine(MaintainedEngine):
     def _run_from_scratch(self, driver: str):
         """The query on the current data, through :meth:`_from_scratch`."""
         sized = [
-            (atom, len(vr.current))
-            for atom, vr in zip(self.query.body, self._atoms)
+            (atom, len(relation))
+            for atom, relation in zip(self.query.body, self._bindings())
         ]
         return self._from_scratch(None, self.query, self._database, driver, sized)
 
@@ -543,9 +508,7 @@ class IncrementalQueryEngine(MaintainedEngine):
             from repro.relational.wcoj import generic_join
 
             with scoped_backend(self.execution_backend):
-                joined = generic_join(
-                    [vr.current for vr in self._atoms], self._order
-                )
+                joined = generic_join(self._bindings(), self._order)
             self._install_view(joined.code_rows)
         else:
             result = self._run_from_scratch(driver)
@@ -564,7 +527,7 @@ class IncrementalQueryEngine(MaintainedEngine):
         (:func:`~repro.incremental.delta.advance_relation`), keeping
         steady-state maintenance free of O(N log N) work.
         """
-        bindings = [vr.current for vr in self._atoms]
+        bindings = self._bindings()
         for i, atom in enumerate(self.query.body):
             t_order = term_variable_order(self._order, atom.variables)
             for j, relation in enumerate(bindings):
@@ -587,39 +550,3 @@ class IncrementalQueryEngine(MaintainedEngine):
         self._require_bound()
         self._commit()
         return self._run_from_scratch(driver)
-
-    # -- pooled maintenance ----------------------------------------------------------
-
-    def _pooled_terms(self, terms, old_versions) -> list[tuple]:
-        """Fan one batch's delta-rule terms out over the worker pool.
-
-        Each term lifts the atoms left of its delta to their new version
-        and the atoms right of it to their old one;
-        :func:`~repro.parallel.pool.map_delta_terms` ships only the runs
-        that takes, plus the term's own sign-split delta relation.
-        """
-        from repro.parallel.pool import map_delta_terms
-
-        # Keys qualify the atom position so self-joins bound under
-        # different variables stay distinct resident entries.
-        keys = tuple(
-            f"{atom.name}#{i}" for i, atom in enumerate(self.query.body)
-        )
-        self.stats.pooled_batches += 1
-        return map_delta_terms(
-            self._worker_pool(),
-            dict(zip(keys, self._atoms)),
-            [
-                (
-                    self._order,
-                    keys,
-                    tuple(
-                        vr.version if j < i else old_versions[j]
-                        for j, vr in enumerate(self._atoms)
-                    ),
-                    i,
-                    relations[i],
-                )
-                for i, _, relations in terms
-            ],
-        )

@@ -21,6 +21,12 @@ as trie-root bounds for the other relations
 (:func:`~repro.relational.execution.delta_root_ranges`), so term cost scales
 with the delta, not the database.
 
+Both maintained engines — :class:`~repro.incremental.IncrementalQueryEngine`
+and recursive datalog's rounds — share one pipeline for this: bindings live
+in a :class:`~repro.incremental.delta.PredicateStore`, :func:`delta_terms`
+builds a body's terms from it and :func:`run_delta_terms` runs them, in
+process or through the worker pool.
+
 FAQ maintenance is the same expansion in the annotation semiring: the delta
 factor ``dFᵢ`` carries inserted mass positively and deleted mass ⊕-inverted,
 each term ⊗-multiplies through and ⊕-marginalizes, and the old result
@@ -33,12 +39,12 @@ Fraction semirings have; min/max/or do not, and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import IncrementalError
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import Semiring
-from repro.incremental.delta import SignedDelta
+from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.relational.columns import apply_signed_rows
 from repro.relational.execution import (
     delta_root_ranges,
@@ -48,12 +54,14 @@ from repro.relational.execution import (
 from repro.relational.relation import Relation
 
 __all__ = [
+    "DeltaTerm",
     "delta_factor",
+    "delta_terms",
     "execute_delta_term",
-    "iter_delta_terms",
     "maintain_faq",
     "maintain_join_rows",
     "probe_intersection",
+    "run_delta_terms",
     "signed_join_delta",
     "term_rows",
     "term_variable_order",
@@ -118,31 +126,56 @@ def term_variable_order(
     return first + tuple(v for v in order if v not in inside)
 
 
-def iter_delta_terms(
-    old_bindings: Sequence[Relation],
-    new_bindings: Sequence[Relation],
-    atom_deltas: Sequence[SignedDelta | None],
-) -> Iterator[tuple[int, int, list[Relation]]]:
-    """Yield the non-empty delta-rule terms as ``(i, sign, relations)``.
+class DeltaTerm(NamedTuple):
+    """One delta-rule term, ready to run in process or on the pool.
 
-    ``relations`` is the term's input list: new bindings before position
-    ``i``, the sign-split delta relation at ``i``, old bindings after.  Terms
-    whose delta side is empty are skipped — an unchanged atom contributes
-    nothing.
+    ``relations`` are its inputs — new versions left of ``index``, the
+    sign-split delta relation at ``index``, old versions right — and
+    ``keys`` the binding keys behind them.  ``versions`` lifts each
+    non-delta input for the pool's resident-base protocol (``None`` at the
+    delta position); a ``versions`` of ``None`` marks a term whose old side
+    is a retained snapshot with no version lift, which runs in process.
     """
-    for i, delta in enumerate(atom_deltas):
+
+    order: tuple[str, ...]
+    keys: tuple
+    index: int
+    sign: int
+    relations: list
+    versions: tuple | None
+
+
+def delta_terms(
+    order: tuple[str, ...],
+    keys: Sequence[tuple],
+    store: PredicateStore,
+    old: Mapping[tuple, tuple],
+    deltas: Mapping[tuple, SignedDelta],
+) -> Iterator[DeltaTerm]:
+    """Yield one body's non-empty delta-rule terms.
+
+    ``keys`` are the body's binding keys in atom order, ``store`` holds
+    their current bindings, ``old[key]`` is a changed binding's pre-apply
+    ``(relation, version or None)`` and ``deltas[key]`` its delta.  Each
+    changed binding yields one term per sign its delta carries, so an
+    insert-only delta builds no negative relation.
+    """
+    logs = [store.binding_by_key(key) for key in keys]
+    olds = [old.get(key, (log.current, log.version)) for key, log in zip(keys, logs)]
+    for i, key in enumerate(keys):
+        delta = deltas.get(key)
         if delta is None or delta.is_empty:
             continue
-        for sign in (1, -1):
-            delta_relation = delta.relation(sign, f"d{new_bindings[i].name}")
+        lifts = [log.version for log in logs[:i]] + [None]
+        lifts += [version for _, version in olds[i + 1 :]]
+        versions = None if None in lifts[i + 1 :] else tuple(lifts)
+        for sign in (1,) if delta.insert_only else (1, -1):
+            delta_relation = delta.relation(sign, f"d{key[0]}")
             if delta_relation.is_empty():
                 continue
-            relations = (
-                list(new_bindings[:i])
-                + [delta_relation]
-                + list(old_bindings[i + 1 :])
-            )
-            yield i, sign, relations
+            relations = [log.current for log in logs[:i]] + [delta_relation]
+            relations += [relation for relation, _ in olds[i + 1 :]]
+            yield DeltaTerm(order, tuple(keys), i, sign, relations, versions)
 
 
 def execute_delta_term(
@@ -156,7 +189,7 @@ def execute_delta_term(
     the join produced: the term's distinct bindings, in no particular row
     order (they are sorted under the delta-first order), nothing re-tupled.
 
-    The single term protocol both the serial path (:func:`signed_join_delta`)
+    The single term protocol both the serial path (:func:`run_delta_terms`)
     and the pooled workers (:func:`repro.parallel.pool.run_delta_term_task`)
     execute — one definition, so serial and pooled maintenance cannot drift
     apart: the delta-first variable order, the delta-scoped trie-root
@@ -180,42 +213,83 @@ def term_rows(columns: tuple) -> Iterable[tuple]:
     return zip(*columns) if columns else [()]
 
 
-def signed_join_delta(
-    old_bindings: Sequence[Relation],
-    new_bindings: Sequence[Relation],
-    atom_deltas: Sequence[SignedDelta | None],
-    order: tuple[str, ...],
-    run_terms: Callable[[list], list] | None = None,
-) -> tuple[dict[tuple, int], int]:
-    """The net signed change of the full join, plus the term count.
+def run_delta_terms(
+    terms: Sequence[DeltaTerm],
+    store: PredicateStore,
+    pool: Callable[[], object] | None = None,
+) -> tuple[Iterable[tuple], bool]:
+    """Run delta-rule terms; one column tuple per term, and whether pooled.
 
-    Executes every delta-rule term (:func:`execute_delta_term`) and sums
-    the signed contributions row by row (:func:`term_rows`); rows whose
-    contributions cancel across terms are dropped.  ``run_terms`` maps the
-    ``(i, sign, relations)`` term list to one column tuple per term
-    somewhere else — the engine's worker pool —
-    and is used when there is more than one term to spread; otherwise the
-    terms run here, serially.  Returns ``(net, executed_terms)`` — the
-    count only includes terms whose sign-split delta was non-empty, so the
-    engine's ``stats.join_terms`` agrees between serial and pooled paths.
+    Serially, one :func:`execute_delta_term` each, unless ``pool`` (a
+    worker-pool factory) is given and more than one term carries version
+    lifts: those go through :func:`~repro.parallel.pool.map_delta_terms`
+    with their binding logs resident under binding-keyed tokens — distinct
+    for every binding of a self-join — and the rest run here alongside.
     """
-    terms = list(iter_delta_terms(old_bindings, new_bindings, atom_deltas))
-    if run_terms is None or len(terms) <= 1:
-        # Lazy: each term's rows fold into ``net`` before the next one runs.
-        results = (
-            execute_delta_term(relations, order, i) for i, _, relations in terms
+    pooled = [term for term in terms if term.versions is not None] if pool else []
+    if len(pooled) <= 1:
+        # Lazy: a caller folds each term's rows before the next one runs.
+        serial = (execute_delta_term(t.relations, t.order, t.index) for t in terms)
+        return serial, False
+    from repro.parallel.pool import map_delta_terms
+
+    token_of = {
+        key: f"{key[0]}|{'.'.join(key[1])}"
+        for key in sorted({key for term in pooled for key in term.keys})
+    }
+    outputs = iter(
+        map_delta_terms(
+            pool(),
+            {token: store.binding_by_key(key) for key, token in token_of.items()},
+            [
+                (
+                    term.order,
+                    tuple(token_of[key] for key in term.keys),
+                    term.versions,
+                    term.index,
+                    term.relations[term.index],
+                )
+                for term in pooled
+            ],
         )
-    else:
-        results = run_terms(terms)
+    )
+    return [
+        next(outputs)
+        if term.versions is not None
+        else execute_delta_term(term.relations, term.order, term.index)
+        for term in terms
+    ], True
+
+
+def signed_join_delta(
+    order: tuple[str, ...],
+    keys: Sequence[tuple],
+    store: PredicateStore,
+    old: Mapping[tuple, tuple],
+    deltas: Mapping[tuple, SignedDelta],
+    pool: Callable[[], object] | None = None,
+) -> tuple[dict[tuple, int], int, bool]:
+    """The net signed change of the full join, the term count, and whether
+    the terms ran on the pool.
+
+    Builds the body's terms (:func:`delta_terms`), runs them
+    (:func:`run_delta_terms`) and sums the signed contributions row by row
+    (:func:`term_rows`); rows whose contributions cancel across terms are
+    dropped.  The count only includes terms whose sign-split delta was
+    non-empty, so ``stats.join_terms`` agrees between serial and pooled
+    runs.
+    """
+    terms = list(delta_terms(order, keys, store, old, deltas))
+    results, pooled = run_delta_terms(terms, store, pool)
     net: dict[tuple, int] = {}
-    for (_, sign, _), columns in zip(terms, results):
+    for term, columns in zip(terms, results):
         for row in term_rows(columns):
-            count = net.get(row, 0) + sign
+            count = net.get(row, 0) + term.sign
             if count:
                 net[row] = count
             else:
                 del net[row]
-    return net, len(terms)
+    return net, len(terms), pooled
 
 
 def maintain_join_rows(old_rows: list, net: dict[tuple, int]) -> list:

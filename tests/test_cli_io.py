@@ -357,6 +357,17 @@ class TestCliBound:
         assert rc == 2
         assert "no atom named" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, item",
+        [("--size", "R=abc"), ("--size", "R"), ("--degree", "A>B=x")],
+    )
+    def test_non_integer_size_errors(self, capsys, flag, item):
+        rc = main(["bound", "Q(A,B) :- R(A,B)", flag, item])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{flag} {item}:" in err and "not an integer" in err
+
     def test_entropic_flag(self, capsys):
         rc = main([
             "bound", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)",

@@ -24,7 +24,7 @@ from repro.datalog import (
     evaluate_program_naive,
     parse_program,
 )
-from repro.datalog.fixpoint import FixpointStats, PredicateStore, run_stratum
+from repro.datalog.fixpoint import FixpointStats, run_stratum
 from repro.exceptions import (
     DatalogError,
     DeltaError,
@@ -33,6 +33,7 @@ from repro.exceptions import (
 )
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import COUNTING, FRACTION
+from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.relational import Database, Relation
 
 DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
@@ -213,6 +214,29 @@ class TestFixpointMechanics:
             assert len(result["path"]) == 0
             # Round 0 derives nothing, so no delta round ever runs.
             assert engine.stats.rounds == 0
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_insert_only_rounds_build_no_negative_relation(
+        self, monkeypatch, workers
+    ):
+        """Rounds are insert-only, so the shared term builder never splits
+        out a (empty) negative-sign delta relation."""
+        signs = []
+        relation = SignedDelta.relation
+
+        def spy(delta, sign, name):
+            signs.append(sign)
+            return relation(delta, sign, name)
+
+        monkeypatch.setattr(SignedDelta, "relation", spy)
+        program = parse_program(TC_BOTH_TEXT)
+        edges = random_edges(random.Random(stable_seed("no-negative")), 40, 14)
+        with DatalogEngine(program, workers=workers) as engine:
+            engine.execute(edge_database(edges))
+            engine.insert("edge", [(90, 91), (91, 92)])
+            engine.refresh()
+            assert engine.stats.delta_terms > 0
+        assert signs and set(signs) == {1}
 
     def test_zero_fresh_round_terminates_immediately(self):
         program = parse_program(TC_TEXT)
@@ -609,6 +633,43 @@ class TestIncrementalMaintenance:
                     pooled_at_compaction = engine.stats.pooled_rounds
             assert engine.stats.batches == expected_batches > 0
             assert 0 < pooled_at_compaction < engine.stats.pooled_rounds
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("guard", ([()], []))
+    def test_nullary_guard_is_boolean(self, guard, workers):
+        """A positive nullary atom guards its rule: ``on = {()}`` keeps every
+        binding, ``on = ∅`` none — at round 0, on recompute, and across an
+        insert and a delete of ``()``."""
+        program = parse_program(
+            """
+            path(x,y) :- edge(x,y), on().
+            path(x,z) :- path(x,y), edge(y,z), on().
+            """
+        )
+        edges = [(1, 2), (2, 3), (3, 4)]
+
+        def database(on):
+            return Database((
+                Relation.from_pairs("edge", "src", "dst", edges),
+                Relation("on", (), on),
+            ))
+
+        with DatalogEngine(program, workers=workers) as engine:
+            result = engine.execute(database(guard))
+            assert_fixpoint_matches_naive(result, program, database(guard))
+            assert len(result["path"]) == (6 if guard else 0)
+            assert_fixpoint_matches_naive(
+                engine.recompute(), program, database(guard)
+            )
+            for change in ("delete", "insert") if guard else ("insert", "delete"):
+                getattr(engine, change)("on", [()])
+                on = [()] if change == "insert" else []
+                assert_fixpoint_matches_naive(
+                    engine.refresh(), program, database(on)
+                )
+                assert_fixpoint_matches_naive(
+                    engine.recompute(), program, database(on)
+                )
 
     def test_failed_batch_leaves_state_intact(self):
         program = parse_program(TC_TEXT)

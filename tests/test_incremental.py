@@ -870,21 +870,45 @@ class TestEngineBehavior:
         with pytest.raises(QueryError):
             IncrementalQueryEngine(query)
 
-    def test_self_join_maintains_each_binding(self):
-        rng = random.Random(stable_seed("selfjoin"))
-        query = ConjunctiveQuery.full(
-            (Atom("E", ("A", "B")), Atom("E", ("B", "C"))), name="path2"
-        )
-        database = Database(
-            [Relation("E", ("X", "Y"), random_rows(rng, 80, 20))]
-        )
-        engine = IncrementalQueryEngine(query)
-        engine.execute(database)
-        for _ in range(3):
-            random_batch(engine, rng, "E", domain=20)
-            maintained = engine.refresh()
-            assert maintained.relation.code_rows == oracle_rows(engine)
-        engine.close()
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "name, bindings",
+        [
+            ("path2", (("A", "B"), ("B", "C"))),
+            ("triangle", (("A", "B"), ("B", "C"), ("A", "C"))),
+        ],
+    )
+    def test_self_join_maintains_each_binding(self, name, bindings, workers):
+        """Every binding of one relation keeps its own log — and, pooled,
+        its own resident token — through batches and compactions."""
+
+        def run(workers):
+            rng = random.Random(stable_seed("selfjoin", name))
+            query = ConjunctiveQuery.full(
+                tuple(Atom("E", variables) for variables in bindings), name=name
+            )
+            database = Database(
+                [Relation("E", ("X", "Y"), random_rows(rng, 80, 20))]
+            )
+            views = []
+            with IncrementalQueryEngine(
+                query, workers=workers, compact_min=24
+            ) as engine:
+                engine.execute(database)
+                for _ in range(4):
+                    random_batch(engine, rng, "E", domain=20)
+                    maintained = engine.refresh()
+                    assert maintained.relation.code_rows == oracle_rows(engine)
+                    views.append(maintained.relation.code_rows)
+            return views, engine.stats
+
+        views, stats = run(workers)
+        assert stats.compactions > 0
+        assert (stats.pooled_batches > 0) == (workers > 1)
+        if workers > 1:
+            serial_views, serial_stats = run(1)
+            assert views == serial_views
+            assert stats.compactions == serial_stats.compactions
 
     def test_plan_reuse_across_versions(self):
         """Version bumps keep hitting the same cached PANDA plans."""
