@@ -96,7 +96,7 @@ def main() -> None:
     serial_faq = reduce(lambda x, y: x.multiply(y), factors).marginalize(("A",))
     parallel_faq = parallel_faq_join(factors, ("A",), workers=4)
     assert parallel_faq == serial_faq
-    assert dict(parallel_faq._data) == dict(serial_faq._data)
+    assert parallel_faq.code_items() == serial_faq.code_items()
     sample = serial_faq.items()[:3]
     print(f"\nFAQ ⊕⊗ over counting semiring: {len(serial_faq)} groups, "
           f"parallel ≡ serial (exact Fractions); sample: {sample}")

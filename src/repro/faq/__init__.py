@@ -12,7 +12,7 @@ this subpackage carries out that extension:
 * :mod:`repro.faq.semiring` — commutative semirings and the stock instances
   (Boolean, counting, min-plus/tropical, max-product);
 * :mod:`repro.faq.annotated` — semiring-annotated relations (K-relations)
-  with ⊗-join and ⊕-marginalization;
+  on column sets, with one ⊗ kernel (``sum_product``) and one ⊕ fold;
 * :mod:`repro.faq.query` — the FAQ-SS query ``φ(A_F) = ⊕_{A_{[n]−F}} ⊗_F
   R_F`` with a brute-force oracle;
 * :mod:`repro.faq.freeconnex` — free-connex tree decompositions (the §8

@@ -8,10 +8,10 @@ remains over the free variables.  The per-step intermediate is the bag
 ordering's induced width, tying the evaluator to the width machinery of §7
 (a bound-first ordering realizes a free-connex decomposition's width).
 
-Each ⊗ is a sort-merge join over the factors' shared code columns and each
-⊕-marginalization a fold over the sorted runs of the kept projection
-(:mod:`repro.faq.annotated` on the columnar engine); annotation values stay
-exact ``Fraction``/``int`` end to end.
+Each elimination step is one :func:`~repro.faq.annotated.sum_product`: the
+one join over the touching factors, their annotations multiplied, and one
+⊕-fold to the message's variables; annotation values stay exact
+``Fraction``/``int`` end to end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.exceptions import QueryError
-from repro.faq.annotated import AnnotatedRelation
+from repro.faq.annotated import AnnotatedRelation, sum_product
 from repro.faq.query import FAQQuery
 from repro.relational.database import Database
 
@@ -37,7 +37,8 @@ class EliminationResult:
         bags: the variable set touched at each elimination step — the bags
             of the induced decomposition; ``max(len(bag))−1`` is the induced
             treewidth the run paid.
-        max_intermediate: the largest intermediate factor materialized.
+        max_intermediate: the largest bag product materialized — the join
+            rows of one elimination step (its message is never larger).
     """
 
     result: AnnotatedRelation
@@ -113,26 +114,17 @@ def variable_elimination(
             (touching if variable in factor.attributes else rest).append(factor)
         if not touching:
             continue
-        bag: set[str] = set()
-        for factor in touching:
-            bag |= factor.attributes
-        trace.bags.append(frozenset(bag))
-        product = touching[0]
-        for factor in touching[1:]:
-            product = product.multiply(factor)
-            trace.max_intermediate = max(trace.max_intermediate, len(product))
-        message = product.marginalize(
-            product.attributes - {variable}, name=f"m[{variable}]"
+        bag = frozenset().union(*(factor.attributes for factor in touching))
+        trace.bags.append(bag)
+        message, product_rows = sum_product(
+            touching, bag - {variable}, name=f"m[{variable}]"
         )
-        trace.max_intermediate = max(trace.max_intermediate, len(message))
+        trace.max_intermediate = max(trace.max_intermediate, product_rows)
         rest.append(message)
         factors = rest
 
     # Combine the residual factors (all over free variables) and project to
     # the declared free schema.
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product.multiply(factor)
-        trace.max_intermediate = max(trace.max_intermediate, len(product))
-    trace.result = product.marginalize(query.free, name=query.name)
+    trace.result, product_rows = sum_product(factors, query.free, name=query.name)
+    trace.max_intermediate = max(trace.max_intermediate, product_rows)
     return trace

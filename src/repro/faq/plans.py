@@ -7,7 +7,8 @@ variable's connected region, each ⊗ inside a bag), then evaluate the core —
 an acyclic query mentioning only free variables — without any aggregation.
 The per-node intermediates stay within the decomposition's bag sizes, which
 is exactly the da-fhtw-over-free-connex-decompositions runtime the paper
-states for FAQ-SS queries (end of §8).
+states for FAQ-SS queries (end of §8).  Each node is one
+:func:`~repro.faq.annotated.sum_product` of its factors and inbox.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping
 
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.exceptions import DecompositionError, QueryError
-from repro.faq.annotated import AnnotatedRelation
+from repro.faq.annotated import AnnotatedRelation, sum_product
 from repro.faq.freeconnex import connex_core, free_connex_decompositions
 from repro.faq.query import FAQQuery
 from repro.relational.database import Database
@@ -33,7 +34,9 @@ class FaqPlanResult:
         result: the annotated output over the free variables.
         decomposition: the free-connex decomposition used.
         core: bag indices of its connex core.
-        max_intermediate: largest annotated factor materialized.
+        max_intermediate: the largest bag product materialized — the join
+            rows of one node's factors and inbox (its message is never
+            larger).
         messages: number of junction-tree messages passed.
     """
 
@@ -135,36 +138,30 @@ def faq_decomposition_plan(
 
     inbox: dict[int, list[AnnotatedRelation]] = {i: [] for i in range(len(bags))}
     unit = AnnotatedRelation("1", (), query.semiring, {(): query.semiring.one})
+    free = frozenset(query.free)
     core_results: list[AnnotatedRelation] = []
     for node in order:
-        parts = assigned[node] + inbox[node]
-        product = unit
-        for part in parts:
-            product = product.multiply(part)
-            plan.max_intermediate = max(plan.max_intermediate, len(product))
-        if node in core or (not core and node == root):
-            # Core bags are never aggregated; they join at the end.  The
-            # coreless (scalar) case aggregates everything at the root.
-            if not core and node == root:
-                product = product.marginalize(query.free, name=query.name)
-            core_results.append(product)
-            continue
-        target = bags[parent[node]] if parent[node] >= 0 else frozenset()
-        keep = product.attributes & (target | frozenset(query.free))
-        message = product.marginalize(keep, name=f"m[{node}->{parent[node]}]")
-        plan.max_intermediate = max(plan.max_intermediate, len(message))
-        plan.messages += 1
-        if parent[node] >= 0:
-            inbox[parent[node]].append(message)
-        else:  # pragma: no cover - root is always core or scalar-root
-            core_results.append(message)
+        parts = assigned[node] + inbox[node] or [unit]
+        attrs = frozenset().union(*(part.attributes for part in parts))
+        if node in core:
+            # Core bags are never aggregated; they join at the end.
+            keep = attrs
+        elif node == root:
+            # The coreless (scalar) case aggregates everything at the root.
+            keep = free
+        else:
+            keep = attrs & (bags[parent[node]] | free)
+        result, product_rows = sum_product(parts, keep, name=f"m[{node}->{parent[node]}]")
+        plan.max_intermediate = max(plan.max_intermediate, product_rows)
+        if node in core or node == root:
+            core_results.append(result)
+        else:
+            plan.messages += 1
+            inbox[parent[node]].append(result)
 
     # Core phase: an acyclic join over free-only bags, no aggregation.
-    output = core_results[0]
-    for part in core_results[1:]:
-        output = output.multiply(part)
-        plan.max_intermediate = max(plan.max_intermediate, len(output))
-    plan.result = output.marginalize(query.free, name=query.name)
+    plan.result, product_rows = sum_product(core_results, free, name=query.name)
+    plan.max_intermediate = max(plan.max_intermediate, product_rows)
     return plan
 
 

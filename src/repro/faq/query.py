@@ -20,9 +20,11 @@ from repro.core.hypergraph import Hypergraph
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import QueryError
-from repro.faq.annotated import AnnotatedRelation
+from repro.faq.annotated import AnnotatedRelation, first_appearance_schema
 from repro.faq.semiring import Semiring
+from repro.relational.columns import ColumnSet, Dictionary
 from repro.relational.database import Database
+from repro.relational.relation import Relation
 
 __all__ = ["FAQQuery"]
 
@@ -90,21 +92,21 @@ class FAQQuery:
             database: supplies each atom's set relation.
             annotations: optional per-relation-name tuple weights; relations
                 not listed get the all-``one`` lifting.
+
+        Raises:
+            QueryError: if a listed relation has a tuple with no weight.
         """
         factors = []
         for atom in self.body:
             relation = atom.bind(database)
-            weights = (annotations or {}).get(relation.name)
-            if weights is None:
-                factor = AnnotatedRelation.from_relation(relation, self.semiring)
-            else:
-                factor = AnnotatedRelation(
-                    relation.name,
-                    relation.schema,
+            weights = _checked_weights(relation, annotations)
+            factors.append(
+                AnnotatedRelation.from_relation(
+                    relation,
                     self.semiring,
-                    {tuple(row): weights[tuple(row)] for row in relation},
+                    None if weights is None else weights.__getitem__,
                 )
-            factors.append(factor)
+            )
         return factors
 
     def evaluate_naive(
@@ -112,18 +114,76 @@ class FAQQuery:
         database: Database,
         annotations: Mapping[str, Mapping[tuple, object]] | None = None,
     ) -> AnnotatedRelation:
-        """Brute force: materialize the full ⊗-join, then ⊕-out bound vars.
+        """Brute force: a hash-join loop over the atoms' decoded tuples, then
+        a dict ⊕-fold over the free variables.
 
-        The oracle for every smarter evaluator; exponential in the worst
-        case.
+        The oracle for every smarter evaluator, so it shares no FAQ code
+        with them: it neither binds factors nor calls either kernel of
+        :mod:`repro.faq.annotated`, reads each weight straight from
+        ``annotations``, and sorts its own result rows.  Exponential in the
+        worst case.
+
+        Raises:
+            QueryError: if a listed relation has a tuple with no weight.
         """
-        factors = self.bind(database, annotations)
-        product = factors[0]
-        for factor in factors[1:]:
-            product = product.multiply(factor)
-        return product.marginalize(self.free, name=self.name)
+        semiring = self.semiring
+        bindings: list[tuple[dict, object]] = [({}, semiring.one)]
+        schemas = []
+        for atom in self.body:
+            relation = atom.bind(database)
+            weights = _checked_weights(relation, annotations)
+            seen = set().union(*schemas)
+            shared = [a for a in relation.schema if a in seen]
+            index: dict[tuple, list] = {}
+            for row in map(relation.decode_row, relation.code_rows):
+                assignment = dict(zip(relation.schema, row))
+                weight = semiring.one if weights is None else weights[row]
+                key = tuple(assignment[a] for a in shared)
+                index.setdefault(key, []).append((assignment, weight))
+            bindings = [
+                ({**binding, **assignment}, semiring.mul(value, weight))
+                for binding, value in bindings
+                for assignment, weight in index.get(
+                    tuple(binding[a] for a in shared), ()
+                )
+            ]
+            schemas.append(relation.schema)
+        schema = first_appearance_schema(schemas, self.free)
+        totals: dict[tuple, object] = {}
+        for binding, value in bindings:
+            key = tuple(binding[a] for a in schema)
+            totals[key] = semiring.add(totals[key], value) if key in totals else value
+        encoders = [Dictionary.of(attr).encode for attr in schema]
+        coded = sorted(
+            (tuple([enc(v) for enc, v in zip(encoders, key)]), value)
+            for key, value in totals.items()
+            if value != semiring.zero
+        )
+        return AnnotatedRelation.from_column_set(
+            self.name,
+            ColumnSet(schema, [row for row, _ in coded], presorted=True),
+            [value for _, value in coded],
+            semiring,
+        )
 
     def __str__(self) -> str:
         head = ", ".join(self.free)
         body = ", ".join(str(atom) for atom in self.body)
         return f"{self.name}({head}) = ⊕[{self.semiring}] {body}"
+
+
+def _checked_weights(
+    relation: Relation, annotations: Mapping[str, Mapping] | None
+) -> Mapping | None:
+    """``relation``'s tuple weights from ``annotations`` (``None``: all
+    ``one``), checked to weigh every tuple."""
+    weights = (annotations or {}).get(relation.name)
+    if weights is not None:
+        rows = map(relation.decode_row, relation.code_rows)
+        missing = next((row for row in rows if row not in weights), None)
+        if missing is not None:
+            raise QueryError(
+                f"annotations for {relation.name} give no weight for its "
+                f"tuple {missing}"
+            )
+    return weights

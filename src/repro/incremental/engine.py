@@ -35,12 +35,11 @@ merge and cache — never the whole database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from repro.core.constraints import ConstraintSet
 from repro.exceptions import IncrementalError, QueryError
-from repro.faq.annotated import AnnotatedRelation
+from repro.faq.annotated import AnnotatedRelation, sum_product
 from repro.faq.semiring import Semiring
 from repro.incremental.delta import PredicateStore, SignedDelta, VersionedRelation
 from repro.incremental.ivm import (
@@ -383,7 +382,7 @@ class IncrementalQueryEngine(MaintainedEngine):
                     f"query atoms"
                 )
             factors = self._lift_factors(semiring, weights)
-            result = self._evaluate_faq(factors, free)
+            result = sum_product(factors, free)[0]
             view = _FaqView(semiring, free, weights, factors, result)
             self._faq_views[key] = view
         elif weights is not None and (
@@ -407,11 +406,6 @@ class IncrementalQueryEngine(MaintainedEngine):
                 AnnotatedRelation.from_relation(relation, semiring, weight)
             )
         return factors
-
-    @staticmethod
-    def _evaluate_faq(factors, free):
-        product = reduce(lambda a, b: a.multiply(b), factors)
-        return product.marginalize(free)
 
     # -- the commit path -----------------------------------------------------------
 
@@ -488,7 +482,7 @@ class IncrementalQueryEngine(MaintainedEngine):
             view.result = maintained
         else:
             view.factors = self._lift_factors(semiring, view.weights)
-            view.result = self._evaluate_faq(view.factors, view.free)
+            view.result = sum_product(view.factors, view.free)[0]
             self.stats.faq_recomputes += 1
 
     # -- from-scratch runs ----------------------------------------------------------

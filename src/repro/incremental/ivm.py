@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import IncrementalError
-from repro.faq.annotated import AnnotatedRelation
+from repro.faq.annotated import AnnotatedRelation, fold_annotations, sum_product
 from repro.faq.semiring import Semiring
 from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.relational.columns import apply_signed_rows
@@ -342,21 +342,16 @@ def delta_factor(
             f"semiring {semiring} has non-invertible ⊕; delta factors "
             f"need subtraction (recompute instead)"
         )
-    zero = semiring.zero
     one = semiring.one
-    data: dict[tuple, object] = {}
     if weight is None:
         negative_one = semiring.negate(one)
-        for row, sign in zip(delta.rows, delta.signs):
-            data[row] = one if sign > 0 else negative_one
+        values = [one if sign > 0 else negative_one for sign in delta.signs]
     else:
-        for row, (values, sign) in zip(delta.rows, delta.decoded()):
-            value = weight(values)
-            if sign < 0:
-                value = semiring.negate(value)
-            if value != zero:
-                data[row] = value
-    return AnnotatedRelation._from_codes(name, delta.attrs, semiring, data)
+        values = [
+            weight(row) if sign > 0 else semiring.negate(weight(row))
+            for row, sign in delta.decoded()
+        ]
+    return fold_annotations(name, delta.attrs, delta.code_columns(), values, semiring)
 
 
 def maintain_faq(
@@ -371,33 +366,19 @@ def maintain_faq(
     Returns the maintained result — ``old ⊕ Σᵢ (F₁'⊗…⊗dFᵢ⊗…⊗Fₖ)
     marginalized to ``free`` — or ``None`` when ⊕ is not invertible, in
     which case the caller must recompute from the new factors.  Each term
-    starts its ⊗-chain at the (tiny) delta factor so intermediates stay
-    delta-bounded in row count.
+    is one :func:`~repro.faq.annotated.sum_product` of ``[dFᵢ, new…, old…]``
+    (every product row extends a row of the tiny delta factor), and one
+    ⊕-fold absorbs all terms into the old result.
     """
     semiring = old_result.semiring
     if not semiring.invertible:
         return None
-    maintained = old_result
-    for i, delta in enumerate(delta_factors):
-        if delta is None or len(delta) == 0:
-            continue
-        term = delta
-        # ⊗ is commutative in content; anchoring the chain on the delta
-        # keeps every intermediate's support delta-sized.  combine()
-        # realigns the term's schema onto the result's at the end.
-        for j in range(i - 1, -1, -1):
-            term = term.multiply(new_factors[j])
-        for j in range(i + 1, len(old_factors)):
-            term = term.multiply(old_factors[j])
-        contribution = term.marginalize(free)
-        maintained = maintain_annotations(maintained, contribution)
-    return maintained
-
-
-def maintain_annotations(
-    result: AnnotatedRelation, contribution: AnnotatedRelation
-) -> AnnotatedRelation:
-    """Fold one signed contribution into a maintained result (⊕, drop zeros)."""
-    if len(contribution) == 0:
-        return result
-    return result.combine(contribution, name=result.name)
+    terms = [
+        [delta, *reversed(new_factors[:i]), *old_factors[i + 1 :]]
+        for i, delta in enumerate(delta_factors)
+        if delta is not None and len(delta)
+    ]
+    if not terms:
+        return old_result
+    contributions = [sum_product(term, free)[0] for term in terms]
+    return old_result.combine(*contributions, name=old_result.name)

@@ -26,6 +26,7 @@ shard).
 from __future__ import annotations
 
 from array import array
+from contextlib import nullcontext
 from typing import Iterable, Sequence
 
 from repro.exceptions import PandaError, QueryError
@@ -36,9 +37,10 @@ from repro.parallel.pool import (
     pack_column_range,
     run_faq_task,
     semiring_reference,
-    unpack_columns,
+    unpack_column_arrays,
 )
 from repro.planner.engine import QueryEngine
+from repro.relational.backend import current_backend
 from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
@@ -116,13 +118,14 @@ def parallel_faq_join(
 ):
     """Parallel FAQ evaluation: ``⊕_{bound vars} ⊗_i factors[i]``.
 
-    Shards on the first variable of the sorted global order, ⊗-joins and
-    ⊕-marginalizes each shard in a worker, then ⊕-combines the shard
-    results in ascending shard order.  Over exact domains (``Fraction`` /
-    ``int`` / ``bool`` / ``min`` / ``max`` — every stock semiring) the
-    result is bit-identical to the serial
-    ``reduce(multiply).marginalize(free)``: sharding only regroups an
-    associative-commutative exact ⊕.
+    Shards on the first variable of the sorted global order, runs
+    :func:`~repro.faq.annotated.sum_product` per shard in a worker, and
+    ⊕-folds the shard results, concatenated in ascending shard order, with
+    :func:`~repro.faq.annotated.fold_annotations`.  One worker, or a plan
+    of one shard, runs ``sum_product`` in process — nothing is packed and
+    the semiring need not be picklable.  Over exact domains (every stock
+    semiring) the result is bit-identical to the in-process one: sharding
+    only regroups an associative-commutative exact ⊕.
 
     Args:
         factors: :class:`~repro.faq.annotated.AnnotatedRelation` factors,
@@ -130,10 +133,18 @@ def parallel_faq_join(
         free: the output (free) variables; everything else is ⊕-ed out.
         workers: pool size (defaults to the machine's cores, capped at 8).
         pool: an existing :class:`WorkerPool` to reuse; a temporary pool is
-            created (and torn down) when omitted and ``workers > 1``.
+            created (and torn down) when omitted and shards are shipped.
         name: output relation name.
+
+    Raises:
+        QueryError: on mixed semirings, or when shards must ship a semiring
+            that is neither stock nor picklable.
     """
-    from repro.faq.annotated import AnnotatedRelation
+    from repro.faq.annotated import (
+        first_appearance_schema,
+        fold_annotations,
+        sum_product,
+    )
 
     factors = list(factors)
     if not factors:
@@ -145,120 +156,48 @@ def parallel_faq_join(
                 f"factors mix semirings ({semiring} vs {factor.semiring})"
             )
     free = tuple(free)
-    order = tuple(sorted(set().union(*(f.attributes for f in factors))))
+    name = name or "⊕⊗(" + ",".join(f.name for f in factors) + ")"
     if workers is None:
         workers = default_worker_count()
+    specs = []
+    if workers > 1:
+        order = tuple(sorted(set().union(*(f.attributes for f in factors))))
+        # Each factor re-sorted under the global order (a fold of distinct
+        # rows is a sort), for the shard planner and for slicing.
+        sharded = [
+            f.reordered(tuple(v for v in order if v in f.attributes))
+            for f in factors
+        ]
+        tables = [ShardTable(f.schema, f.column_set) for f in sharded]
+        specs = plan_shards(tables, order, workers * QueryEngine.OVERSHARD)
+    if len(specs) <= 1:
+        return sum_product(factors, free, name)[0]
 
-    # Sort each factor's (code row, value) pairs under the global order once;
-    # rows feed the shard planner, values stay index-aligned for slicing.
-    shard_target = (
-        workers * QueryEngine.OVERSHARD if workers > 1 else 1
-    )
-    factor_rows: list[list] = []
-    factor_values: list[list] = []
-    tables: list[ShardTable] = []
-    from repro.relational.columns import ColumnSet
-
-    for factor in factors:
-        attrs = tuple(v for v in order if v in factor.attributes)
-        positions = tuple(factor.schema.index(a) for a in attrs)
-        pairs = sorted(
-            ((tuple(row[p] for p in positions), value)
-             for row, value in factor._data.items()),
-            key=lambda pair: pair[0],
-        )
-        rows = [row for row, _ in pairs]
-        values = [value for _, value in pairs]
-        factor_rows.append(rows)
-        factor_values.append(values)
-        tables.append(ShardTable(attrs, ColumnSet(attrs, rows, presorted=True)))
-
-    specs = plan_shards(tables, order, shard_target)
     reference = semiring_reference(semiring)
+    backend = current_backend()
     tasks = []
     for spec in specs:
         payload = []
-        for factor, table, rows, values in zip(
-            factors, tables, factor_rows, factor_values
-        ):
+        for factor, table in zip(sharded, tables):
             lo, hi = slice_bounds(table, order, spec)
-            payload.append(
-                (
-                    factor.name,
-                    table.attrs,
-                    pack_column_range(table.column_set, lo, hi),
-                    values[lo:hi],
-                )
-            )
-        tasks.append((reference, free, payload))
+            buffer = pack_column_range(table.column_set, lo, hi)
+            payload.append((factor.name, table.attrs, buffer, factor.values[lo:hi]))
+        tasks.append((reference, free, payload, backend))
+    with WorkerPool(workers) if pool is None else nullcontext(pool) as active:
+        active.ensure_started()
+        results = active.map(run_faq_task, tasks)
 
-    own_pool = pool is None and workers > 1 and len(tasks) > 1
-    if pool is None:
-        pool = WorkerPool(workers)
-    try:
-        if len(tasks) > 1:
-            pool.ensure_started()
-        results = pool.map(run_faq_task, tasks)
-    finally:
-        if own_pool:
-            pool.close()
-
+    # Workers' factors follow the global order, so their rows arrive in
+    # that schema; the fold re-sorts them into the first-appearance one.
+    schema = first_appearance_schema([t.attrs for t in tables], free)
+    columns = [array("q") for _ in schema]
+    values: list = []
     counter = current_counter()
-    add = semiring.add
-    zero = semiring.zero
-    # Workers build factors under the order-restricted attrs, so their rows
-    # arrive in the *worker* product-schema order; the serial result's
-    # schema follows the factors' original attribute order.  Unpack under
-    # the former, permute into the latter (usually the identity).
-    worker_schema = _first_appearance_schema(
-        [table.attrs for table in tables], free
-    )
-    out_schema = _first_appearance_schema(
-        [factor.schema for factor in factors], free
-    )
-    permutation = tuple(worker_schema.index(a) for a in out_schema)
-    identity = permutation == tuple(range(len(out_schema)))
-    data: dict = {}
-    for buffer, values, counts in results:
+    for buffer, shard_values, counts in results:
         counter.absorb(counts)
-        if worker_schema:
-            rows = unpack_columns(buffer, len(worker_schema))
-        else:
-            # Fully aggregated shards: the nullary row carries no codes, so
-            # the buffer is empty — the values list is the row count.
-            rows = [()] * len(values)
-        for row, value in zip(rows, values):
-            if not identity:
-                row = tuple(row[p] for p in permutation)
-            if row in data:
-                value = add(data[row], value)
-                if value == zero:
-                    del data[row]
-                    continue
-            data[row] = value
-    return AnnotatedRelation._from_codes(
-        name or "⊕⊗(" + ",".join(f.name for f in factors) + ")",
-        out_schema,
-        semiring,
-        data,
-    )
-
-
-def _first_appearance_schema(
-    schemas, free: tuple[str, ...]
-) -> tuple[str, ...]:
-    """What ``reduce(multiply).marginalize(free)`` yields over ``schemas``.
-
-    ⊗ appends each factor's fresh attributes in its own schema order, and
-    ⊕-marginalization keeps the product order — i.e. first appearance across
-    the factor sequence, filtered to the free variables.
-    """
-    schema: list[str] = []
-    seen: set[str] = set()
-    for factor_schema in schemas:
-        for attr in factor_schema:
-            if attr not in seen:
-                seen.add(attr)
-                schema.append(attr)
-    keep = frozenset(free)
-    return tuple(a for a in schema if a in keep)
+        for column, part in zip(columns, unpack_column_arrays(buffer, len(schema))):
+            column.extend(part)
+        values += shard_values
+    out_schema = first_appearance_schema([f.schema for f in factors], free)
+    columns = [columns[schema.index(a)] for a in out_schema]
+    return fold_annotations(name, out_schema, columns, values, semiring)

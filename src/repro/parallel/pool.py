@@ -55,6 +55,7 @@ import pickle
 from array import array
 from typing import Sequence
 
+from repro.exceptions import QueryError
 from repro.relational.backend import current_backend, scoped_backend
 from repro.relational.operators import current_counter, scoped_work_counter
 from repro.relational.relation import Relation
@@ -65,30 +66,14 @@ __all__ = [
     "default_worker_count",
     "map_delta_terms",
     "pack_column_range",
-    "pack_output_rows",
     "run_delta_term_task",
     "run_faq_task",
     "run_shard_task",
     "unpack_column_arrays",
-    "unpack_columns",
 ]
 
 
 # -- raw code buffers ---------------------------------------------------------------
-
-
-def pack_output_rows(rows: Sequence[tuple], arity: int) -> bytes:
-    """Serialize output rows column-major (C-speed ``zip`` + array fills).
-
-    The transpose back is :func:`unpack_columns`; for the large outputs the
-    emission-heavy workloads produce, this keeps both ends of the result
-    pipe out of per-tuple Python loops.
-    """
-    if arity == 0 or not rows:
-        return b""
-    return b"".join(
-        array("q", column).tobytes() for column in zip(*rows)
-    )
 
 
 def pack_column_range(column_set, lo: int, hi: int) -> bytes:
@@ -116,16 +101,6 @@ def unpack_column_arrays(buffer: bytes, arity: int) -> tuple:
         column.frombytes(buffer[i * 8 * n : (i + 1) * 8 * n])
         columns.append(column)
     return tuple(columns)
-
-
-def unpack_columns(buffer: bytes, arity: int) -> list[tuple]:
-    """Invert :func:`pack_output_rows`: the row tuples of a shipped buffer.
-
-    One C-speed ``zip(*columns)`` — for receivers that consume rows (signed
-    runs, FAQ factors); relations take the columns as they are
-    (:func:`_relation_from_buffer`).
-    """
-    return list(zip(*unpack_column_arrays(buffer, arity)))
 
 
 def _relation_from_buffer(name: str, attrs: tuple, buffer: bytes) -> Relation:
@@ -521,41 +496,33 @@ def map_delta_terms(
 
 
 def run_faq_task(task: tuple) -> tuple[bytes, list, dict]:
-    """⊗-join the shard's factors and ⊕-marginalize (worker-side entry point).
+    """One shard's ``sum_product`` (worker-side entry point).
 
-    ``task`` is ``(semiring_ref, free, factor_payload)`` where each factor
-    entry is ``(name, attrs, buffer, values)``.  Returns the marginalized
-    shard result as ``(rows buffer, values list, counts)``.
+    ``task`` is ``(semiring_ref, free, factor_payload, backend)`` where each
+    factor entry is ``(name, attrs, buffer, values)``.  Returns the shard's
+    result as ``(column buffer, values, counts)``.
     """
-    from functools import reduce
+    from repro.faq.annotated import AnnotatedRelation, sum_product
+    from repro.relational.columns import ColumnSet
 
-    from repro.faq.annotated import AnnotatedRelation
-
-    semiring_ref, free, factor_payload = task
+    semiring_ref, free, factor_payload, backend = task
     semiring = resolve_semiring(semiring_ref)
-    with scoped_work_counter() as counter:
+    with scoped_backend(backend), scoped_work_counter() as counter:
         factors = []
         for name, attrs, buffer, values in factor_payload:
             if attrs:
-                rows = unpack_columns(buffer, len(attrs))
+                columns = unpack_column_arrays(buffer, len(attrs))
+                rows = ColumnSet(attrs, columns=columns)
             else:
-                # Nullary (scalar) factors: the single empty row carries no
-                # codes, so the buffer is empty — the values list is the
-                # row count.
-                rows = [()] * len(values)
+                # A nullary factor's one row carries no codes, so the buffer
+                # is empty — the values list is the row count.
+                rows = ColumnSet((), [()] * len(values), presorted=True)
             factors.append(
-                AnnotatedRelation._from_codes(
-                    name, tuple(attrs), semiring, dict(zip(rows, values))
-                )
+                AnnotatedRelation.from_column_set(name, rows, values, semiring)
             )
-        product = reduce(lambda a, b: a.multiply(b), factors)
-        result = product.marginalize(free)
-        out_schema = result.schema
-        items = sorted(result._data.items())
-        buffer = pack_output_rows([row for row, _ in items], len(out_schema))
-        values = [value for _, value in items]
-        counts = counter.as_dict()
-    return buffer, values, counts
+        result = sum_product(factors, free)[0]
+        buffer = pack_column_range(result.column_set, 0, len(result))
+        return buffer, result.values, counter.as_dict()
 
 
 # -- semiring shipping --------------------------------------------------------------
@@ -571,7 +538,7 @@ def semiring_reference(semiring):
     try:
         return ("pickle", pickle.dumps(semiring))
     except Exception as error:
-        raise ValueError(
+        raise QueryError(
             f"semiring {semiring} is not picklable and not one of the stock "
             f"semirings; parallel FAQ evaluation cannot ship it to workers"
         ) from error

@@ -642,9 +642,8 @@ def apply_plan_to_columns(columns: Sequence, plan: list) -> tuple:
 def merge_runs(left: Sequence, right: Sequence, key) -> Iterator[tuple[int, int, int, int]]:
     """Pair up matching key runs of two ``key``-sorted sequences.
 
-    The shared inner loop of every sort-merge ⋈ in the engine (set joins in
-    :mod:`repro.relational.operators`, ⊗-joins in
-    :mod:`repro.faq.annotated`): for each key present on both sides, yields
+    The inner loop of the sort-merge ⋈ in
+    :mod:`repro.relational.operators`: for each key present on both sides, yields
     the half-open index ranges ``(i, i_end, j, j_end)`` of its left and
     right runs; the caller cross-combines the two blocks however it likes.
     """

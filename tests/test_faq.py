@@ -15,6 +15,7 @@ from repro.exceptions import DecompositionError, QueryError, SchemaError
 from repro.faq import (
     BOOLEAN,
     COUNTING,
+    FRACTION,
     MAX_PRODUCT,
     MIN_PLUS,
     AnnotatedRelation,
@@ -203,6 +204,36 @@ class TestFAQQueryNaive:
         out = faq.evaluate_naive(db, annotations=weights)
         assert out.annotation((0, 9)) == 6  # min(5+1, 1+10)
 
+    def test_missing_weight_is_query_error(self):
+        db = Database([Relation.from_pairs("R", "A", "B", [(1, 2), (1, 3)])])
+        faq = faq_from_text("Q(A) :- R(A,B)", COUNTING)
+        with pytest.raises(QueryError, match=r"R .*\(1, 3\)"):
+            faq.evaluate_naive(db, annotations={"R": {(1, 2): 5}})
+
+    def test_oracle_calls_neither_kernel(self, monkeypatch):
+        """The oracle shares no code with the evaluators it checks."""
+        import repro.faq.annotated as annotated
+
+        db = Database(
+            [
+                Relation.from_pairs("R", "A", "B", [(0, 1), (0, 2), (3, 2)]),
+                Relation.from_pairs("S", "B", "C", [(1, 9), (2, 9), (2, 4)]),
+            ]
+        )
+        weights = {"R": {(0, 1): 5, (0, 2): 0, (3, 2): 2}}
+        faq = faq_from_text("Q(A,C) :- R(A,B), S(B,C)", COUNTING)
+        expected = variable_elimination(faq, db, annotations=weights).result
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran an FAQ kernel")
+
+        monkeypatch.setattr(annotated, "fold_annotations", refuse)
+        monkeypatch.setattr(annotated, "sum_product", refuse)
+        out = faq.evaluate_naive(db, annotations=weights)
+        assert out == expected
+        assert out.code_items() == expected.code_items()
+        assert sorted(out.items()) == [((0, 9), 5), ((3, 4), 2), ((3, 9), 2)]
+
     def test_free_variables_must_occur(self):
         with pytest.raises(QueryError):
             FAQQuery(("Z",), parse_query("Q(A,B) :- R(A,B)").body, COUNTING)
@@ -368,6 +399,105 @@ class TestDecompositionPlan:
         plan = faq_decomposition_plan(faq, db)
         assert plan.messages >= 1
         assert plan.max_intermediate >= len(plan.result)
+
+
+def star_path_db(n):
+    """The Example 1.10-style worst case for the 3-path: the full join is N²."""
+    return Database(
+        [
+            Relation.from_pairs("R", "A", "B", [(i, 0) for i in range(n)]),
+            Relation.from_pairs("S", "B", "C", [(0, i) for i in range(n)]),
+            Relation.from_pairs("T", "C", "D", [(i, i) for i in range(n)]),
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_plan_intermediates_linear_on_star_path(n):
+    """§8: the free-connex plan materializes N rows where the join has N²."""
+    from repro.relational import generic_join
+
+    db = star_path_db(n)
+    faq = faq_from_text("Q(A) :- R(A,B), S(B,C), T(C,D)", COUNTING)
+    plan = faq_decomposition_plan(faq, db)
+    assert plan.max_intermediate == n
+    assert len(generic_join(list(db))) == n * n
+    assert plan.result == faq.evaluate_naive(db)
+    assert sorted(plan.result.items()) == [((a,), n) for a in range(n)]
+
+
+def hub_path_db(seed):
+    """A 3-path whose factors have ≥ 256 rows each, every one skewed onto
+    one hub value of its join variable (past the ``vectorize`` gate, so the
+    join runs its numpy frontier on the vectorized backend)."""
+    rng = random.Random(seed)
+
+    def skewed(hub_side, count, hub_count):
+        rows = {(i, 0) if hub_side else (0, i) for i in range(hub_count)}
+        while len(rows) < count:
+            rows.add((rng.randrange(1, 48), rng.randrange(1, 48)))
+        return sorted(rows)
+
+    return Database(
+        [
+            Relation.from_pairs("R", "A", "B", skewed(True, 300, 90)),
+            Relation.from_pairs("S", "B", "C", skewed(False, 280, 40)),
+            Relation.from_pairs("T", "C", "D", skewed(False, 260, 30)),
+        ]
+    )
+
+
+HUB_WEIGHTS = {
+    "boolean": lambda rng: True,
+    "counting": lambda rng: rng.randint(1, 4),
+    "fraction": lambda rng: Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+    "min-plus": lambda rng: rng.randint(0, 9),
+    "max-product": lambda rng: rng.choice([0.25, 0.5, 1.0, 2.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def two_worker_pool():
+    from repro.parallel.pool import WorkerPool
+
+    with WorkerPool(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("free", [(), ("A",), ("A", "D")], ids=str)
+@pytest.mark.parametrize(
+    "semiring", [BOOLEAN, COUNTING, FRACTION, MIN_PLUS, MAX_PRODUCT],
+    ids=lambda s: s.name,
+)
+def test_evaluators_agree_past_the_gate(semiring, free, two_worker_pool):
+    """Every evaluator equals the oracle on factors past the ``vectorize``
+    gate, and ⊗ counts exactly the work of the join over the supports."""
+    from repro.parallel import parallel_faq_join
+    from repro.relational import generic_join, scoped_work_counter
+
+    db = hub_path_db(seed=41)
+    rng = random.Random(41)
+    weights = {
+        relation.name: {row: HUB_WEIGHTS[semiring.name](rng) for row in
+                        sorted(relation.tuples)}
+        for relation in db
+    }
+    faq = FAQQuery(
+        free, parse_query("Q(A,D) :- R(A,B), S(B,C), T(C,D)").body, semiring
+    )
+    expected = faq.evaluate_naive(db, annotations=weights)
+    assert variable_elimination(faq, db, annotations=weights).result == expected
+    assert faq_decomposition_plan(faq, db, annotations=weights).result == expected
+
+    factors = faq.bind(db, weights)
+    with scoped_work_counter() as join_work:
+        joined = generic_join([factor.support() for factor in factors])
+    assert len(joined) >= 256
+    for workers, pool in ((1, None), (2, two_worker_pool)):
+        with scoped_work_counter() as work:
+            result = parallel_faq_join(factors, free, workers=workers, pool=pool)
+        assert result == expected, workers
+        assert work.tuples_emitted == join_work.tuples_emitted, workers
 
 
 @st.composite

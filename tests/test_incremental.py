@@ -691,7 +691,7 @@ class TestLargeBatches:
                 results.append(
                     (
                         list(maintained.relation.code_rows),
-                        sorted(counted._data.items()),
+                        counted.code_items(),
                         [
                             engine.relation_log(atom.name).current.column_set(
                                 atom.variables
@@ -774,9 +774,7 @@ class TestFaqMaintenance:
             oracle = self._oracle(engine, semiring, free, weights)
             assert maintained == oracle, batch
             # Exactness down to the representation, not just ==.
-            assert sorted(maintained._data.items()) == sorted(
-                oracle._data.items()
-            )
+            assert maintained.code_items() == oracle.code_items()
         assert engine.stats.faq_recomputes == 0
         engine.close()
 

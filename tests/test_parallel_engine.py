@@ -29,11 +29,7 @@ from repro.parallel import (
     plan_shards,
     slice_bounds,
 )
-from repro.parallel.pool import (
-    pack_output_rows,
-    unpack_column_arrays,
-    unpack_columns,
-)
+from repro.parallel.pool import pack_column_range, unpack_column_arrays
 from repro.planner import QueryEngine
 from repro.relational import (
     Database,
@@ -42,6 +38,7 @@ from repro.relational import (
     leapfrog_triejoin,
     scoped_work_counter,
 )
+from repro.relational.columns import ColumnSet
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -481,7 +478,7 @@ class TestParallelFaq:
                 assert result.schema == serial.schema
                 assert result == serial
                 # Bit-level: identical code rows *and* identical exact values.
-                assert dict(result._data) == dict(serial._data), (
+                assert result.code_items() == serial.code_items(), (
                     free,
                     workers,
                 )
@@ -509,7 +506,7 @@ class TestParallelFaq:
             for workers in (1, 2):
                 result = parallel_faq_join([r, s], free, workers=workers)
                 assert result.schema == serial.schema, (free, workers)
-                assert dict(result._data) == dict(serial._data), (free, workers)
+                assert result.code_items() == serial.code_items(), (free, workers)
                 assert sorted(result.items()) == sorted(serial.items())
 
     def test_nullary_scalar_factor(self):
@@ -523,7 +520,35 @@ class TestParallelFaq:
             for workers in (1, 2):
                 result = parallel_faq_join([scalar, r], free, workers=workers)
                 assert result.schema == serial.schema
-                assert dict(result._data) == dict(serial._data), (free, workers)
+                assert result.code_items() == serial.code_items(), (free, workers)
+
+    def test_custom_semiring_ships_only_when_pooled(self):
+        """Regression: an unpicklable semiring is fine until shards ship."""
+        from repro.exceptions import QueryError
+        from repro.faq.semiring import Semiring
+
+        gaussian = Semiring(
+            "gaussian", 0j, 1 + 0j, lambda a, b: a + b, lambda a, b: a * b
+        )
+        r = AnnotatedRelation(
+            "R", ("A", "B"), gaussian,
+            {(a, b): complex(a + 1, b) for a in range(8) for b in range(3)},
+        )
+        s = AnnotatedRelation(
+            "S", ("B", "C"), gaussian,
+            {(b, c): complex(1, -c) for b in range(3) for c in range(2)},
+        )
+        serial = r.multiply(s).marginalize(("A",))
+        assert len(serial) == 8
+        result = parallel_faq_join([r, s], ("A",), workers=1)
+        assert result.code_items() == serial.code_items()
+        query = ConjunctiveQuery(
+            ("A",), (Atom("R", ("A", "B")), Atom("S", ("B", "C")))
+        )
+        with QueryEngine(query) as engine:
+            assert engine.execute_faq([r, s], ("A",)) == serial
+        with pytest.raises(QueryError, match="not picklable"):
+            parallel_faq_join([r, s], ("A",), workers=2)
 
     def test_mixed_semirings_rejected(self):
         from repro.exceptions import QueryError
@@ -539,15 +564,18 @@ class TestParallelFaq:
 
 class TestPoolPlumbing:
     def test_pack_unpack_roundtrip(self):
-        rows = [(1, 2, 3), (4, 5, 6), (-7, 0, 9)]
-        buffer = pack_output_rows(rows, 3)
-        assert unpack_columns(buffer, 3) == rows
+        column_set = ColumnSet(
+            ("A", "B", "C"), [(-7, 0, 9), (1, 2, 3), (4, 5, 6)], presorted=True
+        )
+        buffer = pack_column_range(column_set, 0, 3)
         assert [list(c) for c in unpack_column_arrays(buffer, 3)] == [
-            [1, 4, -7],
-            [2, 5, 0],
-            [3, 6, 9],
+            [-7, 1, 4],
+            [0, 2, 5],
+            [9, 3, 6],
         ]
-        assert unpack_columns(pack_output_rows([], 3), 3) == []
+        middle = pack_column_range(column_set, 1, 2)
+        assert [list(c) for c in unpack_column_arrays(middle, 3)] == [[1], [2], [3]]
+        assert pack_column_range(column_set, 2, 2) == b""
         assert all(len(c) == 0 for c in unpack_column_arrays(b"", 3))
 
     @pytest.mark.parametrize("pooled", [False, True])
@@ -558,7 +586,10 @@ class TestPoolPlumbing:
 
         def shard(rows):
             if pooled:
-                return unpack_column_arrays(pack_output_rows(rows, 2), 2)
+                shipped = ColumnSet(("A", "B"), rows, presorted=True)
+                return unpack_column_arrays(
+                    pack_column_range(shipped, 0, len(rows)), 2
+                )
             return Relation.from_codes("Q", ("A", "B"), rows).column_set(
                 ("A", "B")
             ).columns
@@ -574,6 +605,7 @@ class TestPoolPlumbing:
                 _merge_shard_columns([shard(rows) for rows in bad], 2)
 
     def test_unpicklable_semiring_rejected(self):
+        from repro.exceptions import QueryError
         from repro.faq.semiring import Semiring
         from repro.parallel.pool import semiring_reference
 
@@ -584,7 +616,7 @@ class TestPoolPlumbing:
             add=lambda a, b: a + b,
             mul=lambda a, b: a * b,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(QueryError):
             semiring_reference(custom)
 
     def test_stock_semirings_ship_by_name(self):

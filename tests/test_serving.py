@@ -414,6 +414,17 @@ class TestSnapshotIsolation:
 
         batches = []
         reads = []
+
+        def admitted_read(engine):
+            """Submit one read, waiting out admission-control sheds: every
+            read races the queued ones, the last one too (``drain`` waits
+            for writes only)."""
+            while True:
+                try:
+                    return engine.read(snapshot_read)
+                except OverloadError as overload:
+                    time.sleep(overload.retry_after)
+
         # compact_min=4 forces frequent compactions under the readers.
         with ServingEngine(
             query, readers=3, compact_min=4, execution_backend=backend
@@ -428,14 +439,9 @@ class TestSnapshotIsolation:
                 batches.append((name, ins, dels))
                 engine.submit({name: (ins, dels)})
                 for _ in range(self.READS_PER_BATCH):
-                    while True:
-                        try:
-                            reads.append(engine.read(snapshot_read))
-                            break
-                        except OverloadError as overload:
-                            time.sleep(overload.retry_after)
+                    reads.append(admitted_read(engine))
             engine.drain()
-            reads.append(engine.read(snapshot_read))
+            reads.append(admitted_read(engine))
             observed = [future.result() for future in reads]
             assert engine.stats.compactions > 0
 

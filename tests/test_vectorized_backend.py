@@ -23,7 +23,7 @@ from repro.faq.semiring import BOOLEAN, COUNTING, FRACTION, MAX_PRODUCT, MIN_PLU
 from repro.incremental import IncrementalQueryEngine
 from repro.parallel.engine import _order_tables
 from repro.parallel.partition import plan_shards, slice_bounds
-from repro.parallel.pool import pack_column_range, pack_output_rows
+from repro.parallel.pool import pack_column_range
 from repro.planner import QueryEngine
 from repro.relational import (
     Database,
@@ -40,6 +40,7 @@ from repro.relational.backend import (
     resolve_backend,
     scoped_backend,
 )
+from repro.relational.columns import ColumnSet
 from repro.relational.execution import delta_root_ranges
 
 requires_numpy = pytest.mark.skipif(
@@ -295,7 +296,8 @@ class TestKernelBitIdentity:
         with scoped_backend("vectorized"):
             out = generic_join(relations, order)
         assert len(out) > 0
-        assert pack_output_rows(out.code_rows, 3) == pack_column_range(
+        retupled = ColumnSet(order, out.code_rows, presorted=True)
+        assert pack_column_range(retupled, 0, len(out)) == pack_column_range(
             out.column_set(order), 0, len(out)
         )
 
