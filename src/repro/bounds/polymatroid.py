@@ -21,6 +21,7 @@ that witness the Shannon-flow inequality (Prop. 5.4) consumed by
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +42,7 @@ __all__ = [
     "constraints_to_log",
     "edge_dominated_constraints",
     "vertex_dominated_constraints",
+    "target_sets",
     "FUNCTION_CLASSES",
 ]
 
@@ -106,6 +108,32 @@ def vertex_dominated_constraints(
     return [
         LogConstraint((), (v,), Fraction(scale)) for v in hypergraph.vertices
     ]
+
+
+def target_sets(targets: Sequence[AbstractSet] | AbstractSet) -> list[frozenset]:
+    """The target list of a bound LP: any one set is a single target.
+
+    A plain ``set`` is one target exactly like a ``frozenset``; otherwise
+    ``targets`` is a sequence of variable sets.  A bare variable name in that
+    sequence (``("A", "B")``) would be silently read as the set of its
+    characters, so it raises instead.
+
+    Raises:
+        LPError: on an empty target list or a ``str`` element.
+    """
+    if isinstance(targets, AbstractSet):
+        return [frozenset(targets)]
+    target_list = []
+    for target in targets:
+        if isinstance(target, str):
+            raise LPError(
+                f"target {target!r} is a variable name, not a set of "
+                "variables; pass one set for a single target"
+            )
+        target_list.append(frozenset(target))
+    if not target_list:
+        raise LPError("at least one target required")
+    return target_list
 
 
 @lru_cache(maxsize=None)
@@ -302,22 +330,18 @@ class PolymatroidProgram:
 
     def maximize(
         self,
-        targets: Sequence[frozenset] | frozenset,
+        targets: Sequence[AbstractSet] | AbstractSet,
         backend: str = "exact",
     ) -> BoundResult:
         """Compute ``max_{h in F ∩ H} min_{B in targets} h(B)``.
 
         Args:
-            targets: one target set or a sequence of target sets.
+            targets: one target set or a sequence of target sets (read by
+                :func:`target_sets`).
             backend: ``"exact"`` or ``"scipy"``.
         """
         vm = self.varmap
-        if isinstance(targets, frozenset):
-            target_list: list[frozenset] = [targets]
-        else:
-            target_list = [frozenset(t) for t in targets]
-        if not target_list:
-            raise LPError("at least one target required")
+        target_list = target_sets(targets)
         model = self._build([vm.mask_of(t) for t in target_list])
         solution = model.maximize(backend=backend)
 
@@ -361,7 +385,7 @@ class PolymatroidProgram:
 
 def log_size_bound(
     universe: Sequence[str],
-    targets: Sequence[frozenset] | frozenset,
+    targets: Sequence[AbstractSet] | AbstractSet,
     constraints: ConstraintSet | Iterable[DegreeConstraint] | Iterable[LogConstraint],
     function_class: str = "polymatroid",
     backend: str = "exact",
@@ -371,7 +395,7 @@ def log_size_bound(
     Args:
         universe: the query variables.
         targets: target set(s) — ``[n]`` for a full CQ, the head sets ``B``
-            for a disjunctive rule.
+            for a disjunctive rule (read by :func:`target_sets`).
         constraints: degree constraints (integer or log-space).
         function_class: one of :data:`FUNCTION_CLASSES`.
         backend: LP backend.

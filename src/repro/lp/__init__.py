@@ -3,7 +3,9 @@
 Two backends behind one modelling interface:
 
 * :mod:`repro.lp.simplex` — exact rational two-phase simplex (primal + dual),
-  the source of truth for Shannon-flow witnesses and PANDA budgets;
+  the source of truth for Shannon-flow witnesses and PANDA budgets; on the
+  vectorized backend it first certifies, in exact arithmetic, the optimum
+  that :mod:`repro.lp.proposer`'s float replay of its pivots proposes;
 * :mod:`repro.lp.scipy_backend` — HiGHS float backend for the larger width
   LPs that only need values.
 

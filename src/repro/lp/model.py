@@ -40,7 +40,8 @@ class LPSolution:
         values: optimal value of each named variable.
         duals: optimal dual value of each named constraint (``>= 0``; duals of
             ``<=`` rows of a maximization).
-        pivots: simplex pivot count (0 for the scipy backend).
+        pivots: exact simplex pivots performed: 0 when the float proposal
+            was certified (vectorized backend) and for the scipy backend.
     """
 
     objective: Fraction

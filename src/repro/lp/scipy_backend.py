@@ -24,18 +24,9 @@ except ImportError:  # pragma: no cover - exercised only without the extra
 
 from repro.exceptions import InfeasibleError, LPError, UnboundedError
 from repro.lp.model import LPModel, LPSolution
+from repro.lp.proposer import rationalize
 
 __all__ = ["maximize_with_scipy", "rationalize"]
-
-#: Denominator cap when converting float LP output back to Fractions.  The
-#: optima encountered in this package (widths, bound exponents) have tiny
-#: denominators; 10^6 leaves a huge safety margin while suppressing float fuzz.
-_DENOMINATOR_LIMIT = 10**6
-
-
-def rationalize(value: float, limit: int = _DENOMINATOR_LIMIT) -> Fraction:
-    """Convert a float to a nearby small-denominator Fraction."""
-    return Fraction(value).limit_denominator(limit)
 
 
 def maximize_with_scipy(model: LPModel) -> LPSolution:

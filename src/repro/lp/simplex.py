@@ -37,6 +37,13 @@ basis-index tie-break) compares exactly the same rational quantities as a
 plain Fraction tableau, so the pivot sequence — and hence the reported
 optimal basis, primal values, and duals — is identical to the historical
 dense rational implementation, just much faster.
+
+**Certified proposals.**  On the vectorized backend
+:func:`solve_max_sparse` first takes a primal/dual pair from
+:mod:`repro.lp.proposer` (a float64 replay of these same Bland pivots) and
+accepts it only if :func:`_certify` proves it optimal in exact arithmetic;
+otherwise the simplex runs as above.  Either way the returned values are
+exact, and the certificate lives here so RL-EXACT covers it.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from repro.exceptions import InfeasibleError, LPError, UnboundedError
+from repro.relational.backend import current_backend
 
 __all__ = ["SimplexResult", "solve_max", "solve_max_sparse"]
 
@@ -63,7 +71,8 @@ class SimplexResult:
         y: optimal dual solution, one value per constraint row.  ``y`` is
             feasible for the dual ``min b'y : A'y >= c, y >= 0`` and satisfies
             strong duality ``b'y == objective``.
-        pivots: number of simplex pivots performed (both phases).
+        pivots: number of exact simplex pivots performed (both phases);
+            0 when a certified float proposal answered the LP.
     """
 
     objective: Fraction
@@ -318,6 +327,38 @@ class _Tableau:
         self.ncols = limit
 
 
+def _certify(
+    rows: Sequence[Mapping[int, Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+) -> SimplexResult | None:
+    """The optimality certificate of a proposed primal/dual pair, exactly.
+
+    ``x`` and ``y`` are optimal iff ``y >= 0``, ``A'y >= c``, ``x >= 0``,
+    ``Ax <= b`` and ``c'x == b'y`` (weak duality closes the gap).  Returns
+    the pair as a :class:`SimplexResult` with ``pivots=0`` (no exact pivot
+    ran), or ``None`` when any check fails.
+    """
+    if any(v < 0 for v in y) or any(v < 0 for v in x):
+        return None
+    dual_slack = [-v for v in c]  # A'y - c
+    for i, yi in enumerate(y):
+        if yi:
+            for j, coef in rows[i].items():
+                dual_slack[j] += coef * yi
+    if any(v < 0 for v in dual_slack):
+        return None
+    for i, row in enumerate(rows):
+        if sum((coef * x[j] for j, coef in row.items() if x[j]), _ZERO) > b[i]:
+            return None
+    objective = sum((c[j] * v for j, v in enumerate(x) if v), _ZERO)
+    if sum((b[i] * yi for i, yi in enumerate(y) if yi), _ZERO) != objective:
+        return None
+    return SimplexResult(objective, tuple(x), tuple(y), pivots=0)
+
+
 def solve_max_sparse(
     rows: Sequence[Mapping[int, Fraction]],
     b: Sequence[Fraction],
@@ -354,7 +395,16 @@ def solve_max_sparse(
             raise UnboundedError("no constraints and a positive cost coefficient")
         return SimplexResult(_ZERO, tuple(_ZERO for _ in range(n)), ())
 
-    tableau = _Tableau(rows, [Fraction(v) for v in b], n)
+    b_frac = [Fraction(v) for v in b]
+    if current_backend() == "vectorized":
+        from repro.lp.proposer import propose
+
+        proposal = propose(rows, b_frac, c_frac)
+        if proposal is not None:
+            certified = _certify(rows, b_frac, c_frac, *proposal)
+            if certified is not None:
+                return certified
+    tableau = _Tableau(rows, b_frac, n)
     tableau.make_feasible()
     # Scale the objective to integers; positive scaling preserves every
     # reduced-cost sign, so pivoting is unaffected and duals divide it out.
@@ -374,9 +424,7 @@ def solve_max_sparse(
     dual_den = c_scale * zscale
     y = tuple(Fraction(zbar[n + i], dual_den) for i in range(m))
     # Sanity: strong duality must hold exactly.
-    dual_objective = sum(
-        (Fraction(b[i]) * y[i] for i in range(m)), _ZERO
-    )
+    dual_objective = sum((b_frac[i] * y[i] for i in range(m)), _ZERO)
     if dual_objective != objective:
         raise LPError(
             "strong duality violated: primal "

@@ -12,6 +12,7 @@ target sets are memoized so textually repeated bound queries are free.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import Iterable, Sequence
 
 from repro.bounds.polymatroid import (
@@ -19,6 +20,7 @@ from repro.bounds.polymatroid import (
     LogConstraint,
     PolymatroidProgram,
     constraints_to_log,
+    target_sets,
 )
 from repro.core.constraints import ConstraintSet, DegreeConstraint
 
@@ -56,14 +58,11 @@ class BatchedBoundSolver:
 
     def solve(
         self,
-        targets: Sequence[frozenset] | frozenset,
+        targets: Sequence[AbstractSet] | AbstractSet,
         backend: str = "exact",
     ) -> BoundResult:
         """``max_h min_B h(B)`` for the target set, memoized."""
-        if isinstance(targets, frozenset):
-            target_list = [targets]
-        else:
-            target_list = [frozenset(t) for t in targets]
+        target_list = target_sets(targets)
         key = (tuple(tuple(sorted(t)) for t in target_list), backend)
         result = self._results.get(key)
         if result is None:

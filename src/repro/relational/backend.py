@@ -21,7 +21,12 @@ Requesting ``"vectorized"`` without numpy degrades gracefully to the
 interpreted driver — the base install carries no third-party dependency
 (numpy ships under the ``fast`` extra: ``pip install repro-panda[fast]``).
 Only int64 code-domain execution ever vectorizes; exact-``Fraction``
-annotation/witness/proof paths never route through this module.
+annotation/witness/proof paths never route through this module.  The one
+float computation the vectorized backend adds is the LP *proposal*
+(:mod:`repro.lp.proposer`): a float replay of the exact simplex's pivots
+whose answer :mod:`repro.lp.simplex` certifies in ``Fraction`` before use,
+falling back to the rational simplex — so witness values never pass
+through float on either backend.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.bounds import (
 )
 from repro.core import Hypergraph, cardinality, functional_dependency
 from repro.core.constraints import ConstraintSet, DegreeConstraint
+from repro.exceptions import LPError
 from repro.instances import (
     lemma_4_5_constraints,
     lemma_4_5_rule,
@@ -206,6 +207,45 @@ class TestDisjunctiveBounds:
         exact = log_size_bound(VARS4, targets, cc).log_value
         approx = log_size_bound(VARS4, targets, cc, backend="scipy").log_value
         assert exact == approx
+
+
+class TestTargetForms:
+    """Any one set is one target; a bare variable name is refused.
+
+    Triangle with |R| = |S| = |T| = 100: the one-target bound is 100^{3/2}
+    (log ≈ 9.97); read as three single-variable targets it would be 100.
+    """
+
+    UNIVERSE = ("A", "B", "C")
+
+    def _cc(self):
+        return ConstraintSet(
+            [cardinality(e, 100) for e in [("A", "B"), ("B", "C"), ("A", "C")]]
+        )
+
+    def test_plain_set_is_one_target(self):
+        expected = log_size_bound(self.UNIVERSE, frozenset(self.UNIVERSE), self._cc())
+        assert expected.log_value > F(9)
+        for target in (set(self.UNIVERSE), {"A": 1, "B": 1, "C": 1}.keys()):
+            result = log_size_bound(self.UNIVERSE, target, self._cc())
+            assert result.log_value == expected.log_value
+            assert result.targets == (frozenset(self.UNIVERSE),)
+
+    def test_batched_solver_reads_targets_the_same_way(self):
+        from repro.planner.batch import BatchedBoundSolver
+
+        solver = BatchedBoundSolver(self.UNIVERSE, self._cc())
+        expected = log_size_bound(self.UNIVERSE, frozenset(self.UNIVERSE), self._cc())
+        assert solver.solve(set(self.UNIVERSE)).log_value == expected.log_value
+
+    @pytest.mark.parametrize("targets", [("A", "B", "C"), ["A"], ("AB",)])
+    def test_variable_names_raise(self, targets):
+        with pytest.raises(LPError, match="variable name"):
+            log_size_bound(self.UNIVERSE, targets, self._cc())
+
+    def test_empty_target_list_raises(self):
+        with pytest.raises(LPError, match="at least one target"):
+            log_size_bound(self.UNIVERSE, [], self._cc())
 
 
 class TestTheorem13Gap:

@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bounds import log_size_bound
+from repro.bounds import agm_log_bound, log_size_bound
+from repro.core import Hypergraph, cardinality
+from repro.core.constraints import ConstraintSet
 from repro.core.panda import panda
 from repro.core.query_plans import dasubw_plan
 from repro.core.setfunctions import SetFunction
-from repro.flows import FlowInequality
+from repro.flows import (
+    FlowInequality,
+    construct_proof_sequence,
+    flow_from_bound,
+    verify_witness,
+)
 from repro.instances.families import cycle_query, path_rule
 from repro.planner import Planner
 from repro.relational import (
@@ -284,3 +291,47 @@ def test_three_path_rule_respects_budget_and_bound(backend, instance):
     _assert_within_budget(run)
     assert run.stats.partitions  # the N^{3/2} budget forces a Lemma 6.1 split
     assert PATH_RULE.is_model(run.model, database)
+
+
+# -- the paper as properties: bounds, witnesses and proof sequences (ROADMAP 5c) -----
+
+
+@st.composite
+def cardinality_instances(draw, max_vars=5):
+    """A random hypergraph on ≤ ``max_vars`` variables, every variable covered,
+    with a random (mostly non-power-of-two) cardinality per distinct edge."""
+    n = draw(st.integers(min_value=2, max_value=max_vars))
+    universe = tuple(f"V{i}" for i in range(n))
+    edges = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(universe), min_size=1, max_size=3),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    uncovered = set(universe).difference(*edges)
+    if uncovered:
+        edges.append(frozenset(uncovered))
+    sizes = {edge: draw(st.integers(min_value=2, max_value=300)) for edge in edges}
+    return universe, sizes
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+@settings(max_examples=25, deadline=None)
+@given(instance=cardinality_instances())
+def test_cardinality_bound_is_agm_with_a_replayable_proof(backend, instance):
+    universe, sizes = instance
+    hypergraph = Hypergraph.from_edges(sorted(sizes, key=sorted))
+    constraints = ConstraintSet(
+        [cardinality(tuple(sorted(edge)), size) for edge, size in sizes.items()]
+    )
+    with scoped_backend(backend):
+        bound = log_size_bound(universe, frozenset(universe), constraints)
+        # Proposition 3.2: the polymatroid bound under cardinalities is AGM.
+        assert bound.log_value == agm_log_bound(hypergraph, sizes)
+    # The dual is a Shannon-flow witness, re-verified in exact arithmetic.
+    inequality, witness, _ = flow_from_bound(bound)
+    verify_witness(inequality, witness)
+    # Theorem 5.9: the proof sequence replays step by step to its target.
+    construct_proof_sequence(inequality, witness).verify(inequality)
