@@ -100,7 +100,7 @@ def _add_engine_args(
     if limit:
         parser.add_argument("--out", help="directory to write result CSVs")
         parser.add_argument(
-            "--limit", type=int, default=20,
+            "--limit", type=_non_negative_int, default=20,
             help="max rows to print per result relation without --out",
         )
     parser.add_argument(
@@ -127,6 +127,16 @@ def _add_engine_args(
     )
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _split_vars(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
@@ -140,7 +150,13 @@ def _int_value(flag: str, item: str, value: str) -> int:
         ) from None
 
 
-def _parse_constraints(args, query) -> ConstraintSet:
+def _parse_constraints(args, query, targets) -> ConstraintSet:
+    """The ``--size`` / ``--fd`` / ``--degree`` constraints on ``query``.
+
+    Rejects constraints under which no target has a finite bound (no
+    target inside :meth:`ConstraintSet.closure`), naming the variables the
+    constraints leave unbounded; an empty ``targets`` skips the check.
+    """
     constraints = []
     atoms_by_name = {atom.name: atom for atom in query.body}
     for item in args.size:
@@ -166,7 +182,15 @@ def _parse_constraints(args, query) -> ConstraintSet:
         constraints.append(
             DegreeConstraint.make(x, tuple(sorted(set(x) | set(y))), bound)
         )
-    return ConstraintSet(constraints)
+    constraint_set = ConstraintSet(constraints)
+    closure = constraint_set.closure()
+    if targets and not any(target <= closure for target in targets):
+        unbounded = sorted(frozenset().union(*targets) - closure)
+        raise ReproError(
+            f"the bound is infinite: no --size, --fd or --degree constraint "
+            f"bounds {', '.join(unbounded)}"
+        )
+    return constraint_set
 
 
 def _parse_statement(text: str):
@@ -209,9 +233,9 @@ def _log2_display(value: Fraction) -> str:
 
 def cmd_bound(args) -> int:
     statement = _parse_statement(args.statement)
-    constraints = _parse_constraints(args, statement)
-    variables = tuple(sorted(statement.variable_set))
     targets = _targets_of(statement)
+    constraints = _parse_constraints(args, statement, targets)
+    variables = tuple(sorted(statement.variable_set))
     bound = log_size_bound(variables, targets, constraints)
     print(f"statement:        {statement}")
     print(f"variables:        {', '.join(variables)}")
@@ -238,13 +262,18 @@ def cmd_widths(args) -> int:
     )
 
     statement = parse_query(args.statement)
+    # Degree-aware widths run only under declared constraints; then every
+    # variable sits in some bag, so each one needs a finite bound.
+    declared = args.size or args.fd or args.degree
+    constraints = _parse_constraints(
+        args, statement, [frozenset(statement.variable_set)] if declared else []
+    )
     hypergraph = statement.hypergraph()
     print(f"query:   {statement}")
     print(f"tw + 1:  {treewidth(hypergraph) + 1}")
     print(f"ghtw:    {generalized_hypertree_width(hypergraph)}")
     print(f"fhtw:    {fractional_hypertree_width(hypergraph)}")
     print(f"subw:    {submodular_width(hypergraph)}")
-    constraints = _parse_constraints(args, statement)
     if len(constraints) > 0:
         print(f"da-fhtw: {degree_aware_fhtw(hypergraph, constraints)}  (log2 units)")
         print(f"da-subw: {degree_aware_subw(hypergraph, constraints)}  (log2 units)")
@@ -255,9 +284,10 @@ def cmd_proof(args) -> int:
     from repro.flows import construct_proof_sequence, flow_from_bound
 
     statement = _parse_statement(args.statement)
-    constraints = _parse_constraints(args, statement)
+    targets = _targets_of(statement)
+    constraints = _parse_constraints(args, statement, targets)
     variables = tuple(sorted(statement.variable_set))
-    bound = log_size_bound(variables, _targets_of(statement), constraints)
+    bound = log_size_bound(variables, targets, constraints)
     ineq, witness, _ = flow_from_bound(bound)
 
     def fmt(s):

@@ -185,6 +185,24 @@ class ConstraintSet:
             out |= constraint.y
         return frozenset(out)
 
+    def closure(self) -> frozenset:
+        """The variables the constraints bound: the closure of ∅ under the
+        ``X -> Y`` pairs.
+
+        The constraints bound ``h`` on every subset of the closure.  On any
+        other set, ``h(S) = t·[S ⊄ closure]`` is a polymatroid that meets
+        every constraint for every ``t``, so the bound there is infinite.
+        """
+        closed: frozenset = frozenset()
+        grown = True
+        while grown:
+            grown = False
+            for constraint in self._constraints:
+                if constraint.x <= closed and not constraint.y <= closed:
+                    closed |= constraint.y
+                    grown = True
+        return closed
+
     def lookup(self, x: frozenset, y: frozenset) -> DegreeConstraint | None:
         """Return the (tightest) constraint with exactly this ``(X, Y)``, if any."""
         for constraint in self._constraints:

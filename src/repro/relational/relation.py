@@ -212,10 +212,12 @@ class Relation:
         Cached per order; the schema-order set exists from construction.
         Partial orders keep one row per relation tuple (duplicates under the
         projection preserved) so run boundaries give exact distinct counts.
-        A full-arity permutation past the ``vectorize`` gate is one argsort
-        of the permuted canonical columns' ``pack_keys`` key, taken into a
-        columns-only set; partial orders (the nullary one included) and
-        every order below the gate sort permuted row tuples.
+        Past the ``vectorize`` gate any non-empty order, full or partial, is
+        one argsort of the picked canonical columns' ``pack_keys`` key,
+        taken into a columns-only set: rows with equal keys are equal under
+        the projection, so any argsort yields the columns the row sort
+        would.  The nullary order (``pack_keys`` needs a column) and every
+        order below the gate sort projected row tuples.
         """
         order = tuple(order)
         cached = self._column_sets.get(order)
@@ -225,7 +227,7 @@ class Relation:
         if len(set(positions)) != len(positions):
             raise SchemaError(f"column order {order} repeats an attribute")
         canonical = self._column_sets[self.schema]
-        if len(order) == len(self.schema) and vectorize(canonical.nrows):
+        if order and vectorize(canonical.nrows):
             from repro.relational.vectorized import np_to_column, pack_keys
 
             picked = [canonical.np_columns()[p] for p in positions]

@@ -16,6 +16,22 @@ def rng():
     return random.Random(20170612)
 
 
+def _guard_row_transpose(monkeypatch, min_rows: int) -> None:
+    """Make deriving row tuples from a column set of ``min_rows`` rows or
+    more an error."""
+    from repro.relational.columns import ColumnSet
+
+    real_rows = ColumnSet.rows.fget
+
+    def guarded_rows(column_set):
+        assert column_set._rows is not None or column_set.nrows < min_rows, (
+            f"columns of {column_set.nrows} rows transposed to rows"
+        )
+        return real_rows(column_set)
+
+    monkeypatch.setattr(ColumnSet, "rows", property(guarded_rows))
+
+
 @pytest.fixture
 def no_row_transpose(monkeypatch):
     """Make deriving row tuples from columns an error.
@@ -24,12 +40,14 @@ def no_row_transpose(monkeypatch):
     ``SignedDelta`` keeps its rows in one too — so guarding it covers every
     layer, the datalog rounds included; forked pool workers inherit the patch.
     """
-    from repro.relational.columns import ColumnSet
+    _guard_row_transpose(monkeypatch, 0)
 
-    real_rows = ColumnSet.rows.fget
 
-    def guarded_rows(column_set):
-        assert column_set._rows is not None, "columns transposed to rows"
-        return real_rows(column_set)
+@pytest.fixture
+def no_large_row_transpose(monkeypatch):
+    """Make deriving row tuples from columns an error from the ``vectorize``
+    gate up: below it the row arm is the chosen path, past it every sort
+    order and operator stays on columns."""
+    from repro.relational.backend import _VEC_MIN_ROWS
 
-    monkeypatch.setattr(ColumnSet, "rows", property(guarded_rows))
+    _guard_row_transpose(monkeypatch, _VEC_MIN_ROWS)

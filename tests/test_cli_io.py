@@ -368,6 +368,52 @@ class TestCliBound:
         assert err.startswith("error: ")
         assert f"{flag} {item}:" in err and "not an integer" in err
 
+    @pytest.mark.parametrize(
+        "command, sizes, unbounded",
+        [
+            ("bound", ["--size", "R=10"], "C"),
+            ("proof", ["--size", "R=10"], "C"),
+            ("widths", ["--size", "R=10"], "C"),
+            ("bound", [], "A, B, C"),
+            ("bound", ["--size", "T=10", "--degree", "B>C=4"], "B"),
+        ],
+    )
+    def test_unbounded_variables_named(self, capsys, command, sizes, unbounded):
+        """Outside the closure of ∅ under the constraints the bound is
+        infinite; the error names what is left uncovered, not LP internals."""
+        rc = main([command, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", *sizes])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the bound is infinite: no --size, --fd or --degree "
+            f"constraint bounds {unbounded}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "statement, constraints, log2",
+        [
+            # An FD chain closes what the cardinalities leave open.
+            (
+                "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)",
+                ["--size", "R=64", "--fd", "B:C"],
+                "6",
+            ),
+            # Only the head needs covering for a proper CQ.
+            ("Q(A) :- R(A,B), S(B,C)", ["--size", "R=64"], "6"),
+            # One covered target bounds a disjunctive rule.
+            (
+                "Q(A1,A2,A3) | Q2(A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4)",
+                ["--size", "R12=16", "--size", "R23=16"],
+                "8",
+            ),
+        ],
+    )
+    def test_closure_covered_bounds_are_finite(self, capsys, statement, constraints, log2):
+        rc = main(["bound", statement, *constraints])
+        assert rc == 0
+        assert f"polymatroid bound (log2): {log2}\n" in capsys.readouterr().out
+
     def test_entropic_flag(self, capsys):
         rc = main([
             "bound", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)",
@@ -431,6 +477,25 @@ class TestCliRun:
             "Q(A1,A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A4,A1)"
         ).evaluate_naive(db)
         assert produced == oracle
+
+    @pytest.mark.parametrize("command", ["run", "datalog"])
+    @pytest.mark.parametrize("limit", ["-1", "x"])
+    def test_bad_limit_rejected_at_parse_time(self, tmp_path, capsys, command, limit):
+        write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        (tmp_path / "q.dl").write_text("Q(A,B) :- R(A,B).\n")
+        program = {"run": ["Q(A,B) :- R(A,B)"], "datalog": ["--program", str(tmp_path / "q.dl")]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *program[command], "--data", str(tmp_path), "--limit", limit])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "argument --limit:" in captured.err
+
+    def test_limit_zero_prints_only_the_count(self, tmp_path, capsys):
+        write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        rc = main(["run", "Q(A,B) :- R(A,B)", "--data", str(tmp_path), "--limit", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["  ... (2 more)"]
 
     def test_proper_query(self, cycle_dir, capsys):
         rc = main([

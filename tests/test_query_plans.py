@@ -1,5 +1,7 @@
 """Tests for the PANDA query drivers (Corollaries 7.10, 7.11, 7.13)."""
 
+import random
+
 import pytest
 
 from repro.core.query_plans import (
@@ -13,8 +15,10 @@ from repro.decompositions import tree_decompositions
 from repro.exceptions import QueryError
 from repro.instances import instance_a, triangle_query, agm_tight_triangle
 from repro.relational import Database, Relation, scoped_work_counter
+from repro.relational.backend import _VEC_MIN_ROWS as GATE
+from repro.relational.backend import scoped_backend
 
-from _helpers import four_cycle_database
+from _helpers import four_cycle_database, stable_seed
 
 FOUR_CYCLE = parse_query(
     "Q(A1,A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A4,A1)"
@@ -34,6 +38,29 @@ class TestCorrectnessAgainstOracle:
         assert dasubw_plan(FOUR_CYCLE, db).relation == oracle
         for td in tree_decompositions(FOUR_CYCLE.hypergraph()):
             assert tree_decomposition_plan(FOUR_CYCLE, db, td).relation == oracle
+
+    def test_panda_past_the_gate_transposes_no_large_column_set(
+        self, no_large_row_transpose
+    ):
+        """Every sort order a PANDA op asks for past the gate, the semijoins'
+        partial key orders included, is built on columns, cold and warm."""
+        pytest.importorskip("numpy", reason="the column path needs numpy")
+        from repro.planner import QueryEngine
+
+        db = four_cycle_database(random.Random(stable_seed("panda-gate")), 1000, 60)
+        engine = QueryEngine(FOUR_CYCLE)
+        with scoped_backend("vectorized"):
+            engine.execute(db, "dasubw")
+            result = engine.execute(db, "dasubw")
+            expected = engine.execute(db, "generic")
+        assert max(run.stats.max_intermediate for run in result.panda_runs) >= GATE
+        # Compared by digest: ``==`` on relations reads their row tuples.
+        answers = [
+            relation.column_set(relation.schema).content_digest()
+            for relation in (result.relation, expected.relation)
+        ]
+        assert answers[0] == answers[1]
+        assert len(result.relation) == len(expected.relation) > GATE
 
     def test_boolean_plans(self, rng):
         db = four_cycle_database(rng, 40)
