@@ -20,6 +20,7 @@ from repro.core.hypergraph import Hypergraph
 from repro.datalog.atoms import Atom
 from repro.exceptions import QueryError
 from repro.relational.database import Database
+from repro.relational.operators import difference, semijoin
 from repro.relational.relation import Relation
 from repro.relational.wcoj import generic_join
 
@@ -99,25 +100,23 @@ class DisjunctiveRule:
         )
 
     def is_model(self, model: TargetModel, database: Database) -> bool:
-        """Check ``T |= P``: every body tuple is covered by some target table."""
+        """Check ``T |= P``: every body tuple is covered by some target table.
+
+        An anti-semijoin chain over the relational operators: each target
+        removes the still-uncovered body tuples whose projection it holds
+        (``uncovered - (uncovered ⋉ T_B)``), so the check runs on columns
+        past the ``vectorize`` gate.
+        """
         tables = model.by_attributes()
+        if any(target not in tables for target in self.targets):
+            return False
+        uncovered = self.body_join(database)
         for target in self.targets:
-            if target not in tables:
-                return False
-        body = self.body_join(database)
-        target_attrs = [
-            (tuple(sorted(target)), tables[target]) for target in self.targets
-        ]
-        for row in body:
-            covered = False
-            for attrs, table in target_attrs:
-                projected = body.key_of(row, attrs)
-                if projected in table.index_on(attrs):
-                    covered = True
-                    break
-            if not covered:
-                return False
-        return True
+            if not len(uncovered):
+                break
+            covered = semijoin(uncovered, tables[target])
+            uncovered = difference(uncovered, covered)
+        return not len(uncovered)
 
     def trivial_model(self, database: Database) -> TargetModel:
         """The cross-product-of-active-domains model (always valid)."""

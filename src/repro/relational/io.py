@@ -3,8 +3,11 @@
 Plain-text interchange so the CLI (``python -m repro``) and downstream users
 can run the paper's machinery on their own data.  One CSV file per relation:
 the header row is the schema, every following row a tuple.  Values are
-integer-coerced when the whole column parses as integers (the bounds and
-PANDA are domain-agnostic; coercion only normalizes equality).
+integer-coerced when every cell of the column is the canonical text of an
+integer (``-3``, ``0``, ``17``; not ``01``, ``+7``, ``1_0`` or `` 7``, which
+``int()`` would merge with another cell), so coercion never changes which
+cells are equal (the bounds and PANDA are domain-agnostic; coercion only
+normalizes equality).
 
 Ingestion works a column at a time: the file's rows are checked against the
 header, split into columns by one ``itemgetter`` pass per column
@@ -18,7 +21,7 @@ code tuple per row is built on the way.
 from __future__ import annotations
 
 import csv
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -61,13 +64,17 @@ def _split_columns(body: list, positions: range) -> Iterator[list]:
 
 
 def _coerce_column(cells: Sequence[str]) -> Sequence:
-    """``cells`` as ints when every distinct cell parses as one, else as is
-    (the one coercion rule of relation files and change feeds)."""
+    """``cells`` as ints when every distinct cell is the canonical text of
+    one, else as is (the one coercion rule of relation files and change
+    feeds).  ``int()`` alone also takes ``"01"``, ``"1_0"``, ``" 7"`` and
+    ``"+7"``, which would merge distinct cells into one value."""
     values = dict.fromkeys(cells)
     try:
         for cell in values:
             values[cell] = int(cell)
     except ValueError:
+        return cells
+    if not all(map(eq, map(str, values.values()), values)):
         return cells
     return list(map(values.__getitem__, cells))
 

@@ -349,10 +349,12 @@ def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relati
 
     The left side streams in canonical order, so the output is pre-sorted.
     Column path (gated on the two inputs' rows — a small left side still
-    pays for the right side's keys): one ``searchsorted`` membership mask
-    of the left rows' packed shared-attribute keys in the right side's
-    key-sorted ones.  Interpreted path: probes of the right side's cached
-    distinct-key set with code tuples.
+    pays for the right side's keys): one
+    :func:`~repro.relational.vectorized.membership_mask` of the left rows'
+    packed shared-attribute keys in the right side's key-sorted ones — a
+    bit-table lookup per row when the key range is dense, a
+    ``searchsorted`` otherwise.  Interpreted path: probes of the right
+    side's cached distinct-key set with code tuples.
     """
     shared = tuple(sorted(left.attributes & right.attributes))
     positions = tuple(left.position(a) for a in shared)
@@ -430,7 +432,9 @@ def difference(left: Relation, right: Relation, name: str | None = None) -> Rela
     """Set difference ``left - right`` over the same attribute set.
 
     Column path (gated on the two inputs' rows): the left rows whose packed
-    key is absent from the right side's, sorted under the left schema.
+    key is absent from the right side's sorted ones, by one
+    :func:`~repro.relational.vectorized.membership_mask` (bit table or
+    ``searchsorted``, by the keys' density).
     """
     if left.attributes != right.attributes:
         raise SchemaError(

@@ -12,7 +12,7 @@ values cross the API boundary a column at a time, in by
 :func:`~repro.relational.columns.encode_columns`, out by :attr:`tuples`.
 
 The historical tuple-facing API survives as thin adapters: ``__iter__`` /
-``tuples`` / ``index_on`` / ``key_of`` decode on demand (and cache), so
+``tuples`` / ``key_of`` decode on demand (and cache), so
 bounds/width/PANDA consumers are unchanged.  Relations remain immutable once
 constructed — every operator in :mod:`repro.relational.operators` returns a
 new relation — which keeps sharing across PANDA's recursive branches safe.
@@ -21,7 +21,7 @@ new relation — which keeps sharing across PANDA's recursive branches safe.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import SchemaError
 from repro.relational.backend import vectorize
@@ -78,7 +78,6 @@ class Relation:
         "_column_sets",
         "_key_sets",
         "_decoded",
-        "_indexes",
         "_store",
     )
 
@@ -123,7 +122,6 @@ class Relation:
         }
         self._key_sets: dict[tuple[str, ...], frozenset] = {}
         self._decoded: frozenset | None = None
-        self._indexes: dict[tuple[str, ...], dict[tuple, list[tuple]]] = {}
         self._store = None
 
     @classmethod
@@ -416,29 +414,7 @@ class Relation:
         """Human-friendly dump: each tuple as an attr->value dict."""
         return [dict(zip(self.schema, row)) for row in sorted(self.tuples)]
 
-    # -- indexes ---------------------------------------------------------------------
-
-    def index_on(self, attrs: Iterable[str]) -> Mapping[tuple, list[tuple]]:
-        """A hash index from ``attrs``-keys to the (decoded) tuples carrying them.
-
-        Tuple-facing compatibility adapter (the join algorithms themselves
-        now run on sorted code columns).  The key order is the sorted
-        attribute order, so callers on both sides of a join agree on key
-        layout.  Indexes are cached per relation.
-        """
-        key_attrs = tuple(sorted(frozenset(attrs)))
-        for attr in key_attrs:
-            self.position(attr)
-        cached = self._indexes.get(key_attrs)
-        if cached is not None:
-            return cached
-        index: dict[tuple, list[tuple]] = {}
-        positions = tuple(self._positions[a] for a in key_attrs)
-        for row in self.tuples:
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(row)
-        self._indexes[key_attrs] = index
-        return index
+    # -- keys ------------------------------------------------------------------------
 
     def distinct_keys(self, attrs: Iterable[str]) -> int:
         """Number of distinct ``attrs``-projections (``|Π_attrs(R)|``).
@@ -518,7 +494,6 @@ class Relation:
         clone._column_sets = self._column_sets
         clone._key_sets = self._key_sets
         clone._decoded = self._decoded
-        clone._indexes = self._indexes
         clone._store = self._store
         return clone
 

@@ -93,15 +93,55 @@ def np_to_column(values) -> array:
     return out
 
 
+#: The one density gate of this module: a direct-address structure over a
+#: sorted key range — the level-0 offsets index (``last code + 2`` slots) and
+#: :func:`membership_mask`'s bit table (``(last key >> 6) + 2`` words) — is
+#: built only when its size is at most this multiple of the rows it serves,
+#: so its O(D) build and size stay bounded by the operands' own; a few rows
+#: over a large key range fail it and keep the search path.  A worst-case
+#: guard, not a tuned threshold.
+_DENSE_CODE_FACTOR = 4
+
+
 def membership_mask(values, block):
-    """Boolean membership of ``values`` in the sorted ``block``."""
+    """Boolean membership of ``values`` in the sorted ``block``.
+
+    Dictionary codes and :func:`pack_keys` keys are small non-negative
+    integers, so when ``block``'s key range passes the density gate —
+    ``(top >> 6) + 2 <= _DENSE_CODE_FACTOR * (len(block) + len(values))``
+    words for its last (largest) key ``top`` — the block becomes a bit table
+    for the call: one ``bitwise_or.reduceat`` over its 64-key word runs
+    builds it, and each probe, clipped to ``top + 1`` (a bit that is never
+    set), is one gather and one shift.  Sparser blocks, and negative keys,
+    keep one ``searchsorted`` of the (unsorted) probes.
+    """
     n = len(block)
-    if n == 0:
+    if n == 0 or len(values) == 0:
         return np.zeros(len(values), dtype=bool)
+    top = int(block[-1])
+    if block[0] >= 0 and (top >> 6) + 2 <= _DENSE_CODE_FACTOR * (n + len(values)):
+        return _bit_table_mask(values, block, top)
     pos = np.searchsorted(block, values)
     inside = pos < n
     pos[~inside] = 0
     return inside & (block[pos] == values)
+
+
+def _bit_table_mask(values, block, top):
+    """:func:`membership_mask` of the non-negative sorted ``block`` (largest
+    key ``top``) as a ``(top >> 6) + 2``-word bit table.
+
+    Word ``top >> 6`` is the last one a key can set, so the final word is
+    always zero: probes clipped to ``top + 1`` — and negative probes, which
+    the unsigned view sends past ``top`` — read a clear bit.
+    """
+    high = block >> 6
+    starts = np.flatnonzero(run_start_mask(high))
+    bits = np.left_shift(np.uint64(1), (block & 63).view(np.uint64))
+    table = np.zeros((top >> 6) + 2, dtype=np.uint64)
+    table[high[starts]] = np.bitwise_or.reduceat(bits, starts)
+    probes = np.minimum(np.asarray(values, dtype=np.int64).view(np.uint64), top + 1)
+    return ((table[probes >> 6] >> (probes & 63)) & 1).astype(bool)
 
 
 def pack_keys(*operands):
@@ -255,13 +295,6 @@ def _ragged_probe(col, seg_lo, seg_hi, row_id, values, m, need_bounds):
 #: Total-segment-span budget (as a multiple of the candidate count) under
 #: which :func:`_ragged_probe` is preferred over the segmented bisection.
 _RAGGED_SPAN_FACTOR = 4
-
-#: The density gate of the level-0 offsets index: ``last code + 2 <=
-#: _DENSE_CODE_FACTOR * nrows`` bounds its O(D) build and size by the column's
-#: own; a relation of few rows over a large dictionary fails it and keeps the
-#: search path.  A worst-case guard, not a tuned threshold.
-_DENSE_CODE_FACTOR = 4
-
 
 def _level0_starts(column_set):
     """The column set's level-0 offsets array, or ``None`` when sparse.

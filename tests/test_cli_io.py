@@ -79,6 +79,15 @@ class TestCsvIO:
             load_database_dir(tmp_path)
 
 
+def reference_ints(cells):
+    """``cells`` as ints when each is the canonical text of one, else as is."""
+    try:
+        values = [int(cell) for cell in cells]
+    except ValueError:
+        return list(cells)
+    return values if all(str(v) == c for v, c in zip(values, cells)) else list(cells)
+
+
 def reference_load(path, dictionaries):
     """The row-at-a-time loader ``load_relation_csv`` replaced: every cell is
     staged per row, each column's distinct cells are coerced (all or none),
@@ -98,10 +107,7 @@ def reference_load(path, dictionaries):
             )
     translations = []
     for dictionary, cells in zip(dictionaries, staging):
-        try:
-            values = [int(cell) for cell in cells]
-        except ValueError:
-            values = list(cells)
+        values = reference_ints(list(cells))
         translations.append([dictionary.encode(value) for value in values])
     rows = {tuple(t[code] for t, code in zip(translations, row)) for row in code_rows}
     return header, sorted(rows)
@@ -110,12 +116,7 @@ def reference_load(path, dictionaries):
 def reference_feed(header, rows):
     """The row-wise change-feed split ``load_changes_csv`` replaced: each
     column coerced to ints all or none, rows re-tupled and routed by op."""
-    columns = []
-    for cells in list(zip(*rows))[1:]:
-        try:
-            columns.append([int(cell) for cell in cells])
-        except ValueError:
-            columns.append(list(cells))
+    columns = [reference_ints(cells) for cells in list(zip(*rows))[1:]]
     inserts, deletes = [], []
     for row, values in zip(rows, zip(*columns) if columns else [()] * len(rows)):
         (inserts if row[0] == "+" else deletes).append(values)
@@ -130,10 +131,12 @@ class TestColumnarLoader:
     @staticmethod
     def cell(rng, position):
         value = rng.randrange(-3, 40)
-        if position == 0:  # "5" and "05" collapse to one integer
+        if position == 0:  # "5" and "05" stay two text cells
             return f"{value:03d}" if value >= 0 and rng.random() < 0.3 else str(value)
         if position == 1:
             return f"v{value}"  # a text column
+        if position == 2:
+            return str(value)  # a canonical integer column
         return f" {value}" if rng.random() < 0.2 else str(value)
 
     @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
@@ -167,7 +170,7 @@ class TestColumnarLoader:
         assert digest == ColumnSet(header, expected, presorted=True).content_digest()
 
     @pytest.mark.parametrize("backend", ("interpreted", "vectorized"))
-    def test_padded_integers_share_one_code(self, tmp_path, backend):
+    def test_padded_integers_stay_distinct_text(self, tmp_path, backend):
         from repro.relational.backend import scoped_backend
         from repro.relational.columns import Dictionary
 
@@ -176,8 +179,27 @@ class TestColumnarLoader:
         write_csv(tmp_path / "P.csv", header, [(c, i % 3) for i, c in enumerate(cells)])
         with scoped_backend(backend):
             relation = load_relation_csv(tmp_path / "P.csv")
-        assert Dictionary.of(header[0]).values == [5, 7]
-        assert sorted(relation.tuples) == [(5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2)]
+        assert sorted(Dictionary.of(header[0]).values) == [" 5", "05", "5", "7"]
+        assert sorted(relation.tuples) == [
+            (cell, b) for cell in (" 5", "05", "5", "7") for b in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "cells",
+        (["01", "1"], ["1_0", "10"], [" 7", "7"], ["+7", "7"], ["-0", "0"]),
+    )
+    def test_non_canonical_integer_cells_never_merge(self, tmp_path, cells):
+        header = ("nc_A",)
+        write_csv(tmp_path / "N.csv", header, [(c,) for c in cells])
+        assert sorted(load_relation_csv(tmp_path / "N.csv").tuples) == sorted(
+            (c,) for c in cells
+        )
+
+    def test_canonical_integer_column_loads_as_ints(self, tmp_path):
+        write_csv(tmp_path / "C.csv", ("ci_A",), [("-12",), ("0",), ("7",), ("-1",)])
+        assert sorted(load_relation_csv(tmp_path / "C.csv").tuples) == [
+            (-12,), (-1,), (0,), (7,)
+        ]
 
     def test_ragged_row_names_first_offender(self, tmp_path):
         from repro.relational.columns import Dictionary
@@ -211,6 +233,7 @@ class TestColumnarLoader:
         from repro.relational.io import load_changes_csv
 
         columns = {
+            "canonical": ["5", "-3", "0", "17"],
             "padded": ["05", "5", " 5", "-3"],
             "mixed": ["1", "x", "05"],
         }
@@ -224,7 +247,12 @@ class TestColumnarLoader:
             relation = load_relation_csv(tmp_path / f"{label}.csv")
             _, inserts, deletes = load_changes_csv(tmp_path / f"{label}.changes.csv")
             assert deletes == [] and relation.tuples == frozenset(inserts)
-        assert sorted(load_relation_csv(tmp_path / "padded.csv").tuples) == [(-3,), (5,)]
+        assert sorted(load_relation_csv(tmp_path / "canonical.csv").tuples) == [
+            (-3,), (0,), (5,), (17,)
+        ]
+        assert load_changes_csv(tmp_path / "padded.changes.csv")[1] == [
+            ("05",), ("5",), (" 5",), ("-3",)
+        ]
         assert load_changes_csv(tmp_path / "mixed.changes.csv")[1] == [("1",), ("x",), ("05",)]
 
     @pytest.mark.parametrize("width", (1, 3))
@@ -496,6 +524,17 @@ class TestCliRun:
         rc = main(["run", "Q(A,B) :- R(A,B)", "--data", str(tmp_path), "--limit", "0"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["  ... (2 more)"]
+
+    def test_run_keeps_distinct_padded_rows(self, tmp_path, capsys):
+        (tmp_path / "R.csv").write_text("A,B\n01,7\n1,7\n1_0,8\n10,8\n")
+        (tmp_path / "S.csv").write_text("B,C\n7,1\n8,1\n")
+        rc = main(["run", "Q(A,B,C) :- R(A,B), S(B,C)", "--data", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0].startswith("Q: 4 tuples")
+        assert sorted(lines[1:]) == sorted(
+            ["  01, 7, 1", "  1, 7, 1", "  1_0, 8, 1", "  10, 8, 1"]
+        )
 
     def test_proper_query(self, cycle_dir, capsys):
         rc = main([

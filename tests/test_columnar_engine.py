@@ -641,11 +641,6 @@ class TestAdapterEquivalence:
         assert set(r) == {("x", 1), ("y", 2)}
         assert r.tuples == frozenset({("x", 1), ("y", 2)})
 
-    def test_index_on_decoded(self):
-        r = Relation("R", ("A", "B"), [(1, 2), (1, 3), (2, 2)])
-        index = r.index_on(("A",))
-        assert sorted(index[(1,)]) == [(1, 2), (1, 3)]
-
     def test_relabeled_translates_codes(self):
         r = Relation("R", ("src_x", "src_y"), [(1, 2), (3, 4)])
         s = r.relabeled("S", ("dst_x", "dst_y"))
@@ -670,10 +665,15 @@ class TestStreamingCsv:
         return path
 
     def test_integer_coercion(self, tmp_path):
+        path = self.write(tmp_path, "A,B\n1,x\n2,y\n-3,x\n")
+        rel = load_relation_csv(path)
+        # Column A is all canonical integers: it loads as ints.
+        assert rel.tuples == frozenset({(1, "x"), (2, "y"), (-3, "x")})
+        # "01" is not the text of an int, so column A stays text and "01"
+        # never merges with "1".
         path = self.write(tmp_path, "A,B\n1,x\n2,y\n01,x\n")
         rel = load_relation_csv(path)
-        # Column A is all-integer: "01" coerces to 1 (deduplicating with "1").
-        assert rel.tuples == frozenset({(1, "x"), (2, "y")})
+        assert rel.tuples == frozenset({("1", "x"), ("2", "y"), ("01", "x")})
 
     def test_mixed_column_stays_string(self, tmp_path):
         path = self.write(tmp_path, "A,B\n1,2\nx,3\n")

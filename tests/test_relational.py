@@ -57,8 +57,9 @@ class TestRelation:
 
     def test_index_and_keys(self):
         rel = r("R", ("A", "B"), [(1, 2), (1, 3), (2, 2)])
-        index = rel.index_on(("A",))
-        assert len(index[(1,)]) == 2
+        (code,) = rel.encode_key(("A",), (1,))
+        assert sum(key == code for key, _ in rel.code_rows) == 2
+        assert len(rel.key_set(("A",))) == 2
         assert rel.distinct_keys(("A",)) == 2
 
     def test_degree(self):

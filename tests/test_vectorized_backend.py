@@ -131,6 +131,34 @@ def index_root_ranges(relations, order, ranges, rng):
     return [[slice_bounds(table, order, spec) for table in tables] for spec in specs]
 
 
+#: ``_DENSE_CODE_FACTOR`` values that force each arm of ``membership_mask``:
+#: 0 fails every density check (the ``searchsorted`` arm); 2**40 passes every
+#: one a test-sized key range can reach (the bit-table arm).
+MEMBERSHIP_ARMS = {"search": 0, "bit_table": 2**40}
+
+
+def spy_bit_tables(patch):
+    """The list that collects each bit table ``membership_mask`` builds."""
+    from repro.relational import vectorized
+
+    built = []
+    build = vectorized._bit_table_mask
+    patch.setattr(
+        vectorized, "_bit_table_mask", lambda *args: built.append(args) or build(*args)
+    )
+    return built
+
+
+@pytest.fixture(params=sorted(MEMBERSHIP_ARMS))
+def membership_arm(request, monkeypatch):
+    """``(arm, built)``: the density gate forced to ``arm``, and
+    :func:`spy_bit_tables`' list."""
+    from repro.relational import vectorized
+
+    monkeypatch.setattr(vectorized, "_DENSE_CODE_FACTOR", MEMBERSHIP_ARMS[request.param])
+    return request.param, spy_bit_tables(monkeypatch)
+
+
 def level0_index(relation, order):
     attrs = tuple(v for v in order if v in relation.attributes)
     return relation.column_set(attrs).np_trie_cache().get("level0_starts")
@@ -253,6 +281,110 @@ class TestKernelBitIdentity:
         built = [level0_index(r, order) is not None for r in relations[1:]]
         assert all(built) or shape != "dense"
         assert not any(built) or shape != "sparse"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_membership_mask_matches_a_set_oracle(self, membership_arm, seed):
+        """Sorted blocks with duplicates, unsorted probes (some past the
+        block's last key, some negative): both arms answer like a set."""
+        import numpy as np
+
+        from repro.relational.vectorized import membership_mask
+
+        rng = random.Random(stable_seed("vec-membership", seed))
+        top = rng.choice([0, 62, 63, 64, 127, 128, rng.randrange(1, 5000)])
+        block = sorted(rng.randrange(top + 1) for _ in range(rng.randrange(1, 300)))
+        block[-1] = top
+        probes = [rng.randrange(-70, top + 140) for _ in range(rng.randrange(1, 400))]
+        arm, built = membership_arm
+        mask = membership_mask(np.array(probes), np.array(block))
+        assert mask.dtype == bool
+        assert mask.tolist() == [p in set(block) for p in probes]
+        assert bool(built) == (arm == "bit_table")
+
+    @pytest.mark.parametrize(
+        "block,probes",
+        [
+            ([], [0, 1, 5]),
+            ([0, 3, 3], []),
+            ([0], [0, 1, -1, 63, 64, 65]),
+            *[
+                ([0, top - 1, top, top], list(range(-66, top + 130)))
+                for top in (62, 63, 64, 127, 128)
+            ],
+            ([64] * 5, list(range(0, 200))),
+        ],
+    )
+    def test_membership_mask_edges(self, membership_arm, block, probes):
+        import numpy as np
+
+        from repro.relational.vectorized import membership_mask
+
+        mask = membership_mask(
+            np.array(probes, dtype=np.int64), np.array(block, dtype=np.int64)
+        )
+        assert mask.dtype == bool and len(mask) == len(probes)
+        assert mask.tolist() == [p in set(block) for p in probes]
+        arm, built = membership_arm
+        assert bool(built) == (arm == "bit_table" and bool(block) and bool(probes))
+
+    @pytest.mark.parametrize("spacing", [1, 7, 2**40])
+    def test_membership_mask_of_packed_two_column_keys(self, membership_arm, spacing):
+        """Packed two-attribute keys answer like their code tuples, also
+        when codes ``2**40`` apart make :func:`pack_keys` re-rank."""
+        import numpy as np
+
+        from repro.relational.vectorized import membership_mask, pack_keys
+
+        rng = random.Random(stable_seed("vec-membership-packed", spacing))
+        codes = [i * spacing for i in range(40)]
+        left = [(rng.choice(codes), rng.choice(codes)) for _ in range(500)]
+        right = sorted({(rng.choice(codes), rng.choice(codes)) for _ in range(300)})
+        left_key, right_key = pack_keys(
+            [np.array(column, dtype=np.int64) for column in zip(*left)],
+            [np.array(column, dtype=np.int64) for column in zip(*right)],
+        )
+        mask = membership_mask(left_key, right_key)
+        assert mask.tolist() == [row in set(right) for row in left]
+        arm, built = membership_arm
+        assert bool(built) == (arm == "bit_table")
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("op", ["semijoin", "difference", "natural_join"])
+    def test_membership_operators_match_interpreted(self, monkeypatch, op, dense):
+        """Each operator's column arm equals its interpreted arm on
+        two-column keys whose packed range lands on either side of the
+        density gate — and the gate picks the arm it should."""
+        from repro import relational
+
+        rng = random.Random(stable_seed("vec-membership-ops", op, dense))
+        spacing = 1 if dense else 997
+        codes = [i * spacing for i in range(30)]
+        schemas = {
+            "semijoin": (("A", "B", "C"), ("C", "B", "D")),
+            "difference": (("A", "B"), ("B", "A")),
+            "natural_join": (("A", "B", "C"), ("C", "B", "D")),
+        }[op]
+
+        def rows(arity, count):
+            out = set()
+            while len(out) < count:
+                out.add(tuple(rng.choice(codes) for _ in range(arity)))
+            return sorted(out)
+
+        left = rows(len(schemas[0]), 400)
+        right = rows(len(schemas[1]), 300)
+        built = spy_bit_tables(monkeypatch)
+        outcomes = []
+        for backend in ("interpreted", "vectorized"):
+            with scoped_backend(backend), scoped_work_counter() as counter:
+                result = getattr(relational, op)(
+                    Relation.from_codes("L", schemas[0], left),
+                    Relation.from_codes("R", schemas[1], right),
+                )
+            outcomes.append((result.schema, result.code_rows, counter.as_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][1]) > 0
+        assert bool(built) == dense
 
     def test_candidates_outside_the_indexed_codes_are_misses(self):
         """Candidates below the probed relation's first code and past its
