@@ -100,7 +100,7 @@ def _add_engine_args(
     if limit:
         parser.add_argument("--out", help="directory to write result CSVs")
         parser.add_argument(
-            "--limit", type=_non_negative_int, default=20,
+            "--limit", type=_int_at_least(0), default=20,
             help="max rows to print per result relation without --out",
         )
     parser.add_argument(
@@ -109,7 +109,7 @@ def _add_engine_args(
              "default generic, and dasubw for `run` at --workers 1)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_int_at_least(1), default=1, metavar="N",
         help="fan work out over N worker processes: range shards when "
              "evaluating or recomputing, delta-join terms when maintaining "
              "(results bit-identical to serial)",
@@ -127,14 +127,19 @@ def _add_engine_args(
     )
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _split_vars(text: str) -> tuple[str, ...]:
@@ -472,9 +477,8 @@ def cmd_run(args) -> int:
     planner = Planner()
     disjunctive = isinstance(statement, DisjunctiveRule)
 
-    workers = max(1, args.workers)
     conjunctive = not disjunctive and (statement.is_full or statement.is_boolean)
-    parallel = workers > 1 or args.driver is not None
+    parallel = args.workers > 1 or args.driver is not None
     if parallel and not conjunctive:
         print(
             "note: --workers/--driver apply to full/Boolean conjunctive "
@@ -487,7 +491,7 @@ def cmd_run(args) -> int:
         if disjunctive:
             result = panda(statement, database, planner=planner)
         elif conjunctive:
-            default = "generic" if workers > 1 else "dasubw"
+            default = "generic" if args.workers > 1 else "dasubw"
             with QueryEngine(
                 statement, planner=planner, **_engine_options(args)
             ) as engine:
@@ -517,7 +521,7 @@ def cmd_run(args) -> int:
         _print_stats(
             cache=f"{planner.stats} ({len(planner.cache)} plan(s) cached)",
             counter=counter,
-            note=f", {workers} worker(s)" if parallel else "",
+            note=f", {args.workers} worker(s)" if parallel else "",
         )
     return 0
 

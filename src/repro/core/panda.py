@@ -528,20 +528,21 @@ def panda(
     rule: DisjunctiveRule,
     database: Database,
     constraints: ConstraintSet | None = None,
-    backend: str = "exact",
     check_invariants: bool = True,
     planner=None,
     plan=None,
 ) -> PandaResult:
     """Evaluate a disjunctive datalog rule with PANDA (Theorem 1.7).
 
+    The bound LP is always solved exactly (a float may propose the basis,
+    only the exact certificate decides), so the dual witness and the proof
+    sequence built from it are exact rationals; there is no LP choice.
+
     Args:
         rule: the rule ``P`` to compute a model of.
         database: the input database; must guard every constraint.
         constraints: degree constraints ``DC``.  Defaults to the cardinality
             constraints of the input relations.
-        backend: LP backend for the bound computation (``"exact"`` needed for
-            exact rational proof sequences; the default).
         check_invariants: assert the §6.1 invariants at every recursive call.
         planner: an optional :class:`repro.planner.Planner`; when given, the
             bound LP and proof sequence come from its plan cache (shared
@@ -567,13 +568,9 @@ def panda(
 
     if plan is None:
         if planner is not None:
-            plan = planner.plan_rule(
-                universe, rule.targets, constraints, backend=backend
-            )
+            plan = planner.plan_rule(universe, rule.targets, constraints)
         else:
-            plan = build_panda_plan(
-                universe, list(rule.targets), constraints, backend=backend
-            )
+            plan = build_panda_plan(universe, list(rule.targets), constraints)
     if plan.universe != universe or set(plan.targets) != set(rule.targets):
         raise PandaError(
             f"plan is for {plan.universe}/{sorted(map(sorted, plan.targets))}, "

@@ -89,7 +89,6 @@ def _best_decomposition(
     hypergraph,
     constraints: ConstraintSet,
     decompositions: Sequence[TreeDecomposition],
-    backend: str,
 ) -> TreeDecomposition:
     """The decomposition minimizing its worst bag's polymatroid bound.
 
@@ -107,7 +106,7 @@ def _best_decomposition(
     solver = planner.bound_solver(hypergraph.vertices, constraints)
 
     def bag_cost(bag: frozenset):
-        return solver.solve(bag, backend=backend).log_value
+        return solver.solve(bag).log_value
 
     return min(decompositions, key=lambda td: max(bag_cost(b) for b in td.bags))
 
@@ -133,7 +132,6 @@ def panda_full_query(
     query: ConjunctiveQuery,
     database: Database,
     constraints: ConstraintSet | None = None,
-    backend: str = "exact",
     planner=None,
     decompositions: Sequence[TreeDecomposition] | None = None,
 ) -> PlanResult:
@@ -147,9 +145,7 @@ def panda_full_query(
         planner = _new_planner()
     (targets,) = _full_target(query)
     rule = DisjunctiveRule(targets, query.body, name=query.name)
-    result = panda(
-        rule, database, constraints=constraints, backend=backend, planner=planner
-    )
+    result = panda(rule, database, constraints=constraints, planner=planner)
     table = result.model.tables[0]
     for atom in query.body:
         table = semijoin(table, atom.bind(database))
@@ -179,7 +175,6 @@ def tree_decomposition_plan(
     decomposition: TreeDecomposition | None = None,
     constraints: ConstraintSet | None = None,
     decompositions: Sequence[TreeDecomposition] | None = None,
-    backend: str = "exact",
     planner=None,
 ) -> PlanResult:
     """The non-adaptive baseline: one decomposition, bags via Generic Join.
@@ -200,7 +195,7 @@ def tree_decomposition_plan(
         if decompositions is None:
             decompositions = tree_decompositions(hypergraph)
         decomposition = _best_decomposition(
-            planner, hypergraph, constraints, decompositions, backend
+            planner, hypergraph, constraints, decompositions
         )
     bag_tables = []
     for bag in decomposition.bags:
@@ -228,7 +223,6 @@ def dafhtw_plan(
     database: Database,
     constraints: ConstraintSet | None = None,
     decompositions: Sequence[TreeDecomposition] | None = None,
-    backend: str = "exact",
     planner=None,
 ) -> PlanResult:
     """Corollary 7.11: evaluate at the degree-aware fractional hypertree width.
@@ -247,21 +241,13 @@ def dafhtw_plan(
         decompositions = tree_decompositions(hypergraph)
 
     # Choose the da-fhtw-optimal decomposition by its worst bag bound.
-    best = _best_decomposition(
-        planner, hypergraph, constraints, decompositions, backend
-    )
+    best = _best_decomposition(planner, hypergraph, constraints, decompositions)
 
     runs: list[PandaResult] = []
     bag_tables: list[Relation] = []
     for bag in best.bags:
         rule = DisjunctiveRule((bag,), query.body, name=f"P_{''.join(sorted(bag))}")
-        result = panda(
-            rule,
-            database,
-            constraints=constraints,
-            backend=backend,
-            planner=planner,
-        )
+        result = panda(rule, database, constraints=constraints, planner=planner)
         runs.append(result)
         table = result.model.tables[0]
         for atom in query.body:
@@ -296,7 +282,6 @@ def dasubw_plan(
     database: Database,
     constraints: ConstraintSet | None = None,
     decompositions: Sequence[TreeDecomposition] | None = None,
-    backend: str = "exact",
     planner=None,
 ) -> PlanResult:
     """Corollary 7.13 / Theorem 1.9: evaluate at the degree-aware submodular width.
@@ -324,15 +309,9 @@ def dasubw_plan(
     # Step 1: one PANDA disjunctive rule per selector image.
     runs: list[PandaResult] = []
     produced: dict[frozenset, Relation] = {}
-    for targets in _image_targets(query, constraints, decompositions, planner, backend):
+    for targets in _image_targets(query, constraints, decompositions, planner):
         rule = DisjunctiveRule(targets, query.body, name="P_image")
-        result = panda(
-            rule,
-            database,
-            constraints=constraints,
-            backend=backend,
-            planner=planner,
-        )
+        result = panda(rule, database, constraints=constraints, planner=planner)
         runs.append(result)
         for table in result.model.tables:
             bag = table.attributes
@@ -408,7 +387,6 @@ def proper_query_plan(
     database: Database,
     constraints: ConstraintSet | None = None,
     decompositions: Sequence[TreeDecomposition] | None = None,
-    backend: str = "exact",
     planner=None,
 ) -> PlanResult:
     """§8: evaluate a *proper* CQ over free-connex decompositions.
@@ -451,9 +429,7 @@ def proper_query_plan(
     # da-fhtw-optimal free-connex decomposition by its worst bag bound.
     if planner is None:
         planner = _new_planner()
-    best = _best_decomposition(
-        planner, hypergraph, constraints, decompositions, backend
-    )
+    best = _best_decomposition(planner, hypergraph, constraints, decompositions)
 
     # PANDA per bag + semijoin reduction (every atom has a home bag, so the
     # join of the reduced bag tables equals the full join exactly).
@@ -461,13 +437,7 @@ def proper_query_plan(
     bag_tables: list[Relation] = []
     for index, bag in enumerate(best.bags):
         rule = DisjunctiveRule((bag,), query.body, name=f"P_{''.join(sorted(bag))}")
-        result = panda(
-            rule,
-            database,
-            constraints=constraints,
-            backend=backend,
-            planner=planner,
-        )
+        result = panda(rule, database, constraints=constraints, planner=planner)
         runs.append(result)
         table = result.model.tables[0]
         for atom in query.body:
@@ -497,7 +467,7 @@ def proper_query_plan(
 # -- the driver table ----------------------------------------------------------------
 
 
-def _image_targets(query, constraints, decompositions, planner, backend) -> list:
+def _image_targets(query, constraints, decompositions, planner) -> list:
     """dasubw's PANDA rules: one per bag-selector image (Cor. 7.13)."""
     return [
         tuple(sorted(image, key=lambda b: tuple(sorted(b))))
@@ -505,11 +475,9 @@ def _image_targets(query, constraints, decompositions, planner, backend) -> list
     ]
 
 
-def _bag_targets(query, constraints, decompositions, planner, backend) -> list:
+def _bag_targets(query, constraints, decompositions, planner) -> list:
     """dafhtw's PANDA rules: one per bag of the chosen decomposition."""
-    best = _best_decomposition(
-        planner, query.hypergraph(), constraints, decompositions, backend
-    )
+    best = _best_decomposition(planner, query.hypergraph(), constraints, decompositions)
     return [(bag,) for bag in best.bags]
 
 
@@ -528,15 +496,14 @@ class Driver:
     Attributes:
         name: the name ``execute(driver=...)`` and ``--driver`` take.
         plan: the serial plan driver, called as ``plan(query, database,
-            constraints=, decompositions=, backend=, planner=)``.
+            constraints=, decompositions=, planner=)``.
         join: for a bare worst-case-optimal join instead, its kernel, run
             on the bound atoms; a pooled shard restricts the kernel's trie
             roots to its row ranges (zero copy) rather than slicing.
         targets: for a PANDA driver, the targets of the rules it solves, as
-            ``targets(query, constraints, decompositions, planner,
-            backend)``; a pooled run plans them once in the parent and
-            ships the plans, with the dictionaries PANDA decodes, to the
-            workers.
+            ``targets(query, constraints, decompositions, planner)``; a
+            pooled run plans them once in the parent and ships the plans,
+            with the dictionaries PANDA decodes, to the workers.
     """
 
     name: str

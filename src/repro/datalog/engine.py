@@ -97,7 +97,6 @@ class DatalogEngine(MaintainedEngine):
         self,
         program: DatalogProgram | str,
         constraints: ConstraintSet | None = None,
-        backend: str = "exact",
         planner=None,
         workers: int = 1,
         execution_backend: str | None = None,
@@ -108,7 +107,7 @@ class DatalogEngine(MaintainedEngine):
             program = parse_program(program)
         self.program = program
         self.strata: tuple[Stratum, ...] = program.stratify()
-        super().__init__(constraints, backend, planner, execution_backend, workers)
+        super().__init__(constraints, planner, execution_backend, workers)
         self.stats = FixpointStats()
         self._source = None
         self._materialized = False

@@ -99,8 +99,8 @@ class MaintainedEngine(EngineBase):
     object with a ``replans`` counter.
     """
 
-    def __init__(self, constraints, backend, planner, execution_backend, workers):
-        super().__init__(constraints, backend, planner, execution_backend, workers)
+    def __init__(self, constraints, planner, execution_backend, workers):
+        super().__init__(constraints, planner, execution_backend, workers)
         self._store: PredicateStore | None = None
         self._pending: dict[str, tuple[list, list]] = {}
         #: key -> [single-worker engine, its pinned constraints]; dropped
@@ -174,17 +174,17 @@ class MaintainedEngine(EngineBase):
         """Run ``query`` on ``database`` from scratch, plan-warm.
 
         One single-worker :class:`~repro.planner.QueryEngine` per
-        ``key`` shares this engine's planner and backends.  It plans under
-        the explicit engine-level constraints when there are any, otherwise
-        under :func:`~repro.planner.engine.pinned_cardinalities` of
-        ``sized_atoms`` — the same data-independent plans while sizes drift
-        within a factor of two, a re-pin counted in ``stats.replans``.
+        ``key`` shares this engine's planner and execution backend.  It
+        plans under the explicit engine-level constraints when there are
+        any, otherwise under
+        :func:`~repro.planner.engine.pinned_cardinalities` of ``sized_atoms``
+        — the same data-independent plans while sizes drift within a factor
+        of two, a re-pin counted in ``stats.replans``.
         """
         entry = self._scratch.get(key)
         if entry is None:
             engine = QueryEngine(
                 query,
-                backend=self.backend,
                 planner=self.planner,
                 workers=1,
                 execution_backend=self.execution_backend,
@@ -223,7 +223,6 @@ class IncrementalQueryEngine(MaintainedEngine):
         self,
         query,
         constraints: ConstraintSet | None = None,
-        backend: str = "exact",
         planner=None,
         workers: int = 1,
         compact_ratio: float | None = None,
@@ -233,7 +232,7 @@ class IncrementalQueryEngine(MaintainedEngine):
         from repro.core.query_plans import check_query
 
         check_query(query)
-        super().__init__(constraints, backend, planner, execution_backend, workers)
+        super().__init__(constraints, planner, execution_backend, workers)
         self.query = query
         self.stats = MaintenanceStats()
         self._compact_ratio = compact_ratio

@@ -241,13 +241,8 @@ def _seeded_planner(plans_token, plans_blob: bytes) -> tuple:
         return seeded
     planner = Planner()
     decompositions, plans = pickle.loads(plans_blob)
-    for universe, targets, constraints, backend, plan in plans:
-        exact_key = planner.cache.instance_key(universe, targets, constraints)
-        sig_key, canonical_to_instance = planner.cache.signature(
-            universe, targets, constraints, exact_key=exact_key
-        )
-        planner.cache.put((sig_key, backend), plan, canonical_to_instance)
-        planner.cache.store_instance((exact_key, backend), plan)
+    for universe, targets, constraints, plan in plans:
+        planner.cache.seed(universe, targets, constraints, plan)
     seeded = _WORKER_PLANNERS[plans_token] = (planner, decompositions)
     return seeded
 
@@ -306,7 +301,6 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
         options = {
             "constraints": extra["constraints"],
             "decompositions": decompositions,
-            "backend": extra["backend"],
             "planner": planner,
         }
     # The parent resolves the execution backend once and ships the concrete

@@ -56,16 +56,12 @@ class BatchedBoundSolver:
         """Number of distinct LPs actually solved (memo misses)."""
         return len(self._results)
 
-    def solve(
-        self,
-        targets: Sequence[AbstractSet] | AbstractSet,
-        backend: str = "exact",
-    ) -> BoundResult:
-        """``max_h min_B h(B)`` for the target set, memoized."""
+    def solve(self, targets: Sequence[AbstractSet] | AbstractSet) -> BoundResult:
+        """``max_h min_B h(B)`` for the target set, memoized (exact LP)."""
         target_list = target_sets(targets)
-        key = (tuple(tuple(sorted(t)) for t in target_list), backend)
+        key = tuple(tuple(sorted(t)) for t in target_list)
         result = self._results.get(key)
         if result is None:
-            result = self.program.maximize(target_list, backend=backend)
+            result = self.program.maximize(target_list)
             self._results[key] = result
         return result

@@ -1,14 +1,14 @@
 """A bounded, statistics-keeping cache of PANDA plans.
 
 :class:`PlanCache` maps canonical signatures (:mod:`repro.planner.signature`)
-to fully-built plans — bound result, flow inequality, witness, proof sequence
-steps with their Case-4b witness snapshots, and the supporting degree
+to fully-built plans — bound result, flow inequality, proof sequence steps
+with their Case-4b witness snapshots, and the supporting degree
 constraints.  Entries are evicted least-recently-used beyond ``maxsize``.
 
-The cache also memoizes the signature *search* itself: canonicalization runs
-a pruned permutation search, so repeated planning of the textually identical
-instance (the common case — the same query re-evaluated against fresh data)
-short-circuits through an exact-encoding memo and never re-searches.
+Beside the canonical entries, an instance memo maps each exact instance
+encoding to the plan already re-keyed to it, so repeated planning of the
+textually identical instance (the common case — the same query re-evaluated
+against fresh data) skips both the signature search and the renaming.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class PlanCache:
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
-        #: exact instance encoding -> (signature key, canonical_to_instance);
-        #: bounded alongside the entries (signatures are tiny tuples).
-        self._signature_memo: dict[Hashable, tuple[tuple, tuple[str, ...]]] = {}
         #: exact instance encoding -> plan already re-keyed to that instance,
         #: so repeated planning of the textually identical instance skips
         #: both the signature search and the renaming pass.  Plans are
@@ -97,24 +94,18 @@ class PlanCache:
             tuple(sorted((c.x_key, c.y_key, c.bound) for c in constraints)),
         )
 
-    def signature(
+    def seed(
         self,
         universe: Sequence[str],
         targets: Iterable[frozenset],
         constraints: Iterable[DegreeConstraint],
-        exact_key: tuple | None = None,
-    ) -> tuple[tuple, tuple[str, ...]]:
-        """Memoized :func:`repro.planner.signature.rule_signature`."""
-        if exact_key is None:
-            exact_key = self.instance_key(universe, targets, constraints)
-        memo = self._signature_memo
-        cached = memo.get(exact_key)
-        if cached is None:
-            if len(memo) >= 8 * self.maxsize:
-                memo.clear()
-            cached = rule_signature(tuple(universe), exact_key[1], constraints)
-            memo[exact_key] = cached
-        return cached
+        plan: object,
+    ) -> None:
+        """Store ``plan``, built for exactly this instance, under both keys."""
+        targets = tuple(targets)
+        sig_key, canonical_to_instance = rule_signature(universe, targets, constraints)
+        self.put(sig_key, plan, canonical_to_instance)
+        self.store_instance(self.instance_key(universe, targets, constraints), plan)
 
     def lookup_instance(self, key: Hashable) -> object | None:
         """An instance-memo probe; counts a hit when it lands (never a miss —
@@ -150,6 +141,5 @@ class PlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._signature_memo.clear()
         self._instance_memo.clear()
         self.stats = PlanCacheStats()

@@ -2,7 +2,7 @@
 
 A :class:`PandaPlan` is everything about a PANDA invocation that does *not*
 depend on the data: the bound LP's optimum and dual certificates, the Shannon
-flow inequality and witness, the Theorem 5.9 proof sequence with the per-step
+flow inequality, the Theorem 5.9 proof sequence with the per-step
 witness snapshots Case 4b restarts from, and the degree constraints
 supporting each positive δ coordinate.  Profiling shows this pipeline is
 ~50–80 % of a ``dasubw_plan`` run — and it is identical across databases and
@@ -49,6 +49,7 @@ from repro.planner.signature import (
     rename_set,
     rename_step,
     rename_witness,
+    rule_signature,
 )
 
 __all__ = [
@@ -77,7 +78,6 @@ class PandaPlan:
         bound: the maximin bound LP result (λ, δ, σ, μ duals included).
         ineq: the Shannon-flow inequality of the bound's dual (None when
             degenerate).
-        witness: its witness (None when degenerate).
         steps: the proof sequence as ``(weight, step, witness snapshot)``
             triples — the snapshot is the evolved (σ, μ) Case 4b needs.
         log_supports: the degree constraint supporting each positive δ pair
@@ -95,7 +95,6 @@ class PandaPlan:
     targets: tuple[frozenset, ...]
     bound: BoundResult
     ineq: FlowInequality | None
-    witness: Witness | None
     steps: tuple[tuple[Fraction, ProofStep, Witness], ...]
     log_supports: Mapping[Pair, LogConstraint]
     constraints_key: tuple = ()
@@ -111,7 +110,6 @@ def build_panda_plan(
     universe: Sequence[str],
     targets: Sequence[frozenset],
     constraints: ConstraintSet,
-    backend: str = "exact",
     solver: BatchedBoundSolver | None = None,
 ) -> PandaPlan:
     """Solve the bound LP and construct the proof sequence — no caching.
@@ -124,14 +122,13 @@ def build_panda_plan(
     if solver is None:
         solver = BatchedBoundSolver(universe, constraints)
     fingerprint = constraints_fingerprint(constraints)
-    bound = solver.solve(list(targets), backend=backend)
+    bound = solver.solve(list(targets))
     if bound.log_value <= _ZERO:
         return PandaPlan(
             universe=universe,
             targets=tuple(bound.targets),
             bound=bound,
             ineq=None,
-            witness=None,
             steps=(),
             log_supports={},
             constraints_key=fingerprint,
@@ -149,7 +146,6 @@ def build_panda_plan(
         targets=tuple(bound.targets),
         bound=bound,
         ineq=ineq,
-        witness=witness,
         steps=steps,
         log_supports=log_supports,
         constraints_key=fingerprint,
@@ -166,7 +162,6 @@ def rename_plan(plan: PandaPlan, mapping: Mapping[str, str]) -> PandaPlan:
         targets=tuple(rename_set(t, mapping) for t in plan.targets),
         bound=rename_bound_result(plan.bound, mapping),
         ineq=None if plan.ineq is None else rename_flow_inequality(plan.ineq, mapping),
-        witness=None if plan.witness is None else rename_witness(plan.witness, mapping),
         steps=tuple(
             (weight, rename_step(step, mapping), rename_witness(snapshot, mapping))
             for weight, step, snapshot in plan.steps
@@ -231,7 +226,6 @@ class Planner:
         universe: Sequence[str],
         targets: Iterable[frozenset],
         constraints: ConstraintSet,
-        backend: str = "exact",
     ) -> PandaPlan:
         """A plan for the disjunctive rule, from cache when possible.
 
@@ -242,14 +236,11 @@ class Planner:
         universe = tuple(universe)
         targets = tuple(targets)
         exact_key = self.cache.instance_key(universe, targets, constraints)
-        instance_plan = self.cache.lookup_instance((exact_key, backend))
+        instance_plan = self.cache.lookup_instance(exact_key)
         if instance_plan is not None:
             return instance_plan
-        sig_key, canonical_to_instance = self.cache.signature(
-            universe, targets, constraints, exact_key=exact_key
-        )
-        key = (sig_key, backend)
-        entry = self.cache.get(key)
+        sig_key, canonical_to_instance = rule_signature(universe, targets, constraints)
+        entry = self.cache.get(sig_key)
         if entry is not None:
             mapping = {
                 stored: instance
@@ -263,11 +254,10 @@ class Planner:
                 universe,
                 list(targets),
                 constraints,
-                backend=backend,
                 solver=self.bound_solver(universe, constraints),
             )
-            self.cache.put(key, plan, canonical_to_instance)
-        self.cache.store_instance((exact_key, backend), plan)
+            self.cache.put(sig_key, plan, canonical_to_instance)
+        self.cache.store_instance(exact_key, plan)
         return plan
 
 
@@ -316,7 +306,8 @@ def pinned_cardinalities(
 class EngineBase:
     """What the engine facades share: fields, backend check, lifecycle.
 
-    ``backend`` picks the LP solver of the planning layer;
+    Plans always come from the exact LP (a float may propose a basis, only
+    the exact certificate decides), so no engine takes an LP choice.
     ``execution_backend`` picks the tuple-at-a-time interpreted driver or
     the numpy block driver of the execution layer (``None`` defers to
     ``REPRO_BACKEND`` / auto-detection at execute time, and pooled engines
@@ -326,7 +317,6 @@ class EngineBase:
     def __init__(
         self,
         constraints: ConstraintSet | None,
-        backend: str,
         planner: Planner | None,
         execution_backend: str | None,
         workers: int = 1,
@@ -336,7 +326,6 @@ class EngineBase:
 
             resolve_backend(execution_backend)  # fail fast on a typo
         self.constraints = constraints
-        self.backend = backend
         self.execution_backend = execution_backend
         self.planner = planner if planner is not None else Planner()
         self.workers = max(1, workers)
@@ -397,15 +386,14 @@ class QueryEngine(EngineBase):
         self,
         query,
         constraints: ConstraintSet | None = None,
-        backend: str = "exact",
         planner: Planner | None = None,
         workers: int = 1,
         execution_backend: str | None = None,
     ) -> None:
-        super().__init__(constraints, backend, planner, execution_backend, workers)
+        super().__init__(constraints, planner, execution_backend, workers)
         self.query = query
         self._decompositions = None
-        #: (driver, constraints fingerprint, backend) -> shipped plan bundle.
+        #: (driver, constraints fingerprint) -> shipped plan bundle.
         self._plan_bundles: dict = {}
         #: The query's atoms bound against the current database (pinned),
         #: so atoms whose variables differ from the stored schemas don't
@@ -464,7 +452,6 @@ class QueryEngine(EngineBase):
                 decompositions=(
                     None if entry.join else self._query_decompositions()
                 ),
-                backend=self.backend,
                 planner=self.planner,
             )
         order = tuple(sorted(query.variable_set))
@@ -517,7 +504,7 @@ class QueryEngine(EngineBase):
         """
         from repro.relational.columns import Dictionary
 
-        key = (entry.name, constraints_fingerprint(constraints), self.backend)
+        key = (entry.name, constraints_fingerprint(constraints))
         universe = tuple(sorted(self.query.variable_set))
         bundle = self._plan_bundles.get(key)
         if bundle is None:
@@ -525,20 +512,17 @@ class QueryEngine(EngineBase):
             rules = ()
             if entry.targets:
                 rules = entry.targets(
-                    self.query, constraints, decompositions, self.planner, self.backend
+                    self.query, constraints, decompositions, self.planner
                 )
             plans = []
             for targets in rules:
-                plan = self.planner.plan_rule(
-                    universe, targets, constraints, backend=self.backend
-                )
-                plans.append((universe, targets, constraints, self.backend, plan))
+                plan = self.planner.plan_rule(universe, targets, constraints)
+                plans.append((universe, targets, constraints, plan))
             blob = pickle.dumps((decompositions, plans))
             bundle = (blob, hashlib.sha1(blob).hexdigest())
             self._plan_bundles[key] = bundle
         extra = {
             "constraints": constraints,
-            "backend": self.backend,
             "plans_blob": bundle[0],
             "plans_token": bundle[1],
         }

@@ -57,7 +57,6 @@ class ServingEngine:
         self,
         query,
         constraints=None,
-        backend: str = "exact",
         planner=None,
         readers: int = 4,
         workers: int = 1,
@@ -71,7 +70,6 @@ class ServingEngine:
         self._engine = IncrementalQueryEngine(
             query,
             constraints=constraints,
-            backend=backend,
             planner=planner,
             workers=workers,
             compact_ratio=compact_ratio,

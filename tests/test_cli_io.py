@@ -519,6 +519,16 @@ class TestCliRun:
         assert captured.out == ""
         assert "argument --limit:" in captured.err
 
+    @pytest.mark.parametrize("workers", ["-4", "0", "x"])
+    def test_bad_workers_rejected_at_parse_time(self, tmp_path, capsys, workers):
+        write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "Q(A,B) :- R(A,B)", "--data", str(tmp_path), "--workers", workers])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "argument --workers:" in captured.err
+
     def test_limit_zero_prints_only_the_count(self, tmp_path, capsys):
         write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
         rc = main(["run", "Q(A,B) :- R(A,B)", "--data", str(tmp_path), "--limit", "0"])

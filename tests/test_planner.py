@@ -7,9 +7,11 @@ walk stuck`` on them, and the 6-cycle could not even enumerate selector
 images (``prod |bags| = 2.7e8``).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from _helpers import stable_seed
 
 from repro.core.query_plans import (
     dafhtw_plan,
@@ -18,6 +20,7 @@ from repro.core.query_plans import (
     tree_decomposition_plan,
 )
 from repro.core.panda import panda
+from repro.datalog.atoms import Atom
 from repro.datalog.rule import DisjunctiveRule
 from repro.decompositions import selector_images, tree_decompositions
 from repro.instances import cycle_query
@@ -30,6 +33,7 @@ from repro.planner import (
     rule_signature,
 )
 from repro.relational import Database, Relation, generic_join
+from repro.relational.operators import semijoin
 
 
 def modular_cycle_database(length: int, size: int = 40, mod: int = 11) -> Database:
@@ -247,3 +251,113 @@ class TestSignatureInvariance:
         assert first is second
         assert solver.solves == 1
         assert isinstance(first.log_value, Fraction)
+
+
+def renamed_rows(relation: Relation, mapping) -> list:
+    """:func:`normalized_rows` with every attribute renamed by ``mapping``."""
+    return sorted(
+        tuple(sorted((mapping[a], v) for a, v in zip(relation.schema, row)))
+        for row in relation.tuples
+    )
+
+
+class TestRenamedCachedPlans:
+    """A plan served from the cache under a variable renaming runs PANDA as
+    the stored plan does, renamed.
+
+    The planner is warmed on a 5-cycle rule; every random renaming of it is
+    then a cache hit that adds no miss.  PANDA on the renamed plan computes
+    a model within its budget whose tables are the warm run's tables under
+    the renaming, its bound matches a fresh build on the renamed instance,
+    and the query answer matches the fresh plan's.  A fresh plan's own
+    model may differ: the proof sequence built from the same dual depends
+    on the variable names.  This is the harness a change to how cached
+    plans are renamed must keep green.
+    """
+
+    #: Distinct atom sizes, so the 5-cycle's rotations are not automorphisms
+    #: of the instance and a renamed hit really re-keys the stored plan.
+    SIZES = (7, 9, 11, 13, 15)
+
+    @classmethod
+    def _edges(cls) -> dict:
+        """One fixed random edge set per atom of the 5-cycle."""
+        rng = random.Random(stable_seed("renamed-cached-plans"))
+        edges = {}
+        for atom, size in zip(cycle_query(5).body, cls.SIZES):
+            pairs = set()
+            while len(pairs) < size:
+                pairs.add((rng.randrange(16), rng.randrange(16)))
+            edges[atom.name] = sorted(pairs)
+        return edges
+
+    @staticmethod
+    def _instance(edges: dict, names):
+        """The 5-cycle body and database over ``names`` (``names[i]``
+        replaces ``A{i+1}``), each atom holding its edges in ``edges``."""
+        query = cycle_query(5)
+        mapping = {f"A{i + 1}": name for i, name in enumerate(names)}
+        atoms = []
+        relations = []
+        for atom in query.body:
+            a, b = (mapping[v] for v in atom.variables)
+            relations.append(Relation.from_pairs(atom.name, a, b, edges[atom.name]))
+            atoms.append(Atom(atom.name, (a, b)))
+        return tuple(atoms), Database(relations), mapping
+
+    #: A two-target rule: two triangles of the 5-cycle sharing ``A3``.
+    TWO_BAGS = (frozenset({"A1", "A2", "A3"}), frozenset({"A3", "A4", "A5"}))
+
+    @pytest.mark.parametrize("shape", ["single", "two_bags"])
+    def test_renamed_hits_run_as_the_stored_plan(self, rng, shape):
+        from repro.planner.signature import rename_set
+
+        edges = self._edges()
+        base_names = [f"A{i}" for i in range(1, 6)]
+        body, db, _ = self._instance(edges, base_names)
+        universe = tuple(sorted(base_names))
+        targets = (frozenset(universe),) if shape == "single" else self.TWO_BAGS
+        planner = Planner()
+        constraints = db.extract_cardinalities()
+        stored = planner.plan_rule(universe, targets, constraints)
+        assert planner.stats.misses == 1
+        rule = DisjunctiveRule(targets, body)
+        warm = panda(rule, db, constraints=constraints, plan=stored).model.by_attributes()
+
+        for trial in range(6):
+            # Alternate fresh names with permutations of the original ones,
+            # so a renaming may also map a variable onto another's name.
+            names = (
+                [f"V{trial}_{i}" for i in range(5)] if trial % 2 else list(base_names)
+            )
+            rng.shuffle(names)
+            body_r, db_r, mapping = self._instance(edges, names)
+            universe_r = tuple(sorted(names))
+            targets_r = tuple(rename_set(t, mapping) for t in targets)
+            constraints_r = db_r.extract_cardinalities()
+            rule_r = DisjunctiveRule(targets_r, body_r, name="P")
+
+            hits, misses = planner.stats.hits, planner.stats.misses
+            plan = planner.plan_rule(universe_r, targets_r, constraints_r)
+            assert (planner.stats.hits, planner.stats.misses) == (hits + 1, misses)
+
+            run = panda(rule_r, db_r, constraints=constraints_r, plan=plan)
+            assert rule_r.is_model(run.model, db_r)
+            assert all(len(table) <= run.budget for table in run.model.tables)
+            tables = run.model.by_attributes()
+            for target in targets:
+                assert normalized_rows(tables[rename_set(target, mapping)]) == (
+                    renamed_rows(warm[target], mapping)
+                )
+
+            fresh = build_panda_plan(universe_r, list(targets_r), constraints_r)
+            assert plan.bound.log_value == fresh.bound.log_value
+            if shape == "single":
+                fresh_run = panda(rule_r, db_r, constraints=constraints_r, plan=fresh)
+                answers = []
+                for model in (run.model, fresh_run.model):
+                    table = model.tables[0]
+                    for atom in body_r:
+                        table = semijoin(table, atom.bind(db_r))
+                    answers.append(normalized_rows(table))
+                assert answers[0] == answers[1]

@@ -42,6 +42,7 @@ class TestRLExact:
             "src/repro/core/panda.py",
             "src/repro/lp/simplex.py",
             "src/repro/bounds/polymatroid.py",
+            "src/repro/planner/engine.py",
         ):
             assert codes("x = float(y)\n", path) == ["RL-EXACT"]
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from reprolint.base import Diagnostic, FileContext, Rule
 
-SCOPE_PREFIXES = ("src/repro/flows/", "src/repro/bounds/")
+SCOPE_PREFIXES = ("src/repro/flows/", "src/repro/bounds/", "src/repro/planner/")
 SCOPE_FILES = ("src/repro/core/panda.py", "src/repro/lp/simplex.py")
 
 #: Parent node types in which a float literal counts as "arithmetic".
@@ -49,7 +49,7 @@ class ExactRule(Rule):
     rationale = (
         "proof/witness paths are Fraction end to end; no float(), float "
         "literals in arithmetic, math.*, or literal-operand true division "
-        "in flows/, core/panda.py, lp/simplex.py, bounds/"
+        "in flows/, core/panda.py, lp/simplex.py, bounds/, planner/"
     )
 
     def applies_to(self, path: str) -> bool:
