@@ -811,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and snapshot-epoch spread",
     )
     p_serve.add_argument(
-        "--readers", type=int, default=4, metavar="N",
+        "--readers", type=_int_at_least(1), default=4, metavar="N",
         help="reader threads for --concurrent (default 4)",
     )
     p_serve.set_defaults(func=cmd_serve)

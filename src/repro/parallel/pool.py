@@ -602,7 +602,9 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise QueryError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         self._pool = None
         #: Digests shipped through the running pool's initializer.
         self._baseline: dict | None = None

@@ -328,7 +328,9 @@ class EngineBase:
         self.constraints = constraints
         self.execution_backend = execution_backend
         self.planner = planner if planner is not None else Planner()
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise QueryError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         self._pool = None
 
     @property

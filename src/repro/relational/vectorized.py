@@ -22,14 +22,20 @@ columnar tries:
   ``repeat``/``arange`` indexing pass and deduplicated by a run-boundary
   mask (the last local column is strictly increasing per node, so
   leaf-level runs need no dedup at all);
-* **direct addressing, then segmented binary search** — every other active
-  relation answers membership for *all* candidates at once: at its first
-  trie level, when its code space is dense, by two gathers from a cached
-  offsets array (:func:`_level0_starts`; codes are dictionary indices, so
-  ``starts[v] .. starts[v + 1]`` *is* value ``v``'s node), everywhere else
-  with a bounded vectorized bisection (``log₂(max node span)`` whole-array
-  steps), the block twin of the leapfrog seek; the surviving candidates'
-  child ranges fall out of the same lookups;
+* **direct addressing, whole-tuple bit tables, then segmented binary
+  search** — every other active relation answers membership for *all*
+  candidates at once: at its first trie level, when its code space is
+  dense, by two gathers from a cached offsets array
+  (:func:`_level0_starts`; codes are dictionary indices, so ``starts[v] ..
+  starts[v + 1]`` *is* value ``v``'s node); at the last variable, when its
+  packed keys pass the same density gate and its root range holds no more
+  rows than the segments a gather would touch, as whole tuples — bound
+  prefix plus candidate — in a bit table over its own rows
+  (:func:`_tuple_probe`); when the frontier's segments are candidate-sized,
+  by one flat search over them all gathered (:func:`_ragged_probe`); and
+  everywhere else with a bounded vectorized bisection (``log₂(max node
+  span)`` whole-array steps), the block twin of the leapfrog seek; the
+  surviving candidates' child ranges fall out of the same lookups;
 * **columnar emission** — after the last level the frontier's binding
   columns *are* the result columns; they are adopted through
   :meth:`Relation.from_columns` and the O(N · arity) transpose back into
@@ -93,14 +99,20 @@ def np_to_column(values) -> array:
     return out
 
 
-#: The one density gate of this module: a direct-address structure over a
-#: sorted key range — the level-0 offsets index (``last code + 2`` slots) and
-#: :func:`membership_mask`'s bit table (``(last key >> 6) + 2`` words) — is
-#: built only when its size is at most this multiple of the rows it serves,
-#: so its O(D) build and size stay bounded by the operands' own; a few rows
-#: over a large key range fail it and keep the search path.  A worst-case
-#: guard, not a tuned threshold.
+#: The one density gate of this module (:func:`_dense`): a direct-address
+#: structure over a sorted key range — the level-0 offsets index (``last code
+#: + 2`` slots) and :func:`membership_mask`'s bit table (``(last key >> 6) +
+#: 2`` words) — is built only when its size is at most this multiple of the
+#: rows it serves, so its O(D) build and size stay bounded by the operands'
+#: own; a few rows over a large key range fail it and keep the search path.
+#: A worst-case guard, not a tuned threshold.
 _DENSE_CODE_FACTOR = 4
+
+
+def _dense(slots, rows):
+    """The density gate: may a ``slots``-entry direct-address structure serve
+    ``rows`` rows?"""
+    return slots <= _DENSE_CODE_FACTOR * rows
 
 
 def membership_mask(values, block):
@@ -111,15 +123,16 @@ def membership_mask(values, block):
     ``(top >> 6) + 2 <= _DENSE_CODE_FACTOR * (len(block) + len(values))``
     words for its last (largest) key ``top`` — the block becomes a bit table
     for the call: one ``bitwise_or.reduceat`` over its 64-key word runs
-    builds it, and each probe, clipped to ``top + 1`` (a bit that is never
-    set), is one gather and one shift.  Sparser blocks, and negative keys,
+    builds it, and each probe, clipped into the table's last word (never
+    set), is one gather and one shift, both done in place so the call holds
+    two probe-sized blocks at once.  Sparser blocks, and negative keys,
     keep one ``searchsorted`` of the (unsorted) probes.
     """
     n = len(block)
     if n == 0 or len(values) == 0:
         return np.zeros(len(values), dtype=bool)
     top = int(block[-1])
-    if block[0] >= 0 and (top >> 6) + 2 <= _DENSE_CODE_FACTOR * (n + len(values)):
+    if block[0] >= 0 and _dense((top >> 6) + 2, n + len(values)):
         return _bit_table_mask(values, block, top)
     pos = np.searchsorted(block, values)
     inside = pos < n
@@ -132,16 +145,25 @@ def _bit_table_mask(values, block, top):
     key ``top``) as a ``(top >> 6) + 2``-word bit table.
 
     Word ``top >> 6`` is the last one a key can set, so the final word is
-    always zero: probes clipped to ``top + 1`` — and negative probes, which
-    the unsigned view sends past ``top`` — read a clear bit.
+    always zero: probes clipped into it — and negative probes, which the
+    unsigned view sends past ``top`` — read a clear bit whatever their shift.
     """
     high = block >> 6
     starts = np.flatnonzero(run_start_mask(high))
-    bits = np.left_shift(np.uint64(1), (block & 63).view(np.uint64))
+    bits = (block & 63).view(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
     table = np.zeros((top >> 6) + 2, dtype=np.uint64)
     table[high[starts]] = np.bitwise_or.reduceat(bits, starts)
-    probes = np.minimum(np.asarray(values, dtype=np.int64).view(np.uint64), top + 1)
-    return ((table[probes >> 6] >> (probes & 63)) & 1).astype(bool)
+    del high, bits
+    values = np.asarray(values, dtype=np.int64)
+    probes = np.minimum(values.view(np.uint64), (len(table) - 1) << 6)
+    probes >>= 6
+    words = table[probes.view(np.int64)]  # small after the clip; no index cast
+    # The word indices are spent: their buffer takes the in-word shifts.
+    shift = np.bitwise_and(values, 63, out=probes.view(np.int64))
+    words >>= shift.view(np.uint64)
+    words &= 1
+    return words.astype(bool)
 
 
 def pack_keys(*operands):
@@ -162,6 +184,10 @@ def pack_keys(*operands):
     (``np.unique(..., return_inverse=True)`` over all operands together) —
     both are then at most the total row count, so their product fits and no
     input is ever too large or too sparse for the column path.
+
+    Each operand's key is built in one buffer of its own (the first digit
+    times its base, then ``+=`` / ``*=`` in place per further digit), never
+    in per-digit temporaries; a single-column operand's key is its column.
     """
     sizes = [len(operand[0]) for operand in operands]
     splits = np.cumsum(sizes)[:-1]
@@ -174,14 +200,23 @@ def pack_keys(*operands):
         return np.split(ranks, splits), len(distinct)
 
     keys = [operand[0] for operand in operands]
+    owned = False  # the keys are still the operands' first columns
     span = base_of(keys)
     for position in range(1, len(operands[0])):
         digits = [operand[position] for operand in operands]
         base = base_of(digits)
         if span * base >= 1 << 63:
-            keys, span = rerank(keys)
+            keys, span = rerank(keys)  # fresh ranks: owned buffers
             digits, base = rerank(digits)
-        keys = [key * base + digit for key, digit in zip(keys, digits)]
+            owned = True
+        if owned:
+            for key in keys:
+                key *= base
+        else:
+            keys = [key * base for key in keys]
+            owned = True
+        for key, digit in zip(keys, digits):
+            key += digit
         span *= base
     return keys
 
@@ -296,6 +331,55 @@ def _ragged_probe(col, seg_lo, seg_hi, row_id, values, m, need_bounds):
 #: which :func:`_ragged_probe` is preferred over the segmented bisection.
 _RAGGED_SPAN_FACTOR = 4
 
+
+def _tuple_probe(cols, root_lo, root_hi, prefix, row_id, values, span):
+    """Leaf membership of whole tuples, or ``None`` when a guard fails.
+
+    At the last variable a relation's frontier-row segment holds exactly the
+    rows of ``cols[:, root_lo:root_hi]`` whose leading codes are the row's
+    bound ``prefix`` (frontier-aligned columns, one per earlier attribute),
+    so candidate ``values[i]`` is in its segment iff the tuple
+    ``(prefix[..][row_id[i]], values[i])`` is one of those rows: one
+    :func:`pack_keys` of both sides and one :func:`membership_mask` answer
+    it without gathering a single segment.  Two guards, decided from row
+    counts and code maxima before anything probe-sized is allocated:
+
+    * **rows** — the root range holds at most ``span`` rows (the segment
+      entries :func:`_ragged_probe` would gather), so packing them never
+      exceeds the work it replaces;
+    * **density** — the bit table over the packed keys passes
+      :func:`_dense`.  Digit bases from the maxima of both sides bound
+      :func:`pack_keys`' own, so the predicted last key bounds the real
+      one and :func:`membership_mask` takes its bit-table arm; the
+      relation's bases alone are tried first, so a sparse range is
+      rejected without a pass over the candidates.
+    """
+    rows = root_hi - root_lo
+    if not 0 < rows <= span:
+        return None
+    block = [col[root_lo:root_hi] for col in cols]
+
+    def dense(bases):
+        top, width = 0, 1
+        for column, base in zip(block, bases):
+            top = top * base + int(column[-1])  # the last row has the largest key
+            width *= base
+        return width < 1 << 63 and _dense((top >> 6) + 2, rows + len(values))
+
+    # The relation's own bases understate the packed keys, so a range that
+    # fails on them fails for sure — before any pass over the candidates.
+    bases = [1 + int(column.max()) for column in block]
+    if not dense(bases):
+        return None
+    probe_tops = [int(column.max()) for column in prefix] + [int(values.max())]
+    if not dense([max(base, 1 + top) for base, top in zip(bases, probe_tops)]):
+        return None
+    probe = [column[row_id] for column in prefix] + [values]
+    block_key, probe_key = pack_keys(block, probe)
+    del probe  # the gathered prefix codes, now folded into the keys
+    return membership_mask(probe_key, block_key), None, None
+
+
 def _level0_starts(column_set):
     """The column set's level-0 offsets array, or ``None`` when sparse.
 
@@ -305,7 +389,7 @@ def _level0_starts(column_set):
     """
     col0 = column_set.np_columns()[0]
     n = len(col0)
-    if n == 0 or int(col0[-1]) + 2 > _DENSE_CODE_FACTOR * n:
+    if n == 0 or not _dense(int(col0[-1]) + 2, n):
         return None
     cache = column_set.np_trie_cache()
     starts = cache.get("level0_starts")
@@ -365,6 +449,7 @@ def vectorized_execute_join(
     cols_of: list[tuple] = []
     lo_of: list = []
     hi_of: list = []
+    roots: list[tuple[int, int]] = []
     for index, relation in enumerate(relations):
         attrs = tuple(v for v in order if v in relation.attributes)
         column_set = relation.column_set(attrs)
@@ -375,6 +460,7 @@ def vectorized_execute_join(
         cols_of.append(column_set.np_columns())
         lo_of.append(np.array([lo], dtype=np.int64))
         hi_of.append(np.array([hi], dtype=np.int64))
+        roots.append((lo, hi))
 
     #: Per level: the active ``(relation index, local depth)`` pairs.  A
     #: relation's attrs follow the global order, so when ``var`` is its
@@ -485,9 +571,11 @@ def vectorized_execute_join(
         # Every non-driving active relation answers membership for the whole
         # candidate block (under mixed drivers that is *all* of them — a
         # relation's own rows probe as trivial hits): by direct addressing
-        # at its first trie level when its code space is dense, else by one
-        # composite-key flat search when its total segment span is
-        # candidate-sized, else by segmented bisection.
+        # at its first trie level when its code space is dense, else — when
+        # its total segment span is candidate-sized — at the leaf by
+        # whole-tuple membership if its guards pass, otherwise by one
+        # composite-key flat search over the gathered segments, else by
+        # segmented bisection.
         mask = None
         first: dict[int, object] = {}  # first occurrence (bisect path)
         for i, local in active:
@@ -503,10 +591,17 @@ def vectorized_execute_join(
             if probed is None and len(col):
                 span = int((hi_of[i] - lo_of[i]).sum())
                 if span <= _RAGGED_SPAN_FACTOR * len(values) + 1024:
-                    probed = _ragged_probe(
-                        col, lo_of[i], hi_of[i], row_id, values, m,
-                        need_bounds=not leaf,
-                    )
+                    if leaf:
+                        probed = _tuple_probe(
+                            cols_of[i], *roots[i],
+                            [bind_cols[order.index(a)] for a in attrs_of[i][:local]],
+                            row_id, values, span,
+                        )
+                    if probed is None:
+                        probed = _ragged_probe(
+                            col, lo_of[i], hi_of[i], row_id, values, m,
+                            need_bounds=not leaf,
+                        )
             if probed is not None:
                 found, child_lo[i], child_hi[i] = probed
                 if leaf:

@@ -67,6 +67,8 @@ class ServingEngine:
         max_inflight_reads: int | None = None,
         retry_after: float = 0.05,
     ) -> None:
+        if readers < 1:
+            raise ServingError(f"readers must be >= 1, got {readers}")
         self._engine = IncrementalQueryEngine(
             query,
             constraints=constraints,
@@ -77,7 +79,7 @@ class ServingEngine:
             execution_backend=execution_backend,
         )
         self.query = query
-        self.readers = max(1, readers)
+        self.readers = readers
         # Default in-flight cap: a few requests queued per reader thread —
         # enough to keep the pool busy, bounded enough to shed a stampede.
         self._admission = AdmissionController(

@@ -69,7 +69,7 @@ class SnapshotServer:
     ) -> None:
         self.engine = engine
         self.driver = driver
-        self.readers = max(1, readers)
+        self.readers = readers  # validated by ServingEngine, its one caller
         self.admission = (
             admission if admission is not None else AdmissionController()
         )

@@ -51,3 +51,42 @@ def no_large_row_transpose(monkeypatch):
     from repro.relational.backend import _VEC_MIN_ROWS
 
     _guard_row_transpose(monkeypatch, _VEC_MIN_ROWS)
+
+
+@pytest.fixture
+def membership_arms(monkeypatch):
+    """A ``Counter`` of the membership arms the numpy frontier join takes, so
+    a parity test can assert which side of the leaf arm's guards it covered.
+
+    ``"tuple"`` counts leaf probes answered as whole-tuple bit-table
+    membership, ``"ragged"`` leaf probes that gathered every frontier row's
+    segment instead (the arm the tuple probe replaces), and ``"bisect"``
+    segmented-bisection membership probes at any level.  Forked pool
+    workers count in their own copy.
+    """
+    from collections import Counter
+
+    from repro.relational import vectorized
+
+    taken = Counter()
+    tuple_probe = vectorized._tuple_probe
+    ragged_probe = vectorized._ragged_probe
+    search = vectorized._segmented_searchsorted
+
+    def counted_tuple_probe(*args):
+        probed = tuple_probe(*args)
+        taken["tuple"] += probed is not None
+        return probed
+
+    def counted_ragged_probe(*args, need_bounds):
+        taken["ragged"] += not need_bounds
+        return ragged_probe(*args, need_bounds=need_bounds)
+
+    def counted_search(col, probes, lo, hi, side="left"):
+        taken["bisect"] += side == "left"  # "right" only opens child nodes
+        return search(col, probes, lo, hi, side)
+
+    monkeypatch.setattr(vectorized, "_tuple_probe", counted_tuple_probe)
+    monkeypatch.setattr(vectorized, "_ragged_probe", counted_ragged_probe)
+    monkeypatch.setattr(vectorized, "_segmented_searchsorted", counted_search)
+    return taken

@@ -8,7 +8,7 @@ import pytest
 from _helpers import stable_seed
 
 from repro.cli import main
-from repro.exceptions import SchemaError
+from repro.exceptions import ReproError, SchemaError
 from repro.relational import Database, Relation
 from repro.relational.io import (
     load_database_dir,
@@ -528,6 +528,40 @@ class TestCliRun:
         assert exit_info.value.code == 2
         assert captured.out == ""
         assert "argument --workers:" in captured.err
+
+    @pytest.mark.parametrize("readers", ["-3", "0", "x"])
+    def test_bad_readers_rejected_at_parse_time(self, tmp_path, capsys, readers):
+        write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        (tmp_path / "changes").mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "Q(A,B) :- R(A,B)", "--data", str(tmp_path),
+                "--changes", str(tmp_path / "changes"), "--concurrent",
+                "--readers", readers, "--stats",
+            ])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "argument --readers:" in captured.err
+
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("make", ["engine", "pool", "serving"])
+    def test_counts_below_one_rejected_by_constructors(self, make, count):
+        """A worker or reader count below 1 is an error naming the parameter,
+        never silently clamped to 1."""
+        from repro.datalog import parse_query
+        from repro.parallel.pool import WorkerPool
+        from repro.planner import QueryEngine
+        from repro.serving import ServingEngine
+
+        query = parse_query("Q(A,B) :- R(A,B)")
+        build, parameter = {
+            "engine": (lambda: QueryEngine(query, workers=count), "workers"),
+            "pool": (lambda: WorkerPool(count), "workers"),
+            "serving": (lambda: ServingEngine(query, readers=count), "readers"),
+        }[make]
+        with pytest.raises(ReproError, match=f"{parameter} must be >= 1, got {count}"):
+            build()
 
     def test_limit_zero_prints_only_the_count(self, tmp_path, capsys):
         write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])

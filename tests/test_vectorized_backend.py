@@ -465,6 +465,165 @@ class TestKernelBitIdentity:
         ]
 
 
+# -- the leaf tuple probe -----------------------------------------------------------
+
+
+def hub_code_relations(query_name, stride, rng, size=300, domain=60):
+    """Code relations of ``QUERIES[query_name]`` where half the rows touch the
+    hub code 0: ``stride`` 1 keeps the packed leaf keys dense (the tuple
+    probe's side of the density gate), ``10**6`` spreads them past it."""
+    relations = []
+    for name, schema in QUERIES[query_name]:
+        rows = set()
+        while len(rows) < size:
+            hub, other = 0, rng.randrange(domain)
+            if rng.random() < 0.5:
+                hub, other = rng.randrange(domain), rng.randrange(domain)
+            rows.add((hub, other) if rng.random() < 0.5 else (other, hub))
+        codes = [tuple(stride * code for code in row) for row in rows]
+        relations.append(Relation.from_codes(name, schema, codes))
+    return relations
+
+
+def assert_leaf_parity(monkeypatch, relations, order, root_ranges=None):
+    """The numpy join equals the interpreted one in rows and
+    ``tuples_emitted``, and equals itself with the tuple probe declined — the
+    ragged/bisection path — in rows and every work counter."""
+    from repro.relational import vectorized
+
+    def run(backend):
+        with scoped_backend(backend), scoped_work_counter() as counter:
+            out = generic_join(relations, order, root_ranges=root_ranges)
+        return out.schema, out.code_rows, counter.as_dict()
+
+    tupled = run("vectorized")
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorized, "_tuple_probe", lambda *args: None)
+        assert run("vectorized") == tupled
+    expected = run("interpreted")
+    assert tupled[:2] == expected[:2]
+    assert tupled[2]["tuples_emitted"] == expected[2]["tuples_emitted"]
+    return tupled[1]
+
+
+@requires_numpy
+class TestLeafTupleProbe:
+    """At the last variable a probed relation answers whole-tuple membership
+    through a bit table when its packed keys are dense and its root range
+    is no larger than the segments the ragged probe would gather."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("stride", [1, 10**6])
+    @pytest.mark.parametrize("query_name", ["triangle", "four_cycle"])
+    def test_hub_skewed_cycles_on_both_sides_of_the_gate(
+        self, monkeypatch, membership_arms, query_name, stride, seed
+    ):
+        rng = random.Random(stable_seed("vec-leaf-hub", query_name, stride, seed))
+        relations = hub_code_relations(query_name, stride, rng)
+        order = tuple(sorted({v for r in relations for v in r.schema}))
+        assert assert_leaf_parity(monkeypatch, relations, order)
+        if stride == 1:
+            assert membership_arms["tuple"] > 0
+        else:
+            assert membership_arms["tuple"] == 0
+            assert membership_arms["ragged"] > 0
+
+    def test_small_frontier_fails_the_row_guard(self, monkeypatch, membership_arms):
+        """A few driving rows open segments that together hold fewer rows
+        than the probed relation's root range: the leaf stays ragged."""
+        rng = random.Random(stable_seed("vec-leaf-rows"))
+        relations = hub_code_relations("triangle", 1, rng)
+        relations[0] = Relation.from_codes("R", ("A", "B"), relations[0].code_rows[:3])
+        assert_leaf_parity(monkeypatch, relations, ("A", "B", "C"))
+        assert membership_arms["tuple"] == 0
+        assert membership_arms["ragged"] > 0
+
+    def test_heavy_shards_cutting_a_key_run(self, monkeypatch, membership_arms):
+        """Shard by shard, root ranges that cut inside the hub's ``A`` run of
+        ``U(A, B, C)`` (the heavy-hitter split on ``B``) bound the tuple
+        probe's rows exactly as they bound the ragged segments."""
+        rng = random.Random(stable_seed("vec-leaf-shards"))
+        relations = hub_code_relations("triangle", 1, rng)
+        rows = {(0, rng.randrange(60), rng.randrange(60)) for _ in range(150)}
+        rows |= {tuple(rng.randrange(60) for _ in "ABC") for _ in range(150)}
+        relations.append(Relation.from_codes("U", ("A", "B", "C"), rows))
+        order = ("A", "B", "C")
+        tables = _order_tables(relations, order)
+        specs = plan_shards(tables, order, 8)
+        hub_run = relations[3].column_set(order).np_columns()[0].tolist().count(0)
+        union = []
+        for spec in specs:
+            root_ranges = [slice_bounds(table, order, spec) for table in tables]
+            before = membership_arms["tuple"]
+            union += assert_leaf_parity(monkeypatch, relations, order, root_ranges)
+            if spec.is_heavy:
+                lo, hi = root_ranges[3]
+                assert 0 < hi - lo < hub_run  # cuts inside the hub's run
+                assert membership_arms["tuple"] > before
+        assert sum(spec.is_heavy for spec in specs) > 1
+        assert union == generic_join(relations, order).code_rows
+
+    def test_relation_on_the_leaf_variable_alone(self, monkeypatch, membership_arms):
+        """An empty bound prefix: the probed relation's keys are its codes.
+        They are spread past the level-0 index's gate but within the bit
+        table's, so the leaf takes the tuple probe and not direct addressing."""
+        order = ("A", "B", "C")
+        relations = [
+            Relation.from_codes("R", ("A", "B"), [(a, b) for a in range(12) for b in range(8)]),
+            Relation.from_codes("S", ("B", "C"), [(b, 9 * c) for b in range(8) for c in range(40)]),
+            Relation.from_codes("U", ("C",), [(c,) for c in range(0, 360, 30)]),
+        ]
+        assert assert_leaf_parity(monkeypatch, relations, order)
+        assert level0_index(relations[2], order) is None
+        assert membership_arms["tuple"] > 0
+
+    def test_candidates_past_the_probed_relation_codes(self, monkeypatch, membership_arms):
+        """The shared dictionary of ``C`` grew through ``S``: the driving
+        ``S`` offers leaf candidates past every ``C`` code of the probed
+        ``T``, and they must miss rather than alias another ``A`` prefix."""
+        suffix = stable_seed("vec-leaf-grown")
+        a, b, c = (f"{name}_{suffix}" for name in "ABC")
+        relations = [
+            Relation("R", (a, b), [(x, y) for x in range(10) for y in range(10)]),
+            Relation("T", (a, c), [(x, z) for x in range(10) for z in range(5)]),
+            Relation("S", (b, c), [(y, z) for y in range(10) for z in (y % 5, 5 + y)]),
+        ]
+        order = (a, b, c)
+        t_codes = {code for _, code in relations[1].code_rows}
+        assert max(code for _, code in relations[2].code_rows) > max(t_codes)
+        rows = assert_leaf_parity(monkeypatch, relations, order)
+        assert len(rows) == 100 and {row[2] for row in rows} <= t_codes
+        assert membership_arms["tuple"] > 0
+
+    def test_sparse_candidates_decline_the_tuple_probe(self, monkeypatch, membership_arms):
+        """The probed ``T`` is dense on its own, but candidate codes 10⁶
+        past it spread the packed keys beyond the gate: the leaf declines
+        before packing anything and stays ragged."""
+        relations = [
+            Relation.from_codes("R", ("A", "B"), [(x, y) for x in range(10) for y in range(10)]),
+            Relation.from_codes("T", ("A", "C"), [(x, z) for x in range(10) for z in range(5)]),
+            Relation.from_codes(
+                "S", ("B", "C"), [(y, z) for y in range(10) for z in (y % 5, 10**6 + y)]
+            ),
+        ]
+        assert len(assert_leaf_parity(monkeypatch, relations, ("A", "B", "C"))) == 100
+        assert membership_arms["tuple"] == 0
+        assert membership_arms["ragged"] > 0
+
+    def test_root_range_cutting_inside_the_probed_run(self, monkeypatch, membership_arms):
+        """A root range that ends inside a prefix's run of the probed
+        relation: only the rows inside it are members."""
+        rng = random.Random(stable_seed("vec-leaf-cut"))
+        relations = hub_code_relations("triangle", 1, rng)
+        order = ("A", "B", "C")
+        hub_run = relations[2].column_set(("A", "C")).np_columns()[0].tolist().count(0)
+        for cut in (hub_run // 4, hub_run // 2):
+            root_ranges = [None, None, (0, cut)]
+            before = membership_arms["tuple"]
+            assert assert_leaf_parity(monkeypatch, relations, order, root_ranges)
+            assert membership_arms["tuple"] > before
+
+
 # -- engine-level bit-identity ------------------------------------------------------
 
 
