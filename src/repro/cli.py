@@ -54,6 +54,7 @@ from repro.datalog import parse_query, parse_rule
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.exceptions import ReproError
 from repro.core.query_plans import DRIVERS
+from repro.relational.backend import resolve_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -113,12 +114,6 @@ def _add_engine_args(
         help="fan work out over N worker processes: range shards when "
              "evaluating or recomputing, delta-join terms when maintaining "
              "(results bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--backend", default=None, choices=("interpreted", "vectorized"),
-        help="execution kernels: tuple-at-a-time interpreter or numpy "
-             "block kernels (bit-identical results; default: "
-             "$REPRO_BACKEND, else vectorized when numpy is available)",
     )
     parser.add_argument(
         "--stats", action="store_true",
@@ -453,11 +448,6 @@ def _atom_relation(statement, current):
     return relation_of
 
 
-def _engine_options(args) -> dict:
-    """The constructor options engines take from the shared argument block."""
-    return {"workers": args.workers, "execution_backend": args.backend}
-
-
 def cmd_run(args) -> int:
     from pathlib import Path
 
@@ -465,7 +455,6 @@ def cmd_run(args) -> int:
     from repro.core.query_plans import proper_query_plan
     from repro.datalog.rule import DisjunctiveRule
     from repro.planner import Planner, QueryEngine
-    from repro.relational.backend import scoped_backend
     from repro.relational.io import save_relation_csv
     from repro.relational.operators import scoped_work_counter
 
@@ -487,13 +476,13 @@ def cmd_run(args) -> int:
         )
         parallel = False
 
-    with scoped_backend(args.backend), scoped_work_counter() as counter:
+    with scoped_work_counter() as counter:
         if disjunctive:
             result = panda(statement, database, planner=planner)
         elif conjunctive:
             default = "generic" if args.workers > 1 else "dasubw"
             with QueryEngine(
-                statement, planner=planner, **_engine_options(args)
+                statement, planner=planner, workers=args.workers
             ) as engine:
                 plan = engine.execute(database, driver=args.driver or default)
         else:
@@ -546,7 +535,7 @@ def cmd_datalog(args) -> int:
             print(f"  {name}: {len(result[name])} tuples")
 
     with scoped_work_counter() as counter, DatalogEngine(
-        program, **_engine_options(args)
+        program, workers=args.workers
     ) as engine:
         recursive = sum(1 for stratum in engine.strata if stratum.recursive)
         print(
@@ -601,7 +590,7 @@ def _serve_concurrent(args, statement, database, driver) -> int:
     reads_per_write = 9  # 90/10 read/write mix
 
     with ServingEngine(
-        statement, readers=args.readers, **_engine_options(args)
+        statement, readers=args.readers, workers=args.workers
     ) as engine:
         _materialize(
             engine, statement, database, driver,
@@ -686,7 +675,7 @@ def cmd_serve(args) -> int:
         from repro.planner import QueryEngine as Engine
 
     with scoped_work_counter() as counter:
-        with Engine(statement, **_engine_options(args)) as engine:
+        with Engine(statement, workers=args.workers) as engine:
             _materialize(engine, statement, database, driver)
             if args.apply_deltas:
                 verb = "maintained"
@@ -822,6 +811,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # A bad REPRO_BACKEND fails every subcommand up front, not only
+        # those whose inputs grow past the vectorize gate.
+        resolve_backend(None)
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

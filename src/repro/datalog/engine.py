@@ -43,7 +43,6 @@ from repro.exceptions import DatalogError, IncrementalError
 from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.incremental.engine import MaintainedEngine
 from repro.planner.engine import check_driver
-from repro.relational.backend import scoped_backend
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -99,7 +98,6 @@ class DatalogEngine(MaintainedEngine):
         constraints: ConstraintSet | None = None,
         planner=None,
         workers: int = 1,
-        execution_backend: str | None = None,
     ) -> None:
         if isinstance(program, str):
             from repro.datalog.parser import parse_program
@@ -107,7 +105,7 @@ class DatalogEngine(MaintainedEngine):
             program = parse_program(program)
         self.program = program
         self.strata: tuple[Stratum, ...] = program.stratify()
-        super().__init__(constraints, planner, execution_backend, workers)
+        super().__init__(constraints, planner, workers)
         self.stats = FixpointStats()
         self._source = None
         self._materialized = False
@@ -191,13 +189,12 @@ class DatalogEngine(MaintainedEngine):
             self.bind(database)
         self._require_bound()
         self._driver = driver
-        with scoped_backend(self.execution_backend):
-            if not self._materialized:
-                for stratum in self.strata:
-                    self._run_stratum(stratum)
-                self._materialized = True
-            else:
-                self._commit()
+        if not self._materialized:
+            for stratum in self.strata:
+                self._run_stratum(stratum)
+            self._materialized = True
+        else:
+            self._commit()
         return self._result()
 
     def refresh(self, driver: str = "generic") -> DatalogResult:
@@ -215,13 +212,12 @@ class DatalogEngine(MaintainedEngine):
         check_driver(driver)
         store = self._require_bound()
         self._driver = driver
-        with scoped_backend(self.execution_backend):
-            deltas = self._drain_pending(store.relation)
-            store.apply(deltas)
-            self._reset_predicates(self.program.idb_predicates)
-            for stratum in self.strata:
-                self._run_stratum(stratum)
-            self.stats.compactions += store.compact(sorted(deltas))
+        deltas = self._drain_pending(store.relation)
+        store.apply(deltas)
+        self._reset_predicates(self.program.idb_predicates)
+        for stratum in self.strata:
+            self._run_stratum(stratum)
+        self.stats.compactions += store.compact(sorted(deltas))
         self._materialized = True
         self.stats.recomputes += 1
         return self._result()

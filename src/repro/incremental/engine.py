@@ -55,7 +55,6 @@ from repro.planner.engine import (
     check_driver,
     pinned_cardinalities,
 )
-from repro.relational.backend import scoped_backend
 from repro.relational.relation import Relation
 
 __all__ = ["IncrementalQueryEngine", "MaintainedEngine", "MaintenanceStats"]
@@ -99,8 +98,8 @@ class MaintainedEngine(EngineBase):
     object with a ``replans`` counter.
     """
 
-    def __init__(self, constraints, planner, execution_backend, workers):
-        super().__init__(constraints, planner, execution_backend, workers)
+    def __init__(self, constraints, planner, workers):
+        super().__init__(constraints, planner, workers)
         self._store: PredicateStore | None = None
         self._pending: dict[str, tuple[list, list]] = {}
         #: key -> [single-worker engine, its pinned constraints]; dropped
@@ -174,21 +173,15 @@ class MaintainedEngine(EngineBase):
         """Run ``query`` on ``database`` from scratch, plan-warm.
 
         One single-worker :class:`~repro.planner.QueryEngine` per
-        ``key`` shares this engine's planner and execution backend.  It
-        plans under the explicit engine-level constraints when there are
-        any, otherwise under
+        ``key`` shares this engine's planner.  It plans under the explicit
+        engine-level constraints when there are any, otherwise under
         :func:`~repro.planner.engine.pinned_cardinalities` of ``sized_atoms``
         — the same data-independent plans while sizes drift within a factor
         of two, a re-pin counted in ``stats.replans``.
         """
         entry = self._scratch.get(key)
         if entry is None:
-            engine = QueryEngine(
-                query,
-                planner=self.planner,
-                workers=1,
-                execution_backend=self.execution_backend,
-            )
+            engine = QueryEngine(query, planner=self.planner, workers=1)
             entry = self._scratch[key] = [engine, None]
         engine, previous = entry
         if self.constraints is not None:
@@ -227,12 +220,11 @@ class IncrementalQueryEngine(MaintainedEngine):
         workers: int = 1,
         compact_ratio: float | None = None,
         compact_min: int | None = None,
-        execution_backend: str | None = None,
     ) -> None:
         from repro.core.query_plans import check_query
 
         check_query(query)
-        super().__init__(constraints, planner, execution_backend, workers)
+        super().__init__(constraints, planner, workers)
         self.query = query
         self.stats = MaintenanceStats()
         self._compact_ratio = compact_ratio
@@ -433,10 +425,9 @@ class IncrementalQueryEngine(MaintainedEngine):
 
         if self._view_rows is not None:
             pool = self._worker_pool if self.workers > 1 else None
-            with scoped_backend(self.execution_backend):
-                net, executed, pooled = signed_join_delta(
-                    self._order, self._keys, store, old, binding_deltas, pool
-                )
+            net, executed, pooled = signed_join_delta(
+                self._order, self._keys, store, old, binding_deltas, pool
+            )
             self.stats.join_terms += executed
             self.stats.pooled_batches += pooled
             rows = maintain_join_rows(self._view_rows, net)
@@ -500,8 +491,7 @@ class IncrementalQueryEngine(MaintainedEngine):
             # Boolean drivers don't return rows; maintain the full join.
             from repro.relational.wcoj import generic_join
 
-            with scoped_backend(self.execution_backend):
-                joined = generic_join(self._bindings(), self._order)
+            joined = generic_join(self._bindings(), self._order)
             self._install_view(joined.code_rows)
         else:
             result = self._run_from_scratch(driver)

@@ -96,11 +96,10 @@ class ParallelQueryEngine(QueryEngine):
         constraints=None,
         planner=None,
         workers: int | None = None,
-        execution_backend: str | None = None,
     ) -> None:
         if workers is None:
             workers = default_worker_count()
-        super().__init__(query, constraints, planner, workers, execution_backend)
+        super().__init__(query, constraints, planner, workers)
 
     def execute(self, database, driver: str = "generic", constraints=None):
         return super().execute(database, driver, constraints)

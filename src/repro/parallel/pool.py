@@ -465,7 +465,7 @@ def map_delta_terms(
             )
         return ("version", key, version, runs)
 
-    # Resolved under the engine's ``scoped_backend``, so workers run each
+    # Resolved under the caller's ``scoped_backend``, so workers run each
     # term under the same backend as the serial path.
     backend = current_backend()
     tasks = []

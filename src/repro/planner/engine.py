@@ -304,29 +304,23 @@ def pinned_cardinalities(
 
 
 class EngineBase:
-    """What the engine facades share: fields, backend check, lifecycle.
+    """What the engine facades share: fields and lifecycle.
 
     Plans always come from the exact LP (a float may propose a basis, only
-    the exact certificate decides), so no engine takes an LP choice.
-    ``execution_backend`` picks the tuple-at-a-time interpreted driver or
-    the numpy block driver of the execution layer (``None`` defers to
-    ``REPRO_BACKEND`` / auto-detection at execute time, and pooled engines
-    ship the resolved name so workers execute under the same backend).
+    the exact certificate decides), so no engine takes an LP choice.  Nor
+    does any engine take an execution backend: engines run on the caller's
+    :func:`~repro.relational.backend.scoped_backend` (else
+    ``REPRO_BACKEND`` / auto-detection), and pooled engines ship the
+    resolved name so workers execute under the same backend.
     """
 
     def __init__(
         self,
         constraints: ConstraintSet | None,
         planner: Planner | None,
-        execution_backend: str | None,
         workers: int = 1,
     ) -> None:
-        if execution_backend is not None:
-            from repro.relational.backend import resolve_backend
-
-            resolve_backend(execution_backend)  # fail fast on a typo
         self.constraints = constraints
-        self.execution_backend = execution_backend
         self.planner = planner if planner is not None else Planner()
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
@@ -390,9 +384,8 @@ class QueryEngine(EngineBase):
         constraints: ConstraintSet | None = None,
         planner: Planner | None = None,
         workers: int = 1,
-        execution_backend: str | None = None,
     ) -> None:
-        super().__init__(constraints, planner, execution_backend, workers)
+        super().__init__(constraints, planner, workers)
         self.query = query
         self._decompositions = None
         #: (driver, constraints fingerprint) -> shipped plan bundle.
@@ -434,7 +427,6 @@ class QueryEngine(EngineBase):
         constraints (and hence the bound LPs) coincide.
         """
         from repro.core.query_plans import check_query
-        from repro.relational.backend import scoped_backend
         from repro.relational.relation import Relation
 
         entry = check_driver(driver)
@@ -444,18 +436,15 @@ class QueryEngine(EngineBase):
             constraints = self.constraints
         if constraints is None:
             constraints = database.extract_cardinalities()
-        with scoped_backend(self.execution_backend):
-            if self.workers > 1:
-                return self._execute_sharded(entry, database, constraints)
-            result = entry.run(
-                query,
-                self._bind_atoms(database),
-                constraints=constraints,
-                decompositions=(
-                    None if entry.join else self._query_decompositions()
-                ),
-                planner=self.planner,
-            )
+        if self.workers > 1:
+            return self._execute_sharded(entry, database, constraints)
+        result = entry.run(
+            query,
+            self._bind_atoms(database),
+            constraints=constraints,
+            decompositions=None if entry.join else self._query_decompositions(),
+            planner=self.planner,
+        )
         order = tuple(sorted(query.variable_set))
         if not query.is_boolean and result.relation.schema != order:
             result.relation = Relation.from_column_set(
@@ -583,9 +572,8 @@ class QueryEngine(EngineBase):
         counter = current_counter()
         counter.partitions += 1
         # Resolved once in the parent and shipped as the concrete name, so
-        # an engine-level override (or an enclosing ``scoped_backend``)
-        # reaches the forked workers, whose environment only carries
-        # ``REPRO_BACKEND``.
+        # the caller's ``scoped_backend`` reaches the forked workers, whose
+        # environment only carries ``REPRO_BACKEND``.
         extra = {"query": query, "execution_backend": current_backend()}
         if entry.join is None:
             extra.update(self._shard_plans(entry, constraints))

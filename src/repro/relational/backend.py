@@ -10,11 +10,15 @@ seeks, block leaves):
   **bit-identical** to the interpreted driver (same sorted code rows, same
   emitted totals; see ROADMAP Architecture layer 9 for the contract).
 
-Selection, in decreasing precedence:
+The backend is one context, not a query parameter: no engine, driver or
+CLI flag takes it.  Selection, in decreasing precedence:
 
-1. an explicit :func:`scoped_backend` context (what
-   ``QueryEngine(execution_backend=...)`` and the pool workers enter);
-2. the ``REPRO_BACKEND`` environment variable;
+1. the caller's :func:`scoped_backend` context — carried across the two
+   boundaries the engines cross: pool tasks ship :func:`current_backend`
+   and their workers enter it (:mod:`repro.parallel.pool`), and the
+   serving broker enters the backend it captured at start on its writer
+   and reader threads (:mod:`repro.serving.server`);
+2. the ``REPRO_BACKEND`` environment variable, the process default;
 3. the default, ``"vectorized"`` when numpy is present else ``"interpreted"``.
 
 Requesting ``"vectorized"`` without numpy degrades gracefully to the
@@ -73,15 +77,16 @@ def have_numpy() -> bool:
 
 
 def resolve_backend(name: str | None) -> str:
-    """Validate ``name`` (or pick the default) without the numpy fallback."""
+    """Validate ``name`` (``None``: ``REPRO_BACKEND``, else the default)
+    without the numpy fallback."""
+    source = "execution backend"
     if name is None:
         name = os.environ.get("REPRO_BACKEND") or None
+        source = "REPRO_BACKEND"
     if name is None:
         return "vectorized" if have_numpy() else "interpreted"
     if name not in BACKENDS:
-        raise QueryError(
-            f"unknown execution backend {name!r}; expected one of {BACKENDS}"
-        )
+        raise QueryError(f"unknown {source} {name!r}; expected one of {BACKENDS}")
     return name
 
 
@@ -111,14 +116,14 @@ def vectorize(nrows: int) -> bool:
 
 
 @contextmanager
-def scoped_backend(name: str | None):
+def scoped_backend(name: str):
     """Pin the backend for the duration of the context.
 
-    ``None`` re-resolves from the environment/default — what the pool
-    workers do so an engine-level override shipped with the task wins over
-    the worker's inherited environment.
+    Context variables stay with their thread and process, so the pool's
+    task entry points and the serving broker's threads re-enter the name
+    their caller resolved; nothing else in the library enters one.
     """
-    token = _BACKEND_VAR.set(resolve_backend(name) if name is not None else None)
+    token = _BACKEND_VAR.set(resolve_backend(name))
     try:
         yield
     finally:

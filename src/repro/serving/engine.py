@@ -60,7 +60,6 @@ class ServingEngine:
         planner=None,
         readers: int = 4,
         workers: int = 1,
-        execution_backend: str | None = None,
         compact_ratio: float | None = None,
         compact_min: int | None = None,
         max_pending_writes: int = 256,
@@ -76,7 +75,6 @@ class ServingEngine:
             workers=workers,
             compact_ratio=compact_ratio,
             compact_min=compact_min,
-            execution_backend=execution_backend,
         )
         self.query = query
         self.readers = readers

@@ -18,6 +18,11 @@ long-lived concurrent front end:
   the registry's short critical sections, so read latency is decoupled
   from batch commit latency up to GIL interleaving.
 
+Threads do not inherit the caller's context, so :meth:`SnapshotServer.start`
+captures the caller's execution backend
+(:func:`~repro.relational.backend.current_backend`) and the writer loop and
+every reader task run under it.
+
 Admission control (:class:`~repro.serving.admission.AdmissionController`)
 sheds requests over the queue/in-flight bounds with ``retry_after``; every
 admitted request records its latency, and every read records the
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.exceptions import ServingError
+from repro.relational.backend import current_backend, scoped_backend
 from repro.serving.admission import AdmissionController, MetricSeries
 from repro.serving.snapshot import EpochState, Snapshot, SnapshotRegistry
 
@@ -81,6 +87,7 @@ class SnapshotServer:
         self._queue: queue.Queue = queue.Queue()
         self._writer: threading.Thread | None = None
         self._pool: ThreadPoolExecutor | None = None
+        self._backend: str | None = None
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -92,6 +99,7 @@ class SnapshotServer:
         # The initial publish runs on the caller's thread — the writer
         # thread does not exist yet, so single-threaded log access holds.
         self._publish(initial_result)
+        self._backend = current_backend()
         self._pool = ThreadPoolExecutor(
             max_workers=self.readers, thread_name_prefix="repro-serve-read"
         )
@@ -172,7 +180,7 @@ class SnapshotServer:
 
     def _run_read(self, fn, submitted: float):
         try:
-            with self.registry.pin() as snapshot:
+            with scoped_backend(self._backend), self.registry.pin() as snapshot:
                 value = snapshot.result() if fn is None else fn(snapshot)
             self.read_latency.record(time.perf_counter() - submitted)
             self.epoch_spread.record(
@@ -185,33 +193,34 @@ class SnapshotServer:
     # -- writer side -------------------------------------------------------------
 
     def _writer_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            kind, payload, future, submitted = item
-            if not future.set_running_or_notify_cancel():
-                if kind == "write":
-                    self.admission.exit_write_queue()
-                continue
-            if kind == "task":
+        with scoped_backend(self._backend):
+            while True:
+                item = self._queue.get()
+                if item is _STOP:
+                    break
+                kind, payload, future, submitted = item
+                if not future.set_running_or_notify_cancel():
+                    if kind == "write":
+                        self.admission.exit_write_queue()
+                    continue
+                if kind == "task":
+                    try:
+                        future.set_result(payload(self.engine))
+                    except BaseException as error:
+                        future.set_exception(error)
+                    continue
                 try:
-                    future.set_result(payload(self.engine))
+                    receipt = self._apply_write(payload, submitted)
                 except BaseException as error:
+                    # Bad batch (DeltaError etc.): validation happens before
+                    # anything mutates, so nothing was applied — drop the
+                    # buffered changes and keep serving at the old epoch.
+                    self.engine.discard_pending()
                     future.set_exception(error)
-                continue
-            try:
-                receipt = self._apply_write(payload, submitted)
-            except BaseException as error:
-                # Bad batch (DeltaError etc.): validation happens before
-                # anything mutates, so nothing was applied — drop the
-                # buffered changes and keep serving at the old epoch.
-                self.engine.discard_pending()
-                future.set_exception(error)
-            else:
-                future.set_result(receipt)
-            finally:
-                self.admission.exit_write_queue()
+                else:
+                    future.set_result(receipt)
+                finally:
+                    self.admission.exit_write_queue()
 
     def _apply_write(self, changes, submitted: float) -> WriteReceipt:
         engine = self.engine

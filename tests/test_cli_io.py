@@ -544,6 +544,28 @@ class TestCliRun:
         assert captured.out == ""
         assert "argument --readers:" in captured.err
 
+    def test_bad_backend_env_rejected_whatever_the_input_size(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A bad ``REPRO_BACKEND`` fails before any subcommand runs: a 2-row
+        ingest, below the vectorize gate, exits 2 and writes nothing."""
+        data = tmp_path / "data"
+        data.mkdir()
+        write_csv(data / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        out = tmp_path / "out"
+        monkeypatch.setenv("REPRO_BACKEND", "simd")
+        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 2
+        assert "REPRO_BACKEND 'simd'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_backend_flag_is_gone(self, tmp_path, capsys):
+        write_csv(tmp_path / "R.csv", ("A", "B"), [(1, 2), (3, 4)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "Q(A,B) :- R(A,B)", "--data", str(tmp_path),
+                  "--backend", "vectorized"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", [0, -3])
     @pytest.mark.parametrize("make", ["engine", "pool", "serving"])
     def test_counts_below_one_rejected_by_constructors(self, make, count):

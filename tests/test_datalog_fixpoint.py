@@ -35,6 +35,7 @@ from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import COUNTING, FRACTION
 from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.relational import Database, Relation
+from repro.relational.backend import scoped_backend
 
 DRIVERS = ("generic", "leapfrog", "yannakakis", "panda")
 BACKENDS = ("interpreted", "vectorized")
@@ -285,7 +286,7 @@ class TestBitIdentity:
         rng = random.Random(stable_seed(f"tc-{driver}-{backend}"))
         database = edge_database(random_edges(rng, 60, domain=18))
         program = parse_program(TC_TEXT)
-        with DatalogEngine(program, execution_backend=backend) as engine:
+        with scoped_backend(backend), DatalogEngine(program) as engine:
             result = engine.execute(database, driver=driver)
             assert_fixpoint_matches_naive(result, program, database)
 
@@ -361,9 +362,7 @@ class TestBitIdentity:
             ("interpreted", 1), ("vectorized", 1), ("vectorized", 2),
             ("interpreted", 2),
         ):
-            with DatalogEngine(
-                program, workers=workers, execution_backend=backend
-            ) as engine:
+            with scoped_backend(backend), DatalogEngine(program, workers=workers) as engine:
                 result = engine.execute(database)
                 assert result["path"].schema == oracle["path"].schema
                 assert result["path"].code_rows == oracle["path"].code_rows
@@ -407,7 +406,7 @@ class TestBitIdentity:
             return real(candidates, *rest)
 
         monkeypatch.setattr(fixpoint, "_fresh_deltas", counting)
-        with DatalogEngine(program, execution_backend=backend) as engine:
+        with scoped_backend(backend), DatalogEngine(program) as engine:
             result = engine.execute(database)
             assert seen == list(layers)
             assert_fixpoint_matches_naive(result, program, database)
@@ -421,7 +420,7 @@ class TestBitIdentity:
         re-coded into the schema attribute's dictionary."""
         database = edge_database(chain_edges(chains=280, length=4))
         program = parse_program(text)
-        with DatalogEngine(program, execution_backend=backend) as engine:
+        with scoped_backend(backend), DatalogEngine(program) as engine:
             result = engine.execute(database)
             assert engine.stats.derived_rows >= 2 * 256
             assert_fixpoint_matches_naive(result, program, database)
@@ -433,7 +432,7 @@ class TestBitIdentity:
         nodes = sorted({v for edge in edges for v in edge})[:40]
         database = edge_database(edges, nodes=nodes)
         program = parse_program(NEG_TEXT)
-        with DatalogEngine(program, execution_backend=backend) as engine:
+        with scoped_backend(backend), DatalogEngine(program) as engine:
             result = engine.execute(database)
             assert_fixpoint_matches_naive(result, program, database)
             assert len(result["path"]) == 260 * 3
@@ -447,7 +446,7 @@ class TestBitIdentity:
             (Relation.from_pairs("edge", "x", "w", chain_edges(300, 3)),)
         )
         program = parse_program(TC_TEXT)
-        with DatalogEngine(program, execution_backend=backend) as engine:
+        with scoped_backend(backend), DatalogEngine(program) as engine:
             result = engine.execute(database)["path"]
             oracle = evaluate_program_naive(program, database)["path"]
         assert len(result) == 300 * 3
@@ -465,7 +464,7 @@ class TestBitIdentity:
             for backend in BACKENDS:
                 Dictionary.reset_registry()
                 database = edge_database(chain_edges(chains=260, length=26))
-                with DatalogEngine(program, execution_backend=backend) as engine:
+                with scoped_backend(backend), DatalogEngine(program) as engine:
                     rows = engine.execute(database)["path"].code_rows
                     assert engine.stats.rounds == 25
                 seen.append(
@@ -511,7 +510,7 @@ class TestBitIdentity:
             [bytes(column) for column in relation.column_set(relation.schema).columns]
             for relation in (expected, bridged)
         ]
-        with DatalogEngine(program, execution_backend="vectorized") as engine:
+        with scoped_backend("vectorized"), DatalogEngine(program) as engine:
             engine.execute(edge_database(edges))
             request.getfixturevalue("no_row_transpose")
             path = engine.recompute()["path"]

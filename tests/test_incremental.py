@@ -673,10 +673,10 @@ class TestLargeBatches:
         query = make_query("triangle")
         database = make_database(query, rng, size=1500, domain=60)
         results = []
-        # The engine scopes its joins (and its workers) to ``backend``; the
-        # outer scope puts the parent-side log merges on the same arm.
+        # One scope covers the parent's joins and log merges and ships to
+        # the pool workers.
         with scoped_backend(backend), IncrementalQueryEngine(
-            query, workers=workers, execution_backend=backend, compact_min=10**9
+            query, workers=workers, compact_min=10**9
         ) as engine:
             engine.execute(database)
             engine.faq(COUNTING, free=("A",))

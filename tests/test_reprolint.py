@@ -283,6 +283,46 @@ class TestRLPoolship:
         assert codes(source, "src/repro/parallel/pool.py") == []
 
 
+class TestRLBackend:
+    SCOPED = """\
+        from repro.relational.backend import scoped_backend
+
+        def execute(self):
+            with scoped_backend(self.backend):
+                return run()
+        """
+
+    def test_engine_entering_a_scope_fires(self):
+        for path in ("src/repro/planner/engine.py", "src/repro/datalog/engine.py"):
+            assert codes(self.SCOPED, path) == ["RL-BACKEND"]
+        attribute = "with backend.scoped_backend('interpreted'):\n    pass\n"
+        assert codes(attribute, "src/repro/cli.py") == ["RL-BACKEND"]
+
+    def test_context_and_serving_threads_allowed(self):
+        for path in (
+            "src/repro/relational/backend.py",
+            "src/repro/serving/server.py",
+        ):
+            assert codes(self.SCOPED, path) == []
+
+    def test_pool_task_entry_points_only(self):
+        source = """\
+            def run_shard_task(task):
+                with scoped_backend(task[3]):
+                    return run()
+
+            def ensure_database(self):
+                with scoped_backend("vectorized"):
+                    return run()
+            """
+        got = lint(source, "src/repro/parallel/pool.py")
+        assert [(d.code, d.line) for d in got] == [("RL-BACKEND", 6)]
+
+    def test_tests_and_benchmarks_may_scope(self):
+        assert codes(self.SCOPED, "tests/test_engine.py") == []
+        assert codes(self.SCOPED, "benchmarks/e2e/workloads.py") == []
+
+
 class TestRLPragmaAndEngine:
     def test_bare_noqa_fires(self):
         assert codes("x = 1  # noqa\n", "src/repro/cli.py") == ["RL-PRAGMA"]

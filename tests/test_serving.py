@@ -36,7 +36,7 @@ from repro.exceptions import (
 from repro.faq.annotated import AnnotatedRelation
 from repro.faq.semiring import COUNTING, FRACTION
 from repro.incremental import IncrementalQueryEngine, SignedDelta, VersionedRelation
-from repro.relational.backend import scoped_backend
+from repro.relational.backend import current_backend, scoped_backend
 from repro.relational.columns import Dictionary
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -403,13 +403,17 @@ class TestSnapshotIsolation:
             relation.name: set(relation.tuples) for relation in database
         }
 
+        with scoped_backend(backend):
+            served = current_backend()  # after the numpy-less fallback
+
         def snapshot_read(snapshot):
-            """Pin-consistent read: view + from-scratch + semiring folds."""
-            with scoped_backend(backend):
-                fresh = fresh_join_rows(query, snapshot.database)
-                view = snapshot.result().relation.code_rows
-                counting = semiring_fold(query, snapshot.database, COUNTING)
-                fraction = semiring_fold(query, snapshot.database, FRACTION)
+            """Pin-consistent read: view + from-scratch + semiring folds, on
+            the backend the broker's reader threads inherit."""
+            assert current_backend() == served
+            fresh = fresh_join_rows(query, snapshot.database)
+            view = snapshot.result().relation.code_rows
+            counting = semiring_fold(query, snapshot.database, COUNTING)
+            fraction = semiring_fold(query, snapshot.database, FRACTION)
             return snapshot.epoch, view, fresh, counting, fraction
 
         batches = []
@@ -426,8 +430,8 @@ class TestSnapshotIsolation:
                     time.sleep(overload.retry_after)
 
         # compact_min=4 forces frequent compactions under the readers.
-        with ServingEngine(
-            query, readers=3, compact_min=4, execution_backend=backend
+        with scoped_backend(backend), ServingEngine(
+            query, readers=3, compact_min=4
         ) as engine:
             engine.execute(database, driver=driver)
             reads.append(engine.read(snapshot_read))

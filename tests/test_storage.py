@@ -191,9 +191,7 @@ class TestDriversAndBackends:
             Dictionary.reset_registry()
             reopened = open_database_dir(directory)
             with scoped_backend(backend):
-                with QueryEngine(
-                    query, workers=workers, execution_backend=backend
-                ) as engine:
+                with QueryEngine(query, workers=workers) as engine:
                     result = engine.execute(reopened, driver=driver)
             assert result.relation.code_rows == reference, (
                 f"{driver}/{backend}/workers={workers}"
@@ -228,9 +226,7 @@ class TestDriversAndBackends:
         reopened = open_database_dir(directory)
         rng = random.Random(stable_seed(f"ivm-batches/{backend}"))
         with scoped_backend(backend):
-            with IncrementalQueryEngine(
-                query, execution_backend=backend, compact_min=16
-            ) as engine:
+            with IncrementalQueryEngine(query, compact_min=16) as engine:
                 engine.execute(reopened)
                 for _ in range(4):
                     name = rng.choice(["R", "S", "T"])
@@ -309,8 +305,8 @@ class TestPoolShipping:
         expected = len(generic_join(list(database), ("A", "B", "C")))
         Dictionary.reset_registry()
         reopened = open_database_dir(directory)
-        with QueryEngine(
-            triangle_query(), workers=2, execution_backend="vectorized"
+        with scoped_backend("vectorized"), QueryEngine(
+            triangle_query(), workers=2
         ) as engine:
             result = engine.execute(reopened, driver)
             assert len(result.relation) == expected > 0

@@ -179,8 +179,6 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(QueryError):
             resolve_backend("simd")
-        with pytest.raises(QueryError):
-            QueryEngine(make_query("triangle"), execution_backend="simd")
 
     def test_env_variable_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "interpreted")
@@ -193,14 +191,6 @@ class TestBackendSelection:
             expected = "vectorized" if have_numpy() else "interpreted"
             assert current_backend() == expected
         assert current_backend() == "interpreted"
-
-    def test_scoped_none_re_resolves_from_env(self, monkeypatch):
-        with scoped_backend("interpreted"):
-            monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-            with scoped_backend(None):  # what forked pool workers enter
-                assert current_backend() in BACKENDS
-                assert current_backend() != "interpreted" or not have_numpy()
-            assert current_backend() == "interpreted"
 
     def test_missing_numpy_degrades_to_interpreted(self, monkeypatch):
         """A vectorized request without numpy silently runs interpreted."""
@@ -638,10 +628,9 @@ class TestEngineBitIdentity:
         )
         reference = None
         for backend in BACKENDS:
-            engine = QueryEngine(query, execution_backend=backend)
-            rows = engine.execute(database, driver=driver).relation.column_set(
-                order
-            ).rows
+            with scoped_backend(backend):
+                result = QueryEngine(query).execute(database, driver=driver)
+            rows = result.relation.column_set(order).rows
             if reference is None:
                 reference = list(rows)
             assert list(rows) == reference, backend
@@ -657,9 +646,7 @@ class TestEngineBitIdentity:
             [atom.bind(database) for atom in query.body], order
         )
         for backend in BACKENDS:
-            with QueryEngine(
-                query, workers=workers, execution_backend=backend
-            ) as engine:
+            with scoped_backend(backend), QueryEngine(query, workers=workers) as engine:
                 for driver in DRIVERS:
                     result = engine.execute(database, driver=driver)
                     assert result.relation.code_rows == oracle.code_rows, (
@@ -686,13 +673,11 @@ class TestEngineBitIdentity:
         query = make_query("triangle")
         engines = {}
         for backend in BACKENDS:
-            engine = IncrementalQueryEngine(
-                query, workers=workers, execution_backend=backend
-            )
-            engine.execute(
-                make_database(query, random.Random(stable_seed("vec-ivm")))
-            )
-            engines[backend] = engine
+            engine = engines[backend] = IncrementalQueryEngine(query, workers=workers)
+            with scoped_backend(backend):
+                engine.execute(
+                    make_database(query, random.Random(stable_seed("vec-ivm")))
+                )
         try:
             rng = random.Random(stable_seed("vec-ivm-batches", workers))
             for _ in range(3):
@@ -714,14 +699,145 @@ class TestEngineBitIdentity:
                         current = set(engine.relation(name).tuples)
                         engine.insert(name, set(inserts) - current)
                         engine.delete(name, deletes)
-                    results[backend] = engine.refresh().relation.code_rows
-                    # A level-0 index left over from a superseded version
-                    # would make the maintained view drift from a recompute.
-                    assert results[backend] == engine.recompute().relation.code_rows
+                    with scoped_backend(backend):
+                        results[backend] = engine.refresh().relation.code_rows
+                        # A level-0 index left over from a superseded version
+                        # would make the maintained view drift from a
+                        # recompute.
+                        recomputed = engine.recompute().relation.code_rows
+                    assert results[backend] == recomputed
                 assert results["vectorized"] == results["interpreted"]
         finally:
             for engine in engines.values():
                 engine.close()
+
+
+# -- one backend context ------------------------------------------------------------
+
+
+@pytest.fixture
+def numpy_kernel_calls(monkeypatch):
+    """Record every call of the numpy join and key packer, from any thread."""
+    from repro.relational import vectorized
+
+    calls = []
+    for name in ("vectorized_execute_join", "pack_keys"):
+        real = getattr(vectorized, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, name, spy)
+    return calls
+
+
+TC_PROGRAM = "path(x,y) :- edge(x,y). path(x,z) :- edge(x,y), path(y,z)."
+
+
+@requires_numpy
+class TestOneBackendContext:
+    """The caller's ``scoped_backend`` is the one switch: under
+    ``"interpreted"`` no engine, refresh, fixpoint or serving thread runs a
+    numpy kernel, and every answer equals the ``"vectorized"`` one."""
+
+    @staticmethod
+    def on_both_backends(calls, scenario):
+        with scoped_backend("vectorized"):
+            expected = scenario()
+        assert calls, "the scenario never reaches the numpy arm"
+        calls.clear()
+        with scoped_backend("interpreted"):
+            got = scenario()
+        assert calls == []
+        assert got == expected
+
+    @pytest.mark.parametrize("driver", ["generic", "dasubw"])
+    def test_query_engine(self, numpy_kernel_calls, driver):
+        query = make_query("triangle")
+        database = make_database(query, random.Random(stable_seed("one-ctx")))
+
+        def scenario():
+            return QueryEngine(query).execute(database, driver).relation.code_rows
+
+        self.on_both_backends(numpy_kernel_calls, scenario)
+
+    def test_incremental_refresh_past_the_gate(self, numpy_kernel_calls):
+        query = make_query("triangle")
+
+        def scenario():
+            rng = random.Random(stable_seed("one-ctx-ivm"))
+            database = make_database(query, rng, size=400, domain=40)
+            with IncrementalQueryEngine(query) as engine:
+                engine.execute(database)
+                current = set(engine.relation("R").tuples)
+                inserts = random_rows(rng, 700, domain=40) - current
+                assert len(inserts) > 256
+                engine.insert("R", inserts)
+                return engine.refresh().relation.code_rows
+
+        self.on_both_backends(numpy_kernel_calls, scenario)
+
+    def test_datalog_transitive_closure(self, numpy_kernel_calls):
+        from repro.datalog import DatalogEngine, parse_program
+
+        edges = [(f"c{c}_{i}", f"c{c}_{i + 1}") for c in range(300) for i in range(4)]
+        database = Database((Relation.from_pairs("edge", "src", "dst", edges),))
+
+        def scenario():
+            with DatalogEngine(parse_program(TC_PROGRAM)) as engine:
+                return engine.execute(database)["path"].code_rows
+
+        self.on_both_backends(numpy_kernel_calls, scenario)
+
+    def test_serving_writer_and_readers(self, numpy_kernel_calls):
+        from repro.serving import ServingEngine
+
+        query = make_query("triangle")
+
+        def scenario():
+            rng = random.Random(stable_seed("one-ctx-serve"))
+            database = make_database(query, rng, size=400, domain=40)
+            with ServingEngine(query, readers=2) as engine:
+                engine.execute(database)
+                current = set(engine.relation("R").tuples)
+                inserts = random_rows(rng, 700, domain=40) - current
+                receipt = engine.submit({"R": (inserts, [])}).result()
+                assert receipt.changed
+                served = engine.read(lambda snapshot: current_backend()).result()
+                view = engine.read().result().relation.code_rows
+            return served, view
+
+        with scoped_backend("vectorized"):
+            expected = scenario()
+        assert expected[0] == "vectorized" and numpy_kernel_calls
+        numpy_kernel_calls.clear()
+        with scoped_backend("interpreted"):
+            served, view = scenario()
+        assert (served, numpy_kernel_calls) == ("interpreted", [])
+        assert view == expected[1]
+
+    def test_pool_ships_the_callers_backend(self, monkeypatch):
+        from repro.parallel.pool import WorkerPool
+
+        shipped = []
+        real_map = WorkerPool.map
+
+        def recording_map(pool, fn, tasks):
+            tasks = list(tasks)
+            shipped.extend(task[3]["execution_backend"] for task in tasks)
+            return real_map(pool, fn, tasks)
+
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
+        query = make_query("four_cycle")
+        database = make_database(query, random.Random(stable_seed("one-ctx-pool")))
+        results = {}
+        for backend in BACKENDS:
+            shipped.clear()
+            with scoped_backend(backend), QueryEngine(query, workers=2) as engine:
+                results[backend] = engine.execute(database, "generic").relation
+            assert shipped and set(shipped) == {backend}
+        assert results["interpreted"].code_rows == results["vectorized"].code_rows
 
 
 # -- FAQ semirings over maintained supports -----------------------------------------
@@ -734,20 +850,19 @@ class TestFAQBitIdentity:
         """Semiring aggregates agree whatever backend maintains the support."""
         query = make_query("triangle")
         engines = {
-            backend: IncrementalQueryEngine(
-                query, workers=1, execution_backend=backend
-            )
+            backend: IncrementalQueryEngine(query, workers=1)
             for backend in BACKENDS
         }
-        for engine in engines.values():
-            engine.execute(
-                make_database(
-                    query,
-                    random.Random(stable_seed("vec-faq", semiring.name)),
-                    size=60,
-                    domain=15,
+        for backend, engine in engines.items():
+            with scoped_backend(backend):
+                engine.execute(
+                    make_database(
+                        query,
+                        random.Random(stable_seed("vec-faq", semiring.name)),
+                        size=60,
+                        domain=15,
+                    )
                 )
-            )
         try:
             rng = random.Random(stable_seed("vec-faq-batches", semiring.name))
             for _ in range(2):
@@ -769,8 +884,9 @@ class TestFAQBitIdentity:
                         current = set(engine.relation(name).tuples)
                         engine.insert(name, set(inserts) - current)
                         engine.delete(name, deletes)
-                    engine.refresh()
-                    scalars[backend] = engine.faq(semiring).scalar()
+                    with scoped_backend(backend):
+                        engine.refresh()
+                        scalars[backend] = engine.faq(semiring).scalar()
                 assert scalars["vectorized"] == scalars["interpreted"]
         finally:
             for engine in engines.values():

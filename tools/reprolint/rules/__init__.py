@@ -8,6 +8,7 @@ README.md`` for the checklist, including the mandatory fixture tests in
 
 from __future__ import annotations
 
+from reprolint.rules.rl_backend import BackendScopeRule
 from reprolint.rules.rl_exact import ExactRule
 from reprolint.rules.rl_hashord import HashOrderRule
 from reprolint.rules.rl_numpy import NumpyScopeRule
@@ -19,6 +20,7 @@ ALL_RULES = (
     NumpyScopeRule(),
     HashOrderRule(),
     PoolShipRule(),
+    BackendScopeRule(),
     PragmaRule(),
 )
 
