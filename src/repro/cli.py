@@ -519,11 +519,11 @@ def cmd_datalog(args) -> int:
     from pathlib import Path
 
     from repro.datalog.engine import DatalogEngine
-    from repro.datalog.parser import parse_program
+    from repro.datalog.parser import load_program
     from repro.relational.io import save_relation_csv
     from repro.relational.operators import scoped_work_counter
 
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = load_program(args.program)
     database = _load_database(args)
     out_dir = Path(args.out) if args.out else None
     if out_dir:

@@ -234,10 +234,6 @@ class ConstraintSet:
             DegreeConstraint(c.x_key, c.y_key, c.bound**k) for c in self._constraints
         )
 
-    def max_finite_bound(self) -> int:
-        """``N`` of Eq. (27): the largest bound among the constraints (or 1)."""
-        return max((c.bound for c in self._constraints), default=1)
-
     def __str__(self) -> str:
         return "{" + "; ".join(str(c) for c in self._constraints) + "}"
 

@@ -113,10 +113,6 @@ class Hypergraph:
             seen.setdefault(edge, None)
         return tuple(seen)
 
-    def incident_edges(self, vertex: str) -> tuple[frozenset, ...]:
-        """All edges containing ``vertex``."""
-        return tuple(edge for edge in self.edges if vertex in edge)
-
     def neighbours(self, vertex: str) -> frozenset:
         """All vertices sharing an edge with ``vertex`` (excluding itself)."""
         joined: set[str] = set()

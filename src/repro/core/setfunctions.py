@@ -234,10 +234,6 @@ class SetFunction:
         """The full value table, indexed by mask."""
         return tuple(self._table)
 
-    @property
-    def full_set(self) -> frozenset:
-        return self._vm.set_of(self._vm.full_mask)
-
     # -- algebra ----------------------------------------------------------------------
 
     def scaled(self, factor: Fraction) -> "SetFunction":

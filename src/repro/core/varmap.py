@@ -95,10 +95,6 @@ class VarMap:
             self._sets[mask] = cached
         return cached
 
-    def sorted_names(self, mask: int) -> tuple[str, ...]:
-        """The members of ``mask`` sorted by name (display order)."""
-        return tuple(sorted(self.set_of(mask)))
-
     # -- iteration --------------------------------------------------------------
 
     def bits(self, mask: int) -> Iterator[int]:

@@ -46,9 +46,9 @@ from repro.datalog.atoms import Atom
 from repro.exceptions import DatalogError
 from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.incremental.ivm import delta_terms, run_delta_terms, term_rows
-from repro.relational.backend import vectorize
-from repro.relational.columns import ColumnSet, Dictionary
+from repro.relational.columns import Dictionary, canonical_codes, concat_columns
 from repro.relational.database import Database
+from repro.relational.operators import difference, semijoin
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -389,37 +389,6 @@ class _RuleState:
         )
 
 
-def _absent_rows(
-    columns: Sequence, positions: tuple[int, ...], present: ColumnSet
-) -> tuple:
-    """The rows of the aligned ``columns`` whose ``positions`` projection is
-    no row of ``present`` (sorted under exactly those attributes).
-
-    Past the gate (on the rows filtered) one membership mask of ``pack_keys``
-    keys — the semijoin / difference kernel of
-    :mod:`repro.relational.operators` — below it :meth:`ColumnSet.find_row`
-    per row; never a side set of ``present``'s rows.
-    """
-    if not vectorize(len(columns[0])):
-        find = present.find_row
-        kept = [
-            row
-            for row in zip(*columns)
-            if not find(tuple(row[p] for p in positions))[1]
-        ]
-        return tuple(zip(*kept)) or ((),) * len(columns)
-    import numpy as np
-
-    from repro.relational.vectorized import membership_mask, np_to_column, pack_keys
-
-    columns = [np.asarray(column, dtype=np.int64) for column in columns]
-    keys, present_keys = pack_keys(
-        [columns[p] for p in positions], present.np_columns()
-    )
-    absent = ~membership_mask(keys, present_keys)
-    return tuple(np_to_column(column[absent]) for column in columns)
-
-
 def _head_block(
     state: _RuleState, columns: Sequence, nrows: int, store: PredicateStore
 ) -> tuple | None:
@@ -427,16 +396,26 @@ def _head_block(
     projection, over ``nrows`` body bindings held as columns under
     ``state.order``.  ``None`` when no binding survives; the block of a
     nullary head is ``()`` — its one empty row.
+    A negated atom removes the bindings it holds: ``bindings - (bindings ⋉
+    atom)``, as :meth:`~repro.datalog.rule.DisjunctiveRule.is_model` does.
     """
+    bindings = None
     for atom, positions in state.negation:
-        present = store.binding(atom).current.column_set(atom.variables)
+        present = store.binding(atom).current
         if not positions:
             # A nullary guard keeps every binding or none.
-            nrows = 0 if present.nrows else nrows
+            nrows = 0 if len(present) else nrows
         elif nrows:
-            columns = _absent_rows(columns, positions, present)
-            nrows = len(columns[0])
-    return state.head_columns(columns) if nrows else None
+            if bindings is None:
+                canonical = canonical_codes(state.order, columns)
+                bindings = Relation.from_column_set(state.rule.head.name, canonical)
+            bindings = difference(bindings, semijoin(bindings, present))
+            nrows = len(bindings)
+    if not nrows:
+        return None
+    if bindings is not None:
+        columns = bindings.column_set(state.order).columns
+    return state.head_columns(columns)
 
 
 def _fresh_deltas(
@@ -447,49 +426,34 @@ def _fresh_deltas(
 ) -> dict[str, SignedDelta]:
     """Turn a round's candidate head blocks into next round's insert deltas.
 
-    Per predicate, the candidates are sorted, deduplicated and kept only if
-    absent from the predicate's **current version in the store**: past the
-    gate (on the candidate count) one ``np.unique`` of their ``pack_keys``
-    keys and one membership search in the current version's, the delta
-    adopting the surviving columns; below it a ``sorted`` set of tuples
-    probed by :meth:`ColumnSet.find_row`.
+    Per predicate, the candidates become one sorted, distinct operand
+    (:func:`canonical_codes`; a nullary predicate's is its one empty row),
+    kept by one :func:`difference` against the predicate's **current
+    version in the store**.
     """
     deltas: dict[str, SignedDelta] = {}
     for name in sorted(candidates):
         blocks = candidates[name]
         relation = store.relation(name)
-        schema, current = relation.schema, relation.column_set(relation.schema)
-        if schema and vectorize(sum(len(block[0]) for block in blocks)):
-            import numpy as np
-
-            from repro.relational.vectorized import (
-                membership_mask,
-                np_to_column,
-                pack_keys,
-            )
-
-            columns = [
-                np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-                for parts in zip(*blocks)
-            ]
-            keys, current_keys = pack_keys(columns, current.np_columns())
-            keys, first = np.unique(keys, return_index=True)
-            first = first[~membership_mask(keys, current_keys)]
-            fresh = SignedDelta(
-                schema,
-                None,
-                array("q", [1]) * len(first),
-                columns=[np_to_column(column[first]) for column in columns],
-            )
+        schema = relation.schema
+        if schema:
+            nrows = sum(len(block[0]) for block in blocks)
+            canonical = canonical_codes(schema, concat_columns(blocks, nrows))
+            candidate = Relation.from_column_set(name, canonical)
         else:
-            rows = {row for block in blocks for row in term_rows(block)}
-            rows = [row for row in sorted(rows) if not current.find_row(row)[1]]
-            fresh = SignedDelta(schema, rows, array("q", [1]) * len(rows))
-        if fresh.is_empty:
+            candidate = Relation.from_codes(name, (), [()])
+        fresh = difference(candidate, relation, name=name).column_set(schema)
+        if not fresh.nrows:
             continue
-        totals[name].append(fresh)
-        stats.derived_rows += len(fresh)
-        deltas[name] = fresh
+        delta = SignedDelta(
+            schema,
+            fresh.materialized_rows,
+            array("q", [1]) * fresh.nrows,
+            columns=fresh.materialized_columns,
+        )
+        totals[name].append(delta)
+        stats.derived_rows += len(delta)
+        deltas[name] = delta
     return deltas
 
 
@@ -523,8 +487,8 @@ def run_stratum(
     insert-only :class:`SignedDelta` (old side snapshotted just before),
     fires only the delta-rule terms of rules whose bodies changed, and
     terminates the moment a round derives nothing new.  "Already derived"
-    is read off the store's current versions: entering a stratum costs
-    nothing in the size of its predicates.
+    is one :func:`difference` against the store's current versions; no
+    side set of derived rows is built on entering a stratum.
     """
     states = [_RuleState(rule, program) for rule in stratum.rules]
     if evaluate_rule is None:

@@ -32,6 +32,7 @@ one may omit it).  Negated body atoms are written ``!reach(x,y)`` or
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
@@ -39,6 +40,7 @@ from repro.datalog.rule import DisjunctiveRule
 from repro.exceptions import DatalogError, QueryError
 
 __all__ = [
+    "load_program",
     "parse_atom",
     "parse_datalog_rule",
     "parse_program",
@@ -177,16 +179,34 @@ def parse_program(text: str):
     optional), with ``#``/``%`` line comments.  Returns a
     :class:`~repro.datalog.fixpoint.DatalogProgram`; exact duplicate rules
     collapse (idempotence), and arity consistency is validated across every
-    predicate occurrence.
+    predicate occurrence.  A malformed rule's error names the line it
+    starts on (``line 3: ...``).
     """
+    return _parse_program(text, "line ")
+
+
+def load_program(path):
+    """Parse the program in the UTF-8 file ``path`` (:func:`parse_program`);
+    a malformed rule's error names ``path:line``."""
+    path = Path(path)
+    return _parse_program(path.read_text(encoding="utf-8"), f"{path}:")
+
+
+def _parse_program(text: str, where: str):
     from repro.datalog.fixpoint import DatalogProgram
 
     rules = []
-    for statement in _strip_comments(text).split("."):
-        statement = statement.strip()
+    line = 1  # the line each statement starts on
+    for chunk in _strip_comments(text).split("."):
+        statement = chunk.strip()
+        first = line + chunk[: len(chunk) - len(chunk.lstrip())].count("\n")
+        line += chunk.count("\n")
         if not statement:
             continue
-        rules.append(parse_datalog_rule(statement))
+        try:
+            rules.append(parse_datalog_rule(statement))
+        except QueryError as error:
+            raise type(error)(f"{where}{first}: {error}") from error
     if not rules:
         raise DatalogError("the program text contains no rules")
     return DatalogProgram(tuple(rules))

@@ -41,9 +41,6 @@ class TargetModel:
         """The model's size ``max_B |T_B|`` (Eq. 5)."""
         return max((len(t) for t in self.tables), default=0)
 
-    def total_size(self) -> int:
-        return sum(len(t) for t in self.tables)
-
 
 @dataclass(frozen=True)
 class DisjunctiveRule:

@@ -12,7 +12,7 @@ tree arrangement does (the classical junction-tree theorem).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.hypergraph import Hypergraph
 from repro.exceptions import DecompositionError
@@ -141,32 +141,6 @@ class TreeDecomposition:
     def max_bag_size(self) -> int:
         return max(len(bag) for bag in self.bags)
 
-    def g_width(self, g) -> object:
-        """Adler's g-width of this decomposition: ``max_t g(χ(t))`` (Def. 2.6)."""
-        return max(g(bag) for bag in self.bags)
-
     def __str__(self) -> str:
         bags = ", ".join("{" + ",".join(sorted(b)) + "}" for b in self.bags)
         return f"TD[{bags}]"
-
-
-def bag_relations_order(
-    decomposition: TreeDecomposition, preferred: Sequence[frozenset] | None = None
-) -> list[frozenset]:
-    """Bags in junction-tree bottom-up order (used by the query drivers)."""
-    parent = decomposition.junction_tree()
-    order: list[int] = []
-    visited: set[int] = set()
-    children: dict[int, list[int]] = {}
-    root = parent.index(-1)
-    for i, p in enumerate(parent):
-        children.setdefault(p, []).append(i)
-
-    def visit(node: int) -> None:
-        visited.add(node)
-        for child in children.get(node, []):
-            visit(child)
-        order.append(node)
-
-    visit(root)
-    return [decomposition.bags[i] for i in order]

@@ -70,10 +70,6 @@ Pair = tuple[frozenset, frozenset]
 Node = Hashable  # frozenset | ("sigma", Pair) | SINK
 
 
-def _skey(s: frozenset) -> tuple:
-    return tuple(sorted(s))
-
-
 @dataclass
 class MaxFlowResult:
     """A feasible maximum flow of an :class:`ExtendedFlowNetwork`.

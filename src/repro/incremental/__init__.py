@@ -32,7 +32,6 @@ from repro.incremental.engine import IncrementalQueryEngine
 from repro.incremental.ivm import (
     delta_factor,
     maintain_faq,
-    maintain_join_rows,
     signed_join_delta,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "VersionedRelation",
     "delta_factor",
     "maintain_faq",
-    "maintain_join_rows",
     "signed_join_delta",
 ]

@@ -42,6 +42,7 @@ from repro.relational.columns import (
     Dictionary,
     apply_plan_to_columns,
     apply_signed_rows,
+    concat_columns,
     merge_violation,
     signed_merge_plan,
 )
@@ -97,13 +98,15 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
     tuples lazy.  Same :class:`DeltaError`, same first offending row.
     """
     if not vectorize(len(delta)):
-        plan = signed_merge_plan(column_set, delta.rows, delta.signs)
+        # The plan reads each delta row once: off the columns of a batch
+        # held only as columns (an operator's output), never transposed.
+        held = delta.column_set.materialized_rows
+        delta_rows = zip(*delta.column_set.columns) if held is None else held
+        plan = signed_merge_plan(column_set, delta_rows, delta.signs)
         rows, columns = column_set.materialized_rows, column_set.materialized_columns
         return ColumnSet(
             column_set.attrs,
-            None
-            if rows is None
-            else apply_signed_rows(rows, delta.rows, delta.signs, plan=plan),
+            None if rows is None else apply_signed_rows(rows, held, delta.signs, plan=plan),
             presorted=True,
             columns=None if columns is None else apply_plan_to_columns(columns, plan),
         )
@@ -143,8 +146,9 @@ class SignedDelta:
         column_set: the ascending, duplicate-free code tuples, held the way
             a relation's are — as row tuples, as ``array('q')`` code columns,
             or both.  Join output, the fixpoint and the pool wire hand over
-            columns; :attr:`rows` is derived on first use, which only the
-            interpreted arms and the wording of a :class:`DeltaError` do.
+            columns; :attr:`rows` is derived on first use, which only a
+            mixed-sign split below the gate, :meth:`decoded` and the
+            wording of a :class:`DeltaError` do.
         signs: aligned ``array('q')`` of ``+1`` (insert) / ``-1`` (delete).
     """
 
@@ -276,9 +280,12 @@ class SignedDelta:
         return f"SignedDelta({self.attrs}: +{pos}/-{len(self) - pos} rows)"
 
     def relation(self, sign: int, name: str) -> Relation:
-        """The rows of one sign as a set relation — a delta-join input (on
-        the numpy arm one mask over the code columns, adopted as columns)."""
+        """The rows of one sign as a set relation — a delta-join input: the
+        batch's own column set when every row has that sign, else (on the
+        numpy arm) one mask over the code columns, adopted as columns."""
         if not vectorize(len(self)):
+            if all(s == sign for s in self.signs):
+                return Relation.from_column_set(name, self.column_set)
             rows = [row for row, s in zip(self.rows, self.signs) if s == sign]
             return Relation.from_codes(
                 name, self.attrs, rows, presorted=True, distinct=True
@@ -288,6 +295,8 @@ class SignedDelta:
         from repro.relational.vectorized import np_to_column
 
         chosen = np.frombuffer(self.signs, dtype=np.int64) == sign
+        if chosen.all():
+            return Relation.from_column_set(name, self.column_set)
         return Relation.from_columns(
             name,
             self.attrs,
@@ -305,39 +314,59 @@ class SignedDelta:
     def sorted_from(
         cls, attrs: Sequence[str], columns: Sequence, signs: array
     ) -> "SignedDelta":
-        """The batch of ``signs`` over the aligned, unsorted ``columns``: one
-        ``pack_keys`` argsort on the numpy arm (row tuples stay lazy),
-        ``sorted`` of the re-tupled rows below the gate."""
+        """The net batch of ``signs`` over the aligned, unsorted ``columns``.
+
+        Equal rows sum their signs, rows netting to zero drop out, and a net
+        outside ``±1`` raises :class:`IncrementalError`: set relations change
+        by at most one copy of a row per batch.  One ``pack_keys`` argsort
+        and one ``np.add.reduceat`` over its runs on the numpy arm (row
+        tuples stay lazy), a dict fold and ``sorted`` below the gate.
+        """
         if not vectorize(len(signs)):
-            entries = sorted(zip(zip(*columns), signs))
-            signs = array("q", (sign for _, sign in entries))
-            return cls(attrs, [row for row, _ in entries], signs)
-        import numpy as np
+            net: dict[tuple, int] = {}
+            for row, sign in zip(zip(*columns), signs):
+                net[row] = net.get(row, 0) + sign
+            rows = sorted(row for row, count in net.items() if count)
+            delta = cls(attrs, rows, array("q", map(net.__getitem__, rows)))
+            wrong = rows and not -1 <= min(delta.signs) <= max(delta.signs) <= 1
+        else:
+            import numpy as np
 
-        from repro.relational.vectorized import np_to_column, pack_keys
+            from repro.relational.vectorized import np_to_column, pack_keys, run_start_mask
 
-        by_row = np.argsort(pack_keys(columns)[0])
-        signs = np_to_column(np.frombuffer(signs, dtype=np.int64)[by_row])
-        columns = [np_to_column(column[by_row]) for column in columns]
-        return cls(attrs, None, signs, columns=columns)
+            columns = [np.asarray(column, dtype=np.int64) for column in columns]
+            keys = pack_keys(columns)[0]
+            by_row = np.argsort(keys)
+            net = np.frombuffer(signs, dtype=np.int64)[by_row]
+            starts = run_start_mask(keys[by_row])
+            if not starts.all():  # equal rows: one net count per run
+                first = np.flatnonzero(starts)
+                net = np.add.reduceat(net, first)
+                kept = net != 0
+                by_row, net = by_row[first][kept], net[kept]
+            wrong = np.abs(net).max(initial=0) > 1
+            columns = [np_to_column(column[by_row]) for column in columns]
+            delta = cls(attrs, None, np_to_column(net), columns=columns)
+        if wrong:
+            signs = delta.signs
+            at = next(i for i, count in enumerate(signs) if not -1 <= count <= 1)
+            raise IncrementalError(
+                f"net multiplicity {signs[at]} for row {delta.rows[at]}: a batch "
+                f"changes a set relation by at most one copy of a row"
+            )
+        return delta
 
     @classmethod
     def merged(cls, runs: Sequence["SignedDelta"]) -> "SignedDelta":
-        """Disjoint batches over the same attributes as one sorted batch —
-        a stratum's rounds as its net change."""
+        """Batches over the same attributes as their one net batch — a
+        stratum's rounds as its net change."""
         if len(runs) == 1:
             return runs[0]
         signs = array("q")
         for run in runs:
             signs.extend(run.signs)
-        if vectorize(len(signs)):
-            import numpy as np
-
-            parts = zip(*(run.column_set.np_columns() for run in runs))
-            columns = [np.concatenate(part) for part in parts]
-        else:
-            columns = list(zip(*(row for run in runs for row in run.rows)))
-        return cls.sorted_from(runs[0].attrs, columns, signs)
+        blocks = [run.code_columns() for run in runs]
+        return cls.sorted_from(runs[0].attrs, concat_columns(blocks, len(signs)), signs)
 
     def reordered(self, order: Sequence[str]) -> "SignedDelta":
         """The same changes with the columns permuted into ``order``."""

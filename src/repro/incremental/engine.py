@@ -9,8 +9,9 @@ refreshes the engine holds
   :class:`~repro.incremental.delta.VersionedRelation` per base relation
   *and* per distinct atom binding (coded under the atom's variables, so
   self-joins each maintain their own binding);
-* the materialized join view (canonical sorted code rows over the sorted
-  global variable order — the same rows every driver produces);
+* the materialized join view: a :class:`~repro.relational.relation.Relation`
+  over the sorted global variable order (the same rows every driver
+  produces), advanced per batch like a base relation;
 * any registered FAQ views (⊕⊗ over the atoms' lifted factors).
 
 A refresh commits the pending changes as one validated
@@ -41,11 +42,15 @@ from repro.core.constraints import ConstraintSet
 from repro.exceptions import IncrementalError, QueryError
 from repro.faq.annotated import AnnotatedRelation, sum_product
 from repro.faq.semiring import Semiring
-from repro.incremental.delta import PredicateStore, SignedDelta, VersionedRelation
+from repro.incremental.delta import (
+    PredicateStore,
+    SignedDelta,
+    VersionedRelation,
+    advance_relation,
+)
 from repro.incremental.ivm import (
     delta_factor,
     maintain_faq,
-    maintain_join_rows,
     signed_join_delta,
     term_variable_order,
 )
@@ -234,8 +239,7 @@ class IncrementalQueryEngine(MaintainedEngine):
         self._keys = tuple(PredicateStore.binding_key(atom) for atom in query.body)
         self._source = None  # the Database the engine was bound to
         self._database = None  # the current (post-batch) Database
-        self._view_rows: list | None = None
-        self._view_relation: Relation | None = None
+        self._view: Relation | None = None
         self._faq_views: dict = {}
 
     # -- lifecycle ---------------------------------------------------------------
@@ -259,8 +263,7 @@ class IncrementalQueryEngine(MaintainedEngine):
         self._source = database
         self._database = database
         self._pending = {}
-        self._view_rows = None
-        self._view_relation = None
+        self._view = None
         self._faq_views = {}
         self.stats = MaintenanceStats()
 
@@ -330,15 +333,13 @@ class IncrementalQueryEngine(MaintainedEngine):
 
         self._require_bound()
         self._commit()
-        if self._view_rows is None:
+        if self._view is None:
             self._materialize(driver)
-        rows = self._view_rows
+        found = not self._view.is_empty()
         if self.query.is_boolean:
-            relation = Relation(self.query.name, (), [()] if rows else [])
-            return PlanResult(relation=relation, boolean=bool(rows))
-        return PlanResult(
-            relation=self._view_relation, boolean=bool(rows)
-        )
+            relation = Relation(self.query.name, (), [()] if found else [])
+            return PlanResult(relation=relation, boolean=found)
+        return PlanResult(relation=self._view, boolean=found)
 
     # -- FAQ views ---------------------------------------------------------------
 
@@ -423,16 +424,16 @@ class IncrementalQueryEngine(MaintainedEngine):
         self.stats.batches += 1
         self.stats.delta_rows += sum(len(d) for d in deltas.values())
 
-        if self._view_rows is not None:
+        if self._view is not None:
             pool = self._worker_pool if self.workers > 1 else None
             net, executed, pooled = signed_join_delta(
                 self._order, self._keys, store, old, binding_deltas, pool
             )
             self.stats.join_terms += executed
             self.stats.pooled_batches += pooled
-            rows = maintain_join_rows(self._view_rows, net)
             self.stats.view_rows_changed += len(net)
-            self._install_view(rows)
+            if not net.is_empty:
+                self._view = advance_relation(self._view, net)
 
         atom_deltas = [binding_deltas.get(key) for key in self._keys]
         for view in self._faq_views.values():
@@ -440,14 +441,6 @@ class IncrementalQueryEngine(MaintainedEngine):
 
         self.stats.compactions += store.compact()
         return True
-
-    def _install_view(self, rows: list) -> None:
-        self._view_rows = rows
-        if not self.query.is_boolean:
-            self._view_relation = Relation.from_codes(
-                self.query.name, self._order, rows,
-                presorted=True, distinct=True,
-            )
 
     def _maintain_faq_view(self, view, atom_deltas) -> None:
         semiring = view.semiring
@@ -492,11 +485,12 @@ class IncrementalQueryEngine(MaintainedEngine):
             from repro.relational.wcoj import generic_join
 
             joined = generic_join(self._bindings(), self._order)
-            self._install_view(joined.code_rows)
         else:
-            result = self._run_from_scratch(driver)
-            self._view_relation = result.relation
-            self._view_rows = result.relation.code_rows
+            joined = self._run_from_scratch(driver).relation
+        # Canonical order only: advance_relation carries every cached order.
+        self._view = Relation.from_column_set(
+            self.query.name, joined.column_set(self._order)
+        )
         self._prewarm_term_orders()
 
     def _prewarm_term_orders(self) -> None:

@@ -10,9 +10,13 @@ telescope exactly.  Every relation here is a *set* relation and the result
 is a **full** join, so each output row has exactly one derivation (its
 projections onto the atom schemas), every term contributes each row with
 multiplicity ±1, and the net signed count per row over all terms is
-``+1`` (row enters), ``-1`` (row leaves) or ``0`` — which is what lets
-:func:`maintain_join_rows` apply the net to the old sorted rows with one
-delta-sized merge and a strict consistency check.
+``+1`` (row enters), ``-1`` (row leaves) or ``0``.  So the terms' output
+columns fold into one :class:`~repro.incremental.delta.SignedDelta`
+(:func:`signed_join_delta`), and the maintained view is an ordinary
+:class:`~repro.relational.relation.Relation` advanced by it with
+:func:`~repro.incremental.delta.advance_relation` — the same strict,
+delta-sized splice every base relation's log takes.  No row tuple is built
+between a term's join output and the view.
 
 Each term runs through the ordinary
 :func:`~repro.relational.execution.execute_join` driver with the delta's
@@ -39,13 +43,14 @@ Fraction semirings have; min/max/or do not, and
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import IncrementalError
 from repro.faq.annotated import AnnotatedRelation, fold_annotations, sum_product
 from repro.faq.semiring import Semiring
 from repro.incremental.delta import PredicateStore, SignedDelta
-from repro.relational.columns import apply_signed_rows
+from repro.relational.columns import concat_columns
 from repro.relational.execution import (
     delta_root_ranges,
     execute_join,
@@ -59,7 +64,6 @@ __all__ = [
     "delta_terms",
     "execute_delta_term",
     "maintain_faq",
-    "maintain_join_rows",
     "probe_intersection",
     "run_delta_terms",
     "signed_join_delta",
@@ -217,7 +221,7 @@ def run_delta_terms(
     terms: Sequence[DeltaTerm],
     store: PredicateStore,
     pool: Callable[[], object] | None = None,
-) -> tuple[Iterable[tuple], bool]:
+) -> tuple[list[tuple], bool]:
     """Run delta-rule terms; one column tuple per term, and whether pooled.
 
     Serially, one :func:`execute_delta_term` each, unless ``pool`` (a
@@ -228,9 +232,7 @@ def run_delta_terms(
     """
     pooled = [term for term in terms if term.versions is not None] if pool else []
     if len(pooled) <= 1:
-        # Lazy: a caller folds each term's rows before the next one runs.
-        serial = (execute_delta_term(t.relations, t.order, t.index) for t in terms)
-        return serial, False
+        return [execute_delta_term(t.relations, t.order, t.index) for t in terms], False
     from repro.parallel.pool import map_delta_terms
 
     token_of = {
@@ -268,58 +270,25 @@ def signed_join_delta(
     old: Mapping[tuple, tuple],
     deltas: Mapping[tuple, SignedDelta],
     pool: Callable[[], object] | None = None,
-) -> tuple[dict[tuple, int], int, bool]:
+) -> tuple[SignedDelta, int, bool]:
     """The net signed change of the full join, the term count, and whether
     the terms ran on the pool.
 
     Builds the body's terms (:func:`delta_terms`), runs them
-    (:func:`run_delta_terms`) and sums the signed contributions row by row
-    (:func:`term_rows`); rows whose contributions cancel across terms are
-    dropped.  The count only includes terms whose sign-split delta was
-    non-empty, so ``stats.join_terms`` agrees between serial and pooled
-    runs.
+    (:func:`run_delta_terms`) and folds their output columns, each row
+    signed by its term, into one :class:`SignedDelta` over ``order``
+    (:meth:`SignedDelta.sorted_from`: rows whose contributions cancel across
+    terms drop out, a net outside ``±1`` raises).  The count only includes
+    terms whose sign-split delta was non-empty, so ``stats.join_terms``
+    agrees between serial and pooled runs.
     """
     terms = list(delta_terms(order, keys, store, old, deltas))
-    results, pooled = run_delta_terms(terms, store, pool)
-    net: dict[tuple, int] = {}
-    for term, columns in zip(terms, results):
-        for row in term_rows(columns):
-            count = net.get(row, 0) + term.sign
-            if count:
-                net[row] = count
-            else:
-                del net[row]
-    return net, len(terms), pooled
-
-
-def maintain_join_rows(old_rows: list, net: dict[tuple, int]) -> list:
-    """Apply a net signed change to the old sorted result rows.
-
-    The delta rule over set relations guarantees every net count is ``±1``
-    and consistent with the old rows (``+1`` only for absent rows, ``-1``
-    only for present ones); anything else is a maintenance bug and raises
-    :class:`IncrementalError` — via the strict merge — rather than silently
-    corrupting the view.
-    """
-    if not net:
-        return old_rows
-    for row, count in net.items():
-        if count not in (-1, 1):
-            raise IncrementalError(
-                f"net multiplicity {count} for row {row} — the delta rule "
-                f"over set relations must telescope to ±1"
-            )
-    entries = sorted(net.items())
-    try:
-        return apply_signed_rows(
-            old_rows,
-            [row for row, _ in entries],
-            [sign for _, sign in entries],
-        )
-    except Exception as error:  # strict merge: surface as an IVM bug
-        raise IncrementalError(
-            f"maintained join diverged from its delta: {error}"
-        ) from error
+    blocks, pooled = run_delta_terms(terms, store, pool)
+    signs = array("q")
+    for term, columns in zip(terms, blocks):
+        signs.extend(array("q", [term.sign]) * len(columns[0]))
+    columns = concat_columns(blocks, len(signs))
+    return SignedDelta.sorted_from(order, columns, signs), len(terms), pooled
 
 
 # -- FAQ maintenance ----------------------------------------------------------------

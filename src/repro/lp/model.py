@@ -91,9 +91,6 @@ class LPModel:
         self._var_index[name] = len(self._objective)
         self._objective.append(Fraction(objective))
 
-    def has_variable(self, name: Hashable) -> bool:
-        return name in self._var_index
-
     def set_objective(self, name: Hashable, coefficient: Fraction | int) -> None:
         """Overwrite the objective coefficient of an existing variable."""
         self._objective[self._require(name)] = Fraction(coefficient)
@@ -197,19 +194,6 @@ class LPModel:
 
     # -- introspection (used by the scipy backend and tests) -------------------------
 
-    def dense_data(
-        self,
-    ) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction]]:
-        """Return ``(A, b, c)`` in dense form with variables in insertion order."""
-        n = len(self._objective)
-        a = []
-        for row in self._con_rows:
-            dense = [Fraction(0)] * n
-            for j, coef in row.items():
-                dense[j] = coef
-            a.append(dense)
-        return a, list(self._con_rhs), list(self._objective)
-
     def sparse_data(
         self,
     ) -> tuple[list[dict[int, Fraction]], list[Fraction], list[Fraction]]:
@@ -237,22 +221,3 @@ class LPModel:
             if total > rhs + tolerance:
                 return False
         return True
-
-
-def lp_from_rows(
-    rows: Iterable[tuple[Hashable, Mapping[Hashable, Fraction], Fraction]],
-    objective: Mapping[Hashable, Fraction],
-) -> LPModel:
-    """Convenience constructor: build a model from constraint rows.
-
-    Variables are created on first use (in objective order first).
-    """
-    model = LPModel()
-    for var, coef in objective.items():
-        model.add_variable(var, coef)
-    for name, coeffs, rhs in rows:
-        for var in coeffs:
-            if not model.has_variable(var):
-                model.add_variable(var, 0)
-        model.add_le_constraint(name, coeffs, rhs)
-    return model

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import DeltaError, SchemaError
@@ -38,6 +39,8 @@ __all__ = [
     "ColumnSet",
     "apply_plan_to_columns",
     "apply_signed_rows",
+    "canonical_codes",
+    "concat_columns",
     "decode_row",
     "encode_columns",
     "gallop_left",
@@ -178,9 +181,7 @@ def encode_columns(attrs: tuple[str, ...], columns: Iterable[Sequence]) -> "Colu
     distinct values are interned once into its attribute's shared
     dictionary in first-appearance order (what a per-row pass does, since
     distinct attributes have distinct dictionaries) and coded by one
-    ``map``.  The code columns are sorted and deduplicated by one
-    ``np.unique`` of their ``pack_keys`` keys past the ``vectorize`` gate
-    (the set holds columns only), by ``sorted(set(zip(...)))`` below it.
+    ``map``; :func:`canonical_codes` sorts and deduplicates the codes.
     ``attrs`` must be non-empty: columns cannot carry a nullary row count.
     """
     if len(set(attrs)) != len(attrs):
@@ -192,15 +193,37 @@ def encode_columns(attrs: tuple[str, ...], columns: Iterable[Sequence]) -> "Colu
         for value in table:
             table[value] = encode(value)
         codes.append(array("q", list(map(table.__getitem__, values))))
-    if codes and vectorize(len(codes[0])):
+    return canonical_codes(attrs, codes)
+
+
+def canonical_codes(attrs: tuple[str, ...], codes: Sequence[Sequence]) -> "ColumnSet":
+    """The canonical column set of aligned, unsorted code columns over the
+    non-empty ``attrs``, sorted and deduplicated: one ``np.unique`` of their
+    ``pack_keys`` keys past the ``vectorize`` gate (the set holds columns
+    only), ``sorted(set(zip(...)))`` below it."""
+    if vectorize(len(codes[0])):
         import numpy as np
 
         from repro.relational.vectorized import np_to_column, pack_keys
 
-        arrays = [np.frombuffer(column, dtype=np.int64) for column in codes]
+        arrays = [np.asarray(column, dtype=np.int64) for column in codes]
         first = np.unique(pack_keys(arrays)[0], return_index=True)[1]
         return ColumnSet(attrs, columns=[np_to_column(a[first]) for a in arrays])
     return ColumnSet(attrs, sorted(set(zip(*codes))), presorted=True)
+
+
+def concat_columns(blocks: Sequence[Sequence], nrows: int) -> list:
+    """Blocks of aligned code columns (``nrows`` rows in all) as one column
+    per position: int64 ndarrays past the ``vectorize`` gate, ``array('q')``
+    below it."""
+    if vectorize(nrows):
+        import numpy as np
+
+        return [
+            np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+            for parts in zip(*blocks)
+        ]
+    return [array("q", chain.from_iterable(parts)) for parts in zip(*blocks)]
 
 
 class ColumnSet:
@@ -549,7 +572,7 @@ def merge_violation(row: tuple, present: bool) -> DeltaError:
 
 
 def signed_merge_plan(
-    base: "ColumnSet | Sequence", delta_rows: Sequence, signs: Sequence[int]
+    base: "ColumnSet | Sequence", delta_rows: Iterable, signs: Sequence[int]
 ) -> list:
     """The splice plan merging a sorted signed delta into the sorted ``base``.
 
@@ -602,8 +625,8 @@ def apply_signed_rows(
     code tuples with aligned ``signs`` (``+1`` insert, ``-1`` delete), and
     the result is the new sorted row list — built by C-speed slices from
     the :func:`signed_merge_plan` (pass ``plan`` to reuse one already
-    computed), so merging a small batch into a large base never pays a
-    per-row Python pass.
+    computed; the delta is not read then), so merging a small batch into a
+    large base never pays a per-row Python pass.
     """
     if not isinstance(rows, list):
         rows = list(rows)

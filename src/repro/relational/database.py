@@ -80,9 +80,6 @@ class Database:
         """``N`` of Eq. (27): the largest materialized relation size."""
         return max((len(r) for r in self._relations.values()), default=0)
 
-    def total_tuples(self) -> int:
-        return sum(len(r) for r in self._relations.values())
-
     # -- constraints ------------------------------------------------------------------
 
     def satisfies(self, constraints: ConstraintSet) -> bool:

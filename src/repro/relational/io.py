@@ -21,6 +21,7 @@ code tuple per row is built on the way.
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -50,11 +51,21 @@ def _read_csv(path: Path, delimiter: str) -> tuple[tuple[str, ...], list]:
     return tuple(column.strip() for column in rows[0]), rows[1:]
 
 
-def _check_widths(path: Path, header: tuple[str, ...], body: list) -> None:
+def _line_of(path: Path, delimiter: str, index: int) -> int:
+    """The 1-based line on which non-blank row ``index`` (header = 0) of a
+    CSV file ends; read again, for error messages only."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        next(islice(filter(None, reader), index, None), None)
+        return reader.line_num
+
+
+def _check_widths(path: Path, delimiter: str, header: tuple[str, ...], body: list) -> None:
     """Reject the first body row whose width is not the header's."""
     if set(map(len, body)) - {len(header)}:
-        row = next(row for row in body if len(row) != len(header))
-        raise SchemaError(f"{path}: row {row} does not match header {header}")
+        at = next(i for i, row in enumerate(body) if len(row) != len(header))
+        line = _line_of(path, delimiter, at + 1)
+        raise SchemaError(f"{path}:{line}: row {body[at]} does not match header {header}")
 
 
 def _split_columns(body: list, positions: range) -> Iterator[list]:
@@ -90,12 +101,12 @@ def load_relation_csv(
         delimiter: CSV delimiter.
 
     Raises:
-        SchemaError: on an empty file, ragged rows or a repeated header
-            name, before any value is interned.
+        SchemaError: on an empty file, ragged rows (naming ``path:line``)
+            or a repeated header name, before any value is interned.
     """
     path = Path(path)
     header, body = _read_csv(path, delimiter)
-    _check_widths(path, header, body)
+    _check_widths(path, delimiter, header, body)
     columns = map(_coerce_column, _split_columns(body, range(len(header))))
     return Relation.from_column_set(name or path.stem, encode_columns(header, columns))
 
@@ -131,13 +142,14 @@ def load_changes_csv(
     header, body = _read_csv(path, delimiter)
     if header[0] != "op":
         raise SchemaError(
-            f"{path}: change feed header must start with 'op', got {header}"
+            f"{path}:1: change feed header must start with 'op', got {header}"
         )
-    _check_widths(path, header, body)
+    _check_widths(path, delimiter, header, body)
     ops = [row[0].strip() for row in body]
-    wrong = next((op for op in ops if op not in ("+", "-")), None)
+    wrong = next((i for i, op in enumerate(ops) if op not in ("+", "-")), None)
     if wrong is not None:
-        raise SchemaError(f"{path}: op column must be '+' or '-', got {wrong!r}")
+        line = _line_of(path, delimiter, wrong + 1)
+        raise SchemaError(f"{path}:{line}: op column must be '+' or '-', got {ops[wrong]!r}")
     columns = list(map(_coerce_column, _split_columns(body, range(1, len(header)))))
     inserts: list[tuple] = []
     deletes: list[tuple] = []

@@ -99,16 +99,6 @@ class SortedTrieIterator:
     # -- position ---------------------------------------------------------------
 
     @property
-    def root_bounds(self) -> tuple[int, int]:
-        """The ``[lo, hi)`` row range this iterator's virtual root is bound to.
-
-        The full relation unless a shard (:mod:`repro.parallel`) or a
-        delta-scoped term (:func:`repro.relational.execution.delta_root_ranges`)
-        restricted it.
-        """
-        return self._root_lo, self._root_hi
-
-    @property
     def depth(self) -> int:
         """Current depth; ``-1`` at the root."""
         return len(self._stack) - 1

@@ -208,7 +208,7 @@ class TestColumnarLoader:
         with pytest.raises(SchemaError) as raised:
             load_relation_csv(tmp_path / "B.csv")
         assert str(raised.value) == (
-            f"{tmp_path / 'B.csv'}: row ['3'] does not match header ('rr_A', 'rr_B')"
+            f"{tmp_path / 'B.csv'}:3: row ['3'] does not match header ('rr_A', 'rr_B')"
         )
         assert len(Dictionary.of("rr_A")) == 0
 
@@ -284,6 +284,56 @@ class TestColumnarLoader:
         (tmp_path / "R.changes.csv").write_text(text)
         with pytest.raises(SchemaError, match=message):
             load_changes_csv(tmp_path / "R.changes.csv")
+
+
+class TestInputErrorsNameTheLine:
+    """``repro datalog`` input errors name ``file:line``: the header is line
+    1, blank lines count, and a rule's error names the line it starts on."""
+
+    PROGRAM = "path(x,y) :- edge(x,y).\npath(x,z) :- edge(x,y), path(y,z).\n"
+
+    def _error(self, tmp_path, capsys, data=None, feed=None, program=PROGRAM):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "ch").mkdir()
+        (tmp_path / "d" / "edge.csv").write_text(data or "A,B\n1,2\n2,3\n")
+        (tmp_path / "ch" / "edge.changes.csv").write_text(feed or "op,A,B\n+,3,4\n")
+        (tmp_path / "p.dl").write_text(program)
+        code = main([
+            "datalog", "--program", str(tmp_path / "p.dl"),
+            "--data", str(tmp_path / "d"), "--changes", str(tmp_path / "ch"),
+        ])
+        assert code == 2
+        return capsys.readouterr().err.strip()
+
+    def test_short_csv_row(self, tmp_path, capsys):
+        err = self._error(tmp_path, capsys, data="A,B\n1,2\n\n3\n")
+        path = tmp_path / "d" / "edge.csv"
+        assert err == f"error: {path}:4: row ['3'] does not match header ('A', 'B')"
+
+    def test_short_feed_row(self, tmp_path, capsys):
+        err = self._error(tmp_path, capsys, feed="op,A,B\n+,3,4\n+,5\n")
+        path = tmp_path / "ch" / "edge.changes.csv"
+        assert err == (
+            f"error: {path}:3: row ['+', '5'] does not match header ('op', 'A', 'B')"
+        )
+
+    def test_bad_op_cell(self, tmp_path, capsys):
+        err = self._error(tmp_path, capsys, feed="op,A,B\n+,3,4\n-,1,2\n*,5,6\n")
+        path = tmp_path / "ch" / "edge.changes.csv"
+        assert err == f"error: {path}:4: op column must be '+' or '-', got '*'"
+
+    def test_garbled_program(self, tmp_path, capsys):
+        program = "path(x,y) :- edge(x,y).\n# closure\npath(x,z) :-\n  edge(x,y), path(y,z.\n"
+        err = self._error(tmp_path, capsys, program=program)
+        path = tmp_path / "p.dl"
+        assert err == f"error: {path}:3: unbalanced parentheses in 'edge(x,y), path(y,z'"
+
+    def test_library_parse_names_the_line(self):
+        from repro.datalog import parse_program
+        from repro.exceptions import DatalogError
+
+        with pytest.raises(DatalogError, match=r"^line 2: unsafe rule"):
+            parse_program("p(x) :- e(x).\np(y) :- e(x).")
 
 
 class TestLog2Display:
