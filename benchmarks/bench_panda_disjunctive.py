@@ -40,7 +40,7 @@ def test_panda_path_rule_scaling(benchmark):
         work = counter.total
         works.append(work)
         assert RULE.is_model(result.model, db)
-        assert result.bound.value == n**1.5
+        assert result.budget == n**1.5
         assert result.stats.max_intermediate <= result.budget
         rows.append(
             [n, int(n**1.5), n * n, work, result.stats.restarts,

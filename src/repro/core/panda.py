@@ -23,7 +23,7 @@ The pipeline (§6):
                              + restart (Case 4b)
    ========================  =======================================
 
-Invariants maintained per §6.1 (asserted in debug mode):
+Invariants maintained per §6.1 (checked at every recursive call):
 
 1. *degree support* — every positive ``δ_{Y|X}`` is supported by a degree
    constraint ``(Z, W, N_{W|Z})`` with ``Z ⊆ X``, ``W ⊆ Y``, ``W−Z = Y−X``,
@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.bounds.polymatroid import BoundResult
 from repro.core.constraints import ConstraintSet, log2_fraction
 from repro.core.varmap import VarMap
+from repro.datalog.atoms import binding_cardinalities
 from repro.datalog.rule import DisjunctiveRule, TargetModel
 from repro.exceptions import PandaError
 from repro.flows.inequality import FlowInequality, Witness
@@ -74,6 +74,8 @@ __all__ = ["PandaResult", "PandaStats", "Support", "panda"]
 
 _ZERO = Fraction(0)
 _EMPTY = frozenset()
+#: Case 4b restarts one PANDA run may take before it gives up.
+_MAX_RESTARTS = 10_000
 
 Pair = tuple[frozenset, frozenset]
 
@@ -133,14 +135,14 @@ class PandaResult:
     """Everything PANDA produced for one rule evaluation."""
 
     model: TargetModel
-    bound: BoundResult
+    log_value: Fraction
     stats: PandaStats
     proof_sequence_length: int
 
     @property
     def budget(self) -> float:
         """``2^{OBJ}`` — every intermediate relation is at most this large."""
-        return 2.0 ** float(self.bound.log_value)  # reprolint: allow(RL-EXACT) -- presentation: float rendering of the exact bound; the exact Fraction stays in bound.log_value
+        return 2.0 ** float(self.log_value)  # reprolint: allow(RL-EXACT) -- presentation: float rendering of the exact bound; the exact Fraction stays in log_value
 
 
 @dataclass
@@ -163,14 +165,10 @@ class _PandaEngine:
         universe: tuple[str, ...],
         targets: tuple[frozenset, ...],
         budget_log: Fraction,
-        check_invariants: bool = True,
-        max_restarts: int = 10_000,
     ) -> None:
         self.universe = universe
         self.targets = targets
         self.budget_log = budget_log
-        self.check_invariants = check_invariants
-        self.max_restarts = max_restarts
         self.stats = PandaStats()
         #: slack absorbing log2 rationalization of non-power-of-two bounds.
         self.budget_slack = Fraction(1, 1_000_000)
@@ -210,8 +208,6 @@ class _PandaEngine:
             supports[pair] = candidate
 
     def _assert_invariants(self, branch: _Branch) -> None:
-        if not self.check_invariants:
-            return
         lam_norm = sum(branch.lam.values(), _ZERO)
         if not (_ZERO < lam_norm <= 1):
             raise PandaError(f"invariant 2 violated: ‖λ‖ = {lam_norm}")
@@ -467,8 +463,8 @@ class _PandaEngine:
         step: ProofStep,
         witness: Witness,
     ) -> dict[frozenset, Relation]:
-        if self.stats.restarts >= self.max_restarts:
-            raise PandaError(f"exceeded {self.max_restarts} Case 4b restarts")
+        if self.stats.restarts >= _MAX_RESTARTS:
+            raise PandaError(f"exceeded {_MAX_RESTARTS} Case 4b restarts")
         self.stats.restarts += 1
         x, y = step.first, step.second
         # δ'' = δ + w·c_{X,Y}; composition preserves inflow, so the recorded
@@ -528,7 +524,6 @@ def panda(
     rule: DisjunctiveRule,
     database: Database,
     constraints: ConstraintSet | None = None,
-    check_invariants: bool = True,
     planner=None,
     plan=None,
 ) -> PandaResult:
@@ -541,9 +536,9 @@ def panda(
     Args:
         rule: the rule ``P`` to compute a model of.
         database: the input database; must guard every constraint.
-        constraints: degree constraints ``DC``.  Defaults to the cardinality
-            constraints of the input relations.
-        check_invariants: assert the §6.1 invariants at every recursive call.
+        constraints: degree constraints ``DC``.  Defaults to the
+            cardinalities of the body atoms' bindings
+            (:func:`~repro.datalog.atoms.binding_cardinalities`).
         planner: an optional :class:`repro.planner.Planner`; when given, the
             bound LP and proof sequence come from its plan cache (shared
             across bags/images/databases) instead of being rebuilt.
@@ -563,7 +558,7 @@ def panda(
     from repro.planner.engine import build_panda_plan, constraints_fingerprint
 
     if constraints is None:
-        constraints = database.extract_cardinalities()
+        constraints = binding_cardinalities(rule.body, database)
     universe = tuple(sorted(rule.variable_set))
 
     if plan is None:
@@ -582,8 +577,7 @@ def panda(
             "call's; its budget and proof sequence do not apply — replan"
         )
 
-    bound = plan.bound
-    if plan.degenerate:
+    if plan.ineq is None:
         # Degenerate bound: every feasible polymatroid pins some target to a
         # single tuple, so Lemma 5.2's positive-optimum requirement fails.
         # The inputs are then tiny/heavily constrained; fall back to the
@@ -592,7 +586,7 @@ def panda(
         model = rule.scan_model(database)
         return PandaResult(
             model=model,
-            bound=bound,
+            log_value=plan.log_value,
             stats=PandaStats(),
             proof_sequence_length=0,
         )
@@ -601,24 +595,13 @@ def panda(
     # Resolve guards for the initial supports (degree-support invariant) —
     # the only data-dependent planning step, re-run per database.
     supports: dict[Pair, Support] = {}
-    for pair, log_constraint in plan.log_supports.items():
-        origin = log_constraint.origin
-        if origin is None:
-            raise PandaError(
-                f"constraint {log_constraint} has no integer origin; PANDA "
-                "needs guarded degree constraints"
-            )
+    for pair, origin in plan.supports.items():
         guard = database.find_guard(origin)
         if guard is None:
             raise PandaError(f"database does not guard {origin}")
         supports[pair] = Support(origin.x, origin.y, origin.bound, guard)
 
-    engine = _PandaEngine(
-        universe,
-        tuple(rule.targets),
-        budget_log=bound.log_value,
-        check_invariants=check_invariants,
-    )
+    engine = _PandaEngine(universe, tuple(rule.targets), budget_log=plan.log_value)
     steps = [
         (weight, engine.intern_step(step), snap)
         for weight, step, snap in plan.steps
@@ -645,7 +628,7 @@ def panda(
     model = TargetModel(tuple(tables))
     return PandaResult(
         model=model,
-        bound=bound,
+        log_value=plan.log_value,
         stats=engine.stats,
         proof_sequence_length=len(plan.steps),
     )

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from repro.core.constraints import ConstraintSet
 from repro.core.panda import PandaResult, panda
-from repro.datalog.atoms import Atom
+from repro.datalog.atoms import Atom, binding_cardinalities
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.datalog.rule import DisjunctiveRule
 from repro.decompositions.enumeration import tree_decompositions
@@ -94,8 +94,8 @@ def _best_decomposition(
 
     All bag LPs go through the planner's shared batched solver, so repeated
     bags (within and across driver calls) solve once.  Constraints over
-    attributes outside the query's variables (a self-join database's stored
-    schemas) cannot inform the choice; with none usable the first
+    attributes outside the query's variables (a caller's constraints over
+    stored schemas) cannot inform the choice; with none usable the first
     decomposition is taken — the choice only affects speed.
     """
     universe = frozenset(hypergraph.vertices)
@@ -190,7 +190,7 @@ def tree_decomposition_plan(
         if planner is None:
             planner = _new_planner()
         if constraints is None:
-            constraints = database.extract_cardinalities()
+            constraints = binding_cardinalities(query.body, database)
         hypergraph = query.hypergraph()
         if decompositions is None:
             decompositions = tree_decompositions(hypergraph)
@@ -235,7 +235,7 @@ def dafhtw_plan(
     if planner is None:
         planner = _new_planner()
     if constraints is None:
-        constraints = database.extract_cardinalities()
+        constraints = binding_cardinalities(query.body, database)
     hypergraph = query.hypergraph()
     if decompositions is None:
         decompositions = tree_decompositions(hypergraph)
@@ -301,7 +301,7 @@ def dasubw_plan(
     if planner is None:
         planner = _new_planner()
     if constraints is None:
-        constraints = database.extract_cardinalities()
+        constraints = binding_cardinalities(query.body, database)
     hypergraph = query.hypergraph()
     if decompositions is None:
         decompositions = tree_decompositions(hypergraph)
@@ -414,7 +414,7 @@ def proper_query_plan(
     head = tuple(query.head)
     hypergraph = query.hypergraph()
     if constraints is None:
-        constraints = database.extract_cardinalities()
+        constraints = binding_cardinalities(query.body, database)
     if decompositions is None:
         decompositions = free_connex_decompositions(hypergraph, head)
     else:

@@ -10,12 +10,14 @@ occurrences of an edge relation in a path query).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+from repro.core.constraints import ConstraintSet, DegreeConstraint
 from repro.exceptions import QueryError, SchemaError
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
-__all__ = ["Atom"]
+__all__ = ["Atom", "binding_cardinalities"]
 
 
 @dataclass(frozen=True)
@@ -61,3 +63,17 @@ class Atom:
 
     def __str__(self) -> str:
         return f"{self.name}({','.join(self.variables)})"
+
+
+def binding_cardinalities(atoms: Iterable[Atom], database: Database) -> ConstraintSet:
+    """The default degree constraints of a body: ``|R| <= len(R)`` per atom.
+
+    Each constraint is over the atom's own variables, whatever the stored
+    schema, so a self-join or a relation bound under other names is
+    constrained as the query uses it, and relations no atom names add
+    nothing.  Atoms over one variable set share the tightest bound.
+    """
+    return ConstraintSet(
+        DegreeConstraint.make((), atom.variables, max(1, len(database[atom.name])))
+        for atom in atoms
+    )

@@ -51,11 +51,7 @@ from repro.faq.annotated import AnnotatedRelation, fold_annotations, sum_product
 from repro.faq.semiring import Semiring
 from repro.incremental.delta import PredicateStore, SignedDelta
 from repro.relational.columns import concat_columns
-from repro.relational.execution import (
-    delta_root_ranges,
-    execute_join,
-    register_vectorizable,
-)
+from repro.relational.execution import delta_root_ranges, execute_join
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
 ]
 
 
-@register_vectorizable
 def probe_intersection(active: list, counter) -> list[int]:
     """Inner-level intersection by probing, sized to the *smallest* node.
 

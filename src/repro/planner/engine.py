@@ -1,12 +1,13 @@
 """The planner: build PANDA plans once, cache them, execute them many times.
 
-A :class:`PandaPlan` is everything about a PANDA invocation that does *not*
-depend on the data: the bound LP's optimum and dual certificates, the Shannon
-flow inequality, the Theorem 5.9 proof sequence with the per-step
-witness snapshots Case 4b restarts from, and the degree constraints
-supporting each positive δ coordinate.  Profiling shows this pipeline is
-~50–80 % of a ``dasubw_plan`` run — and it is identical across databases and
-across variable renamings of the instance.
+A :class:`PandaPlan` is what a PANDA invocation reads that does *not*
+depend on the data: OBJ (the bound's value), the Shannon-flow inequality,
+the Theorem 5.9 proof sequence with the per-step witness snapshots Case 4b
+restarts from, and the degree constraints supporting each positive δ
+coordinate.  The bound LP's solution only serves to build these and is not
+kept.  Profiling shows this pipeline is ~50–80 % of a ``dasubw_plan`` run —
+and it is identical across databases and across variable renamings of the
+instance.
 
 :class:`Planner` is the policy object threaded through
 :mod:`repro.core.panda` and all of the :mod:`repro.core.query_plans` drivers:
@@ -35,17 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from repro.bounds.polymatroid import BoundResult, LogConstraint
 from repro.core.constraints import ConstraintSet, DegreeConstraint
-from repro.exceptions import QueryError
+from repro.exceptions import PandaError, QueryError
 from repro.flows.inequality import FlowInequality, Witness, flow_from_bound
 from repro.flows.proof_sequence import ProofStep, construct_proof_sequence
 from repro.planner.batch import BatchedBoundSolver
 from repro.planner.cache import PlanCache, PlanCacheStats
 from repro.planner.signature import (
-    rename_bound_result,
+    rename_degree_constraint,
     rename_flow_inequality,
-    rename_log_constraint,
     rename_set,
     rename_step,
     rename_witness,
@@ -74,31 +73,30 @@ class PandaPlan:
 
     Attributes:
         universe: the rule's variables, sorted.
-        targets: the rule's target sets.
-        bound: the maximin bound LP result (λ, δ, σ, μ duals included).
-        ineq: the Shannon-flow inequality of the bound's dual (None when
-            degenerate).
+        targets: the rule's target sets, in LP order.
+        log_value: OBJ, the bound in log2 units; PANDA's budget is
+            ``2^log_value``.
+        ineq: the Shannon-flow inequality ``(λ, δ)`` of the bound's dual;
+            None when the bound is zero (PANDA then returns the Lemma 4.1
+            scan model and no proof sequence exists).
         steps: the proof sequence as ``(weight, step, witness snapshot)``
             triples — the snapshot is the evolved (σ, μ) Case 4b needs.
-        log_supports: the degree constraint supporting each positive δ pair
+        supports: the degree constraint supporting each positive δ pair
             (§6.1 invariant 1); guards are resolved per database at
             execution time.
         constraints_key: fingerprint of the degree constraints the plan was
             built under (sorted ``(x_key, y_key, bound)`` triples) —
             ``panda()`` rejects a plan whose constraints do not match the
             call's, since a stale plan carries a wrong budget.
-        degenerate: True when the bound is zero — PANDA falls back to the
-            Lemma 4.1 scan model and no proof sequence exists.
     """
 
     universe: tuple[str, ...]
     targets: tuple[frozenset, ...]
-    bound: BoundResult
+    log_value: Fraction
     ineq: FlowInequality | None
     steps: tuple[tuple[Fraction, ProofStep, Witness], ...]
-    log_supports: Mapping[Pair, LogConstraint]
+    supports: Mapping[Pair, DegreeConstraint]
     constraints_key: tuple = ()
-    degenerate: bool = False
 
 
 def constraints_fingerprint(constraints: ConstraintSet) -> tuple:
@@ -117,6 +115,10 @@ def build_panda_plan(
     This is the single code path for plan construction; the
     :class:`Planner` wraps it with canonicalization and the plan cache, and
     a bare ``panda()`` call (no planner) uses it directly.
+
+    Raises:
+        PandaError: if a positive δ pair is supported only by a constraint
+            with no integer origin (PANDA needs guarded degree constraints).
     """
     universe = tuple(universe)
     if solver is None:
@@ -127,14 +129,21 @@ def build_panda_plan(
         return PandaPlan(
             universe=universe,
             targets=tuple(bound.targets),
-            bound=bound,
+            log_value=bound.log_value,
             ineq=None,
             steps=(),
-            log_supports={},
+            supports={},
             constraints_key=fingerprint,
-            degenerate=True,
         )
-    ineq, witness, log_supports = flow_from_bound(bound)
+    ineq, witness, log_rows = flow_from_bound(bound)
+    supports: dict[Pair, DegreeConstraint] = {}
+    for pair, row in log_rows.items():
+        if row.origin is None:
+            raise PandaError(
+                f"constraint {row} has no integer origin; PANDA needs "
+                "guarded degree constraints"
+            )
+        supports[pair] = row.origin
     witness_log: list[Witness] = []
     sequence = construct_proof_sequence(ineq, witness, witness_log=witness_log)
     steps = tuple(
@@ -144,12 +153,11 @@ def build_panda_plan(
     return PandaPlan(
         universe=universe,
         targets=tuple(bound.targets),
-        bound=bound,
+        log_value=bound.log_value,
         ineq=ineq,
         steps=steps,
-        log_supports=log_supports,
+        supports=supports,
         constraints_key=fingerprint,
-        degenerate=False,
     )
 
 
@@ -160,17 +168,17 @@ def rename_plan(plan: PandaPlan, mapping: Mapping[str, str]) -> PandaPlan:
     return PandaPlan(
         universe=tuple(sorted(mapping[v] for v in plan.universe)),
         targets=tuple(rename_set(t, mapping) for t in plan.targets),
-        bound=rename_bound_result(plan.bound, mapping),
+        log_value=plan.log_value,
         ineq=None if plan.ineq is None else rename_flow_inequality(plan.ineq, mapping),
         steps=tuple(
             (weight, rename_step(step, mapping), rename_witness(snapshot, mapping))
             for weight, step, snapshot in plan.steps
         ),
-        log_supports={
-            (rename_set(x, mapping), rename_set(y, mapping)): rename_log_constraint(
+        supports={
+            (rename_set(x, mapping), rename_set(y, mapping)): rename_degree_constraint(
                 c, mapping
             )
-            for (x, y), c in plan.log_supports.items()
+            for (x, y), c in plan.supports.items()
         },
         constraints_key=tuple(
             sorted(
@@ -182,7 +190,6 @@ def rename_plan(plan: PandaPlan, mapping: Mapping[str, str]) -> PandaPlan:
                 for x_key, y_key, bound in plan.constraints_key
             )
         ),
-        degenerate=plan.degenerate,
     )
 
 
@@ -422,11 +429,14 @@ class QueryEngine(EngineBase):
         """Evaluate the query on one database with the named driver.
 
         Constraint resolution: an explicit ``constraints`` argument wins,
-        then the engine-level constraints, then the database's extracted
-        cardinalities.  Plans are cached across calls whenever the resolved
-        constraints (and hence the bound LPs) coincide.
+        then the engine-level constraints, then the cardinalities of the
+        query's atom bindings
+        (:func:`~repro.datalog.atoms.binding_cardinalities`).  Plans are
+        cached across calls whenever the resolved constraints (and hence the
+        bound LPs) coincide.
         """
         from repro.core.query_plans import check_query
+        from repro.datalog.atoms import binding_cardinalities
         from repro.relational.relation import Relation
 
         entry = check_driver(driver)
@@ -435,7 +445,7 @@ class QueryEngine(EngineBase):
         if constraints is None:
             constraints = self.constraints
         if constraints is None:
-            constraints = database.extract_cardinalities()
+            constraints = binding_cardinalities(query.body, database)
         if self.workers > 1:
             return self._execute_sharded(entry, database, constraints)
         result = entry.run(

@@ -1,7 +1,7 @@
 """Canonical plan signatures and variable-renaming utilities.
 
-A PANDA plan — the bound LP's optimum, its dual witness, and the proof
-sequence built from it — depends only on ``(universe, targets, degree
+A PANDA plan — the bound's value, its Shannon-flow inequality, and the
+proof sequence built from it — depends only on ``(universe, targets, degree
 constraints)``, never on the data.  Two instances that differ by a variable
 renaming (and by atom/constraint order) therefore share a plan up to that
 renaming: every bag of a cycle query, for example, is isomorphic to every
@@ -17,10 +17,10 @@ interchangeable are permuted; universes larger than
 :data:`MAX_CANONICAL_SEARCH` variables fall back to the identity labelling
 (exact-match caching only — still sound, just less sharing).
 
-The ``rename_*`` helpers translate every plan component (bound results, flow
-inequalities, witnesses, proof steps, supports) through a variable bijection;
-:class:`repro.planner.cache.PlanCache` hits use them to re-key a stored plan
-into the requesting instance's variable names.
+The ``rename_*`` helpers translate every plan component (flow inequalities,
+witnesses, proof steps, supporting degree constraints) through a variable
+bijection; :class:`repro.planner.cache.PlanCache` hits use them to re-key a
+stored plan into the requesting instance's variable names.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from repro.bounds.polymatroid import BoundResult, LogConstraint
 from repro.core.constraints import DegreeConstraint
 from repro.core.varmap import VarMap
 from repro.flows.inequality import FlowInequality, Witness
@@ -43,8 +42,6 @@ __all__ = [
     "rename_flow_inequality",
     "rename_step",
     "rename_degree_constraint",
-    "rename_log_constraint",
-    "rename_bound_result",
 ]
 
 #: Beyond this universe size the canonical permutation search is skipped and
@@ -236,36 +233,4 @@ def rename_degree_constraint(
         tuple(sorted(mapping[v] for v in constraint.x_key)),
         tuple(sorted(mapping[v] for v in constraint.y_key)),
         constraint.bound,
-    )
-
-
-def rename_log_constraint(
-    constraint: LogConstraint, mapping: Mapping[str, str]
-) -> LogConstraint:
-    origin = constraint.origin
-    return LogConstraint(
-        tuple(sorted(mapping[v] for v in constraint.x_key)),
-        tuple(sorted(mapping[v] for v in constraint.y_key)),
-        constraint.log_bound,
-        origin=None if origin is None else rename_degree_constraint(origin, mapping),
-    )
-
-
-def rename_bound_result(bound: BoundResult, mapping: Mapping[str, str]) -> BoundResult:
-    return BoundResult(
-        log_value=bound.log_value,
-        h_values={rename_set(s, mapping): v for s, v in bound.h_values.items()},
-        lambda_weights={
-            rename_set(b, mapping): w for b, w in bound.lambda_weights.items()
-        },
-        delta=rename_pair_dict(bound.delta, mapping),
-        sigma=rename_pair_dict(bound.sigma, mapping),
-        mu=rename_pair_dict(bound.mu, mapping),
-        constraint_for_pair={
-            (rename_set(x, mapping), rename_set(y, mapping)): rename_log_constraint(
-                c, mapping
-            )
-            for (x, y), c in bound.constraint_for_pair.items()
-        },
-        targets=tuple(rename_set(t, mapping) for t in bound.targets),
     )

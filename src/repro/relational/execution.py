@@ -32,27 +32,8 @@ __all__ = [
     "execute_join",
     "global_variable_order",
     "level_plan",
-    "register_vectorizable",
     "set_intersection",
 ]
-
-#: Intersection functions the vectorized backend is proven bit-identical
-#: against.  ``execute_join`` only delegates to the block executor when both
-#: the inner and the leaf intersection are registered — a caller-supplied
-#: custom intersection always runs interpreted, preserving its semantics.
-VECTORIZABLE_INTERSECTIONS: set = set()
-
-
-def register_vectorizable(fn):
-    """Mark an intersection as subsumed by the vectorized block kernels.
-
-    All three registered intersections (hash-set, leapfrog, delta-probe)
-    compute the same candidate set; the block kernel replaces them with one
-    smallest-span-driver probe intersection, so the outputs — and the
-    emitted totals — are identical by construction.
-    """
-    VECTORIZABLE_INTERSECTIONS.add(fn)
-    return fn
 
 
 def delta_root_ranges(
@@ -151,7 +132,6 @@ def level_plan(
     return active_at, descend_at
 
 
-@register_vectorizable
 def set_intersection(active: list, counter) -> list[int]:
     """Sorted intersection of the active iterators' child key sets.
 
@@ -214,17 +194,15 @@ def execute_join(
     so materializing its cached key set would never pay off.
 
     When the ``"vectorized"`` backend is active
-    (:mod:`repro.relational.backend`) and both intersections are registered
-    as vectorizable, the whole recursion delegates to the numpy block
-    executor (:mod:`repro.relational.vectorized`) — same sorted code rows,
-    same emitted totals, block-sized scan charges.
+    (:mod:`repro.relational.backend`), the whole recursion delegates to the
+    numpy block executor (:mod:`repro.relational.vectorized`): every
+    intersection passed here (hash-set, leapfrog, delta-probe) computes the
+    same candidate set, which the block kernel computes by one
+    smallest-span-driver probe — same sorted code rows, same emitted totals,
+    block-sized scan charges.
     """
     order = global_variable_order(relations, variable_order)
-    if (
-        (inner_intersect in VECTORIZABLE_INTERSECTIONS)
-        and (leaf_intersect is None or leaf_intersect in VECTORIZABLE_INTERSECTIONS)
-        and current_backend() == "vectorized"
-    ):
+    if current_backend() == "vectorized":
         from repro.relational.vectorized import vectorized_execute_join
 
         return vectorized_execute_join(relations, order, name, root_ranges)

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from repro.exceptions import QueryError
-from repro.relational.execution import execute_join, register_vectorizable
+from repro.relational.execution import execute_join
 from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
@@ -104,7 +104,6 @@ def leapfrog_triejoin(
     )
 
 
-@register_vectorizable
 def _leapfrog_inner(active: list, counter) -> list[int]:
     """Inner-level intersection by leapfrogging the sorted key runs.
 
@@ -113,9 +112,9 @@ def _leapfrog_inner(active: list, counter) -> list[int]:
     Join hash-intersects candidate sets, the triejoin leapfrogs the active
     levels' sorted unary iterators per [47, §3.1] (seek charging happens
     inside :func:`_leapfrog_intersection`, which reads the current work
-    counter itself).  Registered vectorizable: under the numpy backend the
-    seek loop becomes the galloping ``searchsorted`` probe of the block
-    executor, which computes the same intersection.
+    counter itself).  Under the numpy backend the seek loop becomes the
+    galloping ``searchsorted`` probe of the block executor, which computes
+    the same intersection.
     """
     return _leapfrog_intersection(
         [iterator.child_keys() for iterator in active]

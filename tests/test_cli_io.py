@@ -556,6 +556,20 @@ class TestCliRun:
         ).evaluate_naive(db)
         assert produced == oracle
 
+    def test_unrelated_csv_does_not_constrain_the_plan(self, cycle_dir, tmp_path):
+        """A CSV no atom names (here one row over ``A1,A2``) is loaded but
+        adds no constraint: the default ``dasubw`` run plans under the
+        atoms' own cardinalities."""
+        from repro.datalog import parse_query
+
+        cycle = "Q(A1,A2,A3,A4) :- R12(A1,A2), R23(A2,A3), R34(A3,A4), R41(A4,A1)"
+        write_csv(cycle_dir / "U.csv", ("A1", "A2"), [(0, 0)])
+        out_dir = tmp_path / "out"
+        rc = main(["run", cycle, "--data", str(cycle_dir), "--out", str(out_dir)])
+        assert rc == 0
+        oracle = parse_query(cycle).evaluate_naive(load_database_dir(cycle_dir))
+        assert load_relation_csv(out_dir / "Q.csv") == oracle
+
     @pytest.mark.parametrize("command", ["run", "datalog"])
     @pytest.mark.parametrize("limit", ["-1", "x"])
     def test_bad_limit_rejected_at_parse_time(self, tmp_path, capsys, command, limit):

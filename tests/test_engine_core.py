@@ -5,7 +5,8 @@ Every facade takes every name of the driver table
 ``check_driver`` rejects any other name with one typed error *before* the
 facade touches the database, the planner, or a running broker, and
 ``pinned_cardinalities`` is the one power-of-two pinning both maintained
-engines plan under.
+engines plan under.  With no constraints given, every facade plans under
+the cardinalities of the query's own atom bindings.
 """
 
 import pytest
@@ -165,3 +166,57 @@ class TestPinnedCardinalities:
         assert pinned_cardinalities([(big, 4), (small, 4)], pinned) is pinned
         assert pinned_cardinalities([(big, 4), (small, 5)], pinned) is not pinned
         assert pinned_cardinalities([(big, 100), (small, 3)], pinned) == pinned
+
+
+EDGES = [(i, (3 * i + 1) % 7) for i in range(7)] + [
+    (1, 2), (2, 0), (0, 1), (3, 4), (4, 5), (5, 3),
+]
+SELF_JOIN_TRIANGLE = ConjunctiveQuery.full(
+    (Atom("E", ("A", "B")), Atom("E", ("B", "C")), Atom("E", ("C", "A")))
+)
+DEFAULT_CONSTRAINT_CASES = {
+    # The stored schema names one of the three variable pairs.
+    "self_join": (
+        SELF_JOIN_TRIANGLE,
+        lambda: Database([Relation("E", ("A", "B"), EDGES)]),
+    ),
+    # A one-row relation no atom names, over two of the query's variables.
+    "unrelated": (
+        TRIANGLE,
+        lambda: Database((*triangle_database(), Relation("U", ("A", "B"), [(0, 0)]))),
+    ),
+    # The one atom binds a relation stored under other attribute names.
+    "renamed": (
+        ConjunctiveQuery.full((Atom("S", ("A", "B")),)),
+        lambda: Database([Relation("S", ("X", "Y"), EDGES)]),
+    ),
+}
+
+
+class TestDefaultConstraints:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(DEFAULT_CONSTRAINT_CASES))
+    def test_every_driver_answers_like_generic(self, case, workers):
+        query, make_database = DEFAULT_CONSTRAINT_CASES[case]
+        database = make_database()
+        with QueryEngine(query) as reference:
+            expected = reference.execute(database, driver="generic").relation
+        assert len(expected) > 0
+        with QueryEngine(query, workers=workers) as engine:
+            for driver in DRIVERS:
+                relation = engine.execute(database, driver=driver).relation
+                assert relation.schema == expected.schema, driver
+                assert sorted(relation.tuples) == sorted(expected.tuples), driver
+
+    def test_one_constraint_per_atom_binding_under_its_variables(self):
+        from repro.datalog.atoms import binding_cardinalities
+
+        _, make_database = DEFAULT_CONSTRAINT_CASES["self_join"]
+        database = make_database()
+        size = len(database["E"])
+        constraints = binding_cardinalities(SELF_JOIN_TRIANGLE.body, database)
+        assert {(c.x_key, c.y_key, c.bound) for c in constraints} == {
+            ((), ("A", "B"), size),
+            ((), ("B", "C"), size),
+            ((), ("A", "C"), size),
+        }

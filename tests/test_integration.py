@@ -91,7 +91,7 @@ class TestThreeTargetRule:
             frozenset(("A1", "A2", "A3")),
             db.extract_cardinalities(),
         )
-        assert result.bound.log_value <= single.log_value
+        assert result.log_value <= single.log_value
 
     def test_proof_sequence_roundtrip(self, rng):
         from _helpers import four_cycle_database
