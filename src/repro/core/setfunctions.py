@@ -41,8 +41,6 @@ __all__ = [
     "ElementalInequality",
     "elemental_inequalities",
     "elemental_inequality_mask_rows",
-    "general_submodularities",
-    "general_monotonicities",
 ]
 
 _ZERO = Fraction(0)
@@ -480,27 +478,3 @@ def elemental_inequalities(universe: Iterable[str]) -> Iterator[ElementalInequal
             vm.set_of(i_mask),
             vm.set_of(j_mask),
         )
-
-
-def general_submodularities(
-    universe: Iterable[str],
-) -> Iterator[tuple[frozenset, frozenset]]:
-    """All pairs ``I ⊥ J`` (incomparable), the index set of σ in Eq. (74)."""
-    vm = VarMap.of(tuple(universe))
-    masks = [m for m in vm.subset_masks() if m]
-    for i_mask in masks:
-        for j_mask in masks:
-            if i_mask & ~j_mask and j_mask & ~i_mask:
-                yield (vm.set_of(i_mask), vm.set_of(j_mask))
-
-
-def general_monotonicities(
-    universe: Iterable[str],
-) -> Iterator[tuple[frozenset, frozenset]]:
-    """All pairs ``X ⊂ Y`` (X possibly empty), the index set of μ in Eq. (74)."""
-    vm = VarMap.of(tuple(universe))
-    masks = vm.subset_masks()
-    for x in masks:
-        for y in masks:
-            if x != y and x & ~y == 0:
-                yield (vm.set_of(x), vm.set_of(y))

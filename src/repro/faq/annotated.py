@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SchemaError
 from repro.faq.semiring import Semiring
-from repro.relational.columns import ColumnSet, Dictionary
+from repro.relational.columns import ColumnSet, Dictionary, append_column
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -218,17 +218,17 @@ class AnnotatedRelation:
         maintained result never carries phantom zero-annotated tuples.
         """
         _one_semiring([self, *others])
-        columns = [array("q", column) for column in self.column_set.columns]
-        values = list(self.values)
-        for other in others:
-            if other.attributes != self.attributes:
+        columns = [array("q") for _ in self.schema]
+        values: list = []
+        for part in (self, *others):
+            if part.attributes != self.attributes:
                 raise SchemaError(
                     f"combine needs equal attribute sets, got {self.schema} "
-                    f"vs {other.schema}"
+                    f"vs {part.schema}"
                 )
-            for column, theirs in zip(columns, other._columns_in(self.schema)):
-                column.extend(theirs)
-            values += other.values
+            for column, theirs in zip(columns, part._columns_in(self.schema)):
+                append_column(column, theirs)
+            values += part.values
         name = name or "⊕".join([self.name, *(other.name for other in others)])
         return fold_annotations(name, self.schema, columns, values, self.semiring)
 

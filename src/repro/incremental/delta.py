@@ -42,6 +42,8 @@ from repro.relational.columns import (
     Dictionary,
     apply_plan_to_columns,
     apply_signed_rows,
+    append_column,
+    as_column,
     concat_columns,
     merge_violation,
     signed_merge_plan,
@@ -112,7 +114,7 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
         )
     import numpy as np
 
-    from repro.relational.vectorized import np_to_column, pack_keys
+    from repro.relational.vectorized import pack_keys
 
     base, fresh = column_set.np_columns(), delta.code_columns()
     base_key, delta_key = pack_keys(base, fresh)
@@ -131,7 +133,7 @@ def _advance_column_set(column_set: ColumnSet, delta: "SignedDelta") -> ColumnSe
     return ColumnSet(
         column_set.attrs,
         columns=[
-            np_to_column(np.insert(column[keep], at, new[inserted]))
+            np.insert(column[keep], at, new[inserted])
             for column, new in zip(base, fresh)
         ],
     )
@@ -144,12 +146,13 @@ class SignedDelta:
         attrs: the attribute (or variable) names the codes are encoded
             under — each column's codes live in ``Dictionary.of(attr)``.
         column_set: the ascending, duplicate-free code tuples, held the way
-            a relation's are — as row tuples, as ``array('q')`` code columns,
-            or both.  Join output, the fixpoint and the pool wire hand over
-            columns; :attr:`rows` is derived on first use, which only a
-            mixed-sign split below the gate, :meth:`decoded` and the
-            wording of a :class:`DeltaError` do.
-        signs: aligned ``array('q')`` of ``+1`` (insert) / ``-1`` (delete).
+            a relation's are — as row tuples, as code columns, or both.
+            Join output, the fixpoint and the pool wire hand over columns;
+            :attr:`rows` is derived on first use, which only a mixed-sign
+            split below the gate, :meth:`decoded` and the wording of a
+            :class:`DeltaError` do.
+        signs: the aligned column (:func:`~repro.relational.columns.as_column`)
+            of ``+1`` (insert) / ``-1`` (delete).
     """
 
     __slots__ = ("column_set", "signs")
@@ -162,7 +165,7 @@ class SignedDelta:
         columns: Sequence | None = None,
     ) -> None:
         self.column_set = ColumnSet(attrs, rows, presorted=True, columns=columns)
-        self.signs: array = signs if isinstance(signs, array) else array("q", signs)
+        self.signs = as_column(signs)
         if self.column_set.nrows != len(self.signs):
             raise IncrementalError(
                 f"{self.column_set.nrows} delta rows vs {len(self.signs)} signs"
@@ -292,27 +295,23 @@ class SignedDelta:
             )
         import numpy as np
 
-        from repro.relational.vectorized import np_to_column
-
         chosen = np.frombuffer(self.signs, dtype=np.int64) == sign
         if chosen.all():
             return Relation.from_column_set(name, self.column_set)
         return Relation.from_columns(
-            name,
-            self.attrs,
-            [np_to_column(column[chosen]) for column in self.code_columns()],
+            name, self.attrs, [column[chosen] for column in self.code_columns()]
         )
 
     def code_columns(self) -> tuple:
-        """One code column per attribute: the ``array('q')`` buffers below
-        the gate, their zero-copy int64 views on the numpy arm."""
+        """One code column per attribute: the column buffers below the gate,
+        their zero-copy int64 views on the numpy arm."""
         if vectorize(len(self)):
             return self.column_set.np_columns()
         return self.column_set.columns
 
     @classmethod
     def sorted_from(
-        cls, attrs: Sequence[str], columns: Sequence, signs: array
+        cls, attrs: Sequence[str], columns: Sequence, signs: Sequence[int]
     ) -> "SignedDelta":
         """The net batch of ``signs`` over the aligned, unsorted ``columns``.
 
@@ -332,7 +331,7 @@ class SignedDelta:
         else:
             import numpy as np
 
-            from repro.relational.vectorized import np_to_column, pack_keys, run_start_mask
+            from repro.relational.vectorized import pack_keys, run_start_mask
 
             columns = [np.asarray(column, dtype=np.int64) for column in columns]
             keys = pack_keys(columns)[0]
@@ -345,8 +344,8 @@ class SignedDelta:
                 kept = net != 0
                 by_row, net = by_row[first][kept], net[kept]
             wrong = np.abs(net).max(initial=0) > 1
-            columns = [np_to_column(column[by_row]) for column in columns]
-            delta = cls(attrs, None, np_to_column(net), columns=columns)
+            columns = [column[by_row] for column in columns]
+            delta = cls(attrs, None, net, columns=columns)
         if wrong:
             signs = delta.signs
             at = next(i for i, count in enumerate(signs) if not -1 <= count <= 1)
@@ -364,7 +363,7 @@ class SignedDelta:
             return runs[0]
         signs = array("q")
         for run in runs:
-            signs.extend(run.signs)
+            append_column(signs, run.signs)
         blocks = [run.code_columns() for run in runs]
         return cls.sorted_from(runs[0].attrs, concat_columns(blocks, len(signs)), signs)
 

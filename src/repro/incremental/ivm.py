@@ -184,7 +184,7 @@ def execute_delta_term(
 ) -> tuple:
     """Run one delta-rule term; its output comes back as code columns.
 
-    One ``array('q')`` per variable of ``order``, picked from the buffers
+    One code column per variable of ``order``, picked from the buffers
     the join produced: the term's distinct bindings, in no particular row
     order (they are sorted under the delta-first order), nothing re-tupled.
 

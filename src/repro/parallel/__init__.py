@@ -11,8 +11,9 @@ the shards out over a persistent ``multiprocessing`` worker pool:
   columns);
 * :mod:`repro.parallel.pool` is the worker pool: the dictionary-encoded
   relations ship to each worker *once per database* as raw column-major
-  ``array('q')`` code buffers (plans and dictionaries likewise seed once),
-  and each shard task — just per-relation row ranges — runs the serial
+  int64 code buffers, adopted worker-side as read-only column views of the
+  received bytes (plans and dictionaries likewise seed once), and each
+  shard task — just per-relation row ranges — runs the serial
   driver-table entry over the worker-resident relations;
 * :mod:`repro.parallel.engine` holds the ordered merge that reassembles
   per-shard outputs into one relation, and parallel FAQ.  The facade is

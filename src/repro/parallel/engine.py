@@ -41,6 +41,7 @@ from repro.parallel.pool import (
 )
 from repro.planner.engine import QueryEngine
 from repro.relational.backend import current_backend
+from repro.relational.columns import append_column
 from repro.relational.operators import current_counter
 from repro.relational.relation import Relation
 
@@ -77,7 +78,7 @@ def _merge_shard_columns(shards: Iterable[Sequence], arity: int) -> tuple:
             )
         previous_last = tuple(column[-1] for column in columns)
         for target, column in zip(merged, columns):
-            target.extend(column)
+            append_column(target, column)
     return merged
 
 
@@ -192,7 +193,7 @@ def parallel_faq_join(
     for buffer, shard_values, counts in results:
         counter.absorb(counts)
         for column, part in zip(columns, unpack_column_arrays(buffer, len(schema))):
-            column.extend(part)
+            append_column(column, part)
         values += shard_values
     out_schema = first_appearance_schema([f.schema for f in factors], free)
     columns = [columns[schema.index(a)] for a in out_schema]

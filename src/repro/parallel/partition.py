@@ -79,7 +79,7 @@ def key_runs(column, lo: int = 0, hi: int | None = None) -> list[tuple[int, int]
     """The ``(code, run_length)`` pairs of a sorted column range.
 
     Counted with :class:`collections.Counter` (a C-level loop over the
-    ``array('q')`` codes) rather than a Python run scan — shard planning
+    column's codes) rather than a Python run scan — shard planning
     touches every anchored row once, so this is the partitioner's only
     data-sized cost.
     """

@@ -2,17 +2,17 @@
 
 Data ships once, work ships per shard: when a :class:`WorkerPool` is bound
 to a database (:meth:`WorkerPool.ensure_database`), every worker process
-receives the dictionary-encoded relations as raw column-major ``array('q')``
+receives the dictionary-encoded relations as raw column-major int64 code
 buffers through its initializer — no per-tuple pickling, no decoding — and
-rebuilds them exactly once.  Relations bound to a persisted column store
-(:mod:`repro.relational.storage`) skip even that: they ship as *file
-references* (paths + digest, a few strings on the wire) and each worker
-maps the digest-named artifact read-only with ``mmap``, so bind cost is
-independent of data size and the mapped pages are shared across the pool.
-A shard task is then just ``(driver, row
-ranges, extra)``: the worker runs the named driver-table entry
-(:meth:`repro.core.query_plans.Driver.run`) over its resident relations
-restricted to the ranges — a join through
+adopts each column as a read-only view of the received buffer, once
+(:func:`unpack_column_arrays`, no copy).  Relations bound to a persisted
+column store (:mod:`repro.relational.storage`) skip even that: they ship as
+*file references* (paths + digest, a few strings on the wire) and each
+worker maps the digest-named artifact read-only with ``mmap``, so bind cost
+is independent of data size and the mapped pages are shared across the pool.
+A shard task is then just ``(driver, row ranges, extra)``: the worker runs
+the named driver-table entry (:meth:`repro.core.query_plans.Driver.run`)
+over its resident relations restricted to the ranges — a join through
 :func:`repro.relational.execution.execute_join`'s zero-copy root-range
 restriction, so per-shard marginal cost is pure join work (and the shared
 per-node trie caches of
@@ -52,7 +52,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from array import array
 from typing import Sequence
 
 from repro.exceptions import QueryError
@@ -79,9 +78,9 @@ __all__ = [
 def pack_column_range(column_set, lo: int, hi: int) -> bytes:
     """Serialize rows ``[lo, hi)`` of a column set, column-major.
 
-    Slicing the materialized ``array('q')`` columns is a C-speed copy — the
-    parent pays no per-tuple Python work to ship a relation.  (Columns
-    materialize once per relation and are cached on the column set.)
+    Slicing the materialized columns is a C-speed copy — the parent pays no
+    per-tuple Python work to ship a relation.  (Columns materialize once per
+    relation and are cached on the column set.)
     """
     parts = []
     for column in column_set.columns:
@@ -91,16 +90,13 @@ def pack_column_range(column_set, lo: int, hi: int) -> bytes:
 
 
 def unpack_column_arrays(buffer: bytes, arity: int) -> tuple:
-    """Split a column-major code buffer back into its ``array('q')`` columns."""
+    """Split a column-major code buffer back into its columns: read-only
+    ``'q'`` views of ``buffer`` itself, one slice per column, no copy."""
     if arity == 0:
         return ()
-    n = len(buffer) // (8 * arity)
-    columns = []
-    for i in range(arity):
-        column = array("q")
-        column.frombytes(buffer[i * 8 * n : (i + 1) * 8 * n])
-        columns.append(column)
-    return tuple(columns)
+    view = memoryview(buffer).cast("q")
+    n = len(view) // arity
+    return tuple(view[i * n : (i + 1) * n] for i in range(arity))
 
 
 def _relation_from_buffer(name: str, attrs: tuple, buffer: bytes) -> Relation:
@@ -356,8 +352,7 @@ def _versioned_relation(
         key, base_digest, attrs, base, version - 1, runs[:-1]
     )
     codes_buffer, signs_buffer = runs[-1]
-    signs = array("q")
-    signs.frombytes(signs_buffer)
+    (signs,) = unpack_column_arrays(signs_buffer, 1)
     columns = unpack_column_arrays(codes_buffer, len(attrs))
     run = SignedDelta(previous.schema, None, signs, columns=columns)
     relation = advance_relation(previous, run, name=key)

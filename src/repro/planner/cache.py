@@ -71,12 +71,13 @@ class PlanCache:
         self.maxsize = maxsize
         self.stats = PlanCacheStats()
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
-        #: exact instance encoding -> plan already re-keyed to that instance,
-        #: so repeated planning of the textually identical instance skips
-        #: both the signature search and the renaming pass.  Plans are
-        #: immutable values, so this never needs invalidation — only the
-        #: size bound below.
-        self._instance_memo: dict[Hashable, object] = {}
+        #: exact instance encoding -> (plan already re-keyed to that
+        #: instance, the signature key of the entry behind it), so repeated
+        #: planning of the textually identical instance skips both the
+        #: signature search and the renaming pass while still touching that
+        #: entry's LRU slot.  Plans are immutable values, so this never
+        #: needs invalidation — only the size bound below.
+        self._instance_memo: dict[Hashable, tuple[object, Hashable]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,20 +106,28 @@ class PlanCache:
         targets = tuple(targets)
         sig_key, canonical_to_instance = rule_signature(universe, targets, constraints)
         self.put(sig_key, plan, canonical_to_instance)
-        self.store_instance(self.instance_key(universe, targets, constraints), plan)
+        self.store_instance(
+            self.instance_key(universe, targets, constraints), plan, sig_key
+        )
 
     def lookup_instance(self, key: Hashable) -> object | None:
         """An instance-memo probe; counts a hit when it lands (never a miss —
-        the canonical lookup that follows does the miss accounting)."""
-        plan = self._instance_memo.get(key)
-        if plan is not None:
-            self.stats.hits += 1
+        the canonical lookup that follows does the miss accounting) and
+        touches the LRU order of the canonical entry behind the plan, so a
+        shape served only from the memo is not the first one evicted."""
+        found = self._instance_memo.get(key)
+        if found is None:
+            return None
+        plan, sig_key = found
+        if sig_key in self._entries:
+            self._entries.move_to_end(sig_key)
+        self.stats.hits += 1
         return plan
 
-    def store_instance(self, key: Hashable, plan: object) -> None:
+    def store_instance(self, key: Hashable, plan: object, sig_key: Hashable) -> None:
         if len(self._instance_memo) >= 8 * self.maxsize:
             self._instance_memo.clear()
-        self._instance_memo[key] = plan
+        self._instance_memo[key] = (plan, sig_key)
 
     def get(self, key: Hashable) -> _Entry | None:
         """Look up a plan entry, counting the hit/miss and touching LRU order."""

@@ -264,7 +264,7 @@ class Planner:
                 solver=self.bound_solver(universe, constraints),
             )
             self.cache.put(sig_key, plan, canonical_to_instance)
-        self.cache.store_instance(exact_key, plan)
+        self.cache.store_instance(exact_key, plan, sig_key)
         return plan
 
 

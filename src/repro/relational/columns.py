@@ -11,10 +11,14 @@ fixed once at ingestion time.
   every join/semijoin/intersection can run directly on the integers — no
   decode, no value hashing, no cross-relation translation.
 * A :class:`ColumnSet` materializes one relation's code-tuples *sorted
-  lexicographically* under a chosen attribute order, with one ``array('q')``
-  per attribute built on demand.  Sorted columns are what the shared
-  :class:`~repro.relational.trie.SortedTrieIterator` walks: a trie level is a
-  contiguous code range, descents are C-level binary searches, and seeks
+  lexicographically* under a chosen attribute order, with one *column* per
+  attribute built on demand.  A column is any read-only C-contiguous int64
+  buffer — an ``array('q')``, a numpy kernel's output, a slice of a pool
+  or ``mmap`` buffer — and :func:`as_column` is the one place that decides
+  it: it adopts a buffer as a ``'q'``-cast ``memoryview``, copying none.
+  Sorted columns are what the shared
+  :class:`~repro.relational.trie.SortedTrieIterator` walks: a trie level is
+  a contiguous code range, descents are C-level binary searches, and seeks
   gallop (:func:`gallop_left`) instead of probing dicts.
 
 Codes order values by *first appearance*, not by ``<`` on the values — the
@@ -39,6 +43,8 @@ __all__ = [
     "ColumnSet",
     "apply_plan_to_columns",
     "apply_signed_rows",
+    "append_column",
+    "as_column",
     "canonical_codes",
     "concat_columns",
     "decode_row",
@@ -204,12 +210,67 @@ def canonical_codes(attrs: tuple[str, ...], codes: Sequence[Sequence]) -> "Colum
     if vectorize(len(codes[0])):
         import numpy as np
 
-        from repro.relational.vectorized import np_to_column, pack_keys
+        from repro.relational.vectorized import pack_keys
 
         arrays = [np.asarray(column, dtype=np.int64) for column in codes]
         first = np.unique(pack_keys(arrays)[0], return_index=True)[1]
-        return ColumnSet(attrs, columns=[np_to_column(a[first]) for a in arrays])
+        return ColumnSet(attrs, columns=[a[first] for a in arrays])
     return ColumnSet(attrs, sorted(set(zip(*codes))), presorted=True)
+
+
+def as_column(values):
+    """``values`` as a column: a C-contiguous int64 buffer, adopted, not copied.
+
+    An ``array('q')`` and a ``'q'`` ``memoryview`` (an ``mmap``-ed file, a
+    pool buffer, a range view) are columns already.  A contiguous int64
+    buffer of any other kind — a numpy kernel's output — is frozen
+    read-only, so no later write can reach the readers that share it, and
+    adopted through a ``'q'`` cast of its own memory.  O(1) per column,
+    no per-row work; only anything else (a list, a strided or non-int64
+    array) is copied, by :func:`_copy_column`.
+    """
+    if type(values) is array and values.typecode == "q":
+        return values
+    try:
+        view = values if type(values) is memoryview else memoryview(values)
+    except TypeError:  # not a buffer: a list, a tuple, a range
+        return _copy_column(values)
+    if (
+        view.ndim != 1
+        or view.itemsize != 8
+        or view.format not in ("q", "l")
+        or not view.c_contiguous
+    ):
+        return _copy_column(values)
+    flags = getattr(values, "flags", None)  # a numpy array
+    if flags is not None and flags.writeable:
+        view.release()
+        flags.writeable = False
+        view = memoryview(values)
+    return view if view.format == "q" else view.cast("B").cast("q")
+
+
+def _copy_column(values):
+    """A column holding a copy of ``values`` (the one copy :func:`as_column`
+    makes): an int64 ndarray for numpy input, an ``array('q')`` for the rest."""
+    if hasattr(values, "__array_interface__"):
+        import numpy
+
+        values = numpy.asarray(values)
+        if values.size and values.dtype.kind not in "iu":
+            raise SchemaError(f"a column holds integer codes, not {values.dtype}")
+        return as_column(numpy.ascontiguousarray(values, dtype=numpy.int64))
+    return array("q", values)
+
+
+def append_column(target: array, column) -> None:
+    """Append a column (any int64 buffer, or a slice of one) to ``target``.
+
+    One ``frombytes`` memcpy: ``array.extend`` takes that path only for
+    another ``array('q')`` and walks any other buffer item by item
+    (×100 slower on a 500 k-row view).
+    """
+    target.frombytes(memoryview(column).cast("B"))
 
 
 def concat_columns(blocks: Sequence[Sequence], nrows: int) -> list:
@@ -235,7 +296,7 @@ class ColumnSet:
 
     * every trie level (a fixed prefix) is a contiguous index range,
     * distinct prefixes are run boundaries (projection/degree = linear scan),
-    * per-attribute ``array('q')`` columns support C-speed binary search.
+    * per-attribute columns support C-speed binary search.
 
     The set holds its sorted tuples as row tuples, as aligned columns, or as
     both; whichever form is missing is derived on first use and cached —
@@ -269,14 +330,15 @@ class ColumnSet:
         """Adopt code tuples given as ``rows``, as ``columns``, or as both.
 
         ``rows`` are sorted here unless ``presorted``; ``columns`` are one
-        ``array('q')`` / ``memoryview`` per attribute, already sorted-aligned
+        int64 buffer per attribute (``array('q')``, ``memoryview`` or
+        ndarray, each adopted by :func:`as_column`), already sorted-aligned
         (and, when both forms are given, aligned with the sorted ``rows`` —
         the signed merge produces exactly that pair).  A set without
         attributes needs ``rows``: a column tuple cannot carry its row count.
         """
         self.attrs: tuple[str, ...] = tuple(attrs)
         if columns is not None:
-            columns = tuple(columns)
+            columns = tuple(map(as_column, columns))
         if rows is not None:
             if not presorted:
                 rows = sorted(rows)
@@ -349,11 +411,13 @@ class ColumnSet:
         return self._np_keys
 
     def np_columns(self) -> tuple:
-        """Zero-copy ``int64`` numpy views of :attr:`columns` (cached).
+        """Zero-copy read-only ``int64`` numpy views of :attr:`columns` (cached).
 
         Only callable when numpy is importable (the vectorized backend
-        guarantees it); the views share the ``array('q')`` buffers through
-        ``np.frombuffer``, so no column data is copied.
+        guarantees it); the views share the column buffers through
+        ``np.frombuffer``, so no column data is copied, and every view is
+        read-only whatever backs it: a kernel cannot write into a version
+        other readers share.
         """
         cols = self._np_cols
         if cols is None:
@@ -362,6 +426,8 @@ class ColumnSet:
             cols = tuple(
                 numpy.frombuffer(col, dtype=numpy.int64) for col in self.columns
             )
+            for col in cols:
+                col.flags.writeable = False
             self._np_cols = cols
         return cols
 
@@ -371,9 +437,10 @@ class ColumnSet:
 
     @property
     def columns(self) -> tuple:
-        """One sorted-aligned ``array('q')`` per attribute (built on demand).
+        """One sorted-aligned column per attribute (built on demand).
 
-        Materialized by one C-level ``zip(*rows)`` transpose instead of one
+        The columns the set was built from, else ``array('q')`` columns
+        materialized by one C-level ``zip(*rows)`` transpose instead of one
         Python generator pass per column — relations are rebuilt per version
         under incremental maintenance, so this runs often enough to matter.
         """
@@ -433,7 +500,7 @@ class ColumnSet:
         The canonical byte stream is always column-major.  When only the
         row tuples exist, each column position is hashed in bounded chunks
         straight off the rows instead of materializing (and caching) the
-        full ``array('q')`` transpose just to fingerprint it; file-backed
+        full column transpose just to fingerprint it; file-backed
         sets (:mod:`repro.relational.storage`) carry their manifest digest
         and never rescan at all.
         """
@@ -582,7 +649,7 @@ def signed_merge_plan(
     for kept stretches of the base, interleaved with inserted row tuples
     (the two are type-distinguishable) — that :func:`apply_signed_rows`
     materializes as a row list and :func:`apply_plan_to_columns` as
-    per-attribute ``array('q')`` columns.  Each delta row costs one search;
+    per-attribute columns.  Each delta row costs one search;
     everything between delta rows moves as one C-speed slice.  This
     is the interpreted arm of the signed merge: a delta on the numpy arm
     never builds a plan (:func:`repro.incremental.delta.advance_relation`).
@@ -642,20 +709,20 @@ def apply_signed_rows(
 
 
 def apply_plan_to_columns(columns: Sequence, plan: list) -> tuple:
-    """Apply a :func:`signed_merge_plan` to materialized ``array('q')`` columns.
+    """Apply a :func:`signed_merge_plan` to materialized columns.
 
     The column-side twin of :func:`apply_signed_rows`: kept stretches move
-    as C-level array slices, inserted rows contribute one code per column —
-    so a relation version's columns advance in O(|delta| + memcpy) instead
-    of a fresh O(N · arity) transpose per batch.
+    as one :func:`append_column` memcpy each, inserted rows contribute one
+    code per column — so a relation version's ``array('q')`` columns
+    advance in O(|delta| + memcpy) instead of a fresh O(N · arity)
+    transpose per batch.
     """
-    # array-slice extends hit the C same-typecode fast path; a memoryview
-    # here would fall back to per-item iteration.
+    views = [memoryview(column) for column in columns]
     out = [array("q") for _ in columns]
     for step in plan:
         if type(step) is slice:
-            for target, column in zip(out, columns):
-                target.extend(column[step])
+            for target, view in zip(out, views):
+                append_column(target, view[step])
         else:
             for target, code in zip(out, step):
                 target.append(code)

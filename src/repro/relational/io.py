@@ -38,7 +38,6 @@ __all__ = [
     "load_changes_csv",
     "iter_change_feed",
     "load_change_feed",
-    "save_changes_csv",
 ]
 
 
@@ -156,24 +155,6 @@ def load_changes_csv(
     for op, row in zip(ops, zip(*columns) if columns else [()] * len(ops)):
         (inserts if op == "+" else deletes).append(row)
     return header[1:], inserts, deletes
-
-
-def save_changes_csv(
-    schema,
-    inserts,
-    deletes,
-    path: str | Path,
-    delimiter: str = ",",
-) -> None:
-    """Write a change feed (inverse of :func:`load_changes_csv`)."""
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(("op",) + tuple(schema))
-        for row in inserts:
-            writer.writerow(("+",) + tuple(row))
-        for row in deletes:
-            writer.writerow(("-",) + tuple(row))
 
 
 def iter_change_feed(

@@ -195,14 +195,12 @@ def project(relation: Relation, attrs: Iterable[str], name: str | None = None) -
         # the distinct rows gather straight into output columns.
         import numpy as np
 
-        from repro.relational.vectorized import np_to_column
-
         cols = column_set.np_columns()
         keep = np.zeros(column_set.nrows, dtype=bool)
         keep[0] = True
         for col in cols:
             keep[1:] |= col[1:] != col[:-1]
-        out_cols = tuple(np_to_column(col[keep]) for col in cols)
+        out_cols = tuple(col[keep] for col in cols)
         counter.tuples_emitted += len(out_cols[0])
         return Relation.from_columns(name, out_schema, out_cols)
     out_rows: list[tuple] = []
@@ -305,12 +303,7 @@ def _np_merge_join(left_set, right_set, k, out_schema):
     """
     import numpy as np
 
-    from repro.relational.vectorized import (
-        membership_mask,
-        np_to_column,
-        pack_keys,
-        sorted_unique,
-    )
+    from repro.relational.vectorized import membership_mask, pack_keys, sorted_unique
 
     left_cols = left_set.np_columns()
     right_cols = right_set.np_columns()
@@ -341,7 +334,7 @@ def _np_merge_join(left_set, right_set, k, out_schema):
             columns.append(right_cols[right_set.attrs.index(attr)][right_index])
     # Output rows are distinct, so the packed-key argsort has no ties.
     by_row = np.argsort(pack_keys(columns)[0])
-    return tuple(np_to_column(column[by_row]) for column in columns)
+    return tuple(column[by_row] for column in columns)
 
 
 def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relation:
@@ -362,7 +355,7 @@ def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relati
     counter.tuples_scanned += len(left)
     name = name or left.name
     if left.schema and vectorize(len(left) + len(right)):
-        from repro.relational.vectorized import membership_mask, np_to_column
+        from repro.relational.vectorized import membership_mask
 
         left_cols = left.column_set(left.schema).np_columns()
         right_set = right.column_set(shared)
@@ -371,7 +364,7 @@ def semijoin(left: Relation, right: Relation, name: str | None = None) -> Relati
             (right_set.np_columns(), right_set.nrows),
         )
         mask = membership_mask(left_key, right_key)
-        columns = tuple(np_to_column(col[mask]) for col in left_cols)
+        columns = tuple(col[mask] for col in left_cols)
         counter.tuples_emitted += len(columns[0])
         return Relation.from_columns(name, left.schema, columns)
     keys = right.key_set(shared)
@@ -409,7 +402,7 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
     if vectorize(len(left) + len(right)):
         import numpy as np
 
-        from repro.relational.vectorized import np_to_column, pack_keys, run_start_mask
+        from repro.relational.vectorized import pack_keys, run_start_mask
 
         left_cols = left.column_set(left.schema).np_columns()
         right_cols = right.column_set(left.schema).np_columns()
@@ -417,8 +410,7 @@ def union(left: Relation, right: Relation, name: str | None = None) -> Relation:
         merged = np.argsort(keys, kind="stable")
         merged = merged[run_start_mask(keys[merged])]
         columns = tuple(
-            np_to_column(np.concatenate(pair)[merged])
-            for pair in zip(left_cols, right_cols)
+            np.concatenate(pair)[merged] for pair in zip(left_cols, right_cols)
         )
         counter.tuples_emitted += len(merged)
         return Relation.from_columns(name, left.schema, columns)
@@ -444,17 +436,13 @@ def difference(left: Relation, right: Relation, name: str | None = None) -> Rela
     counter.tuples_scanned += len(left) + len(right)
     name = name or f"({left.name}-{right.name})"
     if vectorize(len(left) + len(right)):
-        from repro.relational.vectorized import (
-            membership_mask,
-            np_to_column,
-            pack_keys,
-        )
+        from repro.relational.vectorized import membership_mask, pack_keys
 
         left_cols = left.column_set(left.schema).np_columns()
         right_cols = right.column_set(left.schema).np_columns()
         left_key, right_key = pack_keys(left_cols, right_cols)
         mask = ~membership_mask(left_key, right_key)
-        columns = tuple(np_to_column(col[mask]) for col in left_cols)
+        columns = tuple(col[mask] for col in left_cols)
         counter.tuples_emitted += len(columns[0])
         return Relation.from_columns(name, left.schema, columns)
     removed = set(_realigned_rows(right, left.schema))
@@ -589,7 +577,7 @@ def _np_x_groups(relation: Relation, x_attrs: tuple[str, ...]):
     """
     import numpy as np
 
-    from repro.relational.vectorized import np_to_column, run_start_mask
+    from repro.relational.vectorized import run_start_mask
 
     total = len(relation)
     columns = relation.column_set(relation.schema).np_columns()
@@ -616,9 +604,7 @@ def _np_x_groups(relation: Relation, x_attrs: tuple[str, ...]):
         chosen[members] = True
         mask = chosen[group_of]
         return Relation.from_columns(
-            name,
-            relation.schema,
-            [np_to_column(column[mask]) for column in columns],
+            name, relation.schema, [column[mask] for column in columns]
         )
 
     return x_codes, sizes.tolist(), buckets, piece_of

@@ -25,7 +25,13 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import SchemaError
 from repro.relational.backend import vectorize
-from repro.relational.columns import ColumnSet, Dictionary, decode_row, encode_columns
+from repro.relational.columns import (
+    ColumnSet,
+    Dictionary,
+    canonical_codes,
+    decode_row,
+    encode_columns,
+)
 from repro.relational.trie import SortedTrieIterator
 
 __all__ = ["Relation"]
@@ -164,7 +170,7 @@ class Relation:
     def from_columns(
         cls, name: str, schema: Iterable[str], columns: Sequence
     ) -> "Relation":
-        """Build a relation from sorted-aligned ``array('q')`` code columns.
+        """Build a relation from sorted-aligned code columns (int64 buffers).
 
         The emission path of the vectorized backend
         (:mod:`repro.relational.vectorized`) and the bind path of pool
@@ -226,12 +232,12 @@ class Relation:
             raise SchemaError(f"column order {order} repeats an attribute")
         canonical = self._column_sets[self.schema]
         if order and vectorize(canonical.nrows):
-            from repro.relational.vectorized import np_to_column, pack_keys
+            from repro.relational.vectorized import pack_keys
 
             picked = [canonical.np_columns()[p] for p in positions]
             by_row = pack_keys(picked)[0].argsort()
             cached = ColumnSet.from_columns(
-                order, [np_to_column(column.take(by_row)) for column in picked]
+                order, [column.take(by_row) for column in picked]
             )
         else:
             rows = sorted([tuple(row[p] for p in positions) for row in canonical.rows])
@@ -518,6 +524,4 @@ class Relation:
                 self._dicts, schema, self._column_sets[self.schema].columns
             )
         ]
-        if vectorize(len(self)):  # translate's numpy arm hands back ndarrays
-            columns = [column.tolist() for column in columns]
-        return Relation.from_codes(name, schema, zip(*columns), distinct=True)
+        return Relation.from_column_set(name, canonical_codes(schema, columns))

@@ -1,8 +1,8 @@
 """Degree-statistics extraction (§2.2).
 
 Helpers that turn a concrete database into the degree-constraint sets the
-bound/width machinery consumes: full per-relation statistics, the cardinality
-skeleton, and functional-dependency discovery.
+bound/width machinery consumes: full per-relation statistics and
+functional-dependency discovery.
 
 Profiling a relation ranges over every pair ``X ⊂ Y ⊆ attrs(R)``; the pairs
 are enumerated on the bitmask kernel (:class:`~repro.core.varmap.VarMap` —
@@ -21,15 +21,9 @@ from repro.core.varmap import VarMap
 from repro.relational.relation import Relation
 
 __all__ = [
-    "cardinality_constraint",
     "relation_statistics",
     "discover_functional_dependencies",
 ]
-
-
-def cardinality_constraint(relation: Relation) -> DegreeConstraint:
-    """The constraint ``|R| <= len(R)`` for one relation."""
-    return DegreeConstraint.make((), relation.schema, max(1, len(relation)))
 
 
 def relation_statistics(

@@ -7,8 +7,10 @@ engine's own storage format — the sorted, dictionary-encoded code columns of
 on demand.  Nothing above the storage layer needs the data on a heap: every
 join algorithm, shard restriction, and signed-splice merge consumes the
 columns through the sequence/buffer protocols, which an ``mmap``-backed
-``memoryview(...).cast('q')`` satisfies bit-for-bit (MonetDB/X100 lineage;
-the PODS'17 algorithms only ever walk sorted integer columns).
+``memoryview(...).cast('q')`` satisfies bit-for-bit — the same view
+:func:`~repro.relational.columns.as_column` adopts a numpy kernel's output
+as (MonetDB/X100 lineage; the PODS'17 algorithms only ever walk sorted
+integer columns).
 
 A *persisted database directory* looks like::
 
@@ -51,7 +53,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.exceptions import StorageError
-from repro.relational.columns import ColumnSet, Dictionary
+from repro.relational.columns import ColumnSet, Dictionary, as_column
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -84,21 +86,6 @@ def _require_little_endian() -> None:
             "persisted database directories are little-endian int64; this "
             "host is big-endian"
         )
-
-
-def _column_view(column) -> memoryview:
-    """A C-contiguous 8-byte-item view of one column buffer.
-
-    Accepts ``array('q')``, int64 numpy arrays, and ``'q'``-cast
-    memoryviews — everything the engine hands around as a column.
-    """
-    view = memoryview(column)
-    if view.itemsize != 8 or not view.c_contiguous or view.ndim != 1:
-        raise StorageError(
-            "column buffers must be contiguous 64-bit integer sequences "
-            "(array('q') or int64 ndarray)"
-        )
-    return view
 
 
 class ColumnBacking:
@@ -205,7 +192,7 @@ class ColumnFileWriter:
         """Append one sorted block (per-attribute aligned int64 buffers)."""
         if self._handles is None:
             raise StorageError("writer already finalized")
-        views = [_column_view(column) for column in columns]
+        views = [as_column(column) for column in columns]
         if len(views) != len(self.attrs):
             raise StorageError(
                 f"block has {len(views)} columns, schema {self.attrs} "
@@ -318,7 +305,7 @@ class ColumnStore:
             for position, (column, final) in enumerate(zip(columns, paths)):
                 temp = self.root / f"{token}.c{position}"
                 with open(temp, "wb") as handle:
-                    handle.write(_column_view(column))
+                    handle.write(column)
                 os.replace(temp, final)
         if column_set.backing is None:
             column_set.attach_backing(

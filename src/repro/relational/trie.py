@@ -16,7 +16,7 @@ that implicit trie through the Leapfrog-Triejoin iterator protocol
 ``at_end()``   whether the current level is exhausted
 =============  ==============================================================
 
-``seek`` gallops on the level's ``array('q')`` column — ``O(log(distance
+``seek`` gallops on the level's code column — ``O(log(distance
 moved))``, the property Veldhuizen's analysis needs for the ``O~(2^rho*)``
 worst-case-optimality bound — while ``open``/``next``/``open_at`` are
 C-level binary searches over the node's range.

@@ -3,8 +3,8 @@
 This module mirrors :func:`repro.relational.execution.execute_join` — the
 recursion both WCOJ baselines, the Yannakakis sweeps, and the delta-rule
 terms share — but replaces the tuple-at-a-time depth-first recursion with a
-breadth-first **frontier** over the zero-copy int64 numpy views of the
-sorted ``array('q')`` code columns (:meth:`ColumnSet.np_columns`), in the
+breadth-first **frontier** over the zero-copy read-only int64 numpy views of
+the sorted code columns (:meth:`ColumnSet.np_columns`), in the
 EmptyHeaded/LevelHeaded tradition of vectorized execution over sorted
 columnar tries:
 
@@ -37,9 +37,10 @@ columnar tries:
   span)`` whole-array steps), the block twin of the leapfrog seek; the
   surviving candidates' child ranges fall out of the same lookups;
 * **columnar emission** — after the last level the frontier's binding
-  columns *are* the result columns; they are adopted through
-  :meth:`Relation.from_columns` and the O(N · arity) transpose back into
-  Python row tuples is deferred until a consumer actually asks for rows.
+  columns *are* the result columns; :meth:`Relation.from_columns` adopts
+  the arrays themselves as read-only column views (no copy), and the
+  O(N · arity) transpose back into Python row tuples is deferred until a
+  consumer actually asks for rows.
 
 The contract (ROADMAP Architecture layer 9): **code-domain only** (int64
 codes; exact-``Fraction`` annotation/witness/proof paths never enter this
@@ -54,7 +55,6 @@ way the PR 4 shard counters may differ from serial ones).
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ from repro.relational.relation import Relation
 
 __all__ = [
     "membership_mask",
-    "np_to_column",
     "pack_keys",
     "run_start_mask",
     "sorted_unique",
@@ -84,19 +83,6 @@ def run_start_mask(block):
 def sorted_unique(block):
     """Distinct values of an already-sorted array (run-boundary mask)."""
     return block[run_start_mask(block)]
-
-
-def np_to_column(values) -> array:
-    """An int64 ndarray as an ``array('q')`` (one memcpy).
-
-    The ``memoryview`` cast hands ``frombytes`` the ndarray's own buffer —
-    measurably cheaper than materializing an intermediate ``bytes`` copy on
-    multi-million-row join outputs.
-    """
-    out = array("q")
-    buffer = np.ascontiguousarray(values, dtype=np.int64)
-    out.frombytes(memoryview(buffer).cast("B"))
-    return out
 
 
 #: The one density gate of this module (:func:`_dense`): a direct-address
@@ -658,6 +644,4 @@ def vectorized_execute_join(
     if m == 0:
         return Relation.from_codes(name, order, [], presorted=True, distinct=True)
     counter.tuples_emitted += m
-    return Relation.from_columns(
-        name, order, [np_to_column(column) for column in bind_cols]
-    )
+    return Relation.from_columns(name, order, bind_cols)

@@ -90,3 +90,29 @@ def membership_arms(monkeypatch):
     monkeypatch.setattr(vectorized, "_ragged_probe", counted_ragged_probe)
     monkeypatch.setattr(vectorized, "_segmented_searchsorted", counted_search)
     return taken
+
+
+@pytest.fixture
+def column_copies(monkeypatch):
+    """A ``Counter`` of the copies :func:`~repro.relational.columns.as_column`
+    makes: ``"columns"`` counts copied inputs, ``"values"`` their lengths.
+
+    A numpy output, a pool buffer or an ``mmap`` view is adopted, not
+    copied, so a path that only moves such buffers into column sets keeps
+    both at 0.  Forked pool workers count in their own copy.
+    """
+    from collections import Counter
+
+    from repro.relational import columns
+
+    made = Counter()
+    copy = columns._copy_column
+
+    def counted_copy(values):
+        column = copy(values)
+        made["columns"] += 1
+        made["values"] += len(column)
+        return column
+
+    monkeypatch.setattr(columns, "_copy_column", counted_copy)
+    return made

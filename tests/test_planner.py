@@ -188,6 +188,31 @@ class TestPlanCacheCorrectness:
         assert cache.get("a") is None  # evicted (LRU)
         assert cache.get("c").plan == "plan-c"
 
+    def test_instance_hit_touches_its_entry(self):
+        """A shape served from the instance memo is recently used: after a
+        third shape fills a 2-entry cache, a renamed request of it still
+        hits the canonical entry instead of being re-planned."""
+        from repro.planner.signature import rename_degree_constraint
+
+        constraints = modular_cycle_database(4).extract_cardinalities()
+        universe = tuple(sorted(cycle_query(4).variable_set))
+        a1, a2, a3, a4 = universe
+        full = (frozenset(universe),)
+        pair = (frozenset({a1, a2, a3}), frozenset({a3, a4, a1}))
+        triple = (frozenset({a1, a2, a3}),)
+        planner = Planner(PlanCache(maxsize=2))
+        for targets in (full, pair, full, triple):
+            planner.plan_rule(universe, targets, constraints)
+        assert (planner.stats.hits, planner.stats.misses) == (1, 3)
+        mapping = {v: f"B{i}" for i, v in enumerate(universe)}
+        planner.plan_rule(
+            tuple(mapping[v] for v in universe),
+            (frozenset(mapping[v] for v in universe),),
+            type(constraints)(rename_degree_constraint(c, mapping) for c in constraints),
+        )
+        assert (planner.stats.hits, planner.stats.misses) == (2, 3)
+        assert planner.stats.evictions == 1
+
 
 class TestSignatureInvariance:
     def test_renaming_invariance_property(self, rng):
