@@ -132,9 +132,13 @@ class PandaStats:
 
 @dataclass
 class PandaResult:
-    """Everything PANDA produced for one rule evaluation."""
+    """Everything PANDA produced for one rule evaluation.
 
-    model: TargetModel
+    ``model`` is ``None`` on a run a pooled shard reported: its tables are
+    part of the merged answer, and tables do not travel home (RL-POOLSHIP).
+    """
+
+    model: TargetModel | None
     log_value: Fraction
     stats: PandaStats
     proof_sequence_length: int

@@ -1,26 +1,26 @@
 """PANDA-based query evaluation (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
 
-Three PANDA drivers plus the traditional baseline:
+Every PANDA driver is one recipe, :func:`_panda_plan`: PANDA on a set of
+disjunctive rules, the tables unioned per bag and semijoin-reduced by every
+atom, then Yannakakis over the decompositions whose bags were all produced,
+the results unioned (OR-ed when Boolean).  A driver is only its rules and
+the decompositions it joins (its entry of :data:`DRIVERS`):
 
-* :func:`panda_full_query` — a full (or Boolean) CQ at the degree-aware
-  polymatroid bound DAPB (Cor. 7.10): single-target PANDA, then semijoin
-  reduction with every input atom, which makes the superset exact;
-* :func:`dafhtw_plan` — the best tree decomposition under degree constraints;
-  every bag materialized by single-target PANDA, then Yannakakis (Cor. 7.11);
-* :func:`dasubw_plan` — the adaptive algorithm of Cor. 7.13: one disjunctive
-  rule per bag-selector image, PANDA on each, per-bag unions, semijoin
-  reduction, then Yannakakis on every candidate decomposition, with results
-  unioned (or OR-ed for Boolean queries);
-* :func:`tree_decomposition_plan` — the non-adaptive baseline of Example
-  1.10: pick ONE decomposition, materialize every bag by a worst-case-optimal
-  join of the restricted atoms, then Yannakakis.  On the 4-cycle's worst-case
-  instance this pays ``Θ(N²)`` while :func:`dasubw_plan` stays at
-  ``O~(N^{3/2})``.
+* :func:`panda_full_query` (Cor. 7.10, DAPB): one rule over all the
+  variables, joined as one bag;
+* :func:`dafhtw_plan` (Cor. 7.11): one rule per bag of the decomposition
+  with the least worst-bag bound, which is joined;
+* :func:`dasubw_plan` (Cor. 7.13): one rule per bag-selector image, every
+  candidate decomposition joined.
 
-:data:`DRIVERS` is the driver table: every name ``QueryEngine.execute``,
-the maintained engines and the CLI's ``--driver`` accept, with the serial
-driver it runs.  Pooled shards run the same entries
-(:mod:`repro.parallel.pool`).
+:func:`proper_query_plan` (§8) reuses the PANDA half on a free-connex
+decomposition, then projects; :func:`tree_decomposition_plan`, the
+non-adaptive baseline of Example 1.10, reuses the Yannakakis half over bags
+materialized by Generic Join (``Θ(N²)`` on the 4-cycle's worst case, where
+:func:`dasubw_plan` stays at ``O~(N^{3/2})``).  A caller's decomposition
+must cover the query — the bag join enforces only atoms inside a bag — or
+the plan raises :class:`~repro.exceptions.DecompositionError` before any
+work.  Pooled shards run the same entries (:mod:`repro.parallel.pool`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.datalog.rule import DisjunctiveRule
 from repro.decompositions.enumeration import tree_decompositions
 from repro.decompositions.selectors import selector_images
 from repro.decompositions.tree_decomposition import TreeDecomposition
-from repro.exceptions import QueryError
+from repro.exceptions import DecompositionError, QueryError
 from repro.relational.database import Database
 from repro.relational.leapfrog import leapfrog_triejoin
 from repro.relational.operators import project, semijoin, union
@@ -75,29 +75,27 @@ class PlanResult:
 
 
 def _new_planner():
-    """A fresh per-call planner: plans are shared across the bags, selector
-    images, and decompositions of this one driver invocation.  Pass an
-    explicit planner (or use :class:`repro.planner.QueryEngine`) to also
-    share plans across invocations and databases."""
+    """A per-call planner, sharing plans within one driver call; pass one
+    (or use :class:`repro.planner.QueryEngine`) to share them across calls."""
     from repro.planner import Planner
 
     return Planner()
 
 
-def _best_decomposition(
-    planner,
-    hypergraph,
-    constraints: ConstraintSet,
-    decompositions: Sequence[TreeDecomposition],
-) -> TreeDecomposition:
-    """The decomposition minimizing its worst bag's polymatroid bound.
+def _best_decomposition(planner, query, constraints, decompositions) -> TreeDecomposition:
+    """The candidate (all of ``TD(H)`` when ``None``) minimizing its worst
+    bag's polymatroid bound.
 
-    All bag LPs go through the planner's shared batched solver, so repeated
-    bags (within and across driver calls) solve once.  Constraints over
-    attributes outside the query's variables (a caller's constraints over
-    stored schemas) cannot inform the choice; with none usable the first
-    decomposition is taken — the choice only affects speed.
+    A lone candidate (a pooled shard's: the parent's choice) solves nothing.
+    Bag LPs go through the planner's shared batched solver.  Constraints
+    outside the query's variables cannot inform the choice; with none usable
+    the first decomposition is taken — the choice only affects speed.
     """
+    hypergraph = query.hypergraph()
+    if decompositions is None:
+        decompositions = tree_decompositions(hypergraph)
+    if len(decompositions) == 1:
+        return decompositions[0]
     universe = frozenset(hypergraph.vertices)
     if not all(c.y <= universe for c in constraints):
         constraints = ConstraintSet(c for c in constraints if c.y <= universe)
@@ -128,45 +126,137 @@ def _boolean_result(query: ConjunctiveQuery, non_empty: bool) -> Relation:
     return Relation(query.name, (), [()] if non_empty else [])
 
 
-def panda_full_query(
-    query: ConjunctiveQuery,
-    database: Database,
-    constraints: ConstraintSet | None = None,
-    planner=None,
-    decompositions: Sequence[TreeDecomposition] | None = None,
-) -> PlanResult:
-    """Corollary 7.10: evaluate a full/Boolean CQ in ``O~(N + 2^{DAPB})``.
+def _check_covers(query: ConjunctiveQuery, decompositions) -> None:
+    """Reject a caller's decomposition that does not cover the query: the
+    join of its bags would not enforce an atom inside none of them."""
+    hypergraph = query.hypergraph()
+    for decomposition in decompositions:
+        if not decomposition.covers(hypergraph):
+            raise DecompositionError(f"{decomposition} leaves an atom of {query} in no bag")
 
-    ``decompositions`` is unused (one rule over all variables); it is
-    accepted so every entry of :data:`DRIVERS` takes the same arguments.
+
+def _bag_tables(query, database, rules, constraints, planner) -> tuple[dict, list]:
+    """``({bag: table}, runs)``: PANDA on each rule (a tuple of target bags),
+    its tables unioned per bag, every bag reduced by every atom."""
+    runs: list[PandaResult] = []
+    produced: dict[frozenset, Relation] = {}
+    for targets in rules:
+        rule = DisjunctiveRule(targets, query.body)
+        result = panda(rule, database, constraints=constraints, planner=planner)
+        runs.append(result)
+        for table in result.model.tables:
+            bag = table.attributes
+            old = produced.get(bag)
+            produced[bag] = table if old is None else union(old, table, name=table.name)
+    atoms = [atom.bind(database) for atom in query.body]
+    for bag, table in list(produced.items()):
+        for atom in atoms:
+            table = semijoin(table, atom)
+        produced[bag] = table
+    return produced, runs
+
+
+def _join_bags(query, decompositions, produced: dict, runs: list) -> PlanResult:
+    """Yannakakis over every decomposition whose bags were all produced,
+    the results unioned (OR-ed for a Boolean query).
+
+    Each is a subset of the answer: every atom lies inside a bag of a
+    covering decomposition, and every bag table is reduced by it.  For
+    dasubw the union is the answer: the paper locates each choice tuple's
+    decomposition (Claims 1/2 of Cor. 7.13), a proof device exponential in
+    the number of images; joining them all is an equivalent superset.  A
+    bag in no ⊆-minimal image has no table, and skipping its decompositions
+    is sound: the Claim 1 choice can be drawn from the minimal sub-image.
     """
+    used: dict[frozenset, TreeDecomposition] = {
+        td.bag_set: td
+        for td in decompositions
+        if all(bag in produced for bag in td.bags)
+    }
+    answer: Relation | None = None
+    boolean = False
+    for decomposition in used.values():
+        tree = join_tree_from_bags(
+            produced[bag].renamed(f"T_{''.join(sorted(bag))}")
+            for bag in decomposition.bags
+        )
+        if query.is_boolean:
+            boolean = acyclic_boolean(tree)
+            if boolean:
+                break
+        else:
+            part = acyclic_join(tree, name=query.name)
+            answer = part if answer is None else union(answer, part, name=query.name)
+    if query.is_boolean:
+        answer = _boolean_result(query, boolean)
+    else:
+        if answer is None:
+            answer = Relation(query.name, tuple(sorted(query.variable_set)))
+        boolean = not answer.is_empty()
+    return PlanResult(answer, boolean, runs, list(used.values()))
+
+
+def _panda_plan(rules_of, query, database, constraints, decompositions, planner) -> PlanResult:
+    """The one PANDA driver: ``rules_of(query, constraints, decompositions,
+    planner)`` names the rules PANDA answers and the decompositions joined."""
     check_query(query)
+    if decompositions is not None:
+        _check_covers(query, decompositions)
     if planner is None:
         planner = _new_planner()
-    (targets,) = _full_target(query)
-    rule = DisjunctiveRule(targets, query.body, name=query.name)
-    result = panda(rule, database, constraints=constraints, planner=planner)
-    table = result.model.tables[0]
-    for atom in query.body:
-        table = semijoin(table, atom.bind(database))
-    answer = table.renamed(query.name)
-    if query.is_boolean:
-        return PlanResult(
-            relation=_boolean_result(query, not answer.is_empty()),
-            boolean=not answer.is_empty(),
-            panda_runs=[result],
-        )
-    return PlanResult(relation=answer, boolean=not answer.is_empty(), panda_runs=[result])
+    if constraints is None:
+        constraints = binding_cardinalities(query.body, database)
+    rules, joined = rules_of(query, constraints, decompositions, planner)
+    produced, runs = _bag_tables(query, database, rules, constraints, planner)
+    return _join_bags(query, joined, produced, runs)
 
 
-def _bag_atoms(query: ConjunctiveQuery, bag: frozenset, database: Database) -> list[Relation]:
-    """The restricted atoms ``Π_{F ∩ B}(R_F)`` of the bag query on ``H_B``."""
-    relations = []
-    for atom in query.body:
-        overlap = atom.variable_set & bag
-        if overlap:
-            relations.append(project(atom.bind(database), overlap))
-    return relations
+def _full_rules(query, *_) -> tuple[list, list]:
+    """panda_full's one rule, over all the variables (Cor. 7.10), joined as
+    one bag: reducing it by every atom makes PANDA's superset exact."""
+    everything = frozenset(query.variable_set)
+    return [(everything,)], [TreeDecomposition((everything,))]
+
+
+def _bag_rules(query, constraints, decompositions, planner) -> tuple[list, list]:
+    """dafhtw's rules: one per bag of the candidate minimizing its worst bag
+    bound (Cor. 7.11), which is the one decomposition joined."""
+    best = _best_decomposition(planner, query, constraints, decompositions)
+    return [(bag,) for bag in best.bags], [best]
+
+
+def _image_rules(query, constraints, decompositions, planner) -> tuple[list, list]:
+    """dasubw's rules: one per bag-selector image (Cor. 7.13), every
+    candidate joined.  A symmetric query's images are isomorphic, so the
+    plan cache builds one plan per isomorphism class."""
+    if decompositions is None:
+        decompositions = tree_decompositions(query.hypergraph())
+    rules = [
+        tuple(sorted(image, key=lambda b: tuple(sorted(b))))
+        for image in selector_images(decompositions)
+    ]
+    return rules, decompositions
+
+
+def panda_full_query(
+    query, database, constraints=None, planner=None, decompositions=None
+) -> PlanResult:
+    """Corollary 7.10: evaluate a full/Boolean CQ in ``O~(N + 2^{DAPB})``."""
+    return _panda_plan(_full_rules, query, database, constraints, decompositions, planner)
+
+
+def dafhtw_plan(
+    query, database, constraints=None, decompositions=None, planner=None
+) -> PlanResult:
+    """Corollary 7.11: evaluate at the degree-aware fractional hypertree width."""
+    return _panda_plan(_bag_rules, query, database, constraints, decompositions, planner)
+
+
+def dasubw_plan(
+    query, database, constraints=None, decompositions=None, planner=None
+) -> PlanResult:
+    """Corollary 7.13 / Theorem 1.9: evaluate at the degree-aware submodular width."""
+    return _panda_plan(_image_rules, query, database, constraints, decompositions, planner)
 
 
 def tree_decomposition_plan(
@@ -181,205 +271,26 @@ def tree_decomposition_plan(
 
     This is the classic fhtw-style strategy (§2.1.3): each bag is fully
     materialized — worst-case ``N^{ρ*(bag)}`` — then Yannakakis finishes.
-    When no ``decomposition`` is given, the degree-aware-fhtw-optimal one is
-    chosen by its worst bag's polymatroid bound, with the bound LPs served
-    by the planner's shared (and cached) batched solver.
+    With no ``decomposition`` given, the candidate with the least worst-bag
+    polymatroid bound is taken (the bound LPs go through the planner).
     """
     check_query(query)
+    _check_covers(query, [decomposition] if decomposition is not None else decompositions or ())
     if decomposition is None:
         if planner is None:
             planner = _new_planner()
         if constraints is None:
             constraints = binding_cardinalities(query.body, database)
-        hypergraph = query.hypergraph()
-        if decompositions is None:
-            decompositions = tree_decompositions(hypergraph)
-        decomposition = _best_decomposition(
-            planner, hypergraph, constraints, decompositions
+        decomposition = _best_decomposition(planner, query, constraints, decompositions)
+    # Each bag joins the restricted atoms ``Π_{F ∩ B}(R_F)`` of ``H_B``.
+    produced = {
+        bag: generic_join(
+            [project(atom.bind(database), atom.variable_set & bag)
+             for atom in query.body if atom.variable_set & bag]
         )
-    bag_tables = []
-    for bag in decomposition.bags:
-        atoms = _bag_atoms(query, bag, database)
-        table = generic_join(atoms, name=f"T_{''.join(sorted(bag))}")
-        bag_tables.append(table)
-    tree = join_tree_from_bags(bag_tables)
-    if query.is_boolean:
-        answer = acyclic_boolean(tree)
-        return PlanResult(
-            relation=_boolean_result(query, answer),
-            boolean=answer,
-            decompositions_used=[decomposition],
-        )
-    joined = acyclic_join(tree, name=query.name)
-    return PlanResult(
-        relation=joined,
-        boolean=not joined.is_empty(),
-        decompositions_used=[decomposition],
-    )
-
-
-def dafhtw_plan(
-    query: ConjunctiveQuery,
-    database: Database,
-    constraints: ConstraintSet | None = None,
-    decompositions: Sequence[TreeDecomposition] | None = None,
-    planner=None,
-) -> PlanResult:
-    """Corollary 7.11: evaluate at the degree-aware fractional hypertree width.
-
-    Picks the decomposition minimizing the worst bag's polymatroid bound,
-    materializes every bag with single-target PANDA, semijoin-reduces, and
-    runs Yannakakis.
-    """
-    check_query(query)
-    if planner is None:
-        planner = _new_planner()
-    if constraints is None:
-        constraints = binding_cardinalities(query.body, database)
-    hypergraph = query.hypergraph()
-    if decompositions is None:
-        decompositions = tree_decompositions(hypergraph)
-
-    # Choose the da-fhtw-optimal decomposition by its worst bag bound.
-    best = _best_decomposition(planner, hypergraph, constraints, decompositions)
-
-    runs: list[PandaResult] = []
-    bag_tables: list[Relation] = []
-    for bag in best.bags:
-        rule = DisjunctiveRule((bag,), query.body, name=f"P_{''.join(sorted(bag))}")
-        result = panda(rule, database, constraints=constraints, planner=planner)
-        runs.append(result)
-        table = result.model.tables[0]
-        for atom in query.body:
-            if atom.variable_set <= bag:
-                table = semijoin(table, atom.bind(database))
-        bag_tables.append(table)
-
-    tree = join_tree_from_bags(bag_tables)
-    if query.is_boolean:
-        answer = acyclic_boolean(tree)
-        return PlanResult(
-            relation=_boolean_result(query, answer),
-            boolean=answer,
-            panda_runs=runs,
-            decompositions_used=[best],
-        )
-    joined = acyclic_join(tree, name=query.name)
-    # Bags only see atoms fully inside them; a final semijoin sweep enforces
-    # the straddling atoms.
-    for atom in query.body:
-        joined = semijoin(joined, atom.bind(database))
-    return PlanResult(
-        relation=joined.renamed(query.name),
-        boolean=not joined.is_empty(),
-        panda_runs=runs,
-        decompositions_used=[best],
-    )
-
-
-def dasubw_plan(
-    query: ConjunctiveQuery,
-    database: Database,
-    constraints: ConstraintSet | None = None,
-    decompositions: Sequence[TreeDecomposition] | None = None,
-    planner=None,
-) -> PlanResult:
-    """Corollary 7.13 / Theorem 1.9: evaluate at the degree-aware submodular width.
-
-    For every bag-selector image ``B``, PANDA answers the disjunctive rule
-    whose targets are the image's bags.  The per-bag tables are unioned across
-    images, semijoin-reduced against all inputs, and finally every
-    decomposition associated with some choice tuple is evaluated by Yannakakis
-    and the results combined.
-
-    Selector images of a symmetric query are heavily isomorphic (a cycle's
-    images map onto each other under rotation), so the planner's canonical
-    plan cache collapses the per-image LP + proof-sequence work to one build
-    per isomorphism class.
-    """
-    check_query(query)
-    if planner is None:
-        planner = _new_planner()
-    if constraints is None:
-        constraints = binding_cardinalities(query.body, database)
-    hypergraph = query.hypergraph()
-    if decompositions is None:
-        decompositions = tree_decompositions(hypergraph)
-
-    # Step 1: one PANDA disjunctive rule per selector image.
-    runs: list[PandaResult] = []
-    produced: dict[frozenset, Relation] = {}
-    for targets in _image_targets(query, constraints, decompositions, planner):
-        rule = DisjunctiveRule(targets, query.body, name="P_image")
-        result = panda(rule, database, constraints=constraints, planner=planner)
-        runs.append(result)
-        for table in result.model.tables:
-            bag = table.attributes
-            if bag in produced:
-                produced[bag] = union(produced[bag], table, name=table.name)
-            else:
-                produced[bag] = table
-
-    # Step 2: semijoin-reduce every bag table with every input relation.
-    for bag, table in list(produced.items()):
-        for atom in query.body:
-            table = semijoin(table, atom.bind(database))
-        produced[bag] = table
-
-    # Step 3: evaluate the decompositions.  The paper iterates the choice
-    # tuples of ∏_i B_i and locates each tuple's associated decomposition
-    # (Claims 1/2 of Cor. 7.13) — a proof device that is exponential in the
-    # number of selector images.  Evaluating *every* decomposition is an
-    # equivalent superset: by Claim 2 each output tuple is fully contained in
-    # some decomposition's bags, and each decomposition's (semijoin-reduced)
-    # Yannakakis result is a subset of the true answer because every atom
-    # fits inside one of its bags.  |TD| is a query-complexity quantity, so
-    # the runtime bound of Theorem 1.9 is unaffected.
-    #
-    # ``selector_images`` returns only ⊆-minimal images, so a bag may appear
-    # in no image at all and have no produced table.  Decompositions using
-    # such a bag can be skipped soundly: the Claim 1 choice function can
-    # always be drawn from the minimal sub-image, so every output tuple's
-    # associated decomposition has all its bags among the produced ones.
-    used: dict[frozenset, TreeDecomposition] = {
-        td.bag_set: td
-        for td in decompositions
-        if all(bag in produced for bag in td.bags)
+        for bag in decomposition.bags
     }
-
-    answer: Relation | None = None
-    boolean = False
-    for decomposition in used.values():
-        bag_tables = [
-            produced[bag].renamed(f"T_{''.join(sorted(bag))}")
-            for bag in decomposition.bags
-        ]
-        tree = join_tree_from_bags(bag_tables)
-        if query.is_boolean:
-            boolean = boolean or acyclic_boolean(tree)
-            if boolean:
-                break
-            continue
-        part = acyclic_join(tree, name=query.name)
-        for atom in query.body:
-            part = semijoin(part, atom.bind(database))
-        answer = part if answer is None else union(answer, part, name=query.name)
-
-    if query.is_boolean:
-        return PlanResult(
-            relation=_boolean_result(query, boolean),
-            boolean=boolean,
-            panda_runs=runs,
-            decompositions_used=list(used.values()),
-        )
-    if answer is None:
-        answer = Relation(query.name, tuple(sorted(query.variable_set)))
-    return PlanResult(
-        relation=answer.renamed(query.name),
-        boolean=not answer.is_empty(),
-        panda_runs=runs,
-        decompositions_used=list(used.values()),
-    )
+    return _join_bags(query, [decomposition], produced, [])
 
 
 def proper_query_plan(
@@ -401,11 +312,10 @@ def proper_query_plan(
     free-connex for them) and are also accepted.
 
     Raises:
-        DecompositionError: if no free-connex decomposition exists among the
+        DecompositionError: if a given decomposition does not cover the
+            query, or no free-connex decomposition exists among the
             candidates.
     """
-    from repro.datalog.atoms import Atom
-    from repro.exceptions import DecompositionError
     from repro.faq.freeconnex import free_connex_decompositions, is_free_connex
     from repro.faq.plans import faq_decomposition_plan
     from repro.faq.query import FAQQuery
@@ -418,32 +328,22 @@ def proper_query_plan(
     if decompositions is None:
         decompositions = free_connex_decompositions(hypergraph, head)
     else:
-        decompositions = [
-            td for td in decompositions if is_free_connex(td, head)
-        ]
+        _check_covers(query, decompositions)
+        decompositions = [td for td in decompositions if is_free_connex(td, head)]
     if not decompositions:
-        raise DecompositionError(
-            f"no free-connex decomposition for head {head}"
-        )
+        raise DecompositionError(f"no free-connex decomposition for head {head}")
 
-    # da-fhtw-optimal free-connex decomposition by its worst bag bound.
+    # da-fhtw-optimal free-connex decomposition by its worst bag bound; its
+    # reduced PANDA bag tables join to the full join exactly.
     if planner is None:
         planner = _new_planner()
-    best = _best_decomposition(planner, hypergraph, constraints, decompositions)
-
-    # PANDA per bag + semijoin reduction (every atom has a home bag, so the
-    # join of the reduced bag tables equals the full join exactly).
-    runs: list[PandaResult] = []
-    bag_tables: list[Relation] = []
-    for index, bag in enumerate(best.bags):
-        rule = DisjunctiveRule((bag,), query.body, name=f"P_{''.join(sorted(bag))}")
-        result = panda(rule, database, constraints=constraints, planner=planner)
-        runs.append(result)
-        table = result.model.tables[0]
-        for atom in query.body:
-            if atom.variable_set <= bag:
-                table = semijoin(table, atom.bind(database))
-        bag_tables.append(table.renamed(f"B{index}"))
+    best = _best_decomposition(planner, query, constraints, decompositions)
+    produced, runs = _bag_tables(
+        query, database, [(bag,) for bag in best.bags], constraints, planner
+    )
+    bag_tables = [
+        produced[bag].renamed(f"B{index}") for index, bag in enumerate(best.bags)
+    ]
 
     # Project to the head along the free-connex structure: a Boolean-semiring
     # FAQ whose factors are the bag tables and whose decomposition is `best`.
@@ -456,34 +356,10 @@ def proper_query_plan(
     answer = Relation(
         query.name, head, (tuple(row[p] for p in positions) for row in support)
     )
-    return PlanResult(
-        relation=answer,
-        boolean=not answer.is_empty(),
-        panda_runs=runs,
-        decompositions_used=[best],
-    )
+    return PlanResult(answer, not answer.is_empty(), runs, [best])
 
 
 # -- the driver table ----------------------------------------------------------------
-
-
-def _image_targets(query, constraints, decompositions, planner) -> list:
-    """dasubw's PANDA rules: one per bag-selector image (Cor. 7.13)."""
-    return [
-        tuple(sorted(image, key=lambda b: tuple(sorted(b))))
-        for image in selector_images(decompositions)
-    ]
-
-
-def _bag_targets(query, constraints, decompositions, planner) -> list:
-    """dafhtw's PANDA rules: one per bag of the chosen decomposition."""
-    best = _best_decomposition(planner, query.hypergraph(), constraints, decompositions)
-    return [(bag,) for bag in best.bags]
-
-
-def _full_target(query, *_) -> list:
-    """panda_full's one PANDA rule, over all the variables (Cor. 7.10)."""
-    return [(frozenset(query.variable_set),)]
 
 
 @dataclass(frozen=True)
@@ -500,16 +376,20 @@ class Driver:
         join: for a bare worst-case-optimal join instead, its kernel, run
             on the bound atoms; a pooled shard restricts the kernel's trie
             roots to its row ranges (zero copy) rather than slicing.
-        targets: for a PANDA driver, the targets of the rules it solves, as
-            ``targets(query, constraints, decompositions, planner)``; a
-            pooled run plans them once in the parent and ships the plans,
-            with the dictionaries PANDA decodes, to the workers.
+        rules: for a PANDA driver, its rules function
+            ``rules(query, constraints, decompositions, planner)``, which
+            returns the rules PANDA solves (each a tuple of target bags)
+            and the decompositions Yannakakis joins.  A pooled run calls it
+            once in the parent, plans the rules, and ships the plans, the
+            joined decompositions (as the shards' candidates, so a shard
+            re-derives the same rules without solving a bound LP) and the
+            dictionaries PANDA decodes to the workers.
     """
 
     name: str
     plan: Callable | None = None
     join: Callable | None = None
-    targets: Callable | None = None
+    rules: Callable | None = None
 
     def run(self, query, relations, ranges=None, **options) -> PlanResult:
         """Evaluate ``query`` on its atoms' bindings, in process.
@@ -557,10 +437,10 @@ DRIVERS: dict[str, Driver] = {
         Driver("generic", join=generic_join),
         Driver("leapfrog", join=leapfrog_triejoin),
         Driver("yannakakis", plan=tree_decomposition_plan),
-        Driver("panda", plan=dasubw_plan, targets=_image_targets),
-        Driver("dasubw", plan=dasubw_plan, targets=_image_targets),
-        Driver("dafhtw", plan=dafhtw_plan, targets=_bag_targets),
-        Driver("panda_full", plan=panda_full_query, targets=_full_target),
+        Driver("panda", plan=dasubw_plan, rules=_image_rules),
+        Driver("dasubw", plan=dasubw_plan, rules=_image_rules),
+        Driver("dafhtw", plan=dafhtw_plan, rules=_bag_rules),
+        Driver("panda_full", plan=panda_full_query, rules=_full_rules),
         Driver("tree_decomposition", plan=tree_decomposition_plan),
     )
 }

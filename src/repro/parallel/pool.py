@@ -35,16 +35,17 @@ Codes are parent-process codes throughout; workers never decode.  The one
 exception is the PANDA drivers, whose Lemma 6.1 bucket halving orders
 heavy keys by decoded *values* — those tasks ship the relevant
 dictionaries' value lists and :func:`adopt_dictionaries` installs them
-wholesale.  A plan driver's bundle — the parent's enumerated tree
-decompositions and, for PANDA, the data-independent
-:class:`~repro.planner.PandaPlan` of every rule it solves — is cached
-worker-side under a fingerprint token, so repeated executions seed each
-worker exactly once.
+wholesale.  A plan driver's bundle — the tree decompositions it joins
+(for PANDA, the parent's choice, so no shard solves a bound LP) and, for
+PANDA, the data-independent :class:`~repro.planner.PandaPlan` of every
+rule it solves — is cached worker-side under a fingerprint token, so
+repeated executions seed each worker exactly once.
 
 Every task runs under its own
 :func:`~repro.relational.operators.scoped_work_counter` and reports the
-counts home, so the parent can absorb them into its scope and ``repro run
---stats`` stays truthful about the total work performed.
+counts home, with each PANDA run's bound and stats, so the parent can
+absorb them into its scope and ``repro run --stats`` stays truthful about
+the total work performed.
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ def adopt_dictionaries(dict_values: dict[str, list]) -> None:
 def _seeded_planner(plans_token, plans_blob: bytes) -> tuple:
     """The worker's ``(planner, decompositions)``, seeded once per bundle.
 
-    The bundle is the parent's enumerated decompositions plus the
-    ``PandaPlan`` of every rule the driver solves (see
-    ``QueryEngine._shard_plans``).
+    The bundle is the decompositions the driver joins (for PANDA, those its
+    rules function returned in the parent) plus the ``PandaPlan`` of every
+    rule it solves (see ``QueryEngine._shard_plans``).
     """
     from repro.planner import Planner
 
@@ -267,7 +268,7 @@ def _resident_database(tokens) -> list[tuple]:
     return entries
 
 
-def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
+def run_shard_task(task: tuple) -> tuple[bytes, bool, dict, list]:
     """Execute one shard over the resident database (worker-side entry).
 
     ``task`` is ``(db_tokens, driver, ranges, extra)`` with one ``(lo, hi)``
@@ -276,8 +277,9 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
     driver-table entry the parent named over the resident relations,
     restricted to the ranges (:meth:`~repro.core.query_plans.Driver.run`).
     Returns the shard's output rows as a raw column-major buffer (sorted
-    under the sorted variable order), the shard's Boolean answer, and the
-    shard's work counts.
+    under the sorted variable order), the shard's Boolean answer, the
+    shard's work counts, and each PANDA run's ``(log_value, stats,
+    proof_sequence_length)`` — its tables are the merged rows, not shipped.
     """
     from repro.core.query_plans import DRIVERS
 
@@ -287,7 +289,7 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
     relations = [relation for _, _, relation in _resident_database(db_tokens)]
     options = {}
     if entry.join is None:
-        if entry.targets is not None and extra["parent_pid"] != os.getpid():
+        if entry.rules is not None and extra["parent_pid"] != os.getpid():
             # PANDA orders heavy keys by decoded value; in-process runs
             # already share the parent's dictionaries, workers adopt them.
             adopt_dictionaries(extra["dict_values"])
@@ -316,7 +318,11 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict]:
             order = tuple(sorted(query.variable_set))
             buffer = pack_column_range(out.column_set(order), 0, len(out))
         counts = counter.as_dict()
-    return buffer, result.boolean, counts
+    runs = [
+        (run.log_value, run.stats, run.proof_sequence_length)
+        for run in result.panda_runs
+    ]
+    return buffer, result.boolean, counts, runs
 
 
 def _versioned_relation(

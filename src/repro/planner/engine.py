@@ -498,8 +498,10 @@ class QueryEngine(EngineBase):
         """What a plan driver's shards need besides their slices.
 
         The parent enumerates the decompositions once and, for a PANDA
-        driver, plans each of its rules — pure LP / proof-sequence work,
-        data-independent — so the bundle ships to the pool, where each
+        driver, calls its rules function and plans each rule — pure LP /
+        proof-sequence work, data-independent.  The bundle holds the plans
+        and the decompositions the driver joins, so a shard re-derives the
+        same rules from the parent's choice and solves no bound LP; each
         worker seeds its planner once per bundle token.  PANDA orders heavy
         keys by decoded value, so its shards also get the dictionaries.
         """
@@ -510,15 +512,14 @@ class QueryEngine(EngineBase):
         bundle = self._plan_bundles.get(key)
         if bundle is None:
             decompositions = self._query_decompositions()
-            rules = ()
-            if entry.targets:
-                rules = entry.targets(
+            plans = []
+            if entry.rules:
+                rules, decompositions = entry.rules(
                     self.query, constraints, decompositions, self.planner
                 )
-            plans = []
-            for targets in rules:
-                plan = self.planner.plan_rule(universe, targets, constraints)
-                plans.append((universe, targets, constraints, plan))
+                for targets in rules:
+                    plan = self.planner.plan_rule(universe, targets, constraints)
+                    plans.append((universe, targets, constraints, plan))
             blob = pickle.dumps((decompositions, plans))
             bundle = (blob, hashlib.sha1(blob).hexdigest())
             self._plan_bundles[key] = bundle
@@ -527,7 +528,7 @@ class QueryEngine(EngineBase):
             "plans_blob": bundle[0],
             "plans_token": bundle[1],
         }
-        if entry.targets:
+        if entry.rules:
             # Dictionary value lists are append-only; rebuild the shipped
             # copies only when some dictionary actually grew.
             lengths = tuple(len(Dictionary.of(v)) for v in universe)
@@ -553,6 +554,7 @@ class QueryEngine(EngineBase):
         only per-relation ``(lo, hi)`` row ranges over the resident
         relations.
         """
+        from repro.core.panda import PandaResult
         from repro.core.query_plans import PlanResult
         from repro.parallel.engine import _merge_shard_columns, _order_tables
         from repro.parallel.partition import plan_shards, slice_bounds
@@ -606,17 +608,20 @@ class QueryEngine(EngineBase):
         ]
         boolean = False
         shards = []
-        for buffer, shard_boolean, counts in pool.map(run_shard_task, tasks):
+        runs = []
+        for buffer, shard_boolean, counts, shard_runs in pool.map(run_shard_task, tasks):
             boolean = boolean or shard_boolean
             counter.absorb(counts)
             shards.append(unpack_column_arrays(buffer, len(order)))
+            runs.extend(PandaResult(None, *run) for run in shard_runs)
         if query.is_boolean:
             relation = Relation(query.name, (), [()] if boolean else [])
-            return PlanResult(relation=relation, boolean=boolean)
-        relation = Relation.from_columns(
-            query.name, order, _merge_shard_columns(shards, len(order))
-        )
-        return PlanResult(relation=relation, boolean=not relation.is_empty())
+        else:
+            relation = Relation.from_columns(
+                query.name, order, _merge_shard_columns(shards, len(order))
+            )
+            boolean = not relation.is_empty()
+        return PlanResult(relation=relation, boolean=boolean, panda_runs=runs)
 
     def execute_faq(self, factors, free: Iterable[str] = ()):
         """⊗-join annotated factors and ⊕-marginalize to ``free``, sharded.

@@ -19,6 +19,7 @@ import pytest
 
 from _helpers import stable_seed
 
+from repro.core.query_plans import DRIVERS
 from repro.datalog.atoms import Atom
 from repro.datalog.conjunctive import ConjunctiveQuery
 from repro.faq.annotated import AnnotatedRelation
@@ -394,6 +395,86 @@ class TestParallelSerialBitIdentity:
                 for driver in ("generic", "leapfrog", "yannakakis"):
                     result = engine.execute(database, driver=driver)
                     assert result.relation.code_rows == oracle.code_rows
+
+
+# -- pooled PANDA drivers -----------------------------------------------------------
+
+PANDA_DRIVERS = [name for name, entry in DRIVERS.items() if entry.rules is not None]
+
+
+class TestPooledPanda:
+    """A pooled PANDA driver reports its PANDA runs and plans in the parent:
+    shards take the parent's decomposition and solve no bound LP."""
+
+    def _instance(self, driver):
+        rng = random.Random(stable_seed("pooled-panda", driver))
+        query = make_query("four_cycle")
+        return query, make_database(query, rng, skewed=True)
+
+    @pytest.mark.parametrize("driver", PANDA_DRIVERS)
+    def test_pooled_runs_are_reported(self, driver):
+        query, database = self._instance(driver)
+        serial = QueryEngine(query).execute(database, driver=driver)
+        bounds = {run.log_value for run in serial.panda_runs}
+        with QueryEngine(query, workers=2) as engine:
+            pooled = engine.execute(database, driver=driver)
+        assert pooled.relation.code_rows == serial.relation.code_rows
+        assert pooled.panda_runs
+        for run in pooled.panda_runs:
+            assert run.model is None  # the tables are the merged answer
+            assert run.log_value in bounds
+            assert run.stats.max_intermediate <= run.budget
+
+    @pytest.mark.parametrize("driver", PANDA_DRIVERS)
+    def test_shards_solve_no_bound_lp(self, driver, monkeypatch):
+        """Run the shard tasks the engine builds in process, counting the
+        bound LPs solved inside them."""
+        from repro.parallel.pool import WorkerPool, run_shard_task
+        from repro.planner.batch import BatchedBoundSolver
+
+        solves = []
+        in_shards = []
+        original = BatchedBoundSolver.solve
+
+        def counting_solve(self, targets):
+            if in_shards:
+                solves.append(targets)
+            return original(self, targets)
+
+        def in_process(pool, function, tasks):
+            assert function is run_shard_task and len(tasks) > 1
+            in_shards.append(True)
+            try:
+                return [function(task) for task in tasks]
+            finally:
+                in_shards.clear()
+
+        monkeypatch.setattr(BatchedBoundSolver, "solve", counting_solve)
+        monkeypatch.setattr(WorkerPool, "map", in_process)
+        query, database = self._instance(driver)
+        serial = QueryEngine(query).execute(database, driver=driver)
+        with QueryEngine(query, workers=2) as engine:
+            pooled = engine.execute(database, driver=driver)
+        assert pooled.relation.code_rows == serial.relation.code_rows
+        assert solves == []
+
+    def test_cli_stats_count_pooled_panda_runs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        edges = [(i, (i * 3) % 11) for i in range(20)] + [(5, j) for j in range(12)]
+        (tmp_path / "R.csv").write_text(
+            "A,B\n" + "".join(f"{a},{b}\n" for a, b in edges)
+        )
+        query = "Q(A,B,C) :- R(A,B), R(B,C), R(C,A)"
+        outputs = {}
+        for workers in ("1", "2"):
+            rc = main(["run", query, "--data", str(tmp_path), "--workers", workers,
+                       "--driver", "dasubw", "--stats", "--limit", "0"])
+            assert rc == 0
+            outputs[workers] = capsys.readouterr().out.splitlines()[0]
+        assert outputs["1"].split(" (")[0] == outputs["2"].split(" (")[0]
+        assert "(0 PANDA run(s))" not in outputs["2"]
+        assert "PANDA run(s))" in outputs["2"]
 
 
 # -- work accounting ----------------------------------------------------------------

@@ -8,11 +8,12 @@ from repro.core.query_plans import (
     dafhtw_plan,
     dasubw_plan,
     panda_full_query,
+    proper_query_plan,
     tree_decomposition_plan,
 )
 from repro.datalog import parse_query
-from repro.decompositions import tree_decompositions
-from repro.exceptions import QueryError
+from repro.decompositions import TreeDecomposition, tree_decompositions
+from repro.exceptions import DecompositionError, QueryError
 from repro.instances import instance_a, triangle_query, agm_tight_triangle
 from repro.relational import Database, Relation, scoped_work_counter
 from repro.relational.backend import _VEC_MIN_ROWS as GATE
@@ -151,6 +152,53 @@ class TestPlanMetadata:
         db = four_cycle_database(rng, 24)
         result = dafhtw_plan(FOUR_CYCLE, db)
         assert len(result.panda_runs) == 2  # the chosen TD has two bags
+
+    def test_panda_full_joins_the_one_bag_decomposition(self, rng):
+        db = four_cycle_database(rng, 24)
+        result = panda_full_query(FOUR_CYCLE, db)
+        everything = frozenset(FOUR_CYCLE.variable_set)
+        assert result.decompositions_used == [TreeDecomposition((everything,))]
+        assert len(result.panda_runs) == 1
+
+
+class TestCoveringDecompositions:
+    """A caller's decomposition must put every atom inside a bag: the bag
+    join enforces no other atom.  These bags miss ``R41(A4,A1)``, whose
+    rows the join would otherwise never check."""
+
+    MISSES_R41 = TreeDecomposition.from_bags([("A1", "A2", "A3"), ("A3", "A4")])
+
+    PLANS = {
+        "tree_decomposition": lambda db, td: tree_decomposition_plan(
+            FOUR_CYCLE, db, td
+        ),
+        "tree_decomposition candidates": lambda db, td: tree_decomposition_plan(
+            FOUR_CYCLE, db, decompositions=[td]
+        ),
+        "dasubw": lambda db, td: dasubw_plan(FOUR_CYCLE, db, decompositions=[td]),
+        "dafhtw": lambda db, td: dafhtw_plan(FOUR_CYCLE, db, decompositions=[td]),
+        "panda_full": lambda db, td: panda_full_query(
+            FOUR_CYCLE, db, decompositions=[td]
+        ),
+        "proper": lambda db, td: proper_query_plan(FOUR_CYCLE, db, decompositions=[td]),
+    }
+
+    @pytest.mark.parametrize("plan", list(PLANS))
+    def test_rejected_before_any_work(self, plan, rng):
+        db = four_cycle_database(rng, 60, domain=8)
+        assert len(FOUR_CYCLE.evaluate_naive(db)) > 0
+        with scoped_work_counter() as counter:
+            with pytest.raises(DecompositionError) as raised:
+                self.PLANS[plan](db, self.MISSES_R41)
+        assert str(self.MISSES_R41) in str(raised.value)
+        assert counter.total == 0  # no PANDA run, no bag join
+
+    def test_covering_candidates_still_answer(self, rng):
+        db = four_cycle_database(rng, 60, domain=8)
+        oracle = FOUR_CYCLE.evaluate_naive(db)
+        for td in tree_decompositions(FOUR_CYCLE.hypergraph()):
+            assert dafhtw_plan(FOUR_CYCLE, db, decompositions=[td]).relation == oracle
+            assert dasubw_plan(FOUR_CYCLE, db, decompositions=[td]).relation == oracle
 
 
 class TestProperQueryPlan:
