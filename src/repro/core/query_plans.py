@@ -1,23 +1,23 @@
-"""PANDA-based query evaluation (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
+"""Query plans over tree decompositions (Corollaries 7.10, 7.11, 7.13 / Theorem 1.9).
 
-Every PANDA driver is one recipe, :func:`_panda_plan`: PANDA on a set of
-disjunctive rules, the tables unioned per bag and semijoin-reduced by every
-atom, then Yannakakis over the decompositions whose bags were all produced,
-the results unioned (OR-ed when Boolean).  A driver is only its rules and
-the decompositions it joins (its entry of :data:`DRIVERS`):
+Every plan driver is one recipe, :func:`_plan`: choose rules (each a tuple
+of target bags) and the decompositions to join, fill the bags, then run
+Yannakakis over the decompositions whose bags were all filled, the results
+unioned (OR-ed when Boolean).  A driver is only its choice and its bag step
+(its entry of :data:`DRIVERS`).  The choices:
 
 * :func:`panda_full_query` (Cor. 7.10, DAPB): one rule over all the
   variables, joined as one bag;
-* :func:`dafhtw_plan` (Cor. 7.11): one rule per bag of the decomposition
-  with the least worst-bag bound, which is joined;
+* :func:`dafhtw_plan` (Cor. 7.11) and :func:`tree_decomposition_plan`: one
+  rule per bag of the decomposition with the least worst-bag bound;
 * :func:`dasubw_plan` (Cor. 7.13): one rule per bag-selector image, every
   candidate decomposition joined.
 
-:func:`proper_query_plan` (§8) reuses the PANDA half on a free-connex
-decomposition, then projects; :func:`tree_decomposition_plan`, the
-non-adaptive baseline of Example 1.10, reuses the Yannakakis half over bags
-materialized by Generic Join (``Θ(N²)`` on the 4-cycle's worst case, where
-:func:`dasubw_plan` stays at ``O~(N^{3/2})``).  A caller's decomposition
+A bag step runs PANDA per rule and reduces each bag by every atom, or, for
+the non-adaptive baseline of Example 1.10, Generic Join per bag (``Θ(N²)``
+on the 4-cycle's worst case, where :func:`dasubw_plan` stays at
+``O~(N^{3/2})``).  :func:`proper_query_plan` (§8) reuses the PANDA step on
+a free-connex decomposition, then projects.  A caller's decomposition
 must cover the query — the bag join enforces only atoms inside a bag — or
 the plan raises :class:`~repro.exceptions.DecompositionError` before any
 work.  Pooled shards run the same entries (:mod:`repro.parallel.pool`).
@@ -26,6 +26,7 @@ work.  Pooled shards run the same entries (:mod:`repro.parallel.pool`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.core.constraints import ConstraintSet
@@ -82,6 +83,12 @@ def _new_planner():
     return Planner()
 
 
+@lru_cache(maxsize=64)
+def _candidates(hypergraph) -> tuple[TreeDecomposition, ...]:
+    """``TD(H)``, enumerated once per hypergraph, not per constraint set."""
+    return tuple(tree_decompositions(hypergraph))
+
+
 def _best_decomposition(planner, query, constraints, decompositions) -> TreeDecomposition:
     """The candidate (all of ``TD(H)`` when ``None``) minimizing its worst
     bag's polymatroid bound.
@@ -93,7 +100,7 @@ def _best_decomposition(planner, query, constraints, decompositions) -> TreeDeco
     """
     hypergraph = query.hypergraph()
     if decompositions is None:
-        decompositions = tree_decompositions(hypergraph)
+        decompositions = _candidates(hypergraph)
     if len(decompositions) == 1:
         return decompositions[0]
     universe = frozenset(hypergraph.vertices)
@@ -135,9 +142,9 @@ def _check_covers(query: ConjunctiveQuery, decompositions) -> None:
             raise DecompositionError(f"{decomposition} leaves an atom of {query} in no bag")
 
 
-def _bag_tables(query, database, rules, constraints, planner) -> tuple[dict, list]:
-    """``({bag: table}, runs)``: PANDA on each rule (a tuple of target bags),
-    its tables unioned per bag, every bag reduced by every atom."""
+def _panda_bags(query, database, rules, constraints, planner) -> tuple[dict, list]:
+    """PANDA's bag step, ``({bag: table}, runs)``: PANDA per rule, its tables
+    unioned per bag, every bag reduced by every atom."""
     runs: list[PandaResult] = []
     produced: dict[frozenset, Relation] = {}
     for targets in rules:
@@ -154,6 +161,20 @@ def _bag_tables(query, database, rules, constraints, planner) -> tuple[dict, lis
             table = semijoin(table, atom)
         produced[bag] = table
     return produced, runs
+
+
+def _generic_bags(query, database, rules, *_) -> tuple[dict, list]:
+    """The baseline's bag step (§2.1.3): each bag ``B`` fully materialized,
+    worst-case ``N^{ρ*(B)}``, by Generic Join over ``Π_{F ∩ B}(R_F)``."""
+    produced = {
+        bag: generic_join(
+            [project(atom.bind(database), atom.variable_set & bag)
+             for atom in query.body if atom.variable_set & bag]
+        )
+        for targets in rules
+        for bag in targets
+    }
+    return produced, []
 
 
 def _join_bags(query, decompositions, produced: dict, runs: list) -> PlanResult:
@@ -196,9 +217,10 @@ def _join_bags(query, decompositions, produced: dict, runs: list) -> PlanResult:
     return PlanResult(answer, boolean, runs, list(used.values()))
 
 
-def _panda_plan(rules_of, query, database, constraints, decompositions, planner) -> PlanResult:
-    """The one PANDA driver: ``rules_of(query, constraints, decompositions,
-    planner)`` names the rules PANDA answers and the decompositions joined."""
+def _plan(rules_of, bags_of, query, database, constraints, decompositions, planner) -> PlanResult:
+    """The one plan driver: ``rules_of(query, constraints, decompositions,
+    planner)`` names the rules and the decompositions joined, ``bags_of``
+    fills the rules' bags."""
     check_query(query)
     if decompositions is not None:
         _check_covers(query, decompositions)
@@ -207,7 +229,7 @@ def _panda_plan(rules_of, query, database, constraints, decompositions, planner)
     if constraints is None:
         constraints = binding_cardinalities(query.body, database)
     rules, joined = rules_of(query, constraints, decompositions, planner)
-    produced, runs = _bag_tables(query, database, rules, constraints, planner)
+    produced, runs = bags_of(query, database, rules, constraints, planner)
     return _join_bags(query, joined, produced, runs)
 
 
@@ -219,8 +241,8 @@ def _full_rules(query, *_) -> tuple[list, list]:
 
 
 def _bag_rules(query, constraints, decompositions, planner) -> tuple[list, list]:
-    """dafhtw's rules: one per bag of the candidate minimizing its worst bag
-    bound (Cor. 7.11), which is the one decomposition joined."""
+    """dafhtw's and the baseline's rules: one per bag of the candidate
+    minimizing its worst bag bound (Cor. 7.11), the one joined."""
     best = _best_decomposition(planner, query, constraints, decompositions)
     return [(bag,) for bag in best.bags], [best]
 
@@ -230,7 +252,7 @@ def _image_rules(query, constraints, decompositions, planner) -> tuple[list, lis
     candidate joined.  A symmetric query's images are isomorphic, so the
     plan cache builds one plan per isomorphism class."""
     if decompositions is None:
-        decompositions = tree_decompositions(query.hypergraph())
+        decompositions = _candidates(query.hypergraph())
     rules = [
         tuple(sorted(image, key=lambda b: tuple(sorted(b))))
         for image in selector_images(decompositions)
@@ -239,24 +261,24 @@ def _image_rules(query, constraints, decompositions, planner) -> tuple[list, lis
 
 
 def panda_full_query(
-    query, database, constraints=None, planner=None, decompositions=None
+    query, database, constraints=None, decompositions=None, planner=None
 ) -> PlanResult:
     """Corollary 7.10: evaluate a full/Boolean CQ in ``O~(N + 2^{DAPB})``."""
-    return _panda_plan(_full_rules, query, database, constraints, decompositions, planner)
+    return _plan(_full_rules, _panda_bags, query, database, constraints, decompositions, planner)
 
 
 def dafhtw_plan(
     query, database, constraints=None, decompositions=None, planner=None
 ) -> PlanResult:
     """Corollary 7.11: evaluate at the degree-aware fractional hypertree width."""
-    return _panda_plan(_bag_rules, query, database, constraints, decompositions, planner)
+    return _plan(_bag_rules, _panda_bags, query, database, constraints, decompositions, planner)
 
 
 def dasubw_plan(
     query, database, constraints=None, decompositions=None, planner=None
 ) -> PlanResult:
     """Corollary 7.13 / Theorem 1.9: evaluate at the degree-aware submodular width."""
-    return _panda_plan(_image_rules, query, database, constraints, decompositions, planner)
+    return _plan(_image_rules, _panda_bags, query, database, constraints, decompositions, planner)
 
 
 def tree_decomposition_plan(
@@ -269,28 +291,11 @@ def tree_decomposition_plan(
 ) -> PlanResult:
     """The non-adaptive baseline: one decomposition, bags via Generic Join.
 
-    This is the classic fhtw-style strategy (§2.1.3): each bag is fully
-    materialized — worst-case ``N^{ρ*(bag)}`` — then Yannakakis finishes.
     With no ``decomposition`` given, the candidate with the least worst-bag
     polymatroid bound is taken (the bound LPs go through the planner).
     """
-    check_query(query)
-    _check_covers(query, [decomposition] if decomposition is not None else decompositions or ())
-    if decomposition is None:
-        if planner is None:
-            planner = _new_planner()
-        if constraints is None:
-            constraints = binding_cardinalities(query.body, database)
-        decomposition = _best_decomposition(planner, query, constraints, decompositions)
-    # Each bag joins the restricted atoms ``Π_{F ∩ B}(R_F)`` of ``H_B``.
-    produced = {
-        bag: generic_join(
-            [project(atom.bind(database), atom.variable_set & bag)
-             for atom in query.body if atom.variable_set & bag]
-        )
-        for bag in decomposition.bags
-    }
-    return _join_bags(query, [decomposition], produced, [])
+    candidates = decompositions if decomposition is None else [decomposition]
+    return _plan(_bag_rules, _generic_bags, query, database, constraints, candidates, planner)
 
 
 def proper_query_plan(
@@ -338,7 +343,7 @@ def proper_query_plan(
     if planner is None:
         planner = _new_planner()
     best = _best_decomposition(planner, query, constraints, decompositions)
-    produced, runs = _bag_tables(
+    produced, runs = _panda_bags(
         query, database, [(bag,) for bag in best.bags], constraints, planner
     )
     bag_tables = [
@@ -371,25 +376,29 @@ class Driver:
 
     Attributes:
         name: the name ``execute(driver=...)`` and ``--driver`` take.
-        plan: the serial plan driver, called as ``plan(query, database,
-            constraints=, decompositions=, planner=)``.
-        join: for a bare worst-case-optimal join instead, its kernel, run
-            on the bound atoms; a pooled shard restricts the kernel's trie
-            roots to its row ranges (zero copy) rather than slicing.
-        rules: for a PANDA driver, its rules function
-            ``rules(query, constraints, decompositions, planner)``, which
-            returns the rules PANDA solves (each a tuple of target bags)
-            and the decompositions Yannakakis joins.  A pooled run calls it
-            once in the parent, plans the rules, and ships the plans, the
-            joined decompositions (as the shards' candidates, so a shard
-            re-derives the same rules without solving a bound LP) and the
-            dictionaries PANDA decodes to the workers.
+        join: for a bare worst-case-optimal join, its kernel, run on the
+            bound atoms; a pooled shard restricts the kernel's trie roots
+            to its row ranges (zero copy) rather than slicing.
+        rules: for a plan driver instead, its choice ``rules(query,
+            constraints, decompositions, planner)``, which returns the
+            rules (each a tuple of target bags) and the decompositions
+            Yannakakis joins.  An engine calls it once per constraint set
+            and passes every run the joined decompositions as candidates,
+            so no run, serial or pooled, solves a bound LP to re-choose.
+        bags: its bag step ``bags(query, database, rules, constraints,
+            planner) -> ({bag: table}, panda_runs)``: PANDA per rule, or
+            Generic Join per bag.
     """
 
     name: str
-    plan: Callable | None = None
     join: Callable | None = None
     rules: Callable | None = None
+    bags: Callable | None = None
+
+    @property
+    def runs_panda(self) -> bool:
+        """Whether the bag step is PANDA's (its shards need plans and dictionaries)."""
+        return self.bags is _panda_bags
 
     def run(self, query, relations, ranges=None, **options) -> PlanResult:
         """Evaluate ``query`` on its atoms' bindings, in process.
@@ -423,9 +432,8 @@ class Driver:
             name = atom.name if names.count(atom.name) == 1 else f"{atom.name}__{index}"
             atoms.append(Atom(name, relation.schema))
             bound.append(relation if relation.name == name else relation.renamed(name))
-        return self.plan(
-            replace(query, body=tuple(atoms)), Database(bound), **options
-        )
+        query = replace(query, body=tuple(atoms))
+        return _plan(self.rules, self.bags, query, Database(bound), **options)
 
 
 #: The driver table, by name.  ``panda`` and ``yannakakis`` are the names
@@ -436,11 +444,11 @@ DRIVERS: dict[str, Driver] = {
     for entry in (
         Driver("generic", join=generic_join),
         Driver("leapfrog", join=leapfrog_triejoin),
-        Driver("yannakakis", plan=tree_decomposition_plan),
-        Driver("panda", plan=dasubw_plan, rules=_image_rules),
-        Driver("dasubw", plan=dasubw_plan, rules=_image_rules),
-        Driver("dafhtw", plan=dafhtw_plan, rules=_bag_rules),
-        Driver("panda_full", plan=panda_full_query, rules=_full_rules),
-        Driver("tree_decomposition", plan=tree_decomposition_plan),
+        Driver("yannakakis", rules=_bag_rules, bags=_generic_bags),
+        Driver("panda", rules=_image_rules, bags=_panda_bags),
+        Driver("dasubw", rules=_image_rules, bags=_panda_bags),
+        Driver("dafhtw", rules=_bag_rules, bags=_panda_bags),
+        Driver("panda_full", rules=_full_rules, bags=_panda_bags),
+        Driver("tree_decomposition", rules=_bag_rules, bags=_generic_bags),
     )
 }

@@ -36,10 +36,10 @@ exception is the PANDA drivers, whose Lemma 6.1 bucket halving orders
 heavy keys by decoded *values* — those tasks ship the relevant
 dictionaries' value lists and :func:`adopt_dictionaries` installs them
 wholesale.  A plan driver's bundle — the tree decompositions it joins
-(for PANDA, the parent's choice, so no shard solves a bound LP) and, for
-PANDA, the data-independent :class:`~repro.planner.PandaPlan` of every
-rule it solves — is cached worker-side under a fingerprint token, so
-repeated executions seed each worker exactly once.
+(the parent's choice, so no shard solves a bound LP) and, for PANDA, the
+data-independent :class:`~repro.planner.PandaPlan` of every rule it
+solves — is cached worker-side under a fingerprint token, so repeated
+executions seed each worker exactly once.
 
 Every task runs under its own
 :func:`~repro.relational.operators.scoped_work_counter` and reports the
@@ -227,9 +227,9 @@ def adopt_dictionaries(dict_values: dict[str, list]) -> None:
 def _seeded_planner(plans_token, plans_blob: bytes) -> tuple:
     """The worker's ``(planner, decompositions)``, seeded once per bundle.
 
-    The bundle is the decompositions the driver joins (for PANDA, those its
-    rules function returned in the parent) plus the ``PandaPlan`` of every
-    rule it solves (see ``QueryEngine._shard_plans``).
+    The bundle is the decompositions the driver joins (those its rules
+    function returned in the parent) plus, for PANDA, the ``PandaPlan`` of
+    every rule it solves (see ``QueryEngine._choice``).
     """
     from repro.planner import Planner
 
@@ -289,7 +289,7 @@ def run_shard_task(task: tuple) -> tuple[bytes, bool, dict, list]:
     relations = [relation for _, _, relation in _resident_database(db_tokens)]
     options = {}
     if entry.join is None:
-        if entry.rules is not None and extra["parent_pid"] != os.getpid():
+        if entry.runs_panda and extra["parent_pid"] != os.getpid():
             # PANDA orders heavy keys by decoded value; in-process runs
             # already share the parent's dictionaries, workers adopt them.
             adopt_dictionaries(extra["dict_values"])

@@ -394,9 +394,8 @@ class QueryEngine(EngineBase):
     ) -> None:
         super().__init__(constraints, planner, workers)
         self.query = query
-        self._decompositions = None
-        #: (driver, constraints fingerprint) -> shipped plan bundle.
-        self._plan_bundles: dict = {}
+        #: (driver, constraints fingerprint) -> ``(joined, bundle)``.
+        self._choices: dict = {}
         #: The query's atoms bound against the current database (pinned),
         #: so atoms whose variables differ from the stored schemas don't
         #: re-relabel — and hence re-pack/re-digest — on every execute.
@@ -452,7 +451,7 @@ class QueryEngine(EngineBase):
             query,
             self._bind_atoms(database),
             constraints=constraints,
-            decompositions=None if entry.join else self._query_decompositions(),
+            decompositions=self._choice(entry, constraints)[0],
             planner=self.planner,
         )
         order = tuple(sorted(query.variable_set))
@@ -462,13 +461,30 @@ class QueryEngine(EngineBase):
             )
         return result
 
-    def _query_decompositions(self):
-        """The tree decompositions of ``self.query`` (enumerated once)."""
-        if self._decompositions is None:
-            from repro.decompositions.enumeration import tree_decompositions
-
-            self._decompositions = tree_decompositions(self.query.hypergraph())
-        return self._decompositions
+    def _choice(self, entry, constraints: ConstraintSet) -> tuple:
+        """``(joined, bundle)``: a plan entry's choice under ``constraints``
+        (memoized per constraint set), ``(None, None)`` for a join.  A pooled
+        engine's bundle, which its shards seed from, also holds the plan of
+        every rule of a PANDA bag step.
+        """
+        if entry.rules is None:
+            return None, None
+        key = (entry.name, constraints_fingerprint(constraints))
+        choice = self._choices.get(key)
+        if choice is None:
+            rules, joined = entry.rules(self.query, constraints, None, self.planner)
+            bundle = None
+            if self.workers > 1:
+                universe = tuple(sorted(self.query.variable_set))
+                plans = []
+                if entry.runs_panda:
+                    for targets in rules:
+                        plan = self.planner.plan_rule(universe, targets, constraints)
+                        plans.append((universe, targets, constraints, plan))
+                blob = pickle.dumps((joined, plans))
+                bundle = (blob, hashlib.sha1(blob).hexdigest())
+            choice = self._choices[key] = (joined, bundle)
+        return choice
 
     def _bind_atoms(self, database) -> list:
         """The query's atoms bound against ``database`` (cached, pinned).
@@ -495,42 +511,17 @@ class QueryEngine(EngineBase):
     # -- sharded execution ---------------------------------------------------------
 
     def _shard_plans(self, entry, constraints: ConstraintSet) -> dict:
-        """What a plan driver's shards need besides their slices.
-
-        The parent enumerates the decompositions once and, for a PANDA
-        driver, calls its rules function and plans each rule — pure LP /
-        proof-sequence work, data-independent.  The bundle holds the plans
-        and the decompositions the driver joins, so a shard re-derives the
-        same rules from the parent's choice and solves no bound LP; each
-        worker seeds its planner once per bundle token.  PANDA orders heavy
-        keys by decoded value, so its shards also get the dictionaries.
-        """
+        """What a plan driver's shards need besides their slices: the
+        constraints and :meth:`_choice`'s bundle; PANDA orders heavy keys by
+        decoded value, so its shards also get the dictionaries."""
         from repro.relational.columns import Dictionary
 
-        key = (entry.name, constraints_fingerprint(constraints))
-        universe = tuple(sorted(self.query.variable_set))
-        bundle = self._plan_bundles.get(key)
-        if bundle is None:
-            decompositions = self._query_decompositions()
-            plans = []
-            if entry.rules:
-                rules, decompositions = entry.rules(
-                    self.query, constraints, decompositions, self.planner
-                )
-                for targets in rules:
-                    plan = self.planner.plan_rule(universe, targets, constraints)
-                    plans.append((universe, targets, constraints, plan))
-            blob = pickle.dumps((decompositions, plans))
-            bundle = (blob, hashlib.sha1(blob).hexdigest())
-            self._plan_bundles[key] = bundle
-        extra = {
-            "constraints": constraints,
-            "plans_blob": bundle[0],
-            "plans_token": bundle[1],
-        }
-        if entry.rules:
+        blob, token = self._choice(entry, constraints)[1]
+        extra = {"constraints": constraints, "plans_blob": blob, "plans_token": token}
+        if entry.runs_panda:
             # Dictionary value lists are append-only; rebuild the shipped
             # copies only when some dictionary actually grew.
+            universe = tuple(sorted(self.query.variable_set))
             lengths = tuple(len(Dictionary.of(v)) for v in universe)
             cached = self._dict_values
             if cached is None or cached[0] != (universe, lengths):

@@ -399,12 +399,14 @@ class TestParallelSerialBitIdentity:
 
 # -- pooled PANDA drivers -----------------------------------------------------------
 
-PANDA_DRIVERS = [name for name, entry in DRIVERS.items() if entry.rules is not None]
+PLAN_DRIVERS = [name for name, entry in DRIVERS.items() if entry.join is None]
+PANDA_DRIVERS = [name for name, entry in DRIVERS.items() if entry.runs_panda]
 
 
 class TestPooledPanda:
     """A pooled PANDA driver reports its PANDA runs and plans in the parent:
-    shards take the parent's decomposition and solve no bound LP."""
+    every plan driver's shards take the parent's choice and solve no bound
+    LP."""
 
     def _instance(self, driver):
         rng = random.Random(stable_seed("pooled-panda", driver))
@@ -425,7 +427,7 @@ class TestPooledPanda:
             assert run.log_value in bounds
             assert run.stats.max_intermediate <= run.budget
 
-    @pytest.mark.parametrize("driver", PANDA_DRIVERS)
+    @pytest.mark.parametrize("driver", PLAN_DRIVERS)
     def test_shards_solve_no_bound_lp(self, driver, monkeypatch):
         """Run the shard tasks the engine builds in process, counting the
         bound LPs solved inside them."""
@@ -475,6 +477,45 @@ class TestPooledPanda:
         assert outputs["1"].split(" (")[0] == outputs["2"].split(" (")[0]
         assert "(0 PANDA run(s))" not in outputs["2"]
         assert "PANDA run(s))" in outputs["2"]
+
+
+# -- the plan choice ----------------------------------------------------------------
+
+
+class TestPlanChoice:
+    """The engine runs a plan entry's choice once per constraint set and
+    never enumerates decompositions itself; ``TD(H)`` is enumerated at most
+    once, whatever the constraint sets."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("driver", PLAN_DRIVERS)
+    def test_no_enumeration_on_behalf_of_a_driver(self, driver, workers, monkeypatch):
+        import repro.core.query_plans as query_plans
+        import repro.decompositions.enumeration as enumeration
+
+        rng = random.Random(stable_seed("plan-choice", driver))
+        query = make_query("four_cycle")
+        databases = [make_database(query, rng, skewed=True) for _ in range(2)]
+        sizes = {tuple(len(database[a.name]) for a in query.body) for database in databases}
+        assert len(sizes) == 2
+        calls = []
+        original = enumeration.tree_decompositions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "tree_decompositions", counting)
+        monkeypatch.setattr(query_plans, "tree_decompositions", counting)
+        with QueryEngine(query, workers=workers) as engine:
+            answers = [engine.execute(database, driver=driver) for database in databases * 2]
+        if driver == "panda_full":
+            assert calls == []
+        else:
+            assert len(calls) <= 1
+        for database, answer in zip(databases * 2, answers):
+            joined = DRIVERS["generic"].run(query, [a.bind(database) for a in query.body])
+            assert answer.relation.code_rows == joined.relation.code_rows
 
 
 # -- work accounting ----------------------------------------------------------------
